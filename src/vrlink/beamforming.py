@@ -3,7 +3,9 @@
 Full-digital baselines come straight from the per-subcarrier SVD. The analog
 stages are shared across subcarriers and come from the SVD of covariance sums,
 element-wise normalized to constant modulus. The digital stages are
-per-subcarrier SVDs of the analog-reduced channel. No iteration anywhere.
+per-subcarrier SVDs of the analog-reduced channel, designed for all
+subcarriers at once on the stacked ``(n_sc, rows, cols)`` matrices with
+stacked ``@`` and one stacked SVD. No iteration anywhere.
 """
 
 import math
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, ShapeError
-from .numerics import ensure_complex_matrix, svd, unit_modulus_normalize
+from .numerics import ensure_complex_matrix, ensure_complex_stack, svd, unit_modulus_normalize
 
 # antenna / RF-chain configurations evaluated by default
 DEFAULT_CODEBOOK_PAIRS = ((2, 1), (2, 2), (4, 1), (4, 2), (8, 1), (8, 2))
@@ -115,31 +117,35 @@ def hybrid_digital(h_d: np.ndarray, n_ds: int, n_rf: int) -> tuple:
     """Per-subcarrier digital stage: SVD of the analog-reduced channel.
 
     h_d is the channel seen through the analog stages (rows: combiner
-    outputs, columns: RF chains). Returns semi-unitary precoder (n_rf x n_ds)
-    and combiner (rows x n_ds).
+    outputs, columns: RF chains), one matrix or a stack over subcarriers.
+    Returns semi-unitary precoder (n_rf x n_ds) and combiner (rows x n_ds),
+    stacked like h_d.
     """
-    h = ensure_complex_matrix(h_d, "h_d")
-    rows, cols = h.shape
+    h = ensure_complex_stack(h_d, "h_d")
+    rows, cols = h.shape[-2:]
     if cols != n_rf:
         raise ShapeError(f"reduced channel has {cols} columns, expected n_rf={n_rf}")
     if n_ds > min(rows, cols):
         raise ShapeError(f"n_ds={n_ds} exceeds min reduced dimension {min(rows, cols)}")
     res = svd(h)
-    precoder = res.right[:, :n_ds]
-    combiner = res.left[:, :n_ds]
+    precoder = res.right[..., :n_ds]
+    combiner = res.left[..., :n_ds]
     return precoder, combiner
 
 
 def effective_channel(g: np.ndarray, h: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Baseband channel through a combiner/precoder pair: G^H @ H @ P."""
-    g = ensure_complex_matrix(g, "g")
-    h = ensure_complex_matrix(h, "h")
-    p = ensure_complex_matrix(p, "p")
-    if g.shape[0] != h.shape[0]:
-        raise ShapeError(f"combiner rows {g.shape[0]} != channel rows {h.shape[0]}")
-    if h.shape[1] != p.shape[0]:
-        raise ShapeError(f"channel columns {h.shape[1]} != precoder rows {p.shape[0]}")
-    return g.conj().T @ h @ p
+    """Baseband channel through a combiner/precoder pair: G^H @ H @ P.
+
+    Each operand is one matrix or a stack; stacks broadcast like ``@``.
+    """
+    g = ensure_complex_stack(g, "g")
+    h = ensure_complex_stack(h, "h")
+    p = ensure_complex_stack(p, "p")
+    if g.shape[-2] != h.shape[-2]:
+        raise ShapeError(f"combiner rows {g.shape[-2]} != channel rows {h.shape[-2]}")
+    if h.shape[-1] != p.shape[-2]:
+        raise ShapeError(f"channel columns {h.shape[-1]} != precoder rows {p.shape[-2]}")
+    return np.conj(g).swapaxes(-1, -2) @ h @ p
 
 
 @dataclass(frozen=True)
@@ -204,40 +210,27 @@ def design_link(channels: np.ndarray, codebook: Codebook, p_b: float) -> Beamfor
 
     g_a = analog_combiner(channels, codebook.n_ds)
     p_a = analog_precoder(channels, codebook.n_rf)
+    d_pre, d_comb = hybrid_digital(effective_channel(g_a, channels, p_a), codebook.n_ds, codebook.n_rf)
 
-    n_ds = codebook.n_ds
-    digital_precoders = np.zeros((n_sc, codebook.n_rf, n_ds), dtype=complex)
-    digital_combiners = np.zeros((n_sc, n_ds, n_ds), dtype=complex)
-    effective = np.zeros((n_sc, n_ds, n_ds), dtype=complex)
-    power_scale = np.zeros(n_sc)
-    per_sc_budget = p_b / n_sc
-
-    for sc in range(n_sc):
-        h_sc = channels[sc]
-        h_d = effective_channel(g_a, h_sc, p_a)
-        d_pre, d_comb = hybrid_digital(h_d, n_ds, codebook.n_rf)
-        digital_precoders[sc] = d_pre
-        digital_combiners[sc] = d_comb
-
-        # composite beams, unit Frobenius norm, so the effective gain is the
-        # channel response to a unit-power beam and can never exceed the
-        # leading singular value of the raw channel
-        f = p_a @ d_pre
-        w = g_a @ d_comb
-        f_norm = np.linalg.norm(f)
-        w_norm = np.linalg.norm(w)
-        if f_norm == 0.0 or w_norm == 0.0:
-            raise InvalidInputError("degenerate composite beam with zero norm")
-        effective[sc] = effective_channel(w / w_norm, h_sc, f / f_norm)
-        power_scale[sc] = math.sqrt(per_sc_budget) / f_norm
+    # composite beams, unit Frobenius norm, so the effective gain is the
+    # channel response to a unit-power beam and can never exceed the
+    # leading singular value of the raw channel; the norms stay per
+    # subcarrier because a batched BLAS norm rounds differently
+    f = p_a @ d_pre
+    w = g_a @ d_comb
+    f_norm = np.array([np.linalg.norm(x) for x in f])
+    w_norm = np.array([np.linalg.norm(x) for x in w])
+    if np.any(f_norm == 0.0) or np.any(w_norm == 0.0):
+        raise InvalidInputError("degenerate composite beam with zero norm")
+    effective = effective_channel(w / w_norm[:, None, None], channels, f / f_norm[:, None, None])
 
     return BeamformingSolution(
         codebook=codebook,
         analog_precoder=p_a,
         analog_combiner=g_a,
-        digital_precoders=digital_precoders,
-        digital_combiners=digital_combiners,
+        digital_precoders=np.ascontiguousarray(d_pre),
+        digital_combiners=np.ascontiguousarray(d_comb),
         effective_channels=effective,
-        power_scale=power_scale,
+        power_scale=math.sqrt(p_b / n_sc) / f_norm,  # equal split of the budget
         link_budget_w=p_b,
     )

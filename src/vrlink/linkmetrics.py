@@ -3,6 +3,12 @@
 UL SINR works on the raw scalar channels per subcarrier; DL SINR works on the
 beamformed effective gain aggregated over subcarriers (mean or min). Noise is
 anchored to a reference power through the swept Es/N0 value.
+
+The pipeline entry point, ``compute_metrics``, evaluates the UL side on whole
+``(U, B, n_sc)`` arrays and reproduces the scalar ``sinr_ul`` and ``rate``
+bit for bit; ``sinr_ul`` states the UL model one cell at a time and serves
+only as the tests' oracle. The DL side has just U x B cells and still calls
+``sinr_dl`` and ``rate`` per cell.
 """
 
 import math
@@ -173,26 +179,47 @@ def compute_metrics(
     """Evaluate every (user, AP) pairing, re-homing the probed user each time.
 
     ul_coeffs: (U, B, n_sc) complex scalars. dl_gain_per_sc: (U, B, n_sc)
-    squared effective-channel magnitudes from the beamformer.
+    squared effective-channel magnitudes from the beamformer. The UL SINR and
+    rate come out of whole-array operations; the DL side has only U x B
+    cells and evaluates them one by one.
     """
+    if not sigma_sq > 0:
+        raise InvalidInputError(f"noise power must be positive, got {sigma_sq}")
+    if not bw_subcarrier > 0:
+        raise InvalidInputError(f"bandwidth must be positive, got {bw_subcarrier}")
     n_users, n_aps, n_sc = ul_coeffs.shape
-    agg = np.zeros((n_users, n_aps))
-    for i in range(n_users):
-        for j in range(n_aps):
-            agg[i, j] = aggregate_gain(dl_gain_per_sc[i, j], mode)
+    users = np.arange(n_users)[:, None]
+    aps = np.arange(n_aps)[None, :]
+    # received UL power of user l at AP b on subcarrier n
+    received = user_powers[:, None, None] * np.abs(ul_coeffs) ** 2
+    # interference at evaluation cell (i, j): user i sits at AP j, every other
+    # user at its home AP; terms are added in the scalar oracle's order
+    intra = np.zeros((n_users, n_aps, n_sc))
+    for l in range(n_users):
+        homed = (users != l) & (aps == base_cells[l])
+        intra += np.where(homed[:, :, None], received[l][None, :, :], 0.0)
+    inter = np.zeros((n_users, n_aps, n_sc))
+    for b in range(n_aps):
+        for k in range(n_users):
+            if base_cells[k] != b:
+                continue
+            other = (users != k) & (aps != b)
+            inter += np.where(other[:, :, None], received[k, b][None, None, :], 0.0)
+    s_ul = received / (sigma_sq + intra + inter)
+    if np.any(s_ul < 0):
+        raise InvalidInputError("SINR must be non-negative")
+    # math.log1p, not np.log1p: the two round differently
+    log1p = np.array([math.log1p(x) for x in s_ul.ravel().tolist()]).reshape(s_ul.shape)
+    r_ul = bw_subcarrier * log1p / LN2
 
-    s_ul = np.zeros((n_users, n_aps, n_sc))
-    r_ul = np.zeros((n_users, n_aps, n_sc))
+    agg = np.array(
+        [[aggregate_gain(dl_gain_per_sc[i, j], mode) for j in range(n_aps)] for i in range(n_users)]
+    )
     s_dl = np.zeros((n_users, n_aps))
     r_dl = np.zeros((n_users, n_aps))
     for i in range(n_users):
         for j in range(n_aps):
-            cells = evaluation_cells(base_cells, i, j)
-            for n in range(n_sc):
-                s = sinr_ul(i, j, n, user_powers, ul_coeffs, cells, sigma_sq)
-                s_ul[i, j, n] = s
-                r_ul[i, j, n] = rate(bw_subcarrier, s)
-            s = sinr_dl(i, j, ap_powers, agg, cells, sigma_sq)
+            s = sinr_dl(i, j, ap_powers, agg, evaluation_cells(base_cells, i, j), sigma_sq)
             s_dl[i, j] = s
             r_dl[i, j] = rate(bw_total, s)
     return LinkMetrics(sinr_ul=s_ul, rate_ul=r_ul, sinr_dl=s_dl, rate_dl=r_dl, dl_gain=agg)

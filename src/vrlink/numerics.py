@@ -3,7 +3,27 @@ element-wise modulus normalization.
 
 The factorization itself is delegated to LAPACK via numpy; this module pins
 down the conventions the beamforming stages rely on (descending singular
-values, reproducible singular-vector phases, tolerance policy).
+values, reproducible singular-vector phases, tolerance policy). ``svd`` takes
+a single matrix or a stack ``(..., m, n)``; a single matrix is a stack of one,
+so both go through the same convention.
+
+Bit-exactness: the stacked code reproduces, bit for bit, what one
+matrix-at-a-time loop computes. With numpy 2.x on x86-64 these hold:
+
+- ``np.abs`` of a complex array is the same whatever the shape or stride,
+  but differs from scalar ``abs(z)``; ``np.hypot(z.real, z.imag)`` equals
+  scalar ``abs(z)``. So the pivot search ranks entries by ``np.abs`` and the
+  pivot's magnitude comes from ``np.hypot``.
+- complex scalar division ``z / r`` by a real ``r`` is numpy's Smith
+  formula, ``((z.re + z.im*0) * s, (z.im - z.re*0) * s)`` with ``s = 1/r``.
+- multiplying a complex column of length >= 2 by a complex scalar uses
+  numpy's fused multiply-add kernel, which a broadcast array product
+  reproduces; a column of length 1 takes the plain real product instead.
+- stacked ``np.linalg.svd`` and stacked ``@`` equal their per-matrix calls;
+  ``np.sqrt`` and real ``+ - * /`` are exact IEEE operations.
+- ``np.log1p`` and a BLAS ``np.linalg.norm`` across a batch are not
+  per-element equal to ``math.log1p`` and a per-matrix norm; keep those
+  scalar or per matrix.
 """
 
 from dataclasses import dataclass
@@ -18,16 +38,25 @@ MODULUS_TOL = 1e-12     # per-entry modulus checks
 ZERO_MODULUS = 1e-15    # entries below this are treated as zero-phase
 
 
-def ensure_complex_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Validate and return ``m`` as a finite, non-empty 2-D complex128 array."""
+def ensure_complex_stack(m, name: str = "matrix") -> np.ndarray:
+    """Validate and return ``m`` as a finite complex128 stack ``(..., rows, cols)``
+    of non-empty matrices; a 2-D input is a single matrix."""
     arr = np.asarray(m, dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+    if arr.ndim < 2 or arr.size == 0:
         raise InvalidInputError(
-            f"{name} must be a non-empty 2-D matrix, got shape {arr.shape}"
+            f"{name} must be a non-empty matrix or stack of matrices, got shape {arr.shape}"
         )
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return arr
+
+
+def ensure_complex_matrix(m, name: str = "matrix") -> np.ndarray:
+    """Validate and return ``m`` as a finite, non-empty 2-D complex128 array."""
+    arr = np.asarray(m, dtype=np.complex128)
+    if arr.ndim != 2:
+        raise InvalidInputError(f"{name} must be a non-empty 2-D matrix, got shape {arr.shape}")
+    return ensure_complex_stack(arr, name)
 
 
 @dataclass(frozen=True)
@@ -35,7 +64,8 @@ class SvdResult:
     """Full SVD ``M = left @ diag(singular_values) @ right.conj().T``.
 
     ``left`` is m x m unitary, ``right`` is n x n unitary, and
-    ``singular_values`` holds min(m, n) non-negative reals, descending.
+    ``singular_values`` holds min(m, n) non-negative reals, descending. For a
+    stacked input every field carries the same leading axes.
     """
 
     left: np.ndarray
@@ -43,45 +73,68 @@ class SvdResult:
     right: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        m = self.left.shape[0]
-        n = self.right.shape[0]
-        sigma = np.zeros((m, n))
-        k = self.singular_values.shape[0]
-        sigma[:k, :k] = np.diag(self.singular_values)
-        return self.left @ sigma @ self.right.conj().T
+        m = self.left.shape[-1]
+        n = self.right.shape[-1]
+        k = self.singular_values.shape[-1]
+        sigma = np.zeros(self.singular_values.shape[:-1] + (m, n))
+        sigma[..., range(k), range(k)] = self.singular_values
+        return self.left @ sigma @ np.conj(self.right).swapaxes(-1, -2)
 
 
-def _pivot_phase(column: np.ndarray) -> complex:
-    """Phase of the largest-magnitude entry of a vector (1 for a zero vector)."""
-    idx = int(np.argmax(np.abs(column)))
-    pivot = column[idx]
-    mag = abs(pivot)
-    if mag <= ZERO_MODULUS:
-        return 1.0 + 0.0j
-    return pivot / mag
+def _conj_pivot_phase(vectors: np.ndarray) -> np.ndarray:
+    """Conjugate phase of each column's largest-magnitude entry, (S, rows, cols)
+    -> (S, cols); 1 for a column whose pivot is below ``ZERO_MODULUS``."""
+    idx = np.argmax(np.abs(vectors), axis=-2)
+    pivot = np.take_along_axis(vectors, idx[:, None, :], axis=-2)[:, 0, :]
+    re, im = pivot.real, pivot.imag
+    mag = np.hypot(re, im)
+    usable = mag > ZERO_MODULUS
+    scale = 1.0 / np.where(usable, mag, 1.0)
+    phase = np.empty(pivot.shape, dtype=np.complex128)
+    phase.real = np.where(usable, (re + im * 0.0) * scale, 1.0)
+    phase.imag = -np.where(usable, (im - re * 0.0) * scale, 0.0)
+    return phase
+
+
+def _rotate_columns(vectors: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """Multiply column c of every matrix in the stack by ``phase[:, c]``.
+
+    Rounds like an in-place ``column *= phase`` on one matrix: numpy's fused
+    multiply-add kernel for columns of two or more entries, the plain real
+    product for single-entry columns.
+    """
+    if vectors.shape[-2] > 1:
+        return vectors * phase[:, None, :]
+    re, im = vectors.real, vectors.imag
+    pr, pi = phase.real[:, None, :], phase.imag[:, None, :]
+    out = np.empty(vectors.shape, dtype=np.complex128)
+    out.real = re * pr - im * pi
+    out.imag = re * pi + im * pr
+    return out
 
 
 def svd(m) -> SvdResult:
     """Singular value decomposition with a reproducible sign/phase convention.
 
-    Each left singular vector is rotated so its largest-magnitude entry is
-    real and non-negative; the paired right vector absorbs the same rotation
-    so the product is unchanged. Unpaired right columns (n > m) get the same
-    convention applied independently since they never touch the reconstruction.
+    ``m`` is one matrix or a stack ``(..., m, n)``; the factors keep its
+    leading axes. Each left singular vector is rotated so its
+    largest-magnitude entry is real and non-negative; the paired right vector
+    absorbs the same rotation so the product is unchanged. Unpaired right
+    columns (n > m) get the same convention applied independently since they
+    never touch the reconstruction.
     """
-    a = ensure_complex_matrix(m)
-    u, s, vh = np.linalg.svd(a, full_matrices=True)
-    v = vh.conj().T.copy()
-    u = u.copy()
-    k = min(a.shape)
-    for col in range(u.shape[1]):
-        phase = np.conj(_pivot_phase(u[:, col]))
-        u[:, col] *= phase
-        if col < k:
-            v[:, col] *= phase
-    for col in range(k, v.shape[1]):
-        v[:, col] *= np.conj(_pivot_phase(v[:, col]))
-    return SvdResult(left=u, singular_values=s, right=v)
+    a = ensure_complex_stack(m)
+    lead, (rows, cols) = a.shape[:-2], a.shape[-2:]
+    u, s, vh = np.linalg.svd(a.reshape((-1, rows, cols)), full_matrices=True)
+    v = np.conj(vh).swapaxes(-1, -2)
+    k = min(rows, cols)
+    phase_u = _conj_pivot_phase(u)
+    phase_v = np.concatenate((phase_u[:, :k], _conj_pivot_phase(v[:, :, k:])), axis=1)
+    return SvdResult(
+        left=_rotate_columns(u, phase_u).reshape(lead + (rows, rows)),
+        singular_values=s.reshape(lead + (k,)),
+        right=_rotate_columns(v, phase_v).reshape(lead + (cols, cols)),
+    )
 
 
 def unit_modulus_normalize(m, target_modulus: float) -> np.ndarray:

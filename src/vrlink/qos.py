@@ -4,6 +4,13 @@ Total delay is transmission (payload over DL rate plus tracking vector over
 UL rate) + processing (workload over per-user compute share) + M/M/1 queue
 wait. Utility is the product of a delay-tolerance factor and a tracking
 -accuracy factor, each in [0, 1].
+
+The pipeline works on a link's whole subcarrier window at once:
+``transmission_delay`` takes the array of UL rates and ``link_utilities``
+computes every subcarrier's utility with array arithmetic. The scalar
+``conditional_utility``, ``tracking_error``, ``tracking_utility`` and
+``total_utility`` state the model one subcarrier at a time; the window path
+reproduces them bit for bit and the tests hold it to them as oracles.
 """
 
 import math
@@ -58,11 +65,15 @@ class DelayBreakdown:
                 raise InvalidInputError(f"{name} delay must be non-negative, got {v}")
 
 
-def transmission_delay(s_bits: float, a_bits: float, rate_dl: float, rate_ul: float) -> float:
-    """Over-the-air time: payload over the DL rate, tracking over the UL rate."""
-    if not rate_dl > 0 or not rate_ul > 0:
+def transmission_delay(s_bits: float, a_bits: float, rate_dl: float, rate_ul):
+    """Over-the-air time: payload over the DL rate, tracking over the UL rate.
+
+    rate_ul is one rate or an array of per-subcarrier rates; the delay has
+    its shape. Any rate that is not positive makes the link infeasible.
+    """
+    if not rate_dl > 0 or not np.all(np.asarray(rate_ul) > 0):
         raise InfeasibleLinkError(
-            f"link carries no rate (dl={rate_dl}, ul={rate_ul}), transmission never completes"
+            f"link carries no rate (dl={rate_dl}, ul={np.min(rate_ul)}), transmission never completes"
         )
     return s_bits / rate_dl + a_bits / rate_ul
 
@@ -165,17 +176,29 @@ def link_utilities(
     """Per-subcarrier total utilities for one (user, AP) link window.
 
     d_max is the worst total delay over the window's subcarriers; the
-    tracking anchor is the worst tracking error over the same window.
+    tracking anchor is the worst tracking error over the same window. Equal,
+    bit for bit, to ``total_utility(conditional_utility(...),
+    tracking_utility(...))`` per subcarrier.
     """
     delays = np.asarray(delays_total, dtype=float)
     sinrs = np.asarray(sinrs_ul, dtype=float)
     if delays.shape != sinrs.shape or delays.size == 0:
         raise InvalidInputError("delay and SINR windows must be non-empty and congruent")
+    if np.any(delays < 0) or gamma_d < 0:
+        raise InvalidInputError("delays must be non-negative")
+    if np.any(sinrs < 0):
+        raise InvalidInputError("SINR must be non-negative")
+    if not epsilon0 > 0:
+        raise InvalidInputError(f"epsilon0 must be positive, got {epsilon0}")
     d_max = float(np.max(delays))
-    errors = np.array([tracking_error(s, epsilon0) for s in sinrs])
-    out = np.zeros(delays.size)
-    for n in range(delays.size):
-        c = conditional_utility(float(delays[n]), d_max, gamma_d)
-        k = tracking_utility(float(errors[n]), errors)
-        out[n] = total_utility(c, k)
-    return out
+    if d_max <= gamma_d:
+        conditional = np.ones(delays.shape)
+    else:
+        conditional = np.where(delays < gamma_d, 1.0, (d_max - delays) / (d_max - gamma_d))
+    errors = epsilon0 / np.sqrt(1.0 + sinrs)
+    worst = float(np.max(errors))
+    tracking = np.ones(errors.shape) if worst == 0.0 else 1.0 - errors / worst
+    for name, v in (("conditional", conditional), ("tracking", tracking)):
+        if not np.all((0.0 <= v) & (v <= 1.0)):
+            raise InvalidInputError(f"{name} utility must lie in [0,1]")
+    return conditional * tracking

@@ -109,12 +109,14 @@ def check_constraints(
 
 @dataclass(frozen=True)
 class _CodebookPrep:
-    """Channels and beamforming for one codebook, shared by every sweep point."""
+    """Channels, beamforming and everything else that does not depend on
+    Es/N0, computed once per codebook and shared by every sweep point."""
 
     ul_coeffs: np.ndarray      # (U, B, n_sc)
     solutions: dict            # (user, ap) -> BeamformingSolution
     dl_gain_per_sc: np.ndarray # (U, B, n_sc) squared effective gains
     n_served: np.ndarray       # (U, B) cell occupancy when (user, ap) is evaluated
+    ap_power_used: np.ndarray  # (U, B) AP transmit power with every served link at this design
 
 
 def _prepare_codebook(config: SweepConfig, codebook: Codebook) -> _CodebookPrep:
@@ -137,6 +139,7 @@ def _prepare_codebook(config: SweepConfig, codebook: Codebook) -> _CodebookPrep:
     solutions = {}
     gains = np.zeros((u, b, config.grid.n_sc))
     served = np.zeros((u, b), dtype=int)
+    power_used = np.zeros((u, b))
     for i in range(u):
         for j in range(b):
             cells = evaluation_cells(base, i, j)
@@ -146,7 +149,14 @@ def _prepare_codebook(config: SweepConfig, codebook: Codebook) -> _CodebookPrep:
             sol = design_link(dl.link_matrices(i, j), codebook, budget)
             solutions[(i, j)] = sol
             gains[i, j] = sol.effective_gain_per_subcarrier() ** 2
-    return _CodebookPrep(ul_coeffs=ul.coeffs, solutions=solutions, dl_gain_per_sc=gains, n_served=served)
+            power_used[i, j] = served[i, j] * sol.transmit_power()
+    return _CodebookPrep(
+        ul_coeffs=ul.coeffs,
+        solutions=solutions,
+        dl_gain_per_sc=gains,
+        n_served=served,
+        ap_power_used=power_used,
+    )
 
 
 def _evaluate_prepared(
@@ -180,61 +190,38 @@ def _evaluate_prepared(
     objective = 0.0
     for i, user in enumerate(topo.users):
         for j, ap in enumerate(topo.aps):
-            sol = prep.solutions[(i, j)]
             rate_dl = float(metrics.rate_dl[i, j])
             rates_ul = metrics.rate_ul[i, j]
-            ap_power_used = prep.n_served[i, j] * sol.transmit_power()
             violations = check_constraints(
                 int(prep.n_served[i, j]),
                 rate_dl,
-                ap_power_used,
-                sol,
+                float(prep.ap_power_used[i, j]),
+                prep.solutions[(i, j)],
                 user.user_id,
                 ap.ap_id,
                 config.v_j,
                 config.r_min,
                 ap.power_w,
             )
-            letters = []
-            for v in violations:
-                if v.constraint not in letters:
-                    letters.append(v.constraint)
+            letters = tuple(dict.fromkeys(v.constraint for v in violations))
             try:
-                d_trans_n = np.array(
-                    [
-                        transmission_delay(traffic.s_bits, traffic.a_bits, rate_dl, float(r))
-                        for r in rates_ul
-                    ]
-                )
+                d_trans_n = transmission_delay(traffic.s_bits, traffic.a_bits, rate_dl, rates_ul)
             except InfeasibleLinkError:
-                records.append(
-                    SweepRecord(
-                        scenario=scenario.value,
-                        n_tx=codebook.n_tx,
-                        n_rf=codebook.n_rf,
-                        esn0_db=float(esn0_db),
-                        ap=ap.ap_id,
-                        user=user.user_id,
-                        rate_dl_bps=rate_dl,
-                        rate_ul_bps=float(np.mean(rates_ul)),
-                        d_trans_s=math.inf,
-                        d_proc_s=d_proc,
-                        d_queue_s=d_queue,
-                        d_total_s=math.inf,
-                        utility=None,
-                        feasible=False,
-                        violations=tuple(letters),
-                    )
+                # the link never completes a frame: infinite delay, no utility
+                d_trans = d_total = math.inf
+                utility = None
+                feasible = False
+            else:
+                totals_n = d_trans_n + d_proc + d_queue
+                utilities_n = link_utilities(
+                    totals_n, metrics.sinr_ul[i, j], user.delay_tolerance_s, config.epsilon0
                 )
-                continue
-            totals_n = d_trans_n + d_proc + d_queue
-            utilities_n = link_utilities(
-                totals_n, metrics.sinr_ul[i, j], user.delay_tolerance_s, config.epsilon0
-            )
-            feasible = not letters
-            utility = float(np.mean(utilities_n)) if feasible else None
-            if feasible:
-                objective += float(np.sum(utilities_n))
+                d_trans = float(np.mean(d_trans_n))
+                d_total = float(np.mean(totals_n))
+                feasible = not letters
+                utility = float(np.mean(utilities_n)) if feasible else None
+                if feasible:
+                    objective += float(np.sum(utilities_n))
             records.append(
                 SweepRecord(
                     scenario=scenario.value,
@@ -245,13 +232,13 @@ def _evaluate_prepared(
                     user=user.user_id,
                     rate_dl_bps=rate_dl,
                     rate_ul_bps=float(np.mean(rates_ul)),
-                    d_trans_s=float(np.mean(d_trans_n)),
+                    d_trans_s=d_trans,
                     d_proc_s=d_proc,
                     d_queue_s=d_queue,
-                    d_total_s=float(np.mean(totals_n)),
+                    d_total_s=d_total,
                     utility=utility,
                     feasible=feasible,
-                    violations=tuple(letters),
+                    violations=letters,
                 )
             )
     return records, objective
@@ -280,10 +267,11 @@ def mode_statistic(values, bin_width: float) -> float:
         raise InvalidInputError("mode statistic of an empty vector")
     if not bin_width > 0:
         raise InvalidInputError(f"bin width must be positive, got {bin_width}")
-    bins = np.floor(arr / bin_width).astype(np.int64)
+    # float bins: an int64 cast wraps for delays above 2^63 bins
+    bins = np.floor(arr / bin_width)
     counts = Counter(bins.tolist())
     best = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return float(best[0]) * bin_width
+    return best[0] * bin_width
 
 
 def select_best_codebook(result: SweepResult, esn0_db: float, scenario: str = None):

@@ -100,6 +100,14 @@ def test_mode_statistic():
         mode_statistic([1.0], 0.0)
 
 
+def test_mode_statistic_beyond_int64_bins():
+    # 1e26 bins of 1e-6 s: an int64 bin index would wrap negative
+    mode = mode_statistic([1e20, 1e20, 3.0], 1e-6)
+    assert mode == pytest.approx(1e20, rel=1e-12)
+    assert mode > 0
+    assert mode_statistic([1.09e14, 3.0, 1.09e14], 1e-6) == pytest.approx(1.09e14, rel=1e-12)
+
+
 def test_evaluate_sweep_point_record_count_and_objective():
     cfg = config_from_dict(SMALL)
     records, objective = evaluate_sweep_point(

@@ -1,0 +1,244 @@
+"""Whole-array pipeline against its scalar oracles, compared with ==.
+
+The sweep evaluates SINR, rate, delay and utility on whole arrays and
+designs every subcarrier's digital stage from one stacked SVD. Each test
+here rebuilds the same numbers one cell, one subcarrier or one column at a
+time and demands bit-for-bit equality, on seeded random inputs.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from vrlink.beamforming import Codebook, analog_combiner, analog_precoder, design_link
+from vrlink.config import config_from_dict
+from vrlink.errors import InfeasibleLinkError
+from vrlink.linkmetrics import (
+    GainAggregation,
+    aggregate_gain,
+    compute_metrics,
+    evaluation_cells,
+    rate,
+    sinr_dl,
+    sinr_ul,
+)
+from vrlink.numerics import ZERO_MODULUS, svd
+from vrlink.qos import (
+    conditional_utility,
+    link_utilities,
+    total_utility,
+    tracking_error,
+    tracking_utility,
+    transmission_delay,
+)
+from vrlink.runner import record_to_csv_row, run_sweep
+
+
+def random_complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def test_compute_metrics_matches_scalar_oracles():
+    rng = np.random.default_rng(401)
+    for _ in range(25):
+        u = int(rng.integers(1, 9))
+        b = int(rng.integers(1, 5))
+        n_sc = int(rng.integers(1, 71))
+        coeffs = random_complex(rng, (u, b, n_sc)) * 10.0 ** rng.uniform(-6, 0)
+        gains = rng.uniform(0.0, 1e-9, (u, b, n_sc))
+        user_powers = rng.uniform(1e-3, 1e-2, u)
+        ap_powers = rng.uniform(1e-3, 2e-2, b)
+        cells = tuple(int(c) for c in rng.integers(0, b, u))
+        sigma_sq = float(10.0 ** rng.uniform(-14, -2))
+        mode = GainAggregation.MIN if rng.integers(2) else GainAggregation.MEAN
+        bw_total = 2.16e9
+        bw_sc = bw_total / n_sc
+        metrics = compute_metrics(
+            coeffs, gains, user_powers, ap_powers, cells, sigma_sq, mode, bw_total, bw_sc
+        )
+        agg = np.array([[aggregate_gain(gains[i, j], mode) for j in range(b)] for i in range(u)])
+        assert np.array_equal(metrics.dl_gain, agg)
+        for i in range(u):
+            for j in range(b):
+                probe = evaluation_cells(cells, i, j)
+                for n in range(n_sc):
+                    s = sinr_ul(i, j, n, user_powers, coeffs, probe, sigma_sq)
+                    assert metrics.sinr_ul[i, j, n] == s
+                    assert metrics.rate_ul[i, j, n] == rate(bw_sc, s)
+                s = sinr_dl(i, j, ap_powers, agg, probe, sigma_sq)
+                assert metrics.sinr_dl[i, j] == s
+                assert metrics.rate_dl[i, j] == rate(bw_total, s)
+
+
+def scalar_link_utilities(delays, sinrs, gamma_d, epsilon0):
+    d_max = float(np.max(delays))
+    errors = np.array([tracking_error(s, epsilon0) for s in sinrs])
+    return np.array(
+        [
+            total_utility(
+                conditional_utility(float(d), d_max, gamma_d),
+                tracking_utility(float(e), errors),
+            )
+            for d, e in zip(delays, errors)
+        ]
+    )
+
+
+def test_link_utilities_match_scalar_chain():
+    rng = np.random.default_rng(409)
+    for trial in range(400):
+        n_sc = int(rng.integers(1, 70))
+        if trial % 5 == 0:
+            # uniform window: every subcarrier at d_max and the worst error
+            delays = np.full(n_sc, 10.0 ** rng.uniform(-4, 14))
+            sinrs = np.full(n_sc, 10.0 ** rng.uniform(-12, 3))
+        else:
+            delays = 10.0 ** rng.uniform(-4, 14, n_sc)
+            sinrs = 10.0 ** rng.uniform(-12, 3, n_sc) * (rng.uniform(size=n_sc) > 0.1)
+        # tolerance below, inside and above the window
+        gamma_d = float(rng.choice([0.0, 20e-3, np.median(delays), 2.0 * np.max(delays)]))
+        epsilon0 = float(rng.uniform(0.1, 5.0))
+        got = link_utilities(delays, sinrs, gamma_d, epsilon0)
+        assert np.array_equal(got, scalar_link_utilities(delays, sinrs, gamma_d, epsilon0))
+
+
+def test_transmission_delay_array_matches_scalar_calls():
+    rng = np.random.default_rng(419)
+    for _ in range(50):
+        rates_ul = 10.0 ** rng.uniform(-8, 9, int(rng.integers(1, 70)))
+        rate_dl = float(10.0 ** rng.uniform(-8, 9))
+        got = transmission_delay(12288.0, 6.0, rate_dl, rates_ul)
+        want = [transmission_delay(12288.0, 6.0, rate_dl, float(r)) for r in rates_ul]
+        assert np.array_equal(got, want)
+    with pytest.raises(InfeasibleLinkError):
+        transmission_delay(12288.0, 6.0, 1e9, np.array([1e6, 0.0, 1e6]))
+    with pytest.raises(InfeasibleLinkError):
+        transmission_delay(12288.0, 6.0, 0.0, np.array([1e6, 1e6]))
+
+
+def column_svd(m):
+    """Reference phase convention, one column at a time."""
+
+    def pivot_phase(column):
+        idx = int(np.argmax(np.abs(column)))
+        pivot = column[idx]
+        mag = abs(pivot)
+        if mag <= ZERO_MODULUS:
+            return 1.0 + 0.0j
+        return pivot / mag
+
+    a = np.asarray(m, dtype=np.complex128)
+    u, s, vh = np.linalg.svd(a, full_matrices=True)
+    v = vh.conj().T.copy()
+    u = u.copy()
+    k = min(a.shape)
+    for col in range(u.shape[1]):
+        phase = np.conj(pivot_phase(u[:, col]))
+        u[:, col] *= phase
+        if col < k:
+            v[:, col] *= phase
+    for col in range(k, v.shape[1]):
+        v[:, col] *= np.conj(pivot_phase(v[:, col]))
+    return u, s, v
+
+
+def assert_svd_equal(res, ref):
+    u, s, v = ref
+    assert np.array_equal(res.left, u)
+    assert np.array_equal(res.singular_values, s)
+    assert np.array_equal(res.right, v)
+
+
+def test_svd_single_matrix_matches_column_loop():
+    # criterion 1's shapes: every m x n up to 8 x 8, wide ones with unpaired
+    # right columns included
+    rng = np.random.default_rng(2024)
+    for _ in range(1000):
+        m = int(rng.integers(1, 9))
+        n = int(rng.integers(1, 9))
+        a = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        assert_svd_equal(svd(a), column_svd(a))
+
+
+def test_svd_stack_matches_column_loop_per_matrix():
+    rng = np.random.default_rng(431)
+    for trial in range(300):
+        stack = int(rng.integers(1, 9))
+        m = int(rng.integers(1, 9))
+        n = int(rng.integers(1, 9))
+        if trial % 2:
+            a = random_complex(rng, (stack, m, n))
+        else:
+            # rank one with constant-modulus factors: near-tied pivots
+            x = np.exp(1j * rng.uniform(0, 2 * np.pi, (stack, m, 1))) / math.sqrt(m)
+            y = np.exp(1j * rng.uniform(0, 2 * np.pi, (stack, n, 1))) / math.sqrt(n)
+            a = x @ np.conj(y).swapaxes(-1, -2)
+        res = svd(a)
+        assert res.left.shape == (stack, m, m)
+        assert res.right.shape == (stack, n, n)
+        for i in range(stack):
+            one = dataclasses.replace(
+                res, left=res.left[i], singular_values=res.singular_values[i], right=res.right[i]
+            )
+            assert_svd_equal(one, column_svd(a[i]))
+
+
+def per_subcarrier_design(channels, codebook, p_b):
+    """Reference design: every subcarrier on its own, from 2-D matrices."""
+    n_sc = channels.shape[0]
+    g_a = analog_combiner(channels, codebook.n_ds)
+    p_a = analog_precoder(channels, codebook.n_rf)
+    pre, comb, eff, scale = [], [], [], []
+    for h in channels:
+        h_d = g_a.conj().T @ h @ p_a
+        res = svd(h_d)
+        d_pre = res.right[:, : codebook.n_ds]
+        d_comb = res.left[:, : codebook.n_ds]
+        f = p_a @ d_pre
+        w = g_a @ d_comb
+        f_norm = np.linalg.norm(f)
+        w_norm = np.linalg.norm(w)
+        pre.append(d_pre)
+        comb.append(d_comb)
+        eff.append((w / w_norm).conj().T @ h @ (f / f_norm))
+        scale.append(math.sqrt(p_b / n_sc) / f_norm)
+    return np.array(pre), np.array(comb), np.array(eff), np.array(scale)
+
+
+def test_design_link_matches_per_subcarrier_reference():
+    rng = np.random.default_rng(433)
+    for trial in range(120):
+        n_tx = int(rng.choice([2, 4, 8]))
+        n_rf = int(rng.integers(1, min(n_tx, 3) + 1))
+        n_rx = int(rng.integers(1, 3))
+        n_ds = int(rng.integers(1, min(n_rf, n_rx) + 1))
+        n_sc = int(rng.integers(1, 70))
+        codebook = Codebook(n_tx, n_rf, n_rx, n_ds)
+        channels = random_complex(rng, (n_sc, n_rx, n_tx)) * 1e-5
+        p_b = float(rng.uniform(1e-3, 1e-1))
+        sol = design_link(channels, codebook, p_b)
+        pre, comb, eff, scale = per_subcarrier_design(channels, codebook, p_b)
+        assert np.array_equal(sol.digital_precoders, pre)
+        assert np.array_equal(sol.digital_combiners, comb)
+        assert np.array_equal(sol.effective_channels, eff)
+        assert np.array_equal(sol.power_scale, scale)
+
+
+def test_zero_power_user_is_an_infeasible_record():
+    cfg = config_from_dict({"n_sc": "8", "esn0_stop": "2", "n_t": "2", "n_rf": "1"})
+    users = list(cfg.topology.users)
+    users[0] = dataclasses.replace(users[0], power_w=0.0)
+    cfg = dataclasses.replace(
+        cfg, topology=dataclasses.replace(cfg.topology, users=tuple(users))
+    )
+    result = run_sweep(cfg)
+    silent = [r for r in result.records if r.user == users[0].user_id]
+    assert silent
+    for rec in silent:
+        assert rec.rate_ul_bps == 0.0
+        assert rec.d_trans_s == math.inf and rec.d_total_s == math.inf
+        assert rec.utility is None and not rec.feasible
+        assert record_to_csv_row(rec).split(",")[12] == ""
+    assert all(r.feasible for r in result.records if r.user != users[0].user_id)
