@@ -4,36 +4,13 @@ Synthesizes UL/DL channels, designs one-shot SVD hybrid beamformers, maps
 the results to SINR and Shannon rates, evaluates a three-part delay model
 with a multi-attribute QoS utility, and sweeps Es/N0 across antenna/RF-chain
 codebooks under mean and min channel-gain scenarios.
+
+The package root exports the library API: configure a sweep, run it, write
+its CSV, or design one link. Everything else lives in the submodules.
 """
 
-from .beamforming import (
-    BeamformingSolution,
-    Codebook,
-    analog_combiner,
-    analog_precoder,
-    default_codebooks,
-    design_link,
-    effective_channel,
-    full_digital,
-    hybrid_digital,
-)
-from .channel import (
-    SPEED_OF_LIGHT,
-    DlChannelSet,
-    PathGain,
-    SubcarrierGrid,
-    UlChannelCoeffs,
-    dl_channel_matrix,
-    fspl_db,
-    path_gain_per_subcarrier,
-    steering_vector,
-    subcarrier_phase_ramp,
-    synthesize_dl,
-    synthesize_ul,
-    tap_decay_sum,
-    ul_channel,
-)
-from .config import SweepConfig, config_from_dict, load_config, parse_config_text
+from .beamforming import Codebook, design_link
+from .config import SweepConfig, config_from_dict, load_config
 from .errors import (
     ConfigurationError,
     DegenerateGeometryError,
@@ -41,54 +18,6 @@ from .errors import (
     InvalidInputError,
     ShapeError,
 )
-from .linkmetrics import (
-    GainAggregation,
-    LinkMetrics,
-    NoiseModel,
-    aggregate_gain,
-    compute_metrics,
-    noise_power,
-    rate,
-    sinr_dl,
-    sinr_ul,
-)
-from .numerics import SvdResult, svd, unit_modulus_normalize
-from .qos import (
-    DelayBreakdown,
-    TrafficModel,
-    UtilityReport,
-    conditional_utility,
-    link_utilities,
-    processing_delay,
-    queue_delay,
-    total_delay,
-    total_utility,
-    tracking_error,
-    tracking_utility,
-    transmission_delay,
-)
-from .runner import (
-    CSV_HEADER,
-    ConstraintViolation,
-    SweepRecord,
-    SweepResult,
-    check_constraints,
-    evaluate_sweep_point,
-    min_statistic,
-    mode_statistic,
-    run_sweep,
-    select_best_codebook,
-    write_results_csv,
-)
-from .topology import (
-    AccessPoint,
-    IndoorArea,
-    NetworkTopology,
-    Position3D,
-    UserNode,
-    departure_arrival_angles,
-    distance,
-    random_topology,
-)
+from .runner import SweepResult, run_sweep, write_results_csv
 
 __version__ = "0.1.0"

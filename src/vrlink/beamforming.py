@@ -81,17 +81,13 @@ def _covariance_beams(channels: np.ndarray, n_cols: int, receive_side: bool) -> 
     """Shared analog stage: SVD of a covariance sum, constant-modulus entries."""
     if channels.ndim != 3:
         raise ShapeError(f"expected (n_sc, n_rx, n_tx) channel stack, got shape {channels.shape}")
-    n_sc, n_rx, n_tx = channels.shape
-    if n_sc < 1:
+    if channels.shape[0] < 1:
         raise InvalidInputError("need at least one subcarrier matrix")
-    if receive_side:
-        cov = np.zeros((n_rx, n_rx), dtype=complex)
-        for h in channels:
-            cov += h @ h.conj().T
-    else:
-        cov = np.zeros((n_tx, n_tx), dtype=complex)
-        for h in channels:
-            cov += h.conj().T @ h
+    h_herm = np.conj(channels).swapaxes(-1, -2)
+    products = channels @ h_herm if receive_side else h_herm @ channels
+    # running sum from zero in subcarrier order (see the numerics docstring),
+    # in place so that only one (n_sc, n, n) stack is held
+    cov = np.cumsum(products, axis=0, out=products)[-1] + 0.0
     res = svd(cov)
     beams = res.left[:, :n_cols]
     return unit_modulus_normalize(beams, 1.0 / math.sqrt(beams.shape[0]))
@@ -167,29 +163,20 @@ class BeamformingSolution:
     digital_combiners: np.ndarray   # (n_sc, n_ds, n_ds)
     effective_channels: np.ndarray  # (n_sc, n_ds, n_ds)
     power_scale: np.ndarray         # (n_sc,), watts^0.5 amplitudes
-    link_budget_w: float            # total transmit power across subcarriers
 
     @property
     def n_sc(self) -> int:
         return self.digital_precoders.shape[0]
 
-    def transmit_precoder(self, sc: int) -> np.ndarray:
-        """Power-scaled composite transmit beam for one subcarrier."""
-        return self.power_scale[sc] * (self.analog_precoder @ self.digital_precoders[sc])
-
     def transmit_power(self) -> float:
         """Total transmit power summed over streams and subcarriers."""
-        total = 0.0
-        for sc in range(self.n_sc):
-            t = self.transmit_precoder(sc)
-            total += float(np.sum(np.abs(t) ** 2))
-        return total
+        beams = self.power_scale[:, None, None] * (self.analog_precoder @ self.digital_precoders)
+        per_subcarrier = np.sum(np.abs(beams) ** 2, axis=(1, 2))
+        return float(np.cumsum(per_subcarrier)[-1])
 
     def effective_gain_per_subcarrier(self) -> np.ndarray:
         """Largest singular value of each effective channel (|h| for one stream)."""
-        return np.array(
-            [np.linalg.svd(self.effective_channels[sc], compute_uv=False)[0] for sc in range(self.n_sc)]
-        )
+        return np.linalg.svd(self.effective_channels, compute_uv=False)[:, 0]
 
 
 def design_link(channels: np.ndarray, codebook: Codebook, p_b: float) -> BeamformingSolution:
@@ -232,5 +219,4 @@ def design_link(channels: np.ndarray, codebook: Codebook, p_b: float) -> Beamfor
         digital_combiners=np.ascontiguousarray(d_comb),
         effective_channels=effective,
         power_scale=math.sqrt(p_b / n_sc) / f_norm,  # equal split of the budget
-        link_budget_w=p_b,
     )

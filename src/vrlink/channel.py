@@ -3,7 +3,9 @@
 UL links are scalar path-loss channels with a unit-modulus per-subcarrier
 factor; DL links are rank-1 matrices built from free-space path loss, a
 delay-tap decay sum, and ULA steering vectors at the departure/arrival
-azimuths.
+azimuths. The DL is synthesized once per link: the link's geometry and
+steering vectors are shared, and each subcarrier scales the same outer
+product by its own gain.
 """
 
 import math
@@ -12,14 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateGeometryError, InvalidInputError
-from .topology import (
-    AccessPoint,
-    NetworkTopology,
-    Position3D,
-    UserNode,
-    departure_arrival_angles,
-    distance,
-)
+from .topology import NetworkTopology, Position3D, departure_arrival_angles, distance
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -101,28 +96,6 @@ def fspl_db(d: float, wavelength: float) -> float:
     return 20.0 * math.log10(wavelength / (4.0 * math.pi * d))
 
 
-@dataclass(frozen=True)
-class PathGain:
-    """Per-subcarrier path gain split into a dB magnitude and a phase."""
-
-    gain_db: np.ndarray    # identical across subcarriers, distance-only
-    phase_rad: np.ndarray  # the per-subcarrier ramp angle
-
-    def complex_amplitude(self) -> np.ndarray:
-        """Amplitude entering the DL matrix: 10^(gain_db/10) * exp(j*phase)."""
-        return 10.0 ** (self.gain_db / 10.0) * np.exp(1j * self.phase_rad)
-
-
-def path_gain_per_subcarrier(d: float, grid: SubcarrierGrid) -> PathGain:
-    """FSPL magnitude plus the per-subcarrier ramp phase for one link."""
-    gain = fspl_db(d, grid.wavelength)
-    n = np.arange(1, grid.n_sc + 1, dtype=float)
-    return PathGain(
-        gain_db=np.full(grid.n_sc, gain),
-        phase_rad=n * np.pi / 180.0,
-    )
-
-
 def tap_decay_sum(tau_s: float, tap_count: int, tap_spacing_s: float) -> float:
     """Sum over taps k = 0..T-1 of exp(-(k*dt)/tau)."""
     if tap_count < 1:
@@ -146,38 +119,34 @@ def steering_vector(n_elements: int, azimuth_deg: float, spacing_over_wavelength
     return np.exp(1j * phase) / math.sqrt(n_elements)
 
 
-def dl_channel_matrix(
+def dl_link_channels(
     tx: Position3D,
     rx: Position3D,
-    n: int,
+    gains: np.ndarray,
     n_tx: int,
     n_rx: int,
     grid: SubcarrierGrid,
     tap_count: int = 4,
     tap_spacing_s: float = None,
-    gain: complex = None,
     spacing_over_wavelength: float = 0.5,
 ) -> np.ndarray:
-    """Rank-1 DL matrix (n_rx x n_tx) for subcarrier n (1-based).
+    """Rank-1 DL matrices (n_sc, n_rx, n_tx) of one link, one per entry of gains.
 
-    H = 10^(pg/10) * tap_sum * gain_n * a_rx(aoa) a_tx(aod)^H, with gain_n
-    defaulting to the deterministic phase ramp exp(j*n*pi/180).
+    H_n = 10^(pg/10) * tap_sum * gains[n] * a_rx(aoa) a_tx(aod)^H. Distance,
+    angles, path loss, tap sum and steering vectors belong to the link, so
+    they are computed once and only the gain varies across subcarriers.
     """
-    if n < 1:
-        raise InvalidInputError(f"subcarrier index is 1-based, got {n}")
     d = distance(tx, rx)
     if d <= 0.0:
         raise DegenerateGeometryError("transmitter and receiver coincide")
     aod_az, aoa_az = departure_arrival_angles(tx, rx)
     if tap_spacing_s is None:
         tap_spacing_s = grid.sample_period
-    if gain is None:
-        gain = np.exp(1j * n * np.pi / 180.0)
     tau = d / SPEED_OF_LIGHT
     amp = 10.0 ** (fspl_db(d, grid.wavelength) / 10.0) * tap_decay_sum(tau, tap_count, tap_spacing_s)
     a_tx = steering_vector(n_tx, aod_az, spacing_over_wavelength)
     a_rx = steering_vector(n_rx, aoa_az, spacing_over_wavelength)
-    return amp * gain * np.outer(a_rx, a_tx.conj())
+    return (amp * np.asarray(gains))[:, None, None] * np.outer(a_rx, a_tx.conj())
 
 
 @dataclass(frozen=True)
@@ -190,22 +159,12 @@ class UlChannelCoeffs:
 
     coeffs: np.ndarray  # complex, shape (U, B, n_sc)
 
-    def aggregate(self) -> np.ndarray:
-        """Sum over subcarriers, shape (U, B)."""
-        return self.coeffs.sum(axis=2)
-
 
 @dataclass(frozen=True)
 class DlChannelSet:
-    """DL matrices plus per-link propagation delay and per-subcarrier gain."""
+    """DL matrices for every (user, AP) link and subcarrier."""
 
-    matrices: np.ndarray   # complex, shape (U, B, n_sc, n_rx, n_tx)
-    tau_s: np.ndarray      # seconds, shape (U, B)
-    gain_db: np.ndarray    # dB, shape (U, B, n_sc)
-
-    @property
-    def n_sc(self) -> int:
-        return self.matrices.shape[2]
+    matrices: np.ndarray  # complex, shape (U, B, n_sc, n_rx, n_tx)
 
     def link_matrices(self, user_idx: int, ap_idx: int) -> np.ndarray:
         """All subcarrier matrices for one (user, AP) link, shape (n_sc, n_rx, n_tx)."""
@@ -247,25 +206,17 @@ def synthesize_dl(
     """DL matrices for every (user, AP) pair, all subcarriers."""
     u, b = topology.n_users, topology.n_aps
     mats = np.zeros((u, b, grid.n_sc, n_rx, n_tx), dtype=complex)
-    tau = np.zeros((u, b))
-    gain_db = np.zeros((u, b, grid.n_sc))
     for i, user in enumerate(topology.users):
         for j, ap in enumerate(topology.aps):
-            gains = subcarrier_gains(grid.n_sc, mode, rng)
-            pg = path_gain_per_subcarrier(distance(ap.position, user.position), grid)
-            gain_db[i, j] = pg.gain_db
-            tau[i, j] = distance(ap.position, user.position) / SPEED_OF_LIGHT
-            for n in range(1, grid.n_sc + 1):
-                mats[i, j, n - 1] = dl_channel_matrix(
-                    ap.position,
-                    user.position,
-                    n,
-                    n_tx,
-                    n_rx,
-                    grid,
-                    tap_count=tap_count,
-                    tap_spacing_s=tap_spacing_s,
-                    gain=gains[n - 1],
-                    spacing_over_wavelength=spacing_over_wavelength,
-                )
-    return DlChannelSet(matrices=mats, tau_s=tau, gain_db=gain_db)
+            mats[i, j] = dl_link_channels(
+                ap.position,
+                user.position,
+                subcarrier_gains(grid.n_sc, mode, rng),
+                n_tx,
+                n_rx,
+                grid,
+                tap_count=tap_count,
+                tap_spacing_s=tap_spacing_s,
+                spacing_over_wavelength=spacing_over_wavelength,
+            )
+    return DlChannelSet(matrices=mats)

@@ -24,6 +24,10 @@ QUEUE_UNIT_PRESETS = {
     "reciprocal": (4e9, 2e9),
 }
 
+# size caps: the sweep allocates arrays in proportion to both
+MAX_N_SC = 8192
+MAX_ESN0_POINTS = 1001
+
 DEFAULT_AP_POSITIONS = ((2.5, 4.0, 3.0), (7.5, 13.0, 3.0))
 DEFAULT_USER_POSITIONS = ((3.0, 6.0, 1.5), (6.5, 11.0, 1.5))
 
@@ -67,9 +71,12 @@ def _as_float(raw: dict, key: str, default: float) -> float:
     if key not in raw:
         return default
     try:
-        return float(raw[key])
+        value = float(raw[key])
     except ValueError as e:
         raise ConfigurationError(f"key {key!r}: cannot parse {raw[key]!r} as a number") from e
+    if not math.isfinite(value):
+        raise ConfigurationError(f"key {key!r}: expected a finite number, got {raw[key]!r}")
+    return value
 
 
 def _as_int(raw: dict, key: str, default: int) -> int:
@@ -142,7 +149,10 @@ def esn0_grid(start: float, step: float, stop: float) -> np.ndarray:
         raise ConfigurationError(f"esn0 step must be positive, got {step}")
     if stop < start:
         raise ConfigurationError(f"esn0 stop {stop} lies below start {start}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step + 1e-9
+    if not span < MAX_ESN0_POINTS:
+        raise ConfigurationError(f"esn0 grid has more than {MAX_ESN0_POINTS} points")
+    count = int(math.floor(span)) + 1
     return start + step * np.arange(count)
 
 
@@ -216,6 +226,8 @@ def config_from_dict(raw: dict) -> SweepConfig:
     fc = _as_float(raw, "fc", 60e9)
     w = _as_float(raw, "w", 3.2)
     n_sc = _as_int(raw, "n_sc", 64)
+    if n_sc > MAX_N_SC:
+        raise ConfigurationError(f"n_sc must be at most {MAX_N_SC}, got {n_sc}")
     bw_total = _as_float(raw, "bw_total", 2.16e9)
     grid = SubcarrierGrid(n_sc=n_sc, carrier_frequency=fc, total_bandwidth=bw_total)
 
@@ -227,6 +239,8 @@ def config_from_dict(raw: dict) -> SweepConfig:
 
     b = _as_int(raw, "b", 2)
     u = _as_int(raw, "u", 2)
+    if b < 1 or u < 1:
+        raise ConfigurationError(f"need at least one AP and one user, got b={b} u={u}")
     p_b = _as_float(raw, "p_b", 10e-3)
     if not p_b > 0:
         raise ConfigurationError(f"p_b must be positive, got {p_b}")
@@ -287,10 +301,10 @@ def config_from_dict(raw: dict) -> SweepConfig:
         raise ConfigurationError(f"expected {u} user positions, got {len(user_pos)}")
 
     aps = tuple(
-        AccessPoint(j, Position3D(*ap_pos[j]), p_b, traffic.mu) for j in range(b)
+        AccessPoint(j, Position3D(*ap_pos[j]), p_b) for j in range(b)
     )
     users = tuple(
-        UserNode(i, Position3D(*user_pos[i]), p_u, traffic.lam, gamma_d) for i in range(u)
+        UserNode(i, Position3D(*user_pos[i]), p_u, gamma_d) for i in range(u)
     )
     topology = NetworkTopology(area=area, aps=aps, users=users)
 

@@ -36,16 +36,6 @@ def noise_power(esn0_db: float, reference_power: float) -> float:
     return reference_power / 10.0 ** (esn0_db / 10.0)
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    esn0_db: float
-    reference_power: float  # anchor, the AP transmit power by default
-
-    @property
-    def sigma_sq(self) -> float:
-        return noise_power(self.esn0_db, self.reference_power)
-
-
 def evaluation_cells(base_cells, i: int, j: int) -> tuple:
     """Home-AP assignment with user i re-homed to AP j for this evaluation."""
     cells = list(base_cells)

@@ -19,8 +19,13 @@ matrix-at-a-time loop computes. With numpy 2.x on x86-64 these hold:
 - multiplying a complex column of length >= 2 by a complex scalar uses
   numpy's fused multiply-add kernel, which a broadcast array product
   reproduces; a column of length 1 takes the plain real product instead.
-- stacked ``np.linalg.svd`` and stacked ``@`` equal their per-matrix calls;
+- stacked ``np.linalg.svd`` and stacked ``@`` equal their per-matrix calls,
+  and so does ``np.sum`` over the two matrix axes of a contiguous stack;
   ``np.sqrt`` and real ``+ - * /`` are exact IEEE operations.
+- ``np.cumsum(x, axis=0)[-1]`` adds in index order, like a Python loop
+  ``total += x[k]`` that starts from zero, except that the loop turns a
+  ``-0.0`` first term into ``+0.0``; adding ``0.0`` to the result does the
+  same. ``np.sum(x, axis=0)`` may add pairwise and round differently.
 - ``np.log1p`` and a BLAS ``np.linalg.norm`` across a batch are not
   per-element equal to ``math.log1p`` and a per-matrix norm; keep those
   scalar or per matrix.

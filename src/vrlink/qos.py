@@ -52,19 +52,6 @@ class TrafficModel:
             )
 
 
-@dataclass(frozen=True)
-class DelayBreakdown:
-    transmission: float
-    processing: float
-    queue: float
-    total: float
-
-    def __post_init__(self):
-        for name, v in (("transmission", self.transmission), ("processing", self.processing), ("queue", self.queue)):
-            if v < 0:
-                raise InvalidInputError(f"{name} delay must be non-negative, got {v}")
-
-
 def transmission_delay(s_bits: float, a_bits: float, rate_dl: float, rate_ul):
     """Over-the-air time: payload over the DL rate, tracking over the UL rate.
 
@@ -94,25 +81,6 @@ def queue_delay(mu: float, lam: float) -> float:
     if not mu > lam:
         raise ConfigurationError(f"need mu > lambda, got mu={mu} lambda={lam}")
     return 1.0 / (mu - lam)
-
-
-def total_delay(transmission: float, processing: float, queue: float) -> DelayBreakdown:
-    """Sum of the three components, kept side by side for reporting."""
-    return DelayBreakdown(
-        transmission=transmission,
-        processing=processing,
-        queue=queue,
-        total=transmission + processing + queue,
-    )
-
-
-@dataclass(frozen=True)
-class UtilityReport:
-    conditional_utility: float
-    tracking_utility: float
-    total_utility: float
-    d_max: float
-    gamma_d: float
 
 
 def conditional_utility(d: float, d_max: float, gamma_d: float) -> float:

@@ -23,8 +23,6 @@ CSV_HEADER = (
     "d_trans_s,d_proc_s,d_queue_s,d_total_s,utility,feasible,violations"
 )
 
-CONSTRAINT_LETTERS = ("a", "b", "c", "d", "e")
-
 
 @dataclass(frozen=True)
 class ConstraintViolation:
@@ -242,14 +240,6 @@ def _evaluate_prepared(
                 )
             )
     return records, objective
-
-
-def evaluate_sweep_point(
-    config: SweepConfig, scenario: GainAggregation, codebook: Codebook, esn0_db: float
-):
-    """Standalone single-point evaluation: records plus the utility objective."""
-    prep = _prepare_codebook(config, codebook)
-    return _evaluate_prepared(config, scenario, codebook, esn0_db, prep)
 
 
 def min_statistic(values) -> float:

@@ -2,7 +2,6 @@
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -57,8 +56,7 @@ class IndoorArea:
 class AccessPoint:
     ap_id: int
     position: Position3D
-    power_w: float       # DL transmit power budget
-    service_rate: float  # mu, requests/s
+    power_w: float  # DL transmit power budget
 
 
 @dataclass(frozen=True)
@@ -66,13 +64,7 @@ class UserNode:
     user_id: int
     position: Position3D
     power_w: float            # UL transmit power
-    arrival_rate: float       # lambda, requests/s
     delay_tolerance_s: float  # gamma_D
-    reference_position: Optional[Position3D] = None  # tracking anchor, defaults to own position
-
-    @property
-    def anchor(self) -> Position3D:
-        return self.reference_position if self.reference_position is not None else self.position
 
 
 @dataclass(frozen=True)
@@ -96,14 +88,6 @@ class NetworkTopology:
                 raise ConfigurationError(
                     f"node at {node.position} lies outside the indoor area"
                 )
-        # every (user, AP) pairing may enter the queue-delay model
-        for ap in self.aps:
-            for user in self.users:
-                if not ap.service_rate > user.arrival_rate:
-                    raise ConfigurationError(
-                        f"service rate {ap.service_rate} of AP {ap.ap_id} must exceed "
-                        f"arrival rate {user.arrival_rate} of user {user.user_id}"
-                    )
 
     @property
     def n_aps(self) -> int:
@@ -136,25 +120,3 @@ def departure_arrival_angles(tx: Position3D, rx: Position3D) -> tuple:
     aoa_az = (aod_az + 180.0) % 360.0
     return aod_az, aoa_az
 
-
-def random_topology(
-    area: IndoorArea,
-    n_aps: int,
-    n_users: int,
-    rng: np.random.Generator,
-    ap_power_w: float,
-    user_power_w: float,
-    service_rate: float,
-    arrival_rate: float,
-    delay_tolerance_s: float,
-) -> NetworkTopology:
-    """Seeded uniform placement inside the room for when no explicit positions
-    are configured."""
-    aps = tuple(
-        AccessPoint(j, area.sample(rng), ap_power_w, service_rate) for j in range(n_aps)
-    )
-    users = tuple(
-        UserNode(i, area.sample(rng), user_power_w, arrival_rate, delay_tolerance_s)
-        for i in range(n_users)
-    )
-    return NetworkTopology(area=area, aps=aps, users=users)

@@ -8,9 +8,8 @@ import pytest
 from vrlink.channel import (
     SPEED_OF_LIGHT,
     SubcarrierGrid,
-    dl_channel_matrix,
+    dl_link_channels,
     fspl_db,
-    path_gain_per_subcarrier,
     steering_vector,
     subcarrier_gains,
     subcarrier_phase_ramp,
@@ -28,12 +27,12 @@ GRID = SubcarrierGrid(n_sc=64, carrier_frequency=60e9, total_bandwidth=2.16e9)
 def small_topology():
     area = IndoorArea()
     aps = (
-        AccessPoint(0, Position3D(2.5, 4.0, 3.0), 0.01, 4e-9),
-        AccessPoint(1, Position3D(7.5, 13.0, 3.0), 0.01, 4e-9),
+        AccessPoint(0, Position3D(2.5, 4.0, 3.0), 0.01),
+        AccessPoint(1, Position3D(7.5, 13.0, 3.0), 0.01),
     )
     users = (
-        UserNode(0, Position3D(3.0, 6.0, 1.5), 0.005, 2e-9, 0.02),
-        UserNode(1, Position3D(6.5, 11.0, 1.5), 0.005, 2e-9, 0.02),
+        UserNode(0, Position3D(3.0, 6.0, 1.5), 0.005, 0.02),
+        UserNode(1, Position3D(6.5, 11.0, 1.5), 0.005, 0.02),
     )
     return NetworkTopology(area=area, aps=aps, users=users)
 
@@ -93,18 +92,6 @@ def test_fspl_reference_values():
         fspl_db(0.0, lam)
 
 
-def test_path_gain_per_subcarrier():
-    pg = path_gain_per_subcarrier(1.0, GRID)
-    assert np.all(pg.gain_db == pg.gain_db[0])
-    assert pg.gain_db[0] == pytest.approx(-68.01080822955625, rel=1e-12)
-    assert pg.phase_rad[0] == pytest.approx(math.pi / 180.0, rel=1e-12)
-    amp = pg.complex_amplitude()
-    assert abs(amp[0]) == pytest.approx(10.0 ** (pg.gain_db[0] / 10.0), rel=1e-12)
-    # subcarrier 90 would carry phase pi/2
-    wide = path_gain_per_subcarrier(1.0, SubcarrierGrid(90, 60e9, 2.16e9))
-    assert wide.phase_rad[89] == pytest.approx(math.pi / 2.0, rel=1e-12)
-
-
 def test_steering_vector_zero_angle():
     a = steering_vector(2, 0.0)
     assert np.allclose(a, [1 / math.sqrt(2), 1 / math.sqrt(2)])
@@ -143,23 +130,28 @@ def test_tap_decay_sum():
         tap_decay_sum(0.0, 4, 1e-9)
 
 
+RAMP = subcarrier_phase_ramp(GRID.n_sc)
+
+
 def test_dl_channel_matrix_axis_aligned():
     # receiver due east of the transmitter: departure azimuth 0
     tx = Position3D(0, 0, 1)
     rx = Position3D(2, 0, 1)
-    h = dl_channel_matrix(tx, rx, n=1, n_tx=2, n_rx=1, grid=GRID, tap_count=1)
+    h = dl_link_channels(tx, rx, RAMP[:1], n_tx=2, n_rx=1, grid=GRID, tap_count=1)
+    assert h.shape == (1, 1, 2)
     amp = 10.0 ** (fspl_db(2.0, GRID.wavelength) / 10.0)
     expected = amp * np.exp(1j * math.pi / 180.0) * np.array([[1, 1]]) / math.sqrt(2)
-    assert np.allclose(h, expected, rtol=1e-12)
+    assert np.allclose(h[0], expected, rtol=1e-12)
 
 
 def test_dl_channel_matrix_rank_one():
     tx = Position3D(1, 1, 3)
     rx = Position3D(4, 7, 1.5)
-    h = dl_channel_matrix(tx, rx, n=5, n_tx=8, n_rx=1, grid=GRID)
-    s = np.linalg.svd(h, compute_uv=False)
-    assert s[0] > 0
-    assert np.all(s[1:] < 1e-12)
+    for n_rx in (1, 3):
+        for h in dl_link_channels(tx, rx, RAMP, n_tx=8, n_rx=n_rx, grid=GRID):
+            s = np.linalg.svd(h, compute_uv=False)
+            assert s[0] > 0
+            assert np.all(s[1:] < 1e-12 * s[0])
 
 
 def test_dl_channel_matrix_frobenius_matches_amplitude():
@@ -167,30 +159,36 @@ def test_dl_channel_matrix_frobenius_matches_amplitude():
     rx = Position3D(3.0, 6.0, 1.5)
     d = math.sqrt(0.5**2 + 2.0**2 + 1.5**2)
     tau = d / SPEED_OF_LIGHT
+    expected = 10.0 ** (fspl_db(d, GRID.wavelength) / 10.0) * tap_decay_sum(
+        tau, 4, GRID.sample_period
+    )
     for n_tx in (2, 4, 8):
-        h = dl_channel_matrix(tx, rx, n=3, n_tx=n_tx, n_rx=1, grid=GRID, tap_count=4)
-        expected = 10.0 ** (fspl_db(d, GRID.wavelength) / 10.0) * tap_decay_sum(
-            tau, 4, GRID.sample_period
-        )
-        assert np.linalg.norm(h) == pytest.approx(expected, rel=1e-9)
+        h = dl_link_channels(tx, rx, RAMP, n_tx=n_tx, n_rx=1, grid=GRID, tap_count=4)
+        assert np.linalg.norm(h, axis=(1, 2)) == pytest.approx(np.full(GRID.n_sc, expected), rel=1e-9)
 
 
 def test_dl_channel_subcarriers_differ_by_scalar_ramp():
     tx = Position3D(1, 2, 3)
     rx = Position3D(5, 9, 1.5)
-    h1 = dl_channel_matrix(tx, rx, n=1, n_tx=4, n_rx=1, grid=GRID)
+    h = dl_link_channels(tx, rx, RAMP, n_tx=4, n_rx=1, grid=GRID)
     for n in (2, 17, 64):
-        hn = dl_channel_matrix(tx, rx, n=n, n_tx=4, n_rx=1, grid=GRID)
-        ratio = hn / h1
+        ratio = h[n - 1] / h[0]
         expected = np.exp(1j * (n - 1) * math.pi / 180.0)
         assert np.allclose(ratio, expected, rtol=1e-9)
 
 
 def test_dl_channel_distance_monotonicity():
     tx = Position3D(0, 0, 1)
-    near = dl_channel_matrix(tx, Position3D(2, 0, 1), n=1, n_tx=4, n_rx=1, grid=GRID)
-    far = dl_channel_matrix(tx, Position3D(4, 0, 1), n=1, n_tx=4, n_rx=1, grid=GRID)
+    near = dl_link_channels(tx, Position3D(2, 0, 1), RAMP[:1], n_tx=4, n_rx=1, grid=GRID)
+    far = dl_link_channels(tx, Position3D(4, 0, 1), RAMP[:1], n_tx=4, n_rx=1, grid=GRID)
     assert np.linalg.norm(far) < np.linalg.norm(near)
+
+
+def test_dl_link_channels_rejects_degenerate_geometry():
+    with pytest.raises(DegenerateGeometryError):
+        dl_link_channels(Position3D(1, 1, 1), Position3D(1, 1, 1), RAMP, 2, 1, GRID)
+    with pytest.raises(DegenerateGeometryError):
+        dl_link_channels(Position3D(1, 1, 1), Position3D(1, 1, 2), RAMP, 2, 1, GRID)
 
 
 def test_ul_doubling_distance_scales_by_pathloss():
@@ -211,22 +209,25 @@ def test_synthesize_ul_moduli_and_aggregate():
                 (ap.position.x, ap.position.y, ap.position.z),
             )
             assert np.all(np.abs(np.abs(ul.coeffs[i, j]) - d ** (-3.2)) < 1e-15)
-            # aggregate equals an explicit per-subcarrier loop
+            # the subcarrier sum equals an explicit per-subcarrier loop
             brute = sum(
                 ul_channel(d, 3.2, np.exp(1j * n * math.pi / 180.0)) for n in range(1, 65)
             )
-            assert ul.aggregate()[i, j] == pytest.approx(brute, rel=1e-12)
+            assert ul.coeffs[i, j].sum() == pytest.approx(brute, rel=1e-12)
 
 
 def test_synthesize_dl_shapes_and_tau():
     topo = small_topology()
     dl = synthesize_dl(topo, GRID, n_tx=4, n_rx=1)
     assert dl.matrices.shape == (2, 2, 64, 1, 4)
-    assert dl.n_sc == 64
+    # the propagation delay enters every subcarrier through the tap sum
     d00 = math.sqrt(0.5**2 + 2.0**2 + 1.5**2)
-    assert dl.tau_s[0, 0] == pytest.approx(d00 / SPEED_OF_LIGHT, rel=1e-12)
-    assert dl.gain_db.shape == (2, 2, 64)
-    assert np.all(dl.gain_db[0, 0] == dl.gain_db[0, 0, 0])
+    amp = 10.0 ** (fspl_db(d00, GRID.wavelength) / 10.0) * tap_decay_sum(
+        d00 / SPEED_OF_LIGHT, 4, GRID.sample_period
+    )
+    assert np.linalg.norm(dl.link_matrices(0, 0), axis=(1, 2)) == pytest.approx(
+        np.full(64, amp), rel=1e-12
+    )
 
 
 def test_synthesize_dl_gaussian_mode_deterministic_per_seed():

@@ -5,7 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vrlink.cli import main
 from vrlink.config import (
+    MAX_ESN0_POINTS,
+    MAX_N_SC,
     config_from_dict,
     esn0_grid,
     load_config,
@@ -173,3 +176,45 @@ def test_shipped_default_config_parses():
     assert cfg.topology.n_users == 2
     assert len(cfg.codebooks) == 6
     assert len(cfg.esn0_db) == 21
+
+
+# (config file text, extra simulate arguments or None for check-config)
+BAD_INPUTS = [
+    ("esn0_stop = inf", None),
+    ("seed = inf", None),
+    ("n_sc = inf", None),
+    ("esn0_start = nan", None),
+    ("esn0_step = 1e-12", None),
+    ("u = 0", None),
+    ("b = 0", None),
+    ("p_u = inf", None),
+    ("gamma_d = inf", None),
+    ("epsilon0 = inf", None),
+    ("mode_bin = inf", None),
+    ("r_min = nan", None),
+    ("n_sc = 1e9", None),
+    ("n_sc = 8", ["--esn0", "0:1e-12:20"]),
+]
+
+
+@pytest.mark.parametrize("text, simulate_args", BAD_INPUTS)
+def test_bad_input_exits_2_with_message(text, simulate_args, tmp_path, capsys):
+    path = tmp_path / "bad.conf"
+    path.write_text(text + "\n")
+    if simulate_args is None:
+        argv = ["check-config", "--config", str(path)]
+    else:
+        argv = ["simulate", "--config", str(path), "--out", str(tmp_path), *simulate_args]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "results.csv").exists()
+
+
+def test_size_caps_are_inclusive():
+    assert config_from_dict({"n_sc": str(MAX_N_SC)}).grid.n_sc == MAX_N_SC
+    assert len(esn0_grid(0.0, 1.0, MAX_ESN0_POINTS - 1.0)) == MAX_ESN0_POINTS
+    assert len(esn0_grid(0.0, 0.02, 20.0)) == MAX_ESN0_POINTS
+    with pytest.raises(ConfigurationError):
+        config_from_dict({"n_sc": str(MAX_N_SC + 1)})
+    with pytest.raises(ConfigurationError):
+        esn0_grid(0.0, 1.0, float(MAX_ESN0_POINTS))

@@ -8,7 +8,6 @@ import pytest
 from vrlink.errors import InvalidInputError
 from vrlink.linkmetrics import (
     GainAggregation,
-    NoiseModel,
     aggregate_gain,
     compute_metrics,
     evaluation_cells,
@@ -25,11 +24,6 @@ def test_noise_power_values():
     assert noise_power(3.0, 0.01) == pytest.approx(0.005011872336272722, rel=1e-12)
     with pytest.raises(InvalidInputError):
         noise_power(0.0, 0.0)
-
-
-def test_noise_model_derives_sigma():
-    nm = NoiseModel(esn0_db=10.0, reference_power=0.01)
-    assert nm.sigma_sq == pytest.approx(0.001, rel=1e-12)
 
 
 def test_evaluation_cells_rehomes_one_user():

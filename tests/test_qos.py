@@ -1,19 +1,15 @@
 """Delay chain and utility factors."""
 
-import math
-
 import numpy as np
 import pytest
 
 from vrlink.errors import ConfigurationError, InfeasibleLinkError, InvalidInputError
 from vrlink.qos import (
-    DelayBreakdown,
     TrafficModel,
     conditional_utility,
     link_utilities,
     processing_delay,
     queue_delay,
-    total_delay,
     total_utility,
     tracking_error,
     tracking_utility,
@@ -63,22 +59,6 @@ def test_queue_delay_values():
         queue_delay(1.0, 1.0)
     with pytest.raises(ConfigurationError):
         queue_delay(1.0, 2.0)
-
-
-def test_total_delay_is_exact_sum():
-    bd = total_delay(1.0, 2.0, 3.0)
-    assert bd.total == 6.0
-    assert bd.transmission == 1.0 and bd.processing == 2.0 and bd.queue == 3.0
-    assert total_delay(0.0, 0.0, 7.5).total == 7.5
-    rng = np.random.default_rng(101)
-    for _ in range(100):
-        t, p, q = rng.uniform(0, 1, 3)
-        assert total_delay(t, p, q).total == t + p + q
-
-
-def test_delay_breakdown_rejects_negative():
-    with pytest.raises(InvalidInputError):
-        DelayBreakdown(-1.0, 0.0, 0.0, -1.0)
 
 
 def test_conditional_utility_boundaries_exact():

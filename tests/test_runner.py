@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import os
 
 import numpy as np
 import pytest
@@ -11,13 +10,11 @@ from vrlink.beamforming import Codebook, design_link
 from vrlink.cli import main
 from vrlink.config import config_from_dict
 from vrlink.errors import InvalidInputError
-from vrlink.linkmetrics import GainAggregation
 from vrlink.runner import (
     CSV_HEADER,
     SweepRecord,
     SweepResult,
     check_constraints,
-    evaluate_sweep_point,
     min_statistic,
     mode_statistic,
     record_to_csv_row,
@@ -108,11 +105,15 @@ def test_mode_statistic_beyond_int64_bins():
     assert mode_statistic([1.09e14, 3.0, 1.09e14], 1e-6) == pytest.approx(1.09e14, rel=1e-12)
 
 
-def test_evaluate_sweep_point_record_count_and_objective():
-    cfg = config_from_dict(SMALL)
-    records, objective = evaluate_sweep_point(
-        cfg, GainAggregation.MEAN, cfg.codebooks[0], 2.0
-    )
+def test_evaluate_sweep_point_record_count_and_objective(small_result):
+    cfg, result = small_result
+    codebook = cfg.codebooks[0]
+    records = [
+        r
+        for r in result.records
+        if (r.scenario, r.n_tx, r.n_rf, r.esn0_db) == ("mean", codebook.n_tx, codebook.n_rf, 2.0)
+    ]
+    objective = result.objectives[("mean", codebook.label, 2.0)]
     assert len(records) == cfg.topology.n_users * cfg.topology.n_aps
     # the objective is the per-subcarrier utility sum, the record utility its mean
     assert objective == pytest.approx(
@@ -226,16 +227,14 @@ def test_select_best_codebook_prefers_max_then_smallest():
 
 def test_infeasible_points_recorded_not_raised():
     # an unreachable minimum rate flags every record as violating (b)
-    cfg = config_from_dict(dict(SMALL, r_min="1e30"))
-    records, objective = evaluate_sweep_point(
-        cfg, GainAggregation.MEAN, cfg.codebooks[0], 0.0
-    )
-    assert len(records) == 4
-    for r in records:
+    cfg = config_from_dict(dict(SMALL, r_min="1e30", esn0_stop="0", n_t="2", scenario="mean"))
+    result = run_sweep(cfg)
+    assert len(result.records) == 4
+    for r in result.records:
         assert not r.feasible
         assert r.utility is None
         assert "b" in r.violations
-    assert objective == 0.0
+    assert result.objectives == {("mean", "2A1R", 0.0): 0.0}
 
 
 def test_csv_header_and_rows(small_result, tmp_path):

@@ -14,14 +14,13 @@ from vrlink.topology import (
     UserNode,
     departure_arrival_angles,
     distance,
-    random_topology,
 )
 
 
 def make_topology(ap_xy=(2.0, 2.0), user_xy=(5.0, 6.0)):
     area = IndoorArea()
-    aps = (AccessPoint(0, Position3D(ap_xy[0], ap_xy[1], 3.0), 0.01, 4e-9),)
-    users = (UserNode(0, Position3D(user_xy[0], user_xy[1], 1.5), 0.005, 2e-9, 0.02),)
+    aps = (AccessPoint(0, Position3D(ap_xy[0], ap_xy[1], 3.0), 0.01),)
+    users = (UserNode(0, Position3D(user_xy[0], user_xy[1], 1.5), 0.005, 0.02),)
     return NetworkTopology(area=area, aps=aps, users=users)
 
 
@@ -100,35 +99,15 @@ def test_area_rejects_empty_range():
 
 def test_topology_validation():
     area = IndoorArea()
-    ap = AccessPoint(0, Position3D(1, 1, 2), 0.01, 4e-9)
-    user = UserNode(0, Position3D(2, 2, 1), 0.005, 2e-9, 0.02)
+    ap = AccessPoint(0, Position3D(1, 1, 2), 0.01)
+    user = UserNode(0, Position3D(2, 2, 1), 0.005, 0.02)
     NetworkTopology(area=area, aps=(ap,), users=(user,))  # fine
 
     with pytest.raises(ConfigurationError):
         NetworkTopology(area=area, aps=(), users=(user,))
     with pytest.raises(ConfigurationError):
         NetworkTopology(area=area, aps=(ap, ap), users=(user,))  # duplicate id
-    outside = UserNode(1, Position3D(11, 2, 1), 0.005, 2e-9, 0.02)
+    outside = UserNode(1, Position3D(11, 2, 1), 0.005, 0.02)
     with pytest.raises(ConfigurationError):
         NetworkTopology(area=area, aps=(ap,), users=(outside,))
-    # queue stability: every AP service rate must beat every arrival rate
-    hot_user = UserNode(2, Position3D(2, 3, 1), 0.005, 5e-9, 0.02)
-    with pytest.raises(ConfigurationError):
-        NetworkTopology(area=area, aps=(ap,), users=(hot_user,))
 
-
-def test_user_anchor_defaults_to_position():
-    u = UserNode(0, Position3D(1, 2, 1), 0.005, 2e-9, 0.02)
-    assert u.anchor == u.position
-    ref = Position3D(0, 0, 0)
-    u2 = UserNode(0, Position3D(1, 2, 1), 0.005, 2e-9, 0.02, reference_position=ref)
-    assert u2.anchor == ref
-
-
-def test_random_topology_seeded_and_valid():
-    area = IndoorArea()
-    a = random_topology(area, 2, 3, np.random.default_rng(42), 0.01, 0.005, 4e-9, 2e-9, 0.02)
-    b = random_topology(area, 2, 3, np.random.default_rng(42), 0.01, 0.005, 4e-9, 2e-9, 0.02)
-    assert a.n_aps == 2 and a.n_users == 3
-    for na, nb in zip(a.aps + a.users, b.aps + b.users):
-        assert na.position == nb.position

@@ -1,9 +1,10 @@
 """Whole-array pipeline against its scalar oracles, compared with ==.
 
-The sweep evaluates SINR, rate, delay and utility on whole arrays and
-designs every subcarrier's digital stage from one stacked SVD. Each test
-here rebuilds the same numbers one cell, one subcarrier or one column at a
-time and demands bit-for-bit equality, on seeded random inputs.
+The sweep builds each link's DL channels in one step, evaluates SINR, rate,
+delay and utility on whole arrays and designs every subcarrier's beams from
+stacked matrices. Each test here rebuilds the same numbers one cell, one
+subcarrier or one column at a time and demands bit-for-bit equality, on
+seeded random inputs.
 """
 
 import dataclasses
@@ -12,7 +13,15 @@ import math
 import numpy as np
 import pytest
 
-from vrlink.beamforming import Codebook, analog_combiner, analog_precoder, design_link
+from vrlink.beamforming import Codebook, design_link
+from vrlink.channel import (
+    SPEED_OF_LIGHT,
+    fspl_db,
+    steering_vector,
+    subcarrier_gains,
+    synthesize_dl,
+    tap_decay_sum,
+)
 from vrlink.config import config_from_dict
 from vrlink.errors import InfeasibleLinkError
 from vrlink.linkmetrics import (
@@ -24,7 +33,7 @@ from vrlink.linkmetrics import (
     sinr_dl,
     sinr_ul,
 )
-from vrlink.numerics import ZERO_MODULUS, svd
+from vrlink.numerics import ZERO_MODULUS, svd, unit_modulus_normalize
 from vrlink.qos import (
     conditional_utility,
     link_utilities,
@@ -34,6 +43,7 @@ from vrlink.qos import (
     transmission_delay,
 )
 from vrlink.runner import record_to_csv_row, run_sweep
+from vrlink.topology import departure_arrival_angles, distance
 
 
 def random_complex(rng, shape):
@@ -185,11 +195,22 @@ def test_svd_stack_matches_column_loop_per_matrix():
             assert_svd_equal(one, column_svd(a[i]))
 
 
+def sequential_covariance_beams(channels, n_cols, receive_side):
+    """Reference analog stage: covariance summed one subcarrier at a time."""
+    n_sc, n_rx, n_tx = channels.shape
+    size = n_rx if receive_side else n_tx
+    cov = np.zeros((size, size), dtype=complex)
+    for h in channels:
+        cov += h @ h.conj().T if receive_side else h.conj().T @ h
+    beams = svd(cov).left[:, :n_cols]
+    return unit_modulus_normalize(beams, 1.0 / math.sqrt(size))
+
+
 def per_subcarrier_design(channels, codebook, p_b):
     """Reference design: every subcarrier on its own, from 2-D matrices."""
     n_sc = channels.shape[0]
-    g_a = analog_combiner(channels, codebook.n_ds)
-    p_a = analog_precoder(channels, codebook.n_rf)
+    g_a = sequential_covariance_beams(channels, codebook.n_ds, receive_side=True)
+    p_a = sequential_covariance_beams(channels, codebook.n_rf, receive_side=False)
     pre, comb, eff, scale = [], [], [], []
     for h in channels:
         h_d = g_a.conj().T @ h @ p_a
@@ -204,7 +225,17 @@ def per_subcarrier_design(channels, codebook, p_b):
         comb.append(d_comb)
         eff.append((w / w_norm).conj().T @ h @ (f / f_norm))
         scale.append(math.sqrt(p_b / n_sc) / f_norm)
-    return np.array(pre), np.array(comb), np.array(eff), np.array(scale)
+    return p_a, g_a, np.array(pre), np.array(comb), np.array(eff), np.array(scale)
+
+
+def per_subcarrier_power_and_gain(p_a, pre, eff, scale):
+    """Reference transmit power and effective gains, one subcarrier at a time."""
+    power = 0.0
+    gains = []
+    for sc in range(len(scale)):
+        power += float(np.sum(np.abs(scale[sc] * (p_a @ pre[sc])) ** 2))
+        gains.append(np.linalg.svd(eff[sc], compute_uv=False)[0])
+    return power, np.array(gains)
 
 
 def test_design_link_matches_per_subcarrier_reference():
@@ -219,11 +250,53 @@ def test_design_link_matches_per_subcarrier_reference():
         channels = random_complex(rng, (n_sc, n_rx, n_tx)) * 1e-5
         p_b = float(rng.uniform(1e-3, 1e-1))
         sol = design_link(channels, codebook, p_b)
-        pre, comb, eff, scale = per_subcarrier_design(channels, codebook, p_b)
+        p_a, g_a, pre, comb, eff, scale = per_subcarrier_design(channels, codebook, p_b)
+        assert np.array_equal(sol.analog_precoder, p_a)
+        assert np.array_equal(sol.analog_combiner, g_a)
         assert np.array_equal(sol.digital_precoders, pre)
         assert np.array_equal(sol.digital_combiners, comb)
         assert np.array_equal(sol.effective_channels, eff)
         assert np.array_equal(sol.power_scale, scale)
+        power, gains = per_subcarrier_power_and_gain(p_a, pre, eff, scale)
+        assert sol.transmit_power() == power
+        assert np.array_equal(sol.effective_gain_per_subcarrier(), gains)
+
+
+def per_subcarrier_dl(topology, grid, n_tx, n_rx, tap_count, tap_spacing_s, mode, rng):
+    """Reference DL synthesis: the link geometry rebuilt for every subcarrier."""
+    mats = np.zeros((topology.n_users, topology.n_aps, grid.n_sc, n_rx, n_tx), dtype=complex)
+    for i, user in enumerate(topology.users):
+        for j, ap in enumerate(topology.aps):
+            gains = subcarrier_gains(grid.n_sc, mode, rng)
+            for n in range(grid.n_sc):
+                d = distance(ap.position, user.position)
+                aod, aoa = departure_arrival_angles(ap.position, user.position)
+                spacing = grid.sample_period if tap_spacing_s is None else tap_spacing_s
+                amp = 10.0 ** (fspl_db(d, grid.wavelength) / 10.0) * tap_decay_sum(
+                    d / SPEED_OF_LIGHT, tap_count, spacing
+                )
+                a_tx = steering_vector(n_tx, aod)
+                a_rx = steering_vector(n_rx, aoa)
+                mats[i, j, n] = amp * gains[n] * np.outer(a_rx, a_tx.conj())
+    return mats
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {},
+        {"gain_mode": "gaussian", "seed": "7"},
+        {"u": "5", "b": "3", "n_sc": "7", "gain_mode": "gaussian", "seed": "3"},
+        {"n_sc": "3", "tap_count": "9", "tap_spacing": "1e-10"},
+    ],
+)
+def test_synthesize_dl_matches_per_subcarrier_reference(raw):
+    cfg = config_from_dict(raw)
+    for n_tx, n_rx in ((1, 1), (2, 1), (4, 2), (8, 1), (3, 4)):
+        args = (cfg.topology, cfg.grid, n_tx, n_rx, cfg.tap_count, cfg.tap_spacing_s, cfg.gain_mode)
+        dl = synthesize_dl(*args, np.random.default_rng([cfg.seed, 1]))
+        ref = per_subcarrier_dl(*args, np.random.default_rng([cfg.seed, 1]))
+        assert np.array_equal(dl.matrices, ref)
 
 
 def test_zero_power_user_is_an_infeasible_record():
