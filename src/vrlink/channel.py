@@ -128,7 +128,6 @@ def dl_link_channels(
     grid: SubcarrierGrid,
     tap_count: int = 4,
     tap_spacing_s: float = None,
-    spacing_over_wavelength: float = 0.5,
 ) -> np.ndarray:
     """Rank-1 DL matrices (n_sc, n_rx, n_tx) of one link, one per entry of gains.
 
@@ -144,31 +143,16 @@ def dl_link_channels(
         tap_spacing_s = grid.sample_period
     tau = d / SPEED_OF_LIGHT
     amp = 10.0 ** (fspl_db(d, grid.wavelength) / 10.0) * tap_decay_sum(tau, tap_count, tap_spacing_s)
-    a_tx = steering_vector(n_tx, aod_az, spacing_over_wavelength)
-    a_rx = steering_vector(n_rx, aoa_az, spacing_over_wavelength)
+    a_tx = steering_vector(n_tx, aod_az)
+    a_rx = steering_vector(n_rx, aoa_az)
     return (amp * np.asarray(gains))[:, None, None] * np.outer(a_rx, a_tx.conj())
-
-
-@dataclass(frozen=True)
-class UlChannelCoeffs:
-    """UL scalar coefficients for every (user, AP, subcarrier) triple.
-
-    coeffs is indexed [user, ap, subcarrier] in topology order; the modulus
-    of every entry along the subcarrier axis is d^-w for that link.
-    """
-
-    coeffs: np.ndarray  # complex, shape (U, B, n_sc)
 
 
 @dataclass(frozen=True)
 class DlChannelSet:
     """DL matrices for every (user, AP) link and subcarrier."""
 
-    matrices: np.ndarray  # complex, shape (U, B, n_sc, n_rx, n_tx)
-
-    def link_matrices(self, user_idx: int, ap_idx: int) -> np.ndarray:
-        """All subcarrier matrices for one (user, AP) link, shape (n_sc, n_rx, n_tx)."""
-        return self.matrices[user_idx, ap_idx]
+    matrices: np.ndarray  # complex, shape (U, B, n_sc, n_rx, n_tx); [i, j] is one link's stack
 
 
 def synthesize_ul(
@@ -177,8 +161,9 @@ def synthesize_ul(
     w: float,
     mode: str = "deterministic",
     rng=None,
-) -> UlChannelCoeffs:
-    """UL coefficients for every (user, AP) pair on the grid."""
+) -> np.ndarray:
+    """UL scalar coefficients (U, B, n_sc), indexed [user, ap, subcarrier] in
+    topology order; every entry of a link has modulus d^-w."""
     coeffs = np.zeros((topology.n_users, topology.n_aps, grid.n_sc), dtype=complex)
     for i, user in enumerate(topology.users):
         for j, ap in enumerate(topology.aps):
@@ -189,7 +174,7 @@ def synthesize_ul(
                     f"user {user.user_id} and AP {ap.ap_id} coincide"
                 )
             coeffs[i, j] = gains * d ** (-w)
-    return UlChannelCoeffs(coeffs=coeffs)
+    return coeffs
 
 
 def synthesize_dl(
@@ -201,7 +186,6 @@ def synthesize_dl(
     tap_spacing_s: float = None,
     mode: str = "deterministic",
     rng=None,
-    spacing_over_wavelength: float = 0.5,
 ) -> DlChannelSet:
     """DL matrices for every (user, AP) pair, all subcarriers."""
     u, b = topology.n_users, topology.n_aps
@@ -217,6 +201,5 @@ def synthesize_dl(
                 grid,
                 tap_count=tap_count,
                 tap_spacing_s=tap_spacing_s,
-                spacing_over_wavelength=spacing_over_wavelength,
             )
     return DlChannelSet(matrices=mats)

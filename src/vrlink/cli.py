@@ -13,7 +13,7 @@ import os
 import sys
 
 from .beamforming import Codebook
-from .config import load_config, parse_esn0_range
+from .config import MAX_SWEEP_BYTES, load_config, parse_esn0_range
 from .errors import ConfigurationError, InvalidInputError
 from .runner import min_statistic, mode_statistic, run_sweep, write_results_csv
 
@@ -123,17 +123,14 @@ def _cmd_stats(args) -> int:
 
 def _cmd_check_config(args) -> int:
     config = load_config(args.config)
-    n_records = (
-        len(config.scenarios) * len(config.codebooks) * len(config.esn0_db)
-        * config.topology.n_users * config.topology.n_aps
-    )
     print(f"config ok: {args.config}")
     print(f"  aps={config.topology.n_aps} users={config.topology.n_users}")
     print(f"  codebooks={','.join(cb.label for cb in config.codebooks)}")
     print(f"  scenarios={','.join(s.value for s in config.scenarios)}")
     print(f"  esn0_points={len(config.esn0_db)} ({config.esn0_db[0]:g}..{config.esn0_db[-1]:g} dB)")
     print(f"  gain_mode={config.gain_mode} seed={config.seed}")
-    print(f"  expected_records={n_records}")
+    print(f"  expected_records={config.expected_records}")
+    print(f"  estimated_bytes={config.estimated_bytes} (budget {MAX_SWEEP_BYTES})")
     return EXIT_OK
 
 

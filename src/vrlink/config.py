@@ -27,6 +27,10 @@ QUEUE_UNIT_PRESETS = {
 # size caps: the sweep allocates arrays in proportion to both
 MAX_N_SC = 8192
 MAX_ESN0_POINTS = 1001
+# allocation budget: the largest DL channel stack plus the records, at
+# RECORD_BYTES each (a record and its share of the summary at their peak)
+MAX_SWEEP_BYTES = 1 << 30
+RECORD_BYTES = 1024
 
 DEFAULT_AP_POSITIONS = ((2.5, 4.0, 3.0), (7.5, 13.0, 3.0))
 DEFAULT_USER_POSITIONS = ((3.0, 6.0, 1.5), (6.5, 11.0, 1.5))
@@ -210,6 +214,22 @@ class SweepConfig:
             raise ConfigurationError(f"v_j must be at least 1, got {self.v_j}")
         if self.tap_count < 1:
             raise ConfigurationError(f"tap count must be at least 1, got {self.tap_count}")
+        if self.estimated_bytes > MAX_SWEEP_BYTES:
+            raise ConfigurationError(
+                f"sweep needs about {self.estimated_bytes} bytes, over the {MAX_SWEEP_BYTES}-byte budget"
+            )
+
+    @property
+    def expected_records(self) -> int:
+        links = self.topology.n_users * self.topology.n_aps
+        return len(self.scenarios) * len(self.codebooks) * len(self.esn0_db) * links
+
+    @property
+    def estimated_bytes(self) -> int:
+        """The largest complex DL channel stack plus the records."""
+        links = self.topology.n_users * self.topology.n_aps
+        dl = max(links * self.grid.n_sc * cb.n_rx * cb.n_tx * 16 for cb in self.codebooks)
+        return dl + self.expected_records * RECORD_BYTES
 
     @property
     def base_cells(self) -> tuple:

@@ -4,11 +4,12 @@ UL SINR works on the raw scalar channels per subcarrier; DL SINR works on the
 beamformed effective gain aggregated over subcarriers (mean or min). Noise is
 anchored to a reference power through the swept Es/N0 value.
 
-The pipeline entry point, ``compute_metrics``, evaluates the UL side on whole
-``(U, B, n_sc)`` arrays and reproduces the scalar ``sinr_ul`` and ``rate``
-bit for bit; ``sinr_ul`` states the UL model one cell at a time and serves
-only as the tests' oracle. The DL side has just U x B cells and still calls
-``sinr_dl`` and ``rate`` per cell.
+The pipeline entry point, ``compute_metrics``, evaluates both directions on
+whole arrays: the UL on ``(E, U, B, n_sc)``, the DL on every scenario,
+codebook and Es/N0 point at once. It forms each interference sum once, with
+the same masks for both directions, and reproduces ``sinr_ul``, ``sinr_dl``,
+``rate`` and ``aggregate_gain`` bit for bit. Those scalar functions state the
+model one cell at a time and serve only as the tests' oracles.
 """
 
 import math
@@ -27,6 +28,9 @@ class GainAggregation(Enum):
 
     MEAN = "mean"
     MIN = "min"
+
+
+_AGGREGATE = {GainAggregation.MEAN: np.mean, GainAggregation.MIN: np.min}
 
 
 def noise_power(esn0_db: float, reference_power: float) -> float:
@@ -137,22 +141,51 @@ def aggregate_gain(per_subcarrier_gains, mode: GainAggregation) -> float:
         raise InvalidInputError("cannot aggregate an empty gain vector")
     if np.any(gains < 0):
         raise InvalidInputError("gains must be non-negative")
-    if mode is GainAggregation.MEAN:
-        return float(np.mean(gains))
-    if mode is GainAggregation.MIN:
-        return float(np.min(gains))
-    raise InvalidInputError(f"unknown aggregation mode {mode!r}")
+    if mode not in _AGGREGATE:
+        raise InvalidInputError(f"unknown aggregation mode {mode!r}")
+    return float(_AGGREGATE[mode](gains))
 
 
 @dataclass(frozen=True)
 class LinkMetrics:
-    """SINR and rate surfaces over the (user, AP) grid for one sweep point."""
+    """SINR and rate surfaces over Es/N0 points, scenarios, codebooks and cells."""
 
-    sinr_ul: np.ndarray  # (U, B, n_sc)
-    rate_ul: np.ndarray  # (U, B, n_sc), per-subcarrier bandwidth
-    sinr_dl: np.ndarray  # (U, B)
-    rate_dl: np.ndarray  # (U, B), total bandwidth
-    dl_gain: np.ndarray  # (U, B), aggregated effective gain entering the DL SINR
+    sinr_ul: np.ndarray  # (E, U, B, n_sc)
+    rate_ul: np.ndarray  # (E, U, B, n_sc), per-subcarrier bandwidth
+    sinr_dl: np.ndarray  # (M, ..., E, U, B): scenario, the gains' leading axes, Es/N0
+    rate_dl: np.ndarray  # (M, ..., E, U, B), total bandwidth
+    dl_gain: np.ndarray  # (M, ..., U, B), aggregated effective gain entering the DL SINR
+
+
+def _interference(base_cells, n_aps: int, intra_term, inter_term, tail: tuple = ()):
+    """Intra- and inter-cell interference at every evaluation cell (i, j).
+
+    User i sits at AP j and every other user at its home AP. intra_term(l)
+    is what user l, homed to AP j, adds at (i, j); inter_term(k, b) is what
+    user k, homed to another AP b, adds. Both broadcast against the (U, B)
+    cell grid followed by `tail` unit axes. The masked terms are added from
+    0.0 in the scalar oracles' order, so the sums round as theirs do.
+    """
+    users = np.arange(len(base_cells)).reshape((-1, 1) + tail)
+    aps = np.arange(n_aps).reshape((1, -1) + tail)
+    intra = inter = 0.0
+    for l, home in enumerate(base_cells):
+        intra = intra + np.where((users != l) & (aps == home), intra_term(l), 0.0)
+    for b in range(n_aps):
+        for k, home in enumerate(base_cells):
+            if home == b:
+                inter = inter + np.where((users != k) & (aps != b), inter_term(k, b), 0.0)
+    return intra, inter
+
+
+def _rate(bw: float, sinr: np.ndarray) -> np.ndarray:
+    """``rate`` per element; math.log1p, not np.log1p: the two round differently."""
+    if not bw > 0:
+        raise InvalidInputError(f"bandwidth must be positive, got {bw}")
+    if np.any(sinr < 0):
+        raise InvalidInputError("SINR must be non-negative")
+    log1p = np.array([math.log1p(x) for x in sinr.ravel().tolist()]).reshape(sinr.shape)
+    return bw * log1p / LN2
 
 
 def compute_metrics(
@@ -161,55 +194,40 @@ def compute_metrics(
     user_powers: np.ndarray,
     ap_powers: np.ndarray,
     base_cells,
-    sigma_sq: float,
-    mode: GainAggregation,
+    sigma_sq: np.ndarray,
+    modes,
     bw_total: float,
     bw_subcarrier: float,
 ) -> LinkMetrics:
-    """Evaluate every (user, AP) pairing, re-homing the probed user each time.
+    """Evaluate every (user, AP) pairing at every noise power, re-homing the
+    probed user each time.
 
-    ul_coeffs: (U, B, n_sc) complex scalars. dl_gain_per_sc: (U, B, n_sc)
-    squared effective-channel magnitudes from the beamformer. The UL SINR and
-    rate come out of whole-array operations; the DL side has only U x B
-    cells and evaluates them one by one.
+    ul_coeffs: (U, B, n_sc) complex scalars. dl_gain_per_sc: (..., U, B,
+    n_sc) squared effective-channel magnitudes from the beamformer, e.g. one
+    slice per codebook. sigma_sq: (E,) noise powers. modes: the gain
+    aggregations, one per scenario. The interference sums do not depend on
+    the noise, so they are formed once and every Es/N0 point reuses them.
     """
-    if not sigma_sq > 0:
-        raise InvalidInputError(f"noise power must be positive, got {sigma_sq}")
-    if not bw_subcarrier > 0:
-        raise InvalidInputError(f"bandwidth must be positive, got {bw_subcarrier}")
-    n_users, n_aps, n_sc = ul_coeffs.shape
-    users = np.arange(n_users)[:, None]
-    aps = np.arange(n_aps)[None, :]
+    sigma = np.asarray(sigma_sq, dtype=float)
+    if sigma.ndim != 1 or not np.all(sigma > 0):
+        raise InvalidInputError(f"noise powers must be a positive vector, got {sigma_sq}")
+    gains = np.ascontiguousarray(dl_gain_per_sc, dtype=float)
+    if np.any(gains < 0):
+        raise InvalidInputError("gains must be non-negative")
+    n_aps = ul_coeffs.shape[1]
     # received UL power of user l at AP b on subcarrier n
     received = user_powers[:, None, None] * np.abs(ul_coeffs) ** 2
-    # interference at evaluation cell (i, j): user i sits at AP j, every other
-    # user at its home AP; terms are added in the scalar oracle's order
-    intra = np.zeros((n_users, n_aps, n_sc))
-    for l in range(n_users):
-        homed = (users != l) & (aps == base_cells[l])
-        intra += np.where(homed[:, :, None], received[l][None, :, :], 0.0)
-    inter = np.zeros((n_users, n_aps, n_sc))
-    for b in range(n_aps):
-        for k in range(n_users):
-            if base_cells[k] != b:
-                continue
-            other = (users != k) & (aps != b)
-            inter += np.where(other[:, :, None], received[k, b][None, None, :], 0.0)
-    s_ul = received / (sigma_sq + intra + inter)
-    if np.any(s_ul < 0):
-        raise InvalidInputError("SINR must be non-negative")
-    # math.log1p, not np.log1p: the two round differently
-    log1p = np.array([math.log1p(x) for x in s_ul.ravel().tolist()]).reshape(s_ul.shape)
-    r_ul = bw_subcarrier * log1p / LN2
-
-    agg = np.array(
-        [[aggregate_gain(dl_gain_per_sc[i, j], mode) for j in range(n_aps)] for i in range(n_users)]
+    intra, inter = _interference(
+        base_cells, n_aps, lambda l: received[l], lambda k, b: received[k, b], tail=(1,)
     )
-    s_dl = np.zeros((n_users, n_aps))
-    r_dl = np.zeros((n_users, n_aps))
-    for i in range(n_users):
-        for j in range(n_aps):
-            s = sinr_dl(i, j, ap_powers, agg, evaluation_cells(base_cells, i, j), sigma_sq)
-            s_dl[i, j] = s
-            r_dl[i, j] = rate(bw_total, s)
-    return LinkMetrics(sinr_ul=s_ul, rate_ul=r_ul, sinr_dl=s_dl, rate_dl=r_dl, dl_gain=agg)
+    s_ul = received / ((sigma[:, None, None, None] + intra) + inter)
+
+    agg = np.stack([_AGGREGATE[mode](gains, axis=-1) for mode in modes])
+    # DL power of AP b through the gain of user k; user i's own link carries
+    # the intra-cell terms of its serving AP
+    own = ap_powers * agg
+    intra, inter = _interference(
+        base_cells, n_aps, lambda l: own, lambda k, b: own[..., k, b, None, None]
+    )
+    s_dl = own[..., None, :, :] / ((sigma[:, None, None] + intra[..., None, :, :]) + inter[..., None, :, :])
+    return LinkMetrics(s_ul, _rate(bw_subcarrier, s_ul), s_dl, _rate(bw_total, s_dl), agg)

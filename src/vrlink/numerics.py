@@ -26,6 +26,9 @@ matrix-at-a-time loop computes. With numpy 2.x on x86-64 these hold:
   ``total += x[k]`` that starts from zero, except that the loop turns a
   ``-0.0`` first term into ``+0.0``; adding ``0.0`` to the result does the
   same. ``np.sum(x, axis=0)`` may add pairwise and round differently.
+- ``np.mean``, ``np.sum`` and ``np.max`` along the last axis of a
+  C-contiguous or boolean-indexed stack equal the 1-D call on each row, so
+  a stack of link windows reduces as one window at a time does.
 - ``np.log1p`` and a BLAS ``np.linalg.norm`` across a batch are not
   per-element equal to ``math.log1p`` and a per-matrix norm; keep those
   scalar or per matrix.

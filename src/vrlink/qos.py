@@ -5,9 +5,9 @@ UL rate) + processing (workload over per-user compute share) + M/M/1 queue
 wait. Utility is the product of a delay-tolerance factor and a tracking
 -accuracy factor, each in [0, 1].
 
-The pipeline works on a link's whole subcarrier window at once:
-``transmission_delay`` takes the array of UL rates and ``link_utilities``
-computes every subcarrier's utility with array arithmetic. The scalar
+The pipeline works on stacks of link windows, one link's subcarriers on the
+last axis: ``transmission_delay`` and ``link_utilities`` compute every
+subcarrier of every window with array arithmetic. The scalar
 ``conditional_utility``, ``tracking_error``, ``tracking_utility`` and
 ``total_utility`` state the model one subcarrier at a time; the window path
 reproduces them bit for bit and the tests hold it to them as oracles.
@@ -52,15 +52,17 @@ class TrafficModel:
             )
 
 
-def transmission_delay(s_bits: float, a_bits: float, rate_dl: float, rate_ul):
+def transmission_delay(s_bits: float, a_bits: float, rate_dl, rate_ul):
     """Over-the-air time: payload over the DL rate, tracking over the UL rate.
 
-    rate_ul is one rate or an array of per-subcarrier rates; the delay has
-    its shape. Any rate that is not positive makes the link infeasible.
+    rate_ul is one rate, one link's per-subcarrier rates, or a stack of such
+    windows on its last axis; rate_dl is one rate per window and broadcasts
+    against it (shape (..., 1) for a stack). The delay has the broadcast
+    shape. Any rate that is not positive makes the link infeasible.
     """
-    if not rate_dl > 0 or not np.all(np.asarray(rate_ul) > 0):
+    if not np.all(np.asarray(rate_dl) > 0) or not np.all(np.asarray(rate_ul) > 0):
         raise InfeasibleLinkError(
-            f"link carries no rate (dl={rate_dl}, ul={np.min(rate_ul)}), transmission never completes"
+            f"link carries no rate (dl={np.min(rate_dl)}, ul={np.min(rate_ul)}), transmission never completes"
         )
     return s_bits / rate_dl + a_bits / rate_ul
 
@@ -138,34 +140,37 @@ def total_utility(conditional: float, tracking: float) -> float:
 def link_utilities(
     delays_total: np.ndarray,
     sinrs_ul: np.ndarray,
-    gamma_d: float,
+    gamma_d,
     epsilon0: float,
 ) -> np.ndarray:
-    """Per-subcarrier total utilities for one (user, AP) link window.
+    """Per-subcarrier total utilities for link windows on the last axis.
 
-    d_max is the worst total delay over the window's subcarriers; the
-    tracking anchor is the worst tracking error over the same window. Equal,
-    bit for bit, to ``total_utility(conditional_utility(...),
-    tracking_utility(...))`` per subcarrier.
+    delays_total and sinrs_ul are one window or a stack of windows; gamma_d
+    is one tolerance or one per window (shape (..., 1)). d_max is the worst
+    total delay over a window's subcarriers; the tracking anchor is the
+    worst tracking error over the same window. Equal, bit for bit, to
+    ``total_utility(conditional_utility(...), tracking_utility(...))`` per
+    subcarrier.
     """
     delays = np.asarray(delays_total, dtype=float)
     sinrs = np.asarray(sinrs_ul, dtype=float)
-    if delays.shape != sinrs.shape or delays.size == 0:
+    gamma = np.asarray(gamma_d, dtype=float)
+    if delays.shape != sinrs.shape or delays.ndim == 0 or delays.shape[-1] == 0:
         raise InvalidInputError("delay and SINR windows must be non-empty and congruent")
-    if np.any(delays < 0) or gamma_d < 0:
+    if np.any(delays < 0) or np.any(gamma < 0):
         raise InvalidInputError("delays must be non-negative")
     if np.any(sinrs < 0):
         raise InvalidInputError("SINR must be non-negative")
     if not epsilon0 > 0:
         raise InvalidInputError(f"epsilon0 must be positive, got {epsilon0}")
-    d_max = float(np.max(delays))
-    if d_max <= gamma_d:
-        conditional = np.ones(delays.shape)
-    else:
-        conditional = np.where(delays < gamma_d, 1.0, (d_max - delays) / (d_max - gamma_d))
+    d_max = np.max(delays, axis=-1, keepdims=True)
+    # a window within the tolerance has factor 1; its divisor is a stand-in
+    span = np.where(d_max > gamma, d_max - gamma, 1.0)
+    conditional = np.where((delays < gamma) | (d_max <= gamma), 1.0, (d_max - delays) / span)
     errors = epsilon0 / np.sqrt(1.0 + sinrs)
-    worst = float(np.max(errors))
-    tracking = np.ones(errors.shape) if worst == 0.0 else 1.0 - errors / worst
+    worst = np.max(errors, axis=-1, keepdims=True)
+    # a worst error of 0 makes every error 0, and 1 - 0 / 1 is factor 1
+    tracking = 1.0 - errors / np.where(worst == 0.0, 1.0, worst)
     for name, v in (("conditional", conditional), ("tracking", tracking)):
         if not np.all((0.0 <= v) & (v <= 1.0)):
             raise InvalidInputError(f"{name} utility must lie in [0,1]")

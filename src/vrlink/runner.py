@@ -13,10 +13,14 @@ import numpy as np
 from .beamforming import Codebook, design_link
 from .channel import synthesize_dl, synthesize_ul
 from .config import SweepConfig
-from .errors import InfeasibleLinkError, InvalidInputError
-from .linkmetrics import GainAggregation, compute_metrics, evaluation_cells, noise_power
+from .errors import InvalidInputError
+from .linkmetrics import compute_metrics, evaluation_cells, noise_power
 from .numerics import FACTOR_TOL, MODULUS_TOL
 from .qos import link_utilities, processing_delay, queue_delay, transmission_delay
+
+# Es/N0 points per evaluation block: as many as keep the block's UL arrays
+# under this many (point, user, AP, subcarrier) cells, at least one
+BLOCK_CELLS = 1 << 18
 
 CSV_HEADER = (
     "scenario,n_tx,n_rf,esn0_db,ap,user,rate_dl_bps,rate_ul_bps,"
@@ -74,172 +78,54 @@ class SweepResult:
 
 def check_constraints(
     n_users_on_ap: int,
-    rate_dl: float,
     ap_power_used_w: float,
     solution,
     user: int,
     ap: int,
     v_j: int,
-    r_min: float,
     p_b: float,
 ) -> list:
-    """Feasibility families: (a) AP occupancy, (b) minimum DL rate, (c) AP
-    power budget, (d) precoder entry modulus, (e) combiner entry modulus."""
+    """The feasibility families that do not depend on Es/N0: (a) AP occupancy,
+    (c) AP power budget, (d) precoder entry modulus, (e) combiner entry
+    modulus. Family (b), the minimum DL rate, is checked per sweep point."""
     violations = []
     if n_users_on_ap > v_j:
         violations.append(ConstraintViolation("a", user, ap, float(n_users_on_ap), float(v_j)))
-    if rate_dl < r_min:
-        violations.append(ConstraintViolation("b", user, ap, rate_dl, r_min))
     if ap_power_used_w > p_b * (1.0 + FACTOR_TOL):
         violations.append(ConstraintViolation("c", user, ap, ap_power_used_w, p_b))
-    mod_sq_p = np.abs(solution.analog_precoder) ** 2
-    target_p = 1.0 / solution.codebook.n_tx
-    dev_p = float(np.max(np.abs(mod_sq_p - target_p)))
-    if dev_p > MODULUS_TOL:
-        violations.append(ConstraintViolation("d", user, ap, dev_p, MODULUS_TOL))
-    mod_sq_g = np.abs(solution.analog_combiner) ** 2
-    target_g = 1.0 / solution.codebook.n_rx
-    dev_g = float(np.max(np.abs(mod_sq_g - target_g)))
-    if dev_g > MODULUS_TOL:
-        violations.append(ConstraintViolation("e", user, ap, dev_g, MODULUS_TOL))
+    for letter, analog, n in (
+        ("d", solution.analog_precoder, solution.codebook.n_tx),
+        ("e", solution.analog_combiner, solution.codebook.n_rx),
+    ):
+        dev = float(np.max(np.abs(np.abs(analog) ** 2 - 1.0 / n)))
+        if dev > MODULUS_TOL:
+            violations.append(ConstraintViolation(letter, user, ap, dev, MODULUS_TOL))
     return violations
 
 
-@dataclass(frozen=True)
-class _CodebookPrep:
-    """Channels, beamforming and everything else that does not depend on
-    Es/N0, computed once per codebook and shared by every sweep point."""
-
-    ul_coeffs: np.ndarray      # (U, B, n_sc)
-    solutions: dict            # (user, ap) -> BeamformingSolution
-    dl_gain_per_sc: np.ndarray # (U, B, n_sc) squared effective gains
-    n_served: np.ndarray       # (U, B) cell occupancy when (user, ap) is evaluated
-    ap_power_used: np.ndarray  # (U, B) AP transmit power with every served link at this design
-
-
-def _prepare_codebook(config: SweepConfig, codebook: Codebook) -> _CodebookPrep:
+def _design_codebook(config: SweepConfig, codebook: Codebook) -> tuple:
+    """Every link's design for one codebook, reduced to what the sweep reads:
+    the squared effective gains (U, B, n_sc) and the letters of the
+    Es/N0-independent checks, indexed [user][ap]."""
     topo = config.topology
-    ul = synthesize_ul(
-        topo, config.grid, config.w, config.gain_mode, np.random.default_rng([config.seed, 0])
-    )
+    rng = np.random.default_rng([config.seed, 1])
     dl = synthesize_dl(
-        topo,
-        config.grid,
-        codebook.n_tx,
-        codebook.n_rx,
-        tap_count=config.tap_count,
-        tap_spacing_s=config.tap_spacing_s,
-        mode=config.gain_mode,
-        rng=np.random.default_rng([config.seed, 1]),
+        topo, config.grid, codebook.n_tx, codebook.n_rx, config.tap_count, config.tap_spacing_s,
+        config.gain_mode, rng,
     )
-    base = config.base_cells
-    u, b = topo.n_users, topo.n_aps
-    solutions = {}
-    gains = np.zeros((u, b, config.grid.n_sc))
-    served = np.zeros((u, b), dtype=int)
-    power_used = np.zeros((u, b))
-    for i in range(u):
-        for j in range(b):
-            cells = evaluation_cells(base, i, j)
-            n_served = sum(1 for c in cells if c == j)
-            served[i, j] = n_served
-            budget = topo.aps[j].power_w / n_served
-            sol = design_link(dl.link_matrices(i, j), codebook, budget)
-            solutions[(i, j)] = sol
-            gains[i, j] = sol.effective_gain_per_subcarrier() ** 2
-            power_used[i, j] = served[i, j] * sol.transmit_power()
-    return _CodebookPrep(
-        ul_coeffs=ul.coeffs,
-        solutions=solutions,
-        dl_gain_per_sc=gains,
-        n_served=served,
-        ap_power_used=power_used,
-    )
-
-
-def _evaluate_prepared(
-    config: SweepConfig,
-    scenario: GainAggregation,
-    codebook: Codebook,
-    esn0_db: float,
-    prep: _CodebookPrep,
-):
-    topo = config.topology
-    sigma_sq = noise_power(esn0_db, config.noise_reference_w)
-    user_powers = np.array([usr.power_w for usr in topo.users])
-    ap_powers = np.array([ap.power_w for ap in topo.aps])
-    metrics = compute_metrics(
-        prep.ul_coeffs,
-        prep.dl_gain_per_sc,
-        user_powers,
-        ap_powers,
-        config.base_cells,
-        sigma_sq,
-        scenario,
-        config.grid.total_bandwidth,
-        config.grid.subcarrier_bandwidth,
-    )
-
-    traffic = config.traffic
-    d_proc = processing_delay(traffic.v_bits, traffic.m_capacity, traffic.n_share)
-    d_queue = queue_delay(traffic.mu, traffic.lam)
-
-    records = []
-    objective = 0.0
+    gains = np.zeros((topo.n_users, topo.n_aps, config.grid.n_sc))
+    letters = [[None] * topo.n_aps for _ in topo.users]
     for i, user in enumerate(topo.users):
         for j, ap in enumerate(topo.aps):
-            rate_dl = float(metrics.rate_dl[i, j])
-            rates_ul = metrics.rate_ul[i, j]
+            n_served = evaluation_cells(config.base_cells, i, j).count(j)
+            sol = design_link(dl.matrices[i, j], codebook, ap.power_w / n_served)
+            gains[i, j] = sol.effective_gain_per_subcarrier() ** 2
             violations = check_constraints(
-                int(prep.n_served[i, j]),
-                rate_dl,
-                float(prep.ap_power_used[i, j]),
-                prep.solutions[(i, j)],
-                user.user_id,
-                ap.ap_id,
-                config.v_j,
-                config.r_min,
-                ap.power_w,
+                n_served, n_served * sol.transmit_power(), sol,
+                user.user_id, ap.ap_id, config.v_j, ap.power_w,
             )
-            letters = tuple(dict.fromkeys(v.constraint for v in violations))
-            try:
-                d_trans_n = transmission_delay(traffic.s_bits, traffic.a_bits, rate_dl, rates_ul)
-            except InfeasibleLinkError:
-                # the link never completes a frame: infinite delay, no utility
-                d_trans = d_total = math.inf
-                utility = None
-                feasible = False
-            else:
-                totals_n = d_trans_n + d_proc + d_queue
-                utilities_n = link_utilities(
-                    totals_n, metrics.sinr_ul[i, j], user.delay_tolerance_s, config.epsilon0
-                )
-                d_trans = float(np.mean(d_trans_n))
-                d_total = float(np.mean(totals_n))
-                feasible = not letters
-                utility = float(np.mean(utilities_n)) if feasible else None
-                if feasible:
-                    objective += float(np.sum(utilities_n))
-            records.append(
-                SweepRecord(
-                    scenario=scenario.value,
-                    n_tx=codebook.n_tx,
-                    n_rf=codebook.n_rf,
-                    esn0_db=float(esn0_db),
-                    ap=ap.ap_id,
-                    user=user.user_id,
-                    rate_dl_bps=rate_dl,
-                    rate_ul_bps=float(np.mean(rates_ul)),
-                    d_trans_s=d_trans,
-                    d_proc_s=d_proc,
-                    d_queue_s=d_queue,
-                    d_total_s=d_total,
-                    utility=utility,
-                    feasible=feasible,
-                    violations=letters,
-                )
-            )
-    return records, objective
+            letters[i][j] = tuple(dict.fromkeys(v.constraint for v in violations))
+    return gains, letters
 
 
 def min_statistic(values) -> float:
@@ -272,84 +158,133 @@ def select_best_codebook(result: SweepResult, esn0_db: float, scenario: str = No
     """
     groups = {}
     for rec in result.records:
-        if rec.esn0_db != esn0_db:
-            continue
-        if scenario is not None and rec.scenario != scenario:
-            continue
-        groups.setdefault((rec.n_tx, rec.n_rf), []).append(rec)
-    best_key = None
-    best_sum = -math.inf
-    for key in sorted(groups):
-        recs = groups[key]
-        if any(not r.feasible for r in recs):
-            continue
-        total = sum(r.utility for r in recs)
-        if best_key is None or total > best_sum:
-            best_key, best_sum = key, total
-    if best_key is None:
+        if rec.esn0_db == esn0_db and scenario in (None, rec.scenario):
+            groups.setdefault((rec.n_tx, rec.n_rf), []).append(rec)
+    feasible = [key for key in sorted(groups) if all(r.feasible for r in groups[key])]
+    if not feasible:
         return None
-    return Codebook(n_tx=best_key[0], n_rf=best_key[1])
+    # max keeps the first of equal sums, the smallest key
+    n_tx, n_rf = max(feasible, key=lambda key: sum(r.utility for r in groups[key]))
+    return Codebook(n_tx=n_tx, n_rf=n_rf)
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
-    """Evaluate the full scenario x codebook x Es/N0 product, sorted and summarized."""
+    """Evaluate the full scenario x codebook x Es/N0 product, sorted and summarized.
+
+    The UL channels are drawn once and each link is designed once per
+    codebook; SINR, rate, delay and utility are then evaluated on whole
+    arrays, one block of Es/N0 points at a time.
+    """
+    topo, traffic = config.topology, config.traffic
+    rng = np.random.default_rng([config.seed, 0])
+    ul = synthesize_ul(topo, config.grid, config.w, config.gain_mode, rng)
+    gains, letters = zip(*(_design_codebook(config, cb) for cb in config.codebooks))
+    gains = np.stack(gains)
+    user_powers = np.array([usr.power_w for usr in topo.users])
+    ap_powers = np.array([ap.power_w for ap in topo.aps])
+    gamma = np.array([usr.delay_tolerance_s for usr in topo.users])[:, None]  # (U, 1)
+    d_proc = processing_delay(traffic.v_bits, traffic.m_capacity, traffic.n_share)
+    d_queue = queue_delay(traffic.mu, traffic.lam)
+    esn0_all = config.esn0_db.tolist()
+    sigma_all = np.array([noise_power(e, config.noise_reference_w) for e in esn0_all])
+    step = max(1, BLOCK_CELLS // ul.size)
+
     records = []
-    objectives = {}
-    for codebook in config.codebooks:
-        prep = _prepare_codebook(config, codebook)
-        for scenario in config.scenarios:
-            for esn0 in config.esn0_db:
-                recs, obj = _evaluate_prepared(config, scenario, codebook, float(esn0), prep)
-                records.extend(recs)
-                objectives[(scenario.value, codebook.label, float(esn0))] = obj
+    # keyed in codebook, scenario, Es/N0 order whatever the block order
+    objectives = {
+        (scenario.value, cb.label, e): 0.0
+        for cb in config.codebooks for scenario in config.scenarios for e in esn0_all
+    }
+    for start in range(0, len(esn0_all), step):
+        m = compute_metrics(
+            ul, gains, user_powers, ap_powers, config.base_cells, sigma_all[start : start + step],
+            config.scenarios, config.grid.total_bandwidth, config.grid.subcarrier_bandwidth,
+        )
+        rate_ul = np.mean(m.rate_ul, axis=-1).tolist()
+        ul_carries = np.all(m.rate_ul > 0, axis=-1)
+        tolerance = np.broadcast_to(gamma, ul_carries.shape)
+        for s, scenario in enumerate(config.scenarios):
+            for c, codebook in enumerate(config.codebooks):
+                rate_dl = m.rate_dl[s, c]  # (E, U, B)
+                # a link that carries no rate in one direction never
+                # completes a frame: infinite delay, no utility, fails (b)
+                carries = (rate_dl > 0) & ul_carries
+                d_trans_n = transmission_delay(
+                    traffic.s_bits, traffic.a_bits, rate_dl[carries][:, None], m.rate_ul[carries]
+                )
+                totals_n = d_trans_n + d_proc + d_queue
+                utilities_n = link_utilities(
+                    totals_n, m.sinr_ul[carries], tolerance[carries][:, None], config.epsilon0
+                )
+                fails_b = ((rate_dl < config.r_min) | ~carries).tolist()
+                d_trans = _per_link(carries, np.mean(d_trans_n, axis=-1))
+                d_total = _per_link(carries, np.mean(totals_n, axis=-1))
+                utility = _per_link(carries, np.mean(utilities_n, axis=-1))
+                utility_sum = _per_link(carries, np.sum(utilities_n, axis=-1))
+                rates_dl = rate_dl.tolist()
+                for e, esn0_db in enumerate(esn0_all[start : start + step]):
+                    objective = 0.0
+                    for i, user in enumerate(topo.users):
+                        for j, ap in enumerate(topo.aps):
+                            found = letters[c][i][j]
+                            if fails_b[e][i][j]:
+                                found = tuple(sorted(found + ("b",)))
+                            if not found:
+                                objective += utility_sum[e][i][j]
+                            records.append(SweepRecord(
+                                scenario.value, codebook.n_tx, codebook.n_rf, esn0_db, ap.ap_id,
+                                user.user_id, rates_dl[e][i][j], rate_ul[e][i][j], d_trans[e][i][j],
+                                d_proc, d_queue, d_total[e][i][j],
+                                None if found else utility[e][i][j], not found, found,
+                            ))
+                    objectives[(scenario.value, codebook.label, esn0_db)] = objective
     records.sort(key=lambda r: r.sort_key())
-    result = SweepResult(records=tuple(records), objectives=objectives, summary={})
-    summary = _summarize(config, result)
-    return SweepResult(records=result.records, objectives=objectives, summary=summary)
+    return SweepResult(records=tuple(records), objectives=objectives, summary=_summarize(config, records))
 
 
-def _summarize(config: SweepConfig, result: SweepResult) -> dict:
+def _per_link(carries: np.ndarray, values: np.ndarray) -> list:
+    """One value per carrying link, inf for the others, as nested lists."""
+    out = np.full(carries.shape, math.inf)
+    out[carries] = values
+    return out.tolist()
+
+
+def _summarize(config: SweepConfig, records) -> dict:
+    """Per-codebook statistics and the best codebook per Es/N0, from one
+    grouping pass over the sorted records."""
+    per_group = {}
+    per_point = {}
+    for rec in records:
+        utilities, d_trans = per_group.setdefault((rec.scenario, rec.n_tx, rec.n_rf), ([], []))
+        if rec.utility is not None:
+            utilities.append(rec.utility)
+        if math.isfinite(rec.d_trans_s):
+            d_trans.append(rec.d_trans_s)
+        per_point.setdefault(rec.esn0_db, []).append(rec)
     per_codebook = {}
     for scenario in config.scenarios:
         for codebook in config.codebooks:
-            recs = [
-                r
-                for r in result.records
-                if r.scenario == scenario.value and (r.n_tx, r.n_rf) == (codebook.n_tx, codebook.n_rf)
-            ]
-            utilities = [r.utility for r in recs if r.utility is not None]
-            d_trans = [r.d_trans_s for r in recs if math.isfinite(r.d_trans_s)]
+            utilities, d_trans = per_group.get((scenario.value, codebook.n_tx, codebook.n_rf), ([], []))
             per_codebook[(scenario.value, codebook.label)] = {
                 "utility_mean": float(np.mean(utilities)) if utilities else math.nan,
                 "d_trans_min_s": min_statistic(d_trans) if d_trans else math.nan,
                 "d_trans_mode_s": mode_statistic(d_trans, config.mode_bin_s) if d_trans else math.nan,
             }
     best = {}
-    for esn0 in config.esn0_db:
-        choice = select_best_codebook(result, float(esn0))
-        best[float(esn0)] = choice.label if choice is not None else None
+    for esn0 in config.esn0_db.tolist():
+        point = SweepResult(records=per_point.get(esn0, ()), objectives={}, summary={})
+        choice = select_best_codebook(point, esn0)
+        best[esn0] = choice.label if choice is not None else None
     return {"per_codebook": per_codebook, "best_codebook": best}
 
 
-def _fmt_float(x: float) -> str:
-    return f"{x:.9g}"
-
-
 def record_to_csv_row(rec: SweepRecord) -> str:
-    fields = [
-        rec.scenario,
-        str(rec.n_tx),
-        str(rec.n_rf),
-        _fmt_float(rec.esn0_db),
-        str(rec.ap),
-        str(rec.user),
-        _fmt_float(rec.rate_dl_bps),
-        _fmt_float(rec.rate_ul_bps),
-        _fmt_float(rec.d_trans_s),
-        _fmt_float(rec.d_proc_s),
-        _fmt_float(rec.d_queue_s),
-        _fmt_float(rec.d_total_s),
-        _fmt_float(rec.utility) if rec.utility is not None else "",
+    """One CSV line in header order; floats carry 9 significant digits."""
+    numbers = (rec.rate_dl_bps, rec.rate_ul_bps, rec.d_trans_s, rec.d_proc_s, rec.d_queue_s, rec.d_total_s)
+    fields = [rec.scenario, str(rec.n_tx), str(rec.n_rf), f"{rec.esn0_db:.9g}", str(rec.ap), str(rec.user)]
+    fields += [f"{x:.9g}" for x in numbers]
+    fields += [
+        "" if rec.utility is None else f"{rec.utility:.9g}",
         "true" if rec.feasible else "false",
         ";".join(rec.violations),
     ]

@@ -96,7 +96,7 @@ def test_criterion_3_constraint_conformance_full_sweep(default_sweep):
                 cells = evaluation_cells(base, i, j)
                 n_served = sum(1 for c in cells if c == j)
                 sol = design_link(
-                    dl.link_matrices(i, j), codebook, topo.aps[j].power_w / n_served
+                    dl.matrices[i, j], codebook, topo.aps[j].power_w / n_served
                 )
                 dev_p = np.abs(np.abs(sol.analog_precoder) ** 2 - 1.0 / codebook.n_tx)
                 dev_g = np.abs(np.abs(sol.analog_combiner) ** 2 - 1.0 / codebook.n_rx)

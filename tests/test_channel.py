@@ -201,19 +201,19 @@ def test_ul_doubling_distance_scales_by_pathloss():
 def test_synthesize_ul_moduli_and_aggregate():
     topo = small_topology()
     ul = synthesize_ul(topo, GRID, 3.2)
-    assert ul.coeffs.shape == (2, 2, 64)
+    assert ul.shape == (2, 2, 64)
     for i, user in enumerate(topo.users):
         for j, ap in enumerate(topo.aps):
             d = math.dist(
                 (user.position.x, user.position.y, user.position.z),
                 (ap.position.x, ap.position.y, ap.position.z),
             )
-            assert np.all(np.abs(np.abs(ul.coeffs[i, j]) - d ** (-3.2)) < 1e-15)
+            assert np.all(np.abs(np.abs(ul[i, j]) - d ** (-3.2)) < 1e-15)
             # the subcarrier sum equals an explicit per-subcarrier loop
             brute = sum(
                 ul_channel(d, 3.2, np.exp(1j * n * math.pi / 180.0)) for n in range(1, 65)
             )
-            assert ul.coeffs[i, j].sum() == pytest.approx(brute, rel=1e-12)
+            assert ul[i, j].sum() == pytest.approx(brute, rel=1e-12)
 
 
 def test_synthesize_dl_shapes_and_tau():
@@ -225,7 +225,7 @@ def test_synthesize_dl_shapes_and_tau():
     amp = 10.0 ** (fspl_db(d00, GRID.wavelength) / 10.0) * tap_decay_sum(
         d00 / SPEED_OF_LIGHT, 4, GRID.sample_period
     )
-    assert np.linalg.norm(dl.link_matrices(0, 0), axis=(1, 2)) == pytest.approx(
+    assert np.linalg.norm(dl.matrices[0, 0], axis=(1, 2)) == pytest.approx(
         np.full(64, amp), rel=1e-12
     )
 

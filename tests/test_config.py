@@ -194,6 +194,8 @@ BAD_INPUTS = [
     ("r_min = nan", None),
     ("n_sc = 1e9", None),
     ("n_sc = 8", ["--esn0", "0:1e-12:20"]),
+    ("n_t = 1000000000", None),
+    ("u = 100000", None),
 ]
 
 

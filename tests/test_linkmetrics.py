@@ -182,24 +182,19 @@ def test_compute_metrics_shapes_and_rehoming():
     u, b, n_sc = 2, 2, 8
     coeffs = rng.standard_normal((u, b, n_sc)) + 1j * rng.standard_normal((u, b, n_sc))
     gains = rng.uniform(0, 1e-10, (u, b, n_sc))
-    metrics = compute_metrics(
-        coeffs,
-        gains,
-        np.array([0.005, 0.005]),
-        np.array([0.01, 0.01]),
-        (0, 1),
-        1e-3,
-        GainAggregation.MEAN,
-        2.16e9,
-        2.16e9 / 64,
-    )
-    assert metrics.sinr_ul.shape == (u, b, n_sc)
-    assert metrics.rate_ul.shape == (u, b, n_sc)
-    assert metrics.sinr_dl.shape == (u, b)
-    assert metrics.rate_dl.shape == (u, b)
+    args = (coeffs, gains, np.array([0.005, 0.005]), np.array([0.01, 0.01]), (0, 1))
+    sigmas = np.array([1e-3, 1e-2, 1e-1])
+    metrics = compute_metrics(*args, sigmas, (GainAggregation.MEAN,), 2.16e9, 2.16e9 / 64)
+    assert metrics.sinr_ul.shape == (3, u, b, n_sc)
+    assert metrics.rate_ul.shape == (3, u, b, n_sc)
+    assert metrics.sinr_dl.shape == (1, 3, u, b)
+    assert metrics.rate_dl.shape == (1, 3, u, b)
     assert np.all(metrics.sinr_ul >= 0) and np.all(metrics.sinr_dl >= 0)
     assert np.all(metrics.rate_ul >= 0) and np.all(metrics.rate_dl >= 0)
     # the home pairing (0,0) and the probe pairing (0,1) see different cells,
     # so both evaluate without raising and with positive signal
-    assert metrics.sinr_dl[0, 1] > 0
+    assert np.all(metrics.sinr_dl[..., 0, 1] > 0)
     assert np.all(metrics.dl_gain == np.mean(gains, axis=2))
+    for bad in (np.array([1e-3, 0.0]), np.array(1e-3)):
+        with pytest.raises(InvalidInputError):
+            compute_metrics(*args, bad, (GainAggregation.MEAN,), 2.16e9, 2.16e9 / 64)

@@ -135,3 +135,15 @@ def test_unit_modulus_normalize_rejects_bad_target():
         unit_modulus_normalize(np.eye(2), 0.0)
     with pytest.raises(InvalidInputError):
         unit_modulus_normalize(np.eye(2), -1.0)
+
+
+@pytest.mark.parametrize("n_sc", [1, 2, 7, 8, 9, 64, 1024, 4096])
+def test_last_axis_reductions_of_a_stack_equal_per_row_calls(n_sc):
+    # the rule the sweep relies on to reduce every link window at once
+    rng = np.random.default_rng(n_sc)
+    stack = 10.0 ** rng.uniform(-12, 12, (3, 2, 3, n_sc)) * rng.uniform(0.5, 1.5, (3, 2, 3, n_sc))
+    picked = stack[rng.uniform(size=(3, 2, 3)) > 0.4]
+    for reduce in (np.mean, np.sum, np.max):
+        rows = stack.reshape(-1, n_sc)
+        assert np.array_equal(reduce(stack, axis=-1).ravel(), [reduce(row) for row in rows])
+        assert np.array_equal(reduce(picked, axis=-1), [reduce(row) for row in picked])

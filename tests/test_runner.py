@@ -42,39 +42,77 @@ def make_solution(codebook=Codebook(2, 1), n_sc=4, seed=0, p_b=0.01):
 
 def test_check_constraints_all_satisfied():
     sol = make_solution()
-    violations = check_constraints(2, 1e6, 0.01, sol, 0, 0, v_j=2, r_min=0.0, p_b=0.01)
+    violations = check_constraints(2, 0.01, sol, 0, 0, v_j=2, p_b=0.01)
     assert violations == []
 
 
 def test_check_constraints_occupancy():
     sol = make_solution()
-    violations = check_constraints(3, 1e6, 0.01, sol, 0, 0, v_j=2, r_min=0.0, p_b=0.01)
+    violations = check_constraints(3, 0.01, sol, 0, 0, v_j=2, p_b=0.01)
     assert [v.constraint for v in violations] == ["a"]
     assert violations[0].measured == 3.0 and violations[0].required == 2.0
-
-
-def test_check_constraints_min_rate_ratio():
-    sol = make_solution()
-    violations = check_constraints(1, 0.5e6, 0.01, sol, 0, 0, v_j=2, r_min=1e6, p_b=0.01)
-    assert [v.constraint for v in violations] == ["b"]
-    assert violations[0].measured / violations[0].required == pytest.approx(0.5)
     assert "user 0" in violations[0].describe()
 
 
 def test_check_constraints_power_budget():
     sol = make_solution()
-    violations = check_constraints(1, 1e6, 0.02, sol, 0, 0, v_j=2, r_min=0.0, p_b=0.01)
+    violations = check_constraints(1, 0.02, sol, 0, 0, v_j=2, p_b=0.01)
     assert [v.constraint for v in violations] == ["c"]
 
 
 def test_check_constraints_modulus_families():
     sol = make_solution()
     bad_p = dataclasses.replace(sol, analog_precoder=sol.analog_precoder * 1.5)
-    violations = check_constraints(1, 1e6, 0.01, bad_p, 0, 0, v_j=2, r_min=0.0, p_b=0.01)
+    violations = check_constraints(1, 0.01, bad_p, 0, 0, v_j=2, p_b=0.01)
     assert "d" in [v.constraint for v in violations]
     bad_g = dataclasses.replace(sol, analog_combiner=sol.analog_combiner * 0.5)
-    violations = check_constraints(1, 1e6, 0.01, bad_g, 0, 0, v_j=2, r_min=0.0, p_b=0.01)
+    violations = check_constraints(1, 0.01, bad_g, 0, 0, v_j=2, p_b=0.01)
     assert "e" in [v.constraint for v in violations]
+
+
+def test_min_rate_is_checked_per_record():
+    # (b) holds at r_min and fails below it: r_min at the smallest DL rate
+    # of the sweep fails nowhere, twice the largest fails everywhere
+    cfg = config_from_dict(dict(SMALL, esn0_stop="1", n_t="2"))
+    rates = [r.rate_dl_bps for r in run_sweep(cfg).records]
+    low = run_sweep(dataclasses.replace(cfg, r_min=min(rates)))
+    assert all(r.feasible for r in low.records)
+    high = run_sweep(dataclasses.replace(cfg, r_min=2.0 * max(rates)))
+    assert all(r.violations == ("b",) and r.utility is None for r in high.records)
+
+
+def test_letters_of_one_record_come_in_order(monkeypatch):
+    # v_j=1 overfills AP 1 when user 0 is re-homed there (a), no rate meets
+    # r_min (b), and a doubled beam amplitude spends four times the budget (c)
+    def loud(channels, codebook, p_b):
+        sol = design_link(channels, codebook, p_b)
+        return dataclasses.replace(sol, power_scale=2.0 * sol.power_scale)
+
+    monkeypatch.setattr("vrlink.runner.design_link", loud)
+    cfg = config_from_dict(dict(SMALL, esn0_stop="0", n_t="2", v_j="1", r_min="1e30"))
+    records = {(r.scenario, r.user, r.ap): r for r in run_sweep(cfg).records}
+    assert records[("mean", 0, 1)].violations == ("a", "b", "c")
+    assert records[("mean", 0, 0)].violations == ("b", "c")
+
+
+@pytest.mark.parametrize(
+    "raw, dead",
+    [
+        # the DL path gain of a 1e300 Hz carrier underflows to 0
+        ({"fc": "1e300", "n_sc": "4", "esn0_stop": "0"}, 48),
+        # the UL rates of the far links underflow to 0
+        ({"w": "300"}, 504),
+    ],
+)
+def test_link_without_rate_fails_min_rate(raw, dead):
+    records = run_sweep(config_from_dict(raw)).records
+    silent = [r for r in records if r.rate_dl_bps == 0.0 or r.rate_ul_bps == 0.0]
+    assert len(silent) == dead
+    for rec in silent:
+        assert rec.d_trans_s == math.inf and rec.d_total_s == math.inf
+        assert not rec.feasible and rec.utility is None
+        assert "b" in rec.violations
+    assert all(r.violations for r in records if not r.feasible)
 
 
 def test_min_statistic():
@@ -321,6 +359,7 @@ def test_cli_check_config_ok(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "config ok" in out
     assert "expected_records=24" in out
+    assert "estimated_bytes=" in out
 
 
 def test_cli_check_config_bad_key(tmp_path, capsys):

@@ -9,6 +9,7 @@ seeded random inputs.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -50,36 +51,60 @@ def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+# (Es/N0 points, trials, largest U, B, n_sc and codebook count)
+GRIDS = [(1, 25, 8, 4, 70, 3), (21, 4, 4, 3, 12, 3), (1001, 1, 2, 2, 3, 2)]
+
+
 def test_compute_metrics_matches_scalar_oracles():
-    rng = np.random.default_rng(401)
-    for _ in range(25):
-        u = int(rng.integers(1, 9))
-        b = int(rng.integers(1, 5))
-        n_sc = int(rng.integers(1, 71))
+    for grid in GRIDS:
+        check_compute_metrics(*grid)
+
+
+def check_compute_metrics(points, trials, max_u, max_b, max_sc, max_cb):
+    rng = np.random.default_rng(401 + points)
+    all_modes = [
+        (GainAggregation.MEAN,),
+        (GainAggregation.MIN,),
+        (GainAggregation.MIN, GainAggregation.MEAN),
+    ]
+    for _ in range(trials):
+        u = int(rng.integers(1, max_u + 1))
+        b = int(rng.integers(1, max_b + 1))
+        n_sc = int(rng.integers(1, max_sc + 1))
+        n_cb = int(rng.integers(1, max_cb + 1))
         coeffs = random_complex(rng, (u, b, n_sc)) * 10.0 ** rng.uniform(-6, 0)
-        gains = rng.uniform(0.0, 1e-9, (u, b, n_sc))
+        gains = rng.uniform(0.0, 1e-9, (n_cb, u, b, n_sc))
         user_powers = rng.uniform(1e-3, 1e-2, u)
         ap_powers = rng.uniform(1e-3, 2e-2, b)
         cells = tuple(int(c) for c in rng.integers(0, b, u))
-        sigma_sq = float(10.0 ** rng.uniform(-14, -2))
-        mode = GainAggregation.MIN if rng.integers(2) else GainAggregation.MEAN
+        sigmas = 10.0 ** rng.uniform(-14, -2, points)
+        modes = all_modes[int(rng.integers(len(all_modes)))]
         bw_total = 2.16e9
         bw_sc = bw_total / n_sc
         metrics = compute_metrics(
-            coeffs, gains, user_powers, ap_powers, cells, sigma_sq, mode, bw_total, bw_sc
+            coeffs, gains, user_powers, ap_powers, cells, sigmas, modes, bw_total, bw_sc
         )
-        agg = np.array([[aggregate_gain(gains[i, j], mode) for j in range(b)] for i in range(u)])
+        agg = np.array(
+            [
+                [[[aggregate_gain(gains[c, i, j], mode) for j in range(b)] for i in range(u)]
+                 for c in range(n_cb)]
+                for mode in modes
+            ]
+        )
         assert np.array_equal(metrics.dl_gain, agg)
-        for i in range(u):
-            for j in range(b):
-                probe = evaluation_cells(cells, i, j)
-                for n in range(n_sc):
-                    s = sinr_ul(i, j, n, user_powers, coeffs, probe, sigma_sq)
-                    assert metrics.sinr_ul[i, j, n] == s
-                    assert metrics.rate_ul[i, j, n] == rate(bw_sc, s)
-                s = sinr_dl(i, j, ap_powers, agg, probe, sigma_sq)
-                assert metrics.sinr_dl[i, j] == s
-                assert metrics.rate_dl[i, j] == rate(bw_total, s)
+        for e, sigma_sq in enumerate(sigmas.tolist()):
+            for i in range(u):
+                for j in range(b):
+                    probe = evaluation_cells(cells, i, j)
+                    for n in range(n_sc):
+                        s = sinr_ul(i, j, n, user_powers, coeffs, probe, sigma_sq)
+                        assert metrics.sinr_ul[e, i, j, n] == s
+                        assert metrics.rate_ul[e, i, j, n] == rate(bw_sc, s)
+                    for m in range(len(modes)):
+                        for c in range(n_cb):
+                            s = sinr_dl(i, j, ap_powers, agg[m, c], probe, sigma_sq)
+                            assert metrics.sinr_dl[m, c, e, i, j] == s
+                            assert metrics.rate_dl[m, c, e, i, j] == rate(bw_total, s)
 
 
 def scalar_link_utilities(delays, sinrs, gamma_d, epsilon0):
@@ -114,6 +139,38 @@ def test_link_utilities_match_scalar_chain():
         assert np.array_equal(got, scalar_link_utilities(delays, sinrs, gamma_d, epsilon0))
 
 
+def test_link_utilities_stack_matches_scalar_chain_per_window():
+    # one stack mixing windows within the tolerance, windows whose worst
+    # tracking error is 0, uniform windows and ordinary ones
+    rng = np.random.default_rng(421)
+    for n_sc in (1, 2, 7, 64):
+        rows = []
+        for kind in range(40):
+            delays = 10.0 ** rng.uniform(-4, 14, n_sc)
+            sinrs = 10.0 ** rng.uniform(-12, 3, n_sc) * (rng.uniform(size=n_sc) > 0.1)
+            gamma_d = float(rng.choice([0.0, 20e-3, np.median(delays)]))
+            if kind % 4 == 0:
+                gamma_d = float(rng.choice([np.max(delays), 2.0 * np.max(delays)]))
+            elif kind % 4 == 1:
+                sinrs = np.full(n_sc, math.inf)
+            elif kind % 4 == 2:
+                delays = np.full(n_sc, delays[0])
+                sinrs = np.full(n_sc, sinrs[0])
+            rows.append((delays, sinrs, gamma_d))
+        delays = np.array([r[0] for r in rows])
+        sinrs = np.array([r[1] for r in rows])
+        gammas = np.array([[r[2]] for r in rows])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = link_utilities(delays, sinrs, gammas, 1.5)
+            folded = link_utilities(
+                delays.reshape(2, 20, n_sc), sinrs.reshape(2, 20, n_sc), gammas.reshape(2, 20, 1), 1.5
+            )
+        assert np.array_equal(folded.reshape(got.shape), got)
+        for k, (d, s, g) in enumerate(rows):
+            assert np.array_equal(got[k], scalar_link_utilities(d, s, g, 1.5))
+
+
 def test_transmission_delay_array_matches_scalar_calls():
     rng = np.random.default_rng(419)
     for _ in range(50):
@@ -122,10 +179,18 @@ def test_transmission_delay_array_matches_scalar_calls():
         got = transmission_delay(12288.0, 6.0, rate_dl, rates_ul)
         want = [transmission_delay(12288.0, 6.0, rate_dl, float(r)) for r in rates_ul]
         assert np.array_equal(got, want)
+    # a stack of windows, one DL rate per window
+    rates_ul = 10.0 ** rng.uniform(-8, 9, (30, 9))
+    rates_dl = 10.0 ** rng.uniform(-8, 9, (30, 1))
+    got = transmission_delay(12288.0, 6.0, rates_dl, rates_ul)
+    for k in range(30):
+        assert np.array_equal(got[k], transmission_delay(12288.0, 6.0, float(rates_dl[k, 0]), rates_ul[k]))
     with pytest.raises(InfeasibleLinkError):
         transmission_delay(12288.0, 6.0, 1e9, np.array([1e6, 0.0, 1e6]))
     with pytest.raises(InfeasibleLinkError):
         transmission_delay(12288.0, 6.0, 0.0, np.array([1e6, 1e6]))
+    with pytest.raises(InfeasibleLinkError):
+        transmission_delay(12288.0, 6.0, np.array([[1e9], [0.0]]), np.ones((2, 3)))
 
 
 def column_svd(m):
