@@ -3,9 +3,10 @@
 Full-digital baselines come straight from the per-subcarrier SVD. The analog
 stages are shared across subcarriers and come from the SVD of covariance sums,
 element-wise normalized to constant modulus. The digital stages are
-per-subcarrier SVDs of the analog-reduced channel, designed for all
-subcarriers at once on the stacked ``(n_sc, rows, cols)`` matrices with
-stacked ``@`` and one stacked SVD. No iteration anywhere.
+per-subcarrier SVDs of the analog-reduced channel. Every link of a codebook
+is designed at once, on stacked ``(links, n_sc, rows, cols)`` matrices with
+stacked ``@`` and one stacked SVD per stage. The only loop sums each link's
+covariance, one link at a time.
 """
 
 import math
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, ShapeError
-from .numerics import ensure_complex_matrix, ensure_complex_stack, svd, unit_modulus_normalize
+from .numerics import ensure_complex_matrix, ensure_complex_stack, frobenius_norms, svd, unit_modulus_normalize
 
 # antenna / RF-chain configurations evaluated by default
 DEFAULT_CODEBOOK_PAIRS = ((2, 1), (2, 2), (4, 1), (4, 2), (8, 1), (8, 2))
@@ -78,34 +79,38 @@ def full_digital(h_sc: np.ndarray, n_ds: int) -> tuple:
 
 
 def _covariance_beams(channels: np.ndarray, n_cols: int, receive_side: bool) -> np.ndarray:
-    """Shared analog stage: SVD of a covariance sum, constant-modulus entries."""
-    if channels.ndim != 3:
+    """Shared analog stage: SVD of a covariance sum, constant-modulus entries.
+
+    channels is one link's (n_sc, n_rx, n_tx) stack or a stack of links
+    (..., n_sc, n_rx, n_tx); the beams keep its leading link axes.
+    """
+    if channels.ndim < 3:
         raise ShapeError(f"expected (n_sc, n_rx, n_tx) channel stack, got shape {channels.shape}")
-    if channels.shape[0] < 1:
+    if channels.shape[-3] < 1:
         raise InvalidInputError("need at least one subcarrier matrix")
-    h_herm = np.conj(channels).swapaxes(-1, -2)
-    products = channels @ h_herm if receive_side else h_herm @ channels
-    # running sum from zero in subcarrier order (see the numerics docstring),
-    # in place so that only one (n_sc, n, n) stack is held
-    cov = np.cumsum(products, axis=0, out=products)[-1] + 0.0
-    res = svd(cov)
-    beams = res.left[:, :n_cols]
-    return unit_modulus_normalize(beams, 1.0 / math.sqrt(beams.shape[0]))
+    size = channels.shape[-2] if receive_side else channels.shape[-1]
+    if n_cols > size:
+        raise ShapeError(f"cannot take {n_cols} beams from {size} antennas")
+    links = channels.reshape((-1,) + channels.shape[-3:])
+    cov = np.empty((len(links), size, size), dtype=np.complex128)
+    for k, h in enumerate(links):
+        h_herm = np.conj(h).swapaxes(-1, -2)
+        products = h @ h_herm if receive_side else h_herm @ h
+        # running sum from zero in subcarrier order (see the numerics
+        # docstring), in place and one link at a time so that only one
+        # (n_sc, n, n) stack is held
+        cov[k] = np.cumsum(products, axis=0, out=products)[-1] + 0.0
+    beams = unit_modulus_normalize(svd(cov).left[..., :n_cols], 1.0 / math.sqrt(size))
+    return beams.reshape(channels.shape[:-3] + beams.shape[-2:])
 
 
 def analog_combiner(channels: np.ndarray, n_cols: int = 1) -> np.ndarray:
     """Receive-side analog stage from the SVD of sum_sc H H^H, entries 1/sqrt(Nr)."""
-    n_rx = channels.shape[1]
-    if n_cols > n_rx:
-        raise ShapeError(f"cannot take {n_cols} combiner columns from {n_rx} antennas")
     return _covariance_beams(channels, n_cols, receive_side=True)
 
 
 def analog_precoder(channels: np.ndarray, n_rf: int) -> np.ndarray:
     """Transmit-side analog stage from the SVD of sum_sc H^H H, entries 1/sqrt(Nt)."""
-    n_tx = channels.shape[2]
-    if n_rf > n_tx:
-        raise ShapeError(f"cannot take {n_rf} RF chains from {n_tx} antennas")
     return _covariance_beams(channels, n_rf, receive_side=False)
 
 
@@ -146,7 +151,8 @@ def effective_channel(g: np.ndarray, h: np.ndarray, p: np.ndarray) -> np.ndarray
 
 @dataclass(frozen=True)
 class BeamformingSolution:
-    """Everything the link metrics need for one (user, AP) pair.
+    """Everything the link metrics need for one (user, AP) link, or for a
+    stack of links: every array field then has a leading link axis L.
 
     digital_precoders are kept semi-unitary; power_scale carries the
     per-subcarrier amplitude that takes the composite transmit beam
@@ -157,66 +163,72 @@ class BeamformingSolution:
     """
 
     codebook: Codebook
-    analog_precoder: np.ndarray     # (n_tx, n_rf), entry modulus 1/sqrt(n_tx)
-    analog_combiner: np.ndarray     # (n_rx, n_ds), entry modulus 1/sqrt(n_rx)
-    digital_precoders: np.ndarray   # (n_sc, n_rf, n_ds), semi-unitary
-    digital_combiners: np.ndarray   # (n_sc, n_ds, n_ds)
-    effective_channels: np.ndarray  # (n_sc, n_ds, n_ds)
-    power_scale: np.ndarray         # (n_sc,), watts^0.5 amplitudes
+    analog_precoder: np.ndarray     # ([L,] n_tx, n_rf), entry modulus 1/sqrt(n_tx)
+    analog_combiner: np.ndarray     # ([L,] n_rx, n_ds), entry modulus 1/sqrt(n_rx)
+    digital_precoders: np.ndarray   # ([L,] n_sc, n_rf, n_ds), semi-unitary
+    digital_combiners: np.ndarray   # ([L,] n_sc, n_ds, n_ds)
+    effective_channels: np.ndarray  # ([L,] n_sc, n_ds, n_ds)
+    power_scale: np.ndarray         # ([L,] n_sc), watts^0.5 amplitudes
 
     @property
     def n_sc(self) -> int:
-        return self.digital_precoders.shape[0]
+        return self.digital_precoders.shape[-3]
 
-    def transmit_power(self) -> float:
-        """Total transmit power summed over streams and subcarriers."""
-        beams = self.power_scale[:, None, None] * (self.analog_precoder @ self.digital_precoders)
-        per_subcarrier = np.sum(np.abs(beams) ** 2, axis=(1, 2))
-        return float(np.cumsum(per_subcarrier)[-1])
+    def transmit_power(self):
+        """Total transmit power summed over streams and subcarriers: one
+        float for one link, an (L,) array for a stack."""
+        beams = self.power_scale[..., None, None] * (self.analog_precoder[..., None, :, :] @ self.digital_precoders)
+        per_subcarrier = np.sum(np.abs(beams) ** 2, axis=(-2, -1))
+        return np.cumsum(per_subcarrier, axis=-1)[..., -1]
 
     def effective_gain_per_subcarrier(self) -> np.ndarray:
-        """Largest singular value of each effective channel (|h| for one stream)."""
-        return np.linalg.svd(self.effective_channels, compute_uv=False)[:, 0]
+        """Largest singular value of each effective channel (|h| for one
+        stream): (n_sc,) for one link, (L, n_sc) for a stack."""
+        return np.linalg.svd(self.effective_channels, compute_uv=False)[..., 0]
 
 
-def design_link(channels: np.ndarray, codebook: Codebook, p_b: float) -> BeamformingSolution:
-    """One-shot hybrid design for a single (user, AP) link.
+def design_link(channels: np.ndarray, codebook: Codebook, p_b) -> BeamformingSolution:
+    """One-shot hybrid design for a stack of (user, AP) links.
 
-    channels: (n_sc, n_rx, n_tx) stack. p_b: transmit power budget for this
-    link, split equally across subcarriers.
+    channels: (L, n_sc, n_rx, n_tx), one channel stack per link. p_b: one
+    transmit power budget per link, split equally across its subcarriers.
+    One link's (n_sc, n_rx, n_tx) stack with a scalar budget is designed as
+    a stack of one, and its solution has no link axis.
     """
-    if channels.ndim != 3:
-        raise ShapeError(f"expected (n_sc, n_rx, n_tx) stack, got shape {channels.shape}")
-    n_sc, n_rx, n_tx = channels.shape
+    single = np.ndim(channels) == 3 and np.ndim(p_b) == 0
+    links, budgets = np.asarray(channels), np.asarray(p_b, dtype=float)
+    if single:
+        links, budgets = links[None], budgets[None]
+    if links.ndim != 4:
+        raise ShapeError(f"expected (L, n_sc, n_rx, n_tx) stack, got shape {links.shape}")
+    n_links, n_sc, n_rx, n_tx = links.shape
     if (n_rx, n_tx) != (codebook.n_rx, codebook.n_tx):
         raise ShapeError(
             f"channel shape {(n_rx, n_tx)} does not match codebook ({codebook.n_rx}, {codebook.n_tx})"
         )
-    if not p_b > 0:
+    if budgets.shape != (n_links,):
+        raise ShapeError(f"need one power budget per link, got shape {budgets.shape}")
+    if not np.all(budgets > 0):
         raise InvalidInputError(f"power budget must be positive, got {p_b}")
 
-    g_a = analog_combiner(channels, codebook.n_ds)
-    p_a = analog_precoder(channels, codebook.n_rf)
-    d_pre, d_comb = hybrid_digital(effective_channel(g_a, channels, p_a), codebook.n_ds, codebook.n_rf)
+    g_a = analog_combiner(links, codebook.n_ds)
+    p_a = analog_precoder(links, codebook.n_rf)
+    h_d = effective_channel(g_a[:, None], links, p_a[:, None])
+    d_pre, d_comb = hybrid_digital(h_d, codebook.n_ds, codebook.n_rf)
 
     # composite beams, unit Frobenius norm, so the effective gain is the
     # channel response to a unit-power beam and can never exceed the
-    # leading singular value of the raw channel; the norms stay per
-    # subcarrier because a batched BLAS norm rounds differently
-    f = p_a @ d_pre
-    w = g_a @ d_comb
-    f_norm = np.array([np.linalg.norm(x) for x in f])
-    w_norm = np.array([np.linalg.norm(x) for x in w])
+    # leading singular value of the raw channel
+    f = p_a[:, None] @ d_pre
+    w = g_a[:, None] @ d_comb
+    f_norm = frobenius_norms(f)
+    w_norm = frobenius_norms(w)
     if np.any(f_norm == 0.0) or np.any(w_norm == 0.0):
         raise InvalidInputError("degenerate composite beam with zero norm")
-    effective = effective_channel(w / w_norm[:, None, None], channels, f / f_norm[:, None, None])
+    effective = effective_channel(w / w_norm[..., None, None], links, f / f_norm[..., None, None])
 
-    return BeamformingSolution(
-        codebook=codebook,
-        analog_precoder=p_a,
-        analog_combiner=g_a,
-        digital_precoders=np.ascontiguousarray(d_pre),
-        digital_combiners=np.ascontiguousarray(d_comb),
-        effective_channels=effective,
-        power_scale=math.sqrt(p_b / n_sc) / f_norm,  # equal split of the budget
+    fields = (
+        p_a, g_a, np.ascontiguousarray(d_pre), np.ascontiguousarray(d_comb), effective,
+        np.sqrt(budgets / n_sc)[:, None] / f_norm,  # equal split of the budget
     )
+    return BeamformingSolution(codebook, *([x[0] for x in fields] if single else fields))

@@ -29,9 +29,12 @@ matrix-at-a-time loop computes. With numpy 2.x on x86-64 these hold:
 - ``np.mean``, ``np.sum`` and ``np.max`` along the last axis of a
   C-contiguous or boolean-indexed stack equal the 1-D call on each row, so
   a stack of link windows reduces as one window at a time does.
-- ``np.log1p`` and a BLAS ``np.linalg.norm`` across a batch are not
-  per-element equal to ``math.log1p`` and a per-matrix norm; keep those
-  scalar or per matrix.
+- ``np.linalg.norm`` of a complex matrix is ``sqrt(re . re + im . im)``,
+  BLAS dots on the strided ``.real``/``.imag`` views of the flattened
+  matrix. Stacked ``@`` row products on the same strided views of a
+  flattened stack take the same dot, so ``frobenius_norms`` equals the
+  per-matrix norm; contiguous copies of the views round differently.
+- ``np.log1p`` is not per-element equal to ``math.log1p``; keep that scalar.
 """
 
 from dataclasses import dataclass
@@ -145,18 +148,25 @@ def svd(m) -> SvdResult:
     )
 
 
+def frobenius_norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of every matrix of a complex stack ``(..., m, n)``,
+    equal to ``np.linalg.norm`` of each matrix (see the module docstring)."""
+    flat = stack.reshape(-1, stack.shape[-2] * stack.shape[-1])
+    re, im = flat.real, flat.imag
+    squares = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
+    return np.sqrt(squares[:, 0, 0]).reshape(stack.shape[:-2])
+
+
 def unit_modulus_normalize(m, target_modulus: float) -> np.ndarray:
     """Force every entry to modulus ``target_modulus`` while keeping its phase.
 
-    Entries with modulus below ``ZERO_MODULUS`` have no usable phase and map
-    to the real value ``target_modulus``.
+    ``m`` is one matrix or a stack ``(..., rows, cols)``. Entries with
+    modulus below ``ZERO_MODULUS`` have no usable phase and map to the real
+    value ``target_modulus``.
     """
     if not target_modulus > 0:
         raise InvalidInputError(f"target modulus must be positive, got {target_modulus}")
-    a = ensure_complex_matrix(m)
+    a = ensure_complex_stack(m)
     mags = np.abs(a)
-    out = np.empty_like(a)
     degenerate = mags < ZERO_MODULUS
-    out[degenerate] = target_modulus
-    out[~degenerate] = target_modulus * a[~degenerate] / mags[~degenerate]
-    return out
+    return np.where(degenerate, target_modulus, target_modulus * a / np.where(degenerate, 1.0, mags))

@@ -58,13 +58,15 @@ def transmission_delay(s_bits: float, a_bits: float, rate_dl, rate_ul):
     rate_ul is one rate, one link's per-subcarrier rates, or a stack of such
     windows on its last axis; rate_dl is one rate per window and broadcasts
     against it (shape (..., 1) for a stack). The delay has the broadcast
-    shape. Any rate that is not positive makes the link infeasible.
+    shape; one past the float range is inf. Any rate that is not positive
+    makes the link infeasible.
     """
     if not np.all(np.asarray(rate_dl) > 0) or not np.all(np.asarray(rate_ul) > 0):
         raise InfeasibleLinkError(
             f"link carries no rate (dl={np.min(rate_dl)}, ul={np.min(rate_ul)}), transmission never completes"
         )
-    return s_bits / rate_dl + a_bits / rate_ul
+    with np.errstate(over="ignore"):
+        return s_bits / rate_dl + a_bits / rate_ul
 
 
 def processing_delay(v_bits: float, m_capacity: float, n_share: float) -> float:

@@ -76,30 +76,27 @@ class SweepResult:
     summary: dict
 
 
-def check_constraints(
-    n_users_on_ap: int,
-    ap_power_used_w: float,
-    solution,
-    user: int,
-    ap: int,
-    v_j: int,
-    p_b: float,
-) -> list:
+def check_constraints(n_users_on_ap, ap_power_used_w, solution, user, ap, v_j: int, p_b) -> list:
     """The feasibility families that do not depend on Es/N0: (a) AP occupancy,
     (c) AP power budget, (d) precoder entry modulus, (e) combiner entry
-    modulus. Family (b), the minimum DL rate, is checked per sweep point."""
+    modulus. Family (b), the minimum DL rate, is checked per sweep point.
+
+    For a stacked solution every argument but v_j holds one value per link;
+    the violations come link by link, each link's in letter order.
+    """
+    cb = solution.codebook
+    devs = [np.max(np.abs(np.abs(analog) ** 2 - 1.0 / n), axis=(-2, -1))
+            for analog, n in ((solution.analog_precoder, cb.n_tx), (solution.analog_combiner, cb.n_rx))]
+    columns = np.broadcast_arrays(n_users_on_ap, ap_power_used_w, user, ap, p_b, *devs)
     violations = []
-    if n_users_on_ap > v_j:
-        violations.append(ConstraintViolation("a", user, ap, float(n_users_on_ap), float(v_j)))
-    if ap_power_used_w > p_b * (1.0 + FACTOR_TOL):
-        violations.append(ConstraintViolation("c", user, ap, ap_power_used_w, p_b))
-    for letter, analog, n in (
-        ("d", solution.analog_precoder, solution.codebook.n_tx),
-        ("e", solution.analog_combiner, solution.codebook.n_rx),
-    ):
-        dev = float(np.max(np.abs(np.abs(analog) ** 2 - 1.0 / n)))
-        if dev > MODULUS_TOL:
-            violations.append(ConstraintViolation(letter, user, ap, dev, MODULUS_TOL))
+    for n, power, u, j, budget, dev_d, dev_e in zip(*(np.atleast_1d(c).tolist() for c in columns)):
+        if n > v_j:
+            violations.append(ConstraintViolation("a", u, j, float(n), float(v_j)))
+        if power > budget * (1.0 + FACTOR_TOL):
+            violations.append(ConstraintViolation("c", u, j, power, budget))
+        for letter, dev in (("d", dev_d), ("e", dev_e)):
+            if dev > MODULUS_TOL:
+                violations.append(ConstraintViolation(letter, u, j, dev, MODULUS_TOL))
     return violations
 
 
@@ -113,18 +110,20 @@ def _design_codebook(config: SweepConfig, codebook: Codebook) -> tuple:
         topo, config.grid, codebook.n_tx, codebook.n_rx, config.tap_count, config.tap_spacing_s,
         config.gain_mode, rng,
     )
-    gains = np.zeros((topo.n_users, topo.n_aps, config.grid.n_sc))
-    letters = [[None] * topo.n_aps for _ in topo.users]
-    for i, user in enumerate(topo.users):
-        for j, ap in enumerate(topo.aps):
-            n_served = evaluation_cells(config.base_cells, i, j).count(j)
-            sol = design_link(dl.matrices[i, j], codebook, ap.power_w / n_served)
-            gains[i, j] = sol.effective_gain_per_subcarrier() ** 2
-            violations = check_constraints(
-                n_served, n_served * sol.transmit_power(), sol,
-                user.user_id, ap.ap_id, config.v_j, ap.power_w,
-            )
-            letters[i][j] = tuple(dict.fromkeys(v.constraint for v in violations))
+    # every link in one stacked design, user-major like dl.matrices
+    links = [(i, j) for i in range(topo.n_users) for j in range(topo.n_aps)]
+    n_served = np.array([evaluation_cells(config.base_cells, i, j).count(j) for i, j in links])
+    ap_powers = np.array([topo.aps[j].power_w for _, j in links])
+    sol = design_link(dl.matrices.reshape((len(links),) + dl.matrices.shape[2:]), codebook, ap_powers / n_served)
+    gains = (sol.effective_gain_per_subcarrier() ** 2).reshape(topo.n_users, topo.n_aps, -1)
+    violations = check_constraints(
+        n_served, n_served * sol.transmit_power(), sol, [topo.users[i].user_id for i, _ in links],
+        [topo.aps[j].ap_id for _, j in links], config.v_j, ap_powers,
+    )
+    found = {}
+    for v in violations:
+        found.setdefault((v.user, v.ap), {})[v.constraint] = None
+    letters = [[tuple(found.get((user.user_id, ap.ap_id), ())) for ap in topo.aps] for user in topo.users]
     return gains, letters
 
 
@@ -144,10 +143,15 @@ def mode_statistic(values, bin_width: float) -> float:
     if not bin_width > 0:
         raise InvalidInputError(f"bin width must be positive, got {bin_width}")
     # float bins: an int64 cast wraps for delays above 2^63 bins
-    bins = np.floor(arr / bin_width)
-    counts = Counter(bins.tolist())
-    best = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return best[0] * bin_width
+    with np.errstate(over="ignore"):
+        bins = np.floor(arr / bin_width)
+    # a bin index past the float range overflows to inf; such a bin is far
+    # narrower than the float spacing there, so each delay is its own
+    # bin's lower edge, and it lies above every finite bin
+    far = np.where(np.isinf(bins), arr, 0.0)
+    counts = Counter(zip(bins.tolist(), far.tolist()))
+    (index, edge), _ = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    return edge if math.isinf(index) else index * bin_width
 
 
 def select_best_codebook(result: SweepResult, esn0_db: float, scenario: str = None):
@@ -212,13 +216,19 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                 d_trans_n = transmission_delay(
                     traffic.s_bits, traffic.a_bits, rate_dl[carries][:, None], m.rate_ul[carries]
                 )
-                totals_n = d_trans_n + d_proc + d_queue
+                with np.errstate(over="ignore"):
+                    totals_n = d_trans_n + d_proc + d_queue
+                    d_total_n = np.mean(totals_n, axis=-1)
+                # so does a link whose delays pass the float range
+                finite = np.isfinite(d_total_n)
+                carries[carries] = finite
+                d_trans_n, totals_n = d_trans_n[finite], totals_n[finite]
                 utilities_n = link_utilities(
                     totals_n, m.sinr_ul[carries], tolerance[carries][:, None], config.epsilon0
                 )
                 fails_b = ((rate_dl < config.r_min) | ~carries).tolist()
                 d_trans = _per_link(carries, np.mean(d_trans_n, axis=-1))
-                d_total = _per_link(carries, np.mean(totals_n, axis=-1))
+                d_total = _per_link(carries, d_total_n[finite])
                 utility = _per_link(carries, np.mean(utilities_n, axis=-1))
                 utility_sum = _per_link(carries, np.sum(utilities_n, axis=-1))
                 rates_dl = rate_dl.tolist()

@@ -7,8 +7,10 @@ from vrlink.errors import InvalidInputError
 from vrlink.numerics import (
     FACTOR_TOL,
     MODULUS_TOL,
+    ZERO_MODULUS,
     SvdResult,
     ensure_complex_matrix,
+    frobenius_norms,
     svd,
     unit_modulus_normalize,
 )
@@ -128,6 +130,39 @@ def test_unit_modulus_normalize_zero_entry_maps_to_real_target():
     out = unit_modulus_normalize(m, 1.0 / np.sqrt(2))
     assert out[0, 0] == pytest.approx(1.0 / np.sqrt(2))
     assert out[0, 0].imag == 0.0
+
+
+def test_unit_modulus_normalize_stack_matches_masked_per_matrix():
+    # the 2-D masked assignment the stacked form replaced, applied per matrix
+    def masked(m, target):
+        mags = np.abs(m)
+        out = np.empty_like(m)
+        degenerate = mags < ZERO_MODULUS
+        out[degenerate] = target
+        out[~degenerate] = target * m[~degenerate] / mags[~degenerate]
+        return out
+
+    rng = np.random.default_rng(17)
+    stack = rng.standard_normal((3, 5, 4, 2)) + 1j * rng.standard_normal((3, 5, 4, 2))
+    stack[rng.uniform(size=stack.shape) < 0.1] = 0.0
+    out = unit_modulus_normalize(stack, 0.5)
+    assert out.shape == stack.shape
+    for k in np.ndindex(stack.shape[:2]):
+        assert np.array_equal(out[k], masked(stack[k], 0.5))
+
+
+@pytest.mark.parametrize("n_ds", [1, 2])
+@pytest.mark.parametrize("n_tx", [1, 2, 3, 4, 5, 8, 16])
+def test_frobenius_norms_equal_per_matrix_norm(n_tx, n_ds):
+    # the strided-view rule of the module docstring, at the composite beam
+    # shapes (n_tx, n_ds) the design normalizes
+    rng = np.random.default_rng(100 * n_tx + n_ds)
+    shape = (3, 500, n_tx, n_ds)
+    scale = 10.0 ** rng.uniform(-8, 2, shape[:2] + (1, 1))
+    stack = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+    norms = frobenius_norms(stack)
+    assert norms.shape == shape[:2]
+    assert np.array_equal(norms, [[np.linalg.norm(m) for m in link] for link in stack])
 
 
 def test_unit_modulus_normalize_rejects_bad_target():

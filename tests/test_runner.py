@@ -1,7 +1,11 @@
 """Sweep orchestration, constraints, statistics, CSV output, and the CLI."""
 
+import csv
 import dataclasses
 import math
+import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,6 +119,39 @@ def test_link_without_rate_fails_min_rate(raw, dead):
     assert all(r.violations for r in records if not r.feasible)
 
 
+@pytest.mark.parametrize(
+    "w, overflowed",
+    [
+        # UL rates near 1e-306: a_bits / rate_ul passes the float range on
+        # one link of each (scenario, codebook)
+        ("170", 12),
+        # every delay of that link is finite, but their mean is not
+        ("169", 12),
+        # the delays stay finite, but their mode bin index passes it
+        ("167", 0),
+    ],
+)
+def test_tiny_ul_rates_run_without_numeric_warnings(tmp_path, w, overflowed):
+    conf = (Path(__file__).resolve().parents[1] / "configs" / "indoor_default.conf").read_text()
+    conf = re.sub(r"(?m)^w = \S+", f"w = {w}", conf)
+    conf = re.sub(r"(?m)^esn0_stop = \S+", "esn0_stop = 0", conf)
+    p = tmp_path / "tiny.conf"
+    p.write_text(conf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["simulate", "--config", str(p), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 48
+    assert all(0.0 < float(r["rate_ul_bps"]) < 1e-100 for r in rows[1::4])
+    dead = [r for r in rows if r["d_trans_s"] == "inf"]
+    assert len(dead) == overflowed
+    for r in dead:
+        assert r["d_total_s"] == "inf" and r["utility"] == "" and r["feasible"] == "false"
+        assert r["violations"] == "b"
+    assert all(r["feasible"] == "true" for r in rows if r not in dead)
+
+
 def test_min_statistic():
     assert min_statistic([3.0, 1.0, 2.0]) == 1.0
     assert min_statistic([7.5]) == 7.5
@@ -141,6 +178,18 @@ def test_mode_statistic_beyond_int64_bins():
     assert mode == pytest.approx(1e20, rel=1e-12)
     assert mode > 0
     assert mode_statistic([1.09e14, 3.0, 1.09e14], 1e-6) == pytest.approx(1.09e14, rel=1e-12)
+
+
+def test_mode_statistic_bin_index_past_float_range():
+    # 1e300 s in bins of 1e-10 s: the bin index overflows; each such delay
+    # is its own bin's lower edge, above every finite bin
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert mode_statistic([2e300, 1e300, 3.0, 1e300], 1e-10) == 1e300
+        assert mode_statistic([2e300, 1e300], 1e-10) == 1e300
+        assert mode_statistic([2e300, 1e300, 3.0, 3.0], 1e-10) == pytest.approx(3.0)
+        # a tie goes to the finite, smaller bin
+        assert mode_statistic([2e300, 3.0], 1e-10) == pytest.approx(3.0)
 
 
 def test_evaluate_sweep_point_record_count_and_objective(small_result):

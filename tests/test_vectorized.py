@@ -43,7 +43,7 @@ from vrlink.qos import (
     tracking_utility,
     transmission_delay,
 )
-from vrlink.runner import record_to_csv_row, run_sweep
+from vrlink.runner import check_constraints, record_to_csv_row, run_sweep
 from vrlink.topology import departure_arrival_angles, distance
 
 
@@ -325,6 +325,66 @@ def test_design_link_matches_per_subcarrier_reference():
         power, gains = per_subcarrier_power_and_gain(p_a, pre, eff, scale)
         assert sol.transmit_power() == power
         assert np.array_equal(sol.effective_gain_per_subcarrier(), gains)
+
+
+def random_links(rng, trial):
+    """A codebook and an (L, n_sc, n_rx, n_tx) link stack: the DL of a random
+    topology on even trials, full-rank random channels on odd ones."""
+    n_tx = int(rng.choice([1, 2, 3, 4, 5, 8, 16]))
+    n_rf = int(rng.integers(1, min(n_tx, 3) + 1))
+    n_rx = int(rng.integers(1, 4))
+    n_ds = int(rng.integers(1, min(n_rf, n_rx) + 1))
+    n_sc = int(rng.integers(1, 40))
+    if trial % 2:
+        codebook = Codebook(n_tx, n_rf, n_rx, n_ds)
+        scale = 10.0 ** rng.uniform(-7, -3, (int(rng.integers(1, 9)), 1, 1, 1))
+        return codebook, random_complex(rng, (len(scale), n_sc, n_rx, n_tx)) * scale
+    cfg = config_from_dict({
+        "u": str(rng.integers(1, 5)), "b": str(rng.integers(1, 4)), "n_sc": str(n_sc),
+        "n_t": str(n_tx), "n_rf": str(n_rf), "n_r": str(n_rx), "n_ds": str(n_ds),
+        "gain_mode": str(rng.choice(["deterministic", "gaussian"])), "seed": str(trial),
+    })
+    codebook = cfg.codebooks[0]
+    dl = synthesize_dl(
+        cfg.topology, cfg.grid, n_tx, n_rx, cfg.tap_count, cfg.tap_spacing_s, cfg.gain_mode,
+        np.random.default_rng([cfg.seed, 1]),
+    )
+    return codebook, dl.matrices.reshape((-1,) + dl.matrices.shape[2:])
+
+
+def test_stacked_design_equals_one_design_per_link():
+    rng = np.random.default_rng(439)
+    shapes = set()
+    for trial in range(60):
+        codebook, links = random_links(rng, trial)
+        shapes.add((codebook.n_rx > 1, codebook.n_ds > 1))
+        budgets = rng.uniform(1e-3, 1e-1, len(links))
+        stacked = design_link(links, codebook, budgets)
+        powers = stacked.transmit_power()
+        gains = stacked.effective_gain_per_subcarrier()
+        assert powers.shape == (len(links),)
+        assert gains.shape == links.shape[:2]
+        # (a) and (c) fail on some links, (d) on the ones with a stretched
+        # precoder; the stacked check must name the same violations
+        n_served = rng.integers(1, 4, len(links))
+        stretch = rng.choice([1.0, 1.5], len(links))
+        users, aps = list(range(len(links))), [7] * len(links)
+        bent = dataclasses.replace(stacked, analog_precoder=stacked.analog_precoder * stretch[:, None, None])
+        want = []
+        for k, channels in enumerate(links):
+            one = design_link(channels, codebook, float(budgets[k]))
+            for field in dataclasses.fields(one):
+                if field.name != "codebook":
+                    assert np.array_equal(getattr(stacked, field.name)[k], getattr(one, field.name))
+            power = one.transmit_power()
+            assert powers[k] == power
+            assert np.array_equal(gains[k], one.effective_gain_per_subcarrier())
+            one = dataclasses.replace(one, analog_precoder=one.analog_precoder * stretch[k])
+            n = int(n_served[k])
+            want += check_constraints(n, n * power, one, k, 7, 2, 2.0 * float(budgets[k]))
+        got = check_constraints(n_served, n_served * powers, bent, users, aps, 2, 2.0 * budgets)
+        assert got == want
+    assert shapes == {(False, False), (True, False), (True, True)}
 
 
 def per_subcarrier_dl(topology, grid, n_tx, n_rx, tap_count, tap_spacing_s, mode, rng):
