@@ -14,7 +14,6 @@ from .config import SweepConfig, config_from_dict, load_config
 from .errors import (
     ConfigurationError,
     DegenerateGeometryError,
-    InfeasibleLinkError,
     InvalidInputError,
     ShapeError,
 )

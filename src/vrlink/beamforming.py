@@ -18,9 +18,6 @@ import numpy as np
 from .errors import InvalidInputError, ShapeError
 from .numerics import ensure_complex_matrix, ensure_complex_stack, frobenius_norms, svd, unit_modulus_normalize
 
-# antenna / RF-chain configurations evaluated by default
-DEFAULT_CODEBOOK_PAIRS = ((2, 1), (2, 2), (4, 1), (4, 2), (8, 1), (8, 2))
-
 _CODEBOOK_RE = re.compile(r"^(\d+)\s*[xA]\s*(\d+)R?$", re.IGNORECASE)
 
 
@@ -55,10 +52,6 @@ class Codebook:
         if not m:
             raise InvalidInputError(f"cannot parse codebook {text!r}, expected NTxNRF")
         return cls(n_tx=int(m.group(1)), n_rf=int(m.group(2)), n_rx=n_rx, n_ds=n_ds)
-
-
-def default_codebooks(n_rx: int = 1, n_ds: int = 1) -> tuple:
-    return tuple(Codebook(t, r, n_rx, n_ds) for t, r in DEFAULT_CODEBOOK_PAIRS)
 
 
 def full_digital(h_sc: np.ndarray, n_ds: int) -> tuple:

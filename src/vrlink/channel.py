@@ -32,10 +32,11 @@ class SubcarrierGrid:
     def __post_init__(self):
         if self.n_sc < 1:
             raise ConfigurationError(f"n_sc must be >= 1, got {self.n_sc}")
-        if not self.carrier_frequency > 0:
-            raise ConfigurationError(f"carrier frequency must be positive, got {self.carrier_frequency}")
-        if not self.total_bandwidth > 0:
-            raise ConfigurationError(f"total bandwidth must be positive, got {self.total_bandwidth}")
+        # the wavelength, subcarrier bandwidth and tap spacing must be finite and positive
+        if not (self.carrier_frequency > 0 and math.isfinite(self.wavelength)):
+            raise ConfigurationError(f"carrier frequency must be positive, not tiny, got {self.carrier_frequency}")
+        if not (self.subcarrier_bandwidth > 0 and math.isfinite(self.sample_period)):
+            raise ConfigurationError(f"total bandwidth must be positive, not tiny, got {self.total_bandwidth}")
 
     @property
     def subcarrier_bandwidth(self) -> float:
@@ -105,7 +106,9 @@ def tap_decay_sum(tau_s: float, tap_count: int, tap_spacing_s: float) -> float:
     if not tap_spacing_s > 0:
         raise InvalidInputError(f"tap spacing must be positive, got {tap_spacing_s}")
     k = np.arange(tap_count, dtype=float)
-    return float(np.sum(np.exp(-(k * tap_spacing_s) / tau_s)))
+    # a tap delay past the float range decays to exp(-inf) = 0
+    with np.errstate(over="ignore"):
+        return float(np.sum(np.exp(-(k * tap_spacing_s) / tau_s)))
 
 
 def steering_vector(n_elements: int, azimuth_deg: float, spacing_over_wavelength: float = 0.5) -> np.ndarray:
@@ -136,8 +139,6 @@ def dl_link_channels(
     they are computed once and only the gain varies across subcarriers.
     """
     d = distance(tx, rx)
-    if d <= 0.0:
-        raise DegenerateGeometryError("transmitter and receiver coincide")
     aod_az, aoa_az = departure_arrival_angles(tx, rx)
     if tap_spacing_s is None:
         tap_spacing_s = grid.sample_period
@@ -167,13 +168,7 @@ def synthesize_ul(
     coeffs = np.zeros((topology.n_users, topology.n_aps, grid.n_sc), dtype=complex)
     for i, user in enumerate(topology.users):
         for j, ap in enumerate(topology.aps):
-            gains = subcarrier_gains(grid.n_sc, mode, rng)
-            d = distance(user.position, ap.position)
-            if d <= 0.0:
-                raise DegenerateGeometryError(
-                    f"user {user.user_id} and AP {ap.ap_id} coincide"
-                )
-            coeffs[i, j] = gains * d ** (-w)
+            coeffs[i, j] = subcarrier_gains(grid.n_sc, mode, rng) * distance(user.position, ap.position) ** (-w)
     return coeffs
 
 

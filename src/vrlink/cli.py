@@ -69,11 +69,12 @@ def _cmd_simulate(args) -> int:
     config = load_config(args.config, overrides)
     if args.codebook:
         first = config.codebooks[0]
-        books = tuple(
+        # a codebook named twice is evaluated once, in first-seen order
+        books = tuple(dict.fromkeys(
             Codebook.from_string(part, n_rx=first.n_rx, n_ds=first.n_ds)
             for part in args.codebook.split(",")
             if part.strip()
-        )
+        ))
         if not books:
             raise ConfigurationError(f"empty codebook override {args.codebook!r}")
         config = dataclasses.replace(config, codebooks=books)

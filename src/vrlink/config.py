@@ -28,9 +28,11 @@ QUEUE_UNIT_PRESETS = {
 MAX_N_SC = 8192
 MAX_ESN0_POINTS = 1001
 # allocation budget: the largest DL channel stack plus the records, at
-# RECORD_BYTES each (a record and its share of the summary at their peak)
+# RECORD_BYTES each (a record and its share of the summary at their peak),
+# plus one link's delay taps at TAP_BYTES each (a tap and its temporaries)
 MAX_SWEEP_BYTES = 1 << 30
 RECORD_BYTES = 1024
+TAP_BYTES = 32
 
 DEFAULT_AP_POSITIONS = ((2.5, 4.0, 3.0), (7.5, 13.0, 3.0))
 DEFAULT_USER_POSITIONS = ((3.0, 6.0, 1.5), (6.5, 11.0, 1.5))
@@ -172,6 +174,18 @@ def parse_esn0_range(text: str) -> tuple:
     return start, step, stop
 
 
+def sweep_bytes(links: int, n_sc: int, codebooks, records: int, tap_count: int) -> int:
+    """The largest complex DL channel stack over the codebooks, the records
+    and one link's delay taps."""
+    dl = max((links * n_sc * cb.n_rx * cb.n_tx * 16 for cb in codebooks), default=0)
+    return dl + records * RECORD_BYTES + tap_count * TAP_BYTES
+
+
+def check_budget(nbytes: int) -> None:
+    if nbytes > MAX_SWEEP_BYTES:
+        raise ConfigurationError(f"sweep needs about {nbytes} bytes, over the {MAX_SWEEP_BYTES}-byte budget")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Everything a sweep needs, fully resolved and validated."""
@@ -214,10 +228,11 @@ class SweepConfig:
             raise ConfigurationError(f"v_j must be at least 1, got {self.v_j}")
         if self.tap_count < 1:
             raise ConfigurationError(f"tap count must be at least 1, got {self.tap_count}")
-        if self.estimated_bytes > MAX_SWEEP_BYTES:
-            raise ConfigurationError(
-                f"sweep needs about {self.estimated_bytes} bytes, over the {MAX_SWEEP_BYTES}-byte budget"
-            )
+        if self.tap_spacing_s is not None and not self.tap_spacing_s > 0:
+            raise ConfigurationError(f"tap spacing must be positive, got {self.tap_spacing_s}")
+        if not self.epsilon0 > 0:
+            raise ConfigurationError(f"epsilon0 must be positive, got {self.epsilon0}")
+        check_budget(self.estimated_bytes)
 
     @property
     def expected_records(self) -> int:
@@ -226,10 +241,9 @@ class SweepConfig:
 
     @property
     def estimated_bytes(self) -> int:
-        """The largest complex DL channel stack plus the records."""
+        """``sweep_bytes`` of this sweep."""
         links = self.topology.n_users * self.topology.n_aps
-        dl = max(links * self.grid.n_sc * cb.n_rx * cb.n_tx * 16 for cb in self.codebooks)
-        return dl + self.expected_records * RECORD_BYTES
+        return sweep_bytes(links, self.grid.n_sc, self.codebooks, self.expected_records, self.tap_count)
 
     @property
     def base_cells(self) -> tuple:
@@ -301,6 +315,15 @@ def config_from_dict(raw: dict) -> SweepConfig:
     if seed < 0:
         raise ConfigurationError(f"seed must be non-negative, got {seed}")
 
+    esn0 = esn0_grid(
+        _as_float(raw, "esn0_start", 0.0), _as_float(raw, "esn0_step", 1.0), _as_float(raw, "esn0_stop", 20.0)
+    )
+    scenarios = parse_scenarios(raw.get("scenario", "both"))
+    tap_count = _as_int(raw, "tap_count", 4)
+    # before any per-node work: the sizes alone can exceed the budget
+    records = len(scenarios) * len(codebooks) * len(esn0) * u * b
+    check_budget(sweep_bytes(u * b, n_sc, codebooks, records, tap_count))
+
     ap_pos = _as_positions(raw, "ap_positions")
     user_pos = _as_positions(raw, "user_positions")
     if ap_pos is None:
@@ -327,26 +350,21 @@ def config_from_dict(raw: dict) -> SweepConfig:
         UserNode(i, Position3D(*user_pos[i]), p_u, gamma_d) for i in range(u)
     )
     topology = NetworkTopology(area=area, aps=aps, users=users)
-
-    start = _as_float(raw, "esn0_start", 0.0)
-    stop = _as_float(raw, "esn0_stop", 20.0)
-    step = _as_float(raw, "esn0_step", 1.0)
-
     tap_spacing = _as_float(raw, "tap_spacing", 0.0)
 
     return SweepConfig(
         topology=topology,
         grid=grid,
         codebooks=codebooks,
-        esn0_db=esn0_grid(start, step, stop),
-        scenarios=parse_scenarios(raw.get("scenario", "both")),
+        esn0_db=esn0,
+        scenarios=scenarios,
         traffic=traffic,
         w=w,
         r_min=_as_float(raw, "r_min", 0.0),
         v_j=_as_int(raw, "v_j", u),
         seed=seed,
-        tap_count=_as_int(raw, "tap_count", 4),
-        tap_spacing_s=tap_spacing if tap_spacing > 0 else None,
+        tap_count=tap_count,
+        tap_spacing_s=None if tap_spacing == 0 else tap_spacing,
         epsilon0=_as_float(raw, "epsilon0", 1.0),
         gain_mode=raw.get("gain_mode", "deterministic").strip().lower(),
         mode_bin_s=_as_float(raw, "mode_bin", 1e-6),

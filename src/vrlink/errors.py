@@ -15,7 +15,3 @@ class ShapeError(ValueError):
 
 class ConfigurationError(ValueError):
     """Invalid simulation configuration; maps to CLI exit code 2."""
-
-
-class InfeasibleLinkError(RuntimeError):
-    """A link cannot carry traffic (zero rate); the sweep records it as infeasible."""

@@ -184,7 +184,7 @@ def _rate(bw: float, sinr: np.ndarray) -> np.ndarray:
         raise InvalidInputError(f"bandwidth must be positive, got {bw}")
     if np.any(sinr < 0):
         raise InvalidInputError("SINR must be non-negative")
-    log1p = np.array([math.log1p(x) for x in sinr.ravel().tolist()]).reshape(sinr.shape)
+    log1p = np.fromiter(map(math.log1p, sinr.flat), float, sinr.size).reshape(sinr.shape)
     return bw * log1p / LN2
 
 

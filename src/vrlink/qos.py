@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InfeasibleLinkError, InvalidInputError
+from .errors import ConfigurationError, InvalidInputError
 
 
 @dataclass(frozen=True)
@@ -42,14 +42,11 @@ class TrafficModel:
             raise ConfigurationError(
                 f"v_bits must lie in [0, s_bits], got {self.v_bits} with s_bits {self.s_bits}"
             )
-        if not self.m_capacity > 0:
-            raise ConfigurationError(f"m_capacity must be positive, got {self.m_capacity}")
-        if not self.n_share > 0:
-            raise ConfigurationError(f"n_share must be positive, got {self.n_share}")
-        if not self.mu > self.lam:
-            raise ConfigurationError(
-                f"service rate {self.mu} must exceed arrival rate {self.lam}"
-            )
+        # every link's delay adds these two, so they must be finite; the
+        # functions reject a capacity, share or queue they cannot evaluate
+        delays = processing_delay(self.v_bits, self.m_capacity, self.n_share) + queue_delay(self.mu, self.lam)
+        if not math.isfinite(delays):
+            raise ConfigurationError(f"processing plus queue delay must be finite, got {delays}")
 
 
 def transmission_delay(s_bits: float, a_bits: float, rate_dl, rate_ul):
@@ -58,15 +55,14 @@ def transmission_delay(s_bits: float, a_bits: float, rate_dl, rate_ul):
     rate_ul is one rate, one link's per-subcarrier rates, or a stack of such
     windows on its last axis; rate_dl is one rate per window and broadcasts
     against it (shape (..., 1) for a stack). The delay has the broadcast
-    shape; one past the float range is inf. Any rate that is not positive
-    makes the link infeasible.
+    shape; a zero rate never completes the transfer, so its delay is inf, as
+    is one past the float range. A negative or NaN rate is invalid.
     """
-    if not np.all(np.asarray(rate_dl) > 0) or not np.all(np.asarray(rate_ul) > 0):
-        raise InfeasibleLinkError(
-            f"link carries no rate (dl={np.min(rate_dl)}, ul={np.min(rate_ul)}), transmission never completes"
-        )
-    with np.errstate(over="ignore"):
-        return s_bits / rate_dl + a_bits / rate_ul
+    dl, ul = np.asarray(rate_dl, dtype=float), np.asarray(rate_ul, dtype=float)
+    if not (np.all(dl >= 0) and np.all(ul >= 0)):
+        raise InvalidInputError("rates must be non-negative numbers")
+    with np.errstate(divide="ignore", over="ignore"):
+        return s_bits / dl + a_bits / ul
 
 
 def processing_delay(v_bits: float, m_capacity: float, n_share: float) -> float:
@@ -77,13 +73,16 @@ def processing_delay(v_bits: float, m_capacity: float, n_share: float) -> float:
         raise ConfigurationError(f"processing share must be positive, got {n_share}")
     if v_bits < 0:
         raise InvalidInputError(f"workload must be non-negative, got {v_bits}")
-    return v_bits / (m_capacity / n_share)
+    share = m_capacity / n_share
+    if not share > 0:
+        raise ConfigurationError(f"compute share m_capacity/n_share underflows to 0, got {m_capacity}/{n_share}")
+    return v_bits / share
 
 
 def queue_delay(mu: float, lam: float) -> float:
     """Mean M/M/1 waiting time 1/(mu - lambda)."""
-    if not mu > lam:
-        raise ConfigurationError(f"need mu > lambda, got mu={mu} lambda={lam}")
+    if not 0 <= lam < mu:
+        raise ConfigurationError(f"need 0 <= lambda < mu, got mu={mu} lambda={lam}")
     return 1.0 / (mu - lam)
 
 

@@ -154,22 +154,20 @@ def mode_statistic(values, bin_width: float) -> float:
     return edge if math.isinf(index) else index * bin_width
 
 
-def select_best_codebook(result: SweepResult, esn0_db: float, scenario: str = None):
-    """Codebook with the largest utility sum among fully feasible ones.
+def select_best_codebook(records):
+    """Codebook with the largest utility sum among those whose records are
+    all feasible, over the records given (one Es/N0 point's, say).
 
     Ties break toward fewer antennas, then fewer RF chains. Returns None
-    when no codebook is feasible at this Es/N0.
+    when no codebook is feasible.
     """
     groups = {}
-    for rec in result.records:
-        if rec.esn0_db == esn0_db and scenario in (None, rec.scenario):
-            groups.setdefault((rec.n_tx, rec.n_rf), []).append(rec)
+    for rec in records:
+        groups.setdefault((rec.n_tx, rec.n_rf), []).append(rec)
     feasible = [key for key in sorted(groups) if all(r.feasible for r in groups[key])]
-    if not feasible:
-        return None
     # max keeps the first of equal sums, the smallest key
-    n_tx, n_rf = max(feasible, key=lambda key: sum(r.utility for r in groups[key]))
-    return Codebook(n_tx=n_tx, n_rf=n_rf)
+    best = max(feasible, key=lambda key: sum(r.utility for r in groups[key]), default=None)
+    return None if best is None else Codebook(*best)
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -205,30 +203,23 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             config.scenarios, config.grid.total_bandwidth, config.grid.subcarrier_bandwidth,
         )
         rate_ul = np.mean(m.rate_ul, axis=-1).tolist()
-        ul_carries = np.all(m.rate_ul > 0, axis=-1)
-        tolerance = np.broadcast_to(gamma, ul_carries.shape)
+        tolerance = np.broadcast_to(gamma, m.rate_ul.shape[:-1])
         for s, scenario in enumerate(config.scenarios):
             for c, codebook in enumerate(config.codebooks):
                 rate_dl = m.rate_dl[s, c]  # (E, U, B)
-                # a link that carries no rate in one direction never
-                # completes a frame: infinite delay, no utility, fails (b)
-                carries = (rate_dl > 0) & ul_carries
-                d_trans_n = transmission_delay(
-                    traffic.s_bits, traffic.a_bits, rate_dl[carries][:, None], m.rate_ul[carries]
-                )
+                d_trans_n = transmission_delay(traffic.s_bits, traffic.a_bits, rate_dl[..., None], m.rate_ul)
                 with np.errstate(over="ignore"):
                     totals_n = d_trans_n + d_proc + d_queue
                     d_total_n = np.mean(totals_n, axis=-1)
-                # so does a link whose delays pass the float range
-                finite = np.isfinite(d_total_n)
-                carries[carries] = finite
-                d_trans_n, totals_n = d_trans_n[finite], totals_n[finite]
+                    d_trans = np.mean(d_trans_n, axis=-1).tolist()
+                # a link with no rate in one direction, or with delays past
+                # the float range, never completes a frame: no utility, fails (b)
+                carries = np.isfinite(d_total_n)
                 utilities_n = link_utilities(
-                    totals_n, m.sinr_ul[carries], tolerance[carries][:, None], config.epsilon0
+                    totals_n[carries], m.sinr_ul[carries], tolerance[carries][:, None], config.epsilon0
                 )
                 fails_b = ((rate_dl < config.r_min) | ~carries).tolist()
-                d_trans = _per_link(carries, np.mean(d_trans_n, axis=-1))
-                d_total = _per_link(carries, d_total_n[finite])
+                d_total = d_total_n.tolist()
                 utility = _per_link(carries, np.mean(utilities_n, axis=-1))
                 utility_sum = _per_link(carries, np.sum(utilities_n, axis=-1))
                 rates_dl = rate_dl.tolist()
@@ -282,8 +273,7 @@ def _summarize(config: SweepConfig, records) -> dict:
             }
     best = {}
     for esn0 in config.esn0_db.tolist():
-        point = SweepResult(records=per_point.get(esn0, ()), objectives={}, summary={})
-        choice = select_best_codebook(point, esn0)
+        choice = select_best_codebook(per_point.get(esn0, ()))
         best[esn0] = choice.label if choice is not None else None
     return {"per_codebook": per_codebook, "best_codebook": best}
 

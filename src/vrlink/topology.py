@@ -88,6 +88,11 @@ class NetworkTopology:
                 raise ConfigurationError(
                     f"node at {node.position} lies outside the indoor area"
                 )
+        # a link's azimuths are undefined when its ends share an xy position
+        for user in self.users:
+            for ap in self.aps:
+                if (user.position.x, user.position.y) == (ap.position.x, ap.position.y):
+                    raise ConfigurationError(f"user {user.user_id} and AP {ap.ap_id} share the xy position")
 
     @property
     def n_aps(self) -> int:

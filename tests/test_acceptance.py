@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from vrlink.beamforming import default_codebooks, design_link, effective_channel, hybrid_digital
+from vrlink.beamforming import design_link, effective_channel, hybrid_digital
 from vrlink.channel import synthesize_dl
 from vrlink.config import config_from_dict
 from vrlink.linkmetrics import evaluation_cells, sinr_dl, sinr_ul
@@ -54,7 +54,7 @@ def test_criterion_1_svd_reconstruction_unitarity_order():
 def test_criterion_2_hybrid_gain_never_beats_full_digital():
     rng = np.random.default_rng(7)
     n_sc = 4
-    for codebook in default_codebooks():
+    for codebook in config_from_dict({}).codebooks:
         for _ in range(200):
             ch = rng.standard_normal((n_sc, 1, codebook.n_tx)) + 1j * rng.standard_normal(
                 (n_sc, 1, codebook.n_tx)

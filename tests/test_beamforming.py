@@ -9,12 +9,12 @@ from vrlink.beamforming import (
     Codebook,
     analog_combiner,
     analog_precoder,
-    default_codebooks,
     design_link,
     effective_channel,
     full_digital,
     hybrid_digital,
 )
+from vrlink.config import config_from_dict
 from vrlink.errors import InvalidInputError, ShapeError
 from vrlink.numerics import svd
 
@@ -40,7 +40,7 @@ def test_codebook_validation_and_labels():
 
 
 def test_default_codebooks_cover_six_configs():
-    labels = [cb.label for cb in default_codebooks()]
+    labels = [cb.label for cb in config_from_dict({}).codebooks]
     assert labels == ["2A1R", "2A2R", "4A1R", "4A2R", "8A1R", "8A2R"]
 
 
@@ -186,7 +186,7 @@ def test_design_link_shapes_and_units():
 
 def test_design_link_invariants_all_codebooks():
     rng = np.random.default_rng(59)
-    for cb in default_codebooks():
+    for cb in config_from_dict({}).codebooks:
         ch = random_channels(rng, 16, cb.n_rx, cb.n_tx)
         sol = design_link(ch, cb, p_b=0.01)
         # constant-modulus analog entries

@@ -1,6 +1,7 @@
 """Channel synthesis: phase ramp, path loss, steering vectors, DL matrices."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +129,10 @@ def test_tap_decay_sum():
         tap_decay_sum(1e-8, 0, 1e-9)
     with pytest.raises(DegenerateGeometryError):
         tap_decay_sum(0.0, 4, 1e-9)
+    # a tap delay past the float range contributes exp(-inf) = 0, silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert tap_decay_sum(1e-8, 4, 1e300) == 1.0
 
 
 RAMP = subcarrier_phase_ramp(GRID.n_sc)

@@ -9,6 +9,8 @@ from vrlink.cli import main
 from vrlink.config import (
     MAX_ESN0_POINTS,
     MAX_N_SC,
+    MAX_SWEEP_BYTES,
+    TAP_BYTES,
     config_from_dict,
     esn0_grid,
     load_config,
@@ -196,6 +198,21 @@ BAD_INPUTS = [
     ("n_sc = 8", ["--esn0", "0:1e-12:20"]),
     ("n_t = 1000000000", None),
     ("u = 100000", None),
+    # an AP above user 0, and one on it: the link has no azimuth
+    ("ap_positions = 3,6,3 ; 7.5,13,3", None),
+    ("ap_positions = 3,6,1.5 ; 7.5,13,3", None),
+    ("epsilon0 = 0", None),
+    ("epsilon0 = -1", None),
+    ("lambda = -1e-9", None),
+    ("tap_spacing = -1e-9", None),
+    ("tap_count = 1000000000", None),
+    ("u = 1000000", None),
+    # a derived quantity leaves the float range: the wavelength, the tap
+    # spacing, the per-user compute share
+    ("fc = 1e-300", None),
+    ("bw_total = 1e-320", None),
+    ("m_capacity = 1e-300\nn_share = 1e300", None),
+    ("mu = 1e-310\nlambda = 0", None),
 ]
 
 
@@ -220,3 +237,23 @@ def test_size_caps_are_inclusive():
         config_from_dict({"n_sc": str(MAX_N_SC + 1)})
     with pytest.raises(ConfigurationError):
         esn0_grid(0.0, 1.0, float(MAX_ESN0_POINTS))
+
+
+def test_budget_is_checked_before_positions_are_sampled(monkeypatch):
+    def sample(self, rng):
+        raise AssertionError("positions sampled before the budget check")
+
+    monkeypatch.setattr("vrlink.topology.IndoorArea.sample", sample)
+    with pytest.raises(ConfigurationError, match="budget"):
+        config_from_dict({"u": "1000000"})
+    with pytest.raises(ConfigurationError, match="budget"):
+        config_from_dict({"b": "3", "tap_count": "1000000000"})
+
+
+def test_tap_count_counts_toward_the_budget():
+    small, large = (config_from_dict({"tap_count": str(t)}) for t in (4, 1000))
+    assert large.estimated_bytes - small.estimated_bytes == 996 * TAP_BYTES
+    taps = (MAX_SWEEP_BYTES - small.estimated_bytes) // TAP_BYTES + 4
+    assert config_from_dict({"tap_count": str(taps)}).estimated_bytes <= MAX_SWEEP_BYTES
+    with pytest.raises(ConfigurationError):
+        config_from_dict({"tap_count": str(taps + 1)})

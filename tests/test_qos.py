@@ -1,9 +1,12 @@
 """Delay chain and utility factors."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
-from vrlink.errors import ConfigurationError, InfeasibleLinkError, InvalidInputError
+from vrlink.errors import ConfigurationError, InvalidInputError
 from vrlink.qos import (
     TrafficModel,
     conditional_utility,
@@ -33,10 +36,15 @@ def test_transmission_delay_homogeneity():
 
 
 def test_transmission_delay_zero_rate_is_infeasible():
-    with pytest.raises(InfeasibleLinkError):
-        transmission_delay(12288, 6, 0.0, 1e6)
-    with pytest.raises(InfeasibleLinkError):
-        transmission_delay(12288, 6, 1e9, 0.0)
+    # a zero rate never completes the transfer: infinite delay, no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert transmission_delay(12288, 6, 0.0, 1e6) == math.inf
+        assert transmission_delay(12288, 6, 1e9, 0.0) == math.inf
+        assert transmission_delay(12288, 6, 0.0, 0.0) == math.inf
+    for dl, ul in ((-1.0, 1e6), (1e9, -1e-300), (math.nan, 1e6), (1e9, math.nan)):
+        with pytest.raises(InvalidInputError):
+            transmission_delay(12288, 6, dl, ul)
 
 
 def test_processing_delay_values():
@@ -49,6 +57,8 @@ def test_processing_delay_values():
         processing_delay(5.0, 0.0, 2.0)
     with pytest.raises(ConfigurationError):
         processing_delay(5.0, 10.0, 0.0)
+    with pytest.raises(ConfigurationError):
+        processing_delay(5.0, 1e-300, 1e300)  # the share underflows to 0
 
 
 def test_queue_delay_values():
@@ -59,6 +69,8 @@ def test_queue_delay_values():
         queue_delay(1.0, 1.0)
     with pytest.raises(ConfigurationError):
         queue_delay(1.0, 2.0)
+    with pytest.raises(ConfigurationError):
+        queue_delay(1.0, -1.0)  # negative arrival rate
 
 
 def test_conditional_utility_boundaries_exact():
@@ -137,6 +149,9 @@ def test_traffic_model_validation():
         TrafficModel(12288, 6, 20000, 1e9, 2, 4e-9, 2e-9)  # workload above payload
     with pytest.raises(ConfigurationError):
         TrafficModel(12288, 6, 5, 1e9, 2, 2e-9, 4e-9)  # unstable queue
+    for m_capacity, mu in ((0.0, 4e-9), (1e-310, 4e-9), (1e9, 1e-310)):
+        with pytest.raises(ConfigurationError):  # no share, or an infinite delay
+            TrafficModel(12288, 6, 5, m_capacity, 2, mu, 0.0)
 
 
 def test_link_utilities_uniform_window_is_zero():

@@ -108,6 +108,7 @@ def test_letters_of_one_record_come_in_order(monkeypatch):
         ({"w": "300"}, 504),
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_link_without_rate_fails_min_rate(raw, dead):
     records = run_sweep(config_from_dict(raw)).records
     silent = [r for r in records if r.rate_dl_bps == 0.0 or r.rate_ul_bps == 0.0]
@@ -289,27 +290,15 @@ def test_select_best_codebook_prefers_max_then_smallest():
             feasible=feasible, violations=() if feasible else ("b",),
         )
 
-    result = SweepResult(
-        records=(rec(2, 1, 0.4), rec(8, 2, 0.9)), objectives={}, summary={}
-    )
-    assert select_best_codebook(result, 5.0).label == "8A2R"
+    assert select_best_codebook((rec(2, 1, 0.4), rec(8, 2, 0.9))).label == "8A2R"
     # scaling every utility leaves the argmax unchanged
-    scaled = SweepResult(
-        records=(rec(2, 1, 0.04), rec(8, 2, 0.09)), objectives={}, summary={}
-    )
-    assert select_best_codebook(scaled, 5.0).label == "8A2R"
+    assert select_best_codebook((rec(2, 1, 0.04), rec(8, 2, 0.09))).label == "8A2R"
     # ties break toward fewer antennas, then fewer chains
-    tied = SweepResult(
-        records=(rec(4, 1, 0.5), rec(2, 2, 0.5), rec(2, 1, 0.5)), objectives={}, summary={}
-    )
-    assert select_best_codebook(tied, 5.0).label == "2A1R"
+    assert select_best_codebook((rec(4, 1, 0.5), rec(2, 2, 0.5), rec(2, 1, 0.5))).label == "2A1R"
     # infeasible codebooks are skipped; all-infeasible yields None
-    mixed = SweepResult(
-        records=(rec(2, 1, 0.9, feasible=False), rec(4, 1, 0.1)), objectives={}, summary={}
-    )
-    assert select_best_codebook(mixed, 5.0).label == "4A1R"
-    dead = SweepResult(records=(rec(2, 1, 0.9, feasible=False),), objectives={}, summary={})
-    assert select_best_codebook(dead, 5.0) is None
+    assert select_best_codebook((rec(2, 1, 0.9, feasible=False), rec(4, 1, 0.1))).label == "4A1R"
+    assert select_best_codebook((rec(2, 1, 0.9, feasible=False),)) is None
+    assert select_best_codebook(()) is None
 
 
 def test_infeasible_points_recorded_not_raised():
@@ -453,6 +442,16 @@ def test_cli_simulate_overrides(tmp_path):
     assert all(line.split(",")[0] == "mean" for line in lines[1:])
     # reciprocal queue preset: 1/(4e9 - 2e9)
     assert float(lines[1].split(",")[10]) == pytest.approx(5e-10, rel=1e-9)
+
+
+def test_cli_codebook_named_twice_is_evaluated_once(tmp_path):
+    p = write_config(tmp_path)
+    out_dir = tmp_path / "twice"
+    assert main(["simulate", "--config", str(p), "--out", str(out_dir), "--codebook", "4x1,2x1,4A1R"]) == 0
+    lines = (out_dir / "results.csv").read_text().splitlines()[1:]
+    # 2 scenarios x 2 codebooks x 3 esn0 points x 4 links, each row once
+    assert len(lines) == len(set(lines)) == 48
+    assert {tuple(line.split(",")[1:3]) for line in lines} == {("2", "1"), ("4", "1")}
 
 
 def test_cli_simulate_rejects_bad_esn0(tmp_path, capsys):

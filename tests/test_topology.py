@@ -110,4 +110,11 @@ def test_topology_validation():
     outside = UserNode(1, Position3D(11, 2, 1), 0.005, 0.02)
     with pytest.raises(ConfigurationError):
         NetworkTopology(area=area, aps=(ap,), users=(outside,))
-
+    # a user above, on or below an AP: the link has no azimuth
+    for z in (1, 2, 0):
+        user = UserNode(0, Position3D(1, 1, z), 0.005, 0.02)
+        with pytest.raises(ConfigurationError, match="user 0 and AP 0"):
+            NetworkTopology(area=area, aps=(ap,), users=(user,))
+    # two users may share a spot: no link joins them
+    twins = tuple(UserNode(i, Position3D(2, 2, 1), 0.005, 0.02) for i in range(2))
+    NetworkTopology(area=area, aps=(ap,), users=twins)

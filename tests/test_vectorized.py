@@ -24,7 +24,7 @@ from vrlink.channel import (
     tap_decay_sum,
 )
 from vrlink.config import config_from_dict
-from vrlink.errors import InfeasibleLinkError
+from vrlink.errors import InvalidInputError
 from vrlink.linkmetrics import (
     GainAggregation,
     aggregate_gain,
@@ -185,12 +185,18 @@ def test_transmission_delay_array_matches_scalar_calls():
     got = transmission_delay(12288.0, 6.0, rates_dl, rates_ul)
     for k in range(30):
         assert np.array_equal(got[k], transmission_delay(12288.0, 6.0, float(rates_dl[k, 0]), rates_ul[k]))
-    with pytest.raises(InfeasibleLinkError):
-        transmission_delay(12288.0, 6.0, 1e9, np.array([1e6, 0.0, 1e6]))
-    with pytest.raises(InfeasibleLinkError):
-        transmission_delay(12288.0, 6.0, 0.0, np.array([1e6, 1e6]))
-    with pytest.raises(InfeasibleLinkError):
-        transmission_delay(12288.0, 6.0, np.array([[1e9], [0.0]]), np.ones((2, 3)))
+    # a zero rate is an infinite delay, on its own subcarrier or window only
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = transmission_delay(12288.0, 6.0, 1e9, np.array([1e6, 0.0, 1e6]))
+        assert np.array_equal(got, [transmission_delay(12288.0, 6.0, 1e9, 1e6), math.inf, got[0]])
+        assert np.all(transmission_delay(12288.0, 6.0, 0.0, np.array([1e6, 1e6])) == math.inf)
+        got = transmission_delay(12288.0, 6.0, np.array([[1e9], [0.0]]), np.ones((2, 3)))
+        assert np.all(np.isfinite(got[0])) and np.all(got[1] == math.inf)
+    with pytest.raises(InvalidInputError):
+        transmission_delay(12288.0, 6.0, 1e9, np.array([1e6, -1.0, 1e6]))
+    with pytest.raises(InvalidInputError):
+        transmission_delay(12288.0, 6.0, np.array([[1e9], [math.nan]]), np.ones((2, 3)))
 
 
 def column_svd(m):
@@ -424,6 +430,7 @@ def test_synthesize_dl_matches_per_subcarrier_reference(raw):
         assert np.array_equal(dl.matrices, ref)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_zero_power_user_is_an_infeasible_record():
     cfg = config_from_dict({"n_sc": "8", "esn0_stop": "2", "n_t": "2", "n_rf": "1"})
     users = list(cfg.topology.users)
