@@ -3,9 +3,10 @@
 UL links are scalar path-loss channels with a unit-modulus per-subcarrier
 factor; DL links are rank-1 matrices built from free-space path loss, a
 delay-tap decay sum, and ULA steering vectors at the departure/arrival
-azimuths. The DL is synthesized once per link: the link's geometry and
-steering vectors are shared, and each subcarrier scales the same outer
-product by its own gain.
+azimuths. ``path_gains`` computes each link's distance, UL path gain and
+DL amplitude once; the DL is then synthesized once per link and codebook:
+the steering vectors are shared, and each subcarrier scales the same
+outer product by its own gain.
 """
 
 import math
@@ -122,28 +123,40 @@ def steering_vector(n_elements: int, azimuth_deg: float, spacing_over_wavelength
     return np.exp(1j * phase) / math.sqrt(n_elements)
 
 
-def dl_link_channels(
-    tx: Position3D,
-    rx: Position3D,
-    gains: np.ndarray,
-    n_tx: int,
-    n_rx: int,
-    grid: SubcarrierGrid,
-    tap_count: int = 4,
-    tap_spacing_s: float = None,
-) -> np.ndarray:
+def path_gains(topology: NetworkTopology, grid: SubcarrierGrid, w: float, tap_count: int, tap_spacing_s: float) -> tuple:
+    """UL path gain d^-w and DL amplitude 10^(pg/10) * tap_sum of every link,
+    each (U, B) in topology order.
+
+    Scalar math per link, as the model states it: numpy's power and log10
+    differ from these in the last bit on some inputs. A link whose distance
+    is not a positive finite number, or whose gain leaves the float range,
+    is a ConfigurationError naming the link.
+    """
+    ul = np.zeros((topology.n_users, topology.n_aps))
+    dl = np.zeros_like(ul)
+    for i, user in enumerate(topology.users):
+        for j, ap in enumerate(topology.aps):
+            d = math.inf  # a distance that overflows while it is formed
+            try:
+                d = distance(ap, user)
+                ul[i, j] = d ** (-w)
+                tau = d / SPEED_OF_LIGHT
+                dl[i, j] = 10.0 ** (fspl_db(d, grid.wavelength) / 10.0) * tap_decay_sum(tau, tap_count, tap_spacing_s)
+            except (ArithmeticError, ValueError):
+                dl[i, j] = math.nan
+            if not (0.0 < d < math.inf and math.isfinite(dl[i, j])):
+                raise ConfigurationError(f"user {i} / AP {j}: distance {d:.6g} m gives no finite path gain")
+    return ul, dl
+
+
+def dl_link_channels(tx: Position3D, rx: Position3D, amp: float, gains: np.ndarray, n_tx: int, n_rx: int) -> np.ndarray:
     """Rank-1 DL matrices (n_sc, n_rx, n_tx) of one link, one per entry of gains.
 
-    H_n = 10^(pg/10) * tap_sum * gains[n] * a_rx(aoa) a_tx(aod)^H. Distance,
-    angles, path loss, tap sum and steering vectors belong to the link, so
-    they are computed once and only the gain varies across subcarriers.
+    H_n = amp * gains[n] * a_rx(aoa) a_tx(aod)^H, with amp the link's
+    ``path_gains`` amplitude. The angles and steering vectors belong to the
+    link, so only the gain varies across subcarriers.
     """
-    d = distance(tx, rx)
     aod_az, aoa_az = departure_arrival_angles(tx, rx)
-    if tap_spacing_s is None:
-        tap_spacing_s = grid.sample_period
-    tau = d / SPEED_OF_LIGHT
-    amp = 10.0 ** (fspl_db(d, grid.wavelength) / 10.0) * tap_decay_sum(tau, tap_count, tap_spacing_s)
     a_tx = steering_vector(n_tx, aod_az)
     a_rx = steering_vector(n_rx, aoa_az)
     return (amp * np.asarray(gains))[:, None, None] * np.outer(a_rx, a_tx.conj())
@@ -156,45 +169,29 @@ class DlChannelSet:
     matrices: np.ndarray  # complex, shape (U, B, n_sc, n_rx, n_tx); [i, j] is one link's stack
 
 
-def synthesize_ul(
-    topology: NetworkTopology,
-    grid: SubcarrierGrid,
-    w: float,
-    mode: str = "deterministic",
-    rng=None,
-) -> np.ndarray:
-    """UL scalar coefficients (U, B, n_sc), indexed [user, ap, subcarrier] in
-    topology order; every entry of a link has modulus d^-w."""
-    coeffs = np.zeros((topology.n_users, topology.n_aps, grid.n_sc), dtype=complex)
-    for i, user in enumerate(topology.users):
-        for j, ap in enumerate(topology.aps):
-            coeffs[i, j] = subcarrier_gains(grid.n_sc, mode, rng) * distance(user.position, ap.position) ** (-w)
+def synthesize_ul(path_gain: np.ndarray, n_sc: int, mode: str = "deterministic", rng=None) -> np.ndarray:
+    """UL scalar coefficients (U, B, n_sc) from the (U, B) ``path_gains``:
+    every entry of a link has modulus d^-w."""
+    coeffs = np.zeros(path_gain.shape + (n_sc,), dtype=complex)
+    for i, j in np.ndindex(path_gain.shape):
+        coeffs[i, j] = subcarrier_gains(n_sc, mode, rng) * path_gain[i, j]
     return coeffs
 
 
 def synthesize_dl(
     topology: NetworkTopology,
-    grid: SubcarrierGrid,
+    amplitude: np.ndarray,
+    n_sc: int,
     n_tx: int,
     n_rx: int,
-    tap_count: int = 4,
-    tap_spacing_s: float = None,
     mode: str = "deterministic",
     rng=None,
 ) -> DlChannelSet:
-    """DL matrices for every (user, AP) pair, all subcarriers."""
-    u, b = topology.n_users, topology.n_aps
-    mats = np.zeros((u, b, grid.n_sc, n_rx, n_tx), dtype=complex)
+    """DL matrices for every (user, AP) pair, all subcarriers, from the
+    (U, B) ``path_gains`` amplitudes."""
+    mats = np.zeros(amplitude.shape + (n_sc, n_rx, n_tx), dtype=complex)
     for i, user in enumerate(topology.users):
         for j, ap in enumerate(topology.aps):
-            mats[i, j] = dl_link_channels(
-                ap.position,
-                user.position,
-                subcarrier_gains(grid.n_sc, mode, rng),
-                n_tx,
-                n_rx,
-                grid,
-                tap_count=tap_count,
-                tap_spacing_s=tap_spacing_s,
-            )
+            gains = subcarrier_gains(n_sc, mode, rng)
+            mats[i, j] = dl_link_channels(ap, user, amplitude[i, j], gains, n_tx, n_rx)
     return DlChannelSet(matrices=mats)

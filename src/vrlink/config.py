@@ -11,11 +11,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamforming import Codebook
-from .channel import GAIN_MODES, SubcarrierGrid
+from .channel import GAIN_MODES, SubcarrierGrid, path_gains
 from .errors import ConfigurationError
 from .linkmetrics import GainAggregation
 from .qos import TrafficModel
-from .topology import AccessPoint, IndoorArea, NetworkTopology, Position3D, UserNode
+from .topology import IndoorArea, NetworkTopology, Position3D
 
 # queue-rate presets: the same digits under opposite unit conventions,
 # mu/lambda = 4e-9/2e-9 (mean wait 5e8 s) or 4e9/2e9 (mean wait 5e-10 s)
@@ -34,8 +34,8 @@ MAX_SWEEP_BYTES = 1 << 30
 RECORD_BYTES = 1024
 TAP_BYTES = 32
 
-DEFAULT_AP_POSITIONS = ((2.5, 4.0, 3.0), (7.5, 13.0, 3.0))
-DEFAULT_USER_POSITIONS = ((3.0, 6.0, 1.5), (6.5, 11.0, 1.5))
+DEFAULT_AP_POSITIONS = (Position3D(2.5, 4.0, 3.0), Position3D(7.5, 13.0, 3.0))
+DEFAULT_USER_POSITIONS = (Position3D(3.0, 6.0, 1.5), Position3D(6.5, 11.0, 1.5))
 
 KNOWN_KEYS = frozenset(
     {
@@ -73,32 +73,36 @@ def parse_config_text(text: str) -> dict:
     return data
 
 
-def _as_float(raw: dict, key: str, default: float) -> float:
-    if key not in raw:
-        return default
+def _number(key: str, text: str) -> float:
     try:
-        value = float(raw[key])
+        value = float(text)
     except ValueError as e:
-        raise ConfigurationError(f"key {key!r}: cannot parse {raw[key]!r} as a number") from e
+        raise ConfigurationError(f"key {key!r}: cannot parse {text!r} as a number") from e
     if not math.isfinite(value):
-        raise ConfigurationError(f"key {key!r}: expected a finite number, got {raw[key]!r}")
+        raise ConfigurationError(f"key {key!r}: expected a finite number, got {text!r}")
     return value
 
 
-def _as_int(raw: dict, key: str, default: int) -> int:
-    v = _as_float(raw, key, float(default))
+def _integer(key: str, text: str) -> int:
+    """A finite number equal to an integer, so 2.0 and 1e1 are integers."""
+    v = _number(key, text)
     if v != int(v):
         raise ConfigurationError(f"key {key!r}: expected an integer, got {v}")
     return int(v)
 
 
+def _as_float(raw: dict, key: str, default: float) -> float:
+    return _number(key, raw[key]) if key in raw else default
+
+
+def _as_int(raw: dict, key: str, default: int) -> int:
+    return _integer(key, raw[key]) if key in raw else default
+
+
 def _as_int_list(raw: dict, key: str, default: tuple) -> tuple:
     if key not in raw:
         return default
-    try:
-        return tuple(int(part) for part in raw[key].replace(",", " ").split())
-    except ValueError as e:
-        raise ConfigurationError(f"key {key!r}: cannot parse {raw[key]!r} as integers") from e
+    return tuple(_integer(key, part) for part in raw[key].replace(",", " ").split())
 
 
 def _as_range(raw: dict, key: str, default: tuple) -> tuple:
@@ -123,7 +127,7 @@ def _as_positions(raw: dict, key: str):
         if len(parts) != 3:
             raise ConfigurationError(f"key {key!r}: expected x,y,z triples, got {chunk!r}")
         try:
-            triples.append(tuple(float(p) for p in parts))
+            triples.append(Position3D(*(float(p) for p in parts)))
         except ValueError as e:
             raise ConfigurationError(f"key {key!r}: cannot parse {chunk!r}") from e
     if not triples:
@@ -132,7 +136,8 @@ def _as_positions(raw: dict, key: str):
 
 
 def parse_scenarios(text: str) -> tuple:
-    """'mean', 'min', 'both', or a comma list of modes, in canonical order."""
+    """'mean', 'min', 'both', or a comma list of modes in the given order,
+    each mode once."""
     text = text.strip().lower()
     if text == "both":
         return (GainAggregation.MEAN, GainAggregation.MIN)
@@ -201,11 +206,13 @@ class SweepConfig:
     v_j: int                       # user capacity per AP
     seed: int
     tap_count: int
-    tap_spacing_s: object          # None means one sample of the total bandwidth
+    tap_spacing_s: float           # delay-tap spacing, s
     epsilon0: float                # tracking-error scale, meters
     gain_mode: str                 # deterministic | gaussian
     mode_bin_s: float              # delay bin for the mode statistic
-    noise_reference_w: float       # Es/N0 anchor power
+    p_b: float                     # AP transmit power budget, W; also the Es/N0 anchor power
+    p_u: float                     # UL transmit power per user, W
+    gamma_d: float                 # delay tolerance per user, s
 
     def __post_init__(self):
         if len(self.esn0_db) == 0:
@@ -228,11 +235,11 @@ class SweepConfig:
             raise ConfigurationError(f"v_j must be at least 1, got {self.v_j}")
         if self.tap_count < 1:
             raise ConfigurationError(f"tap count must be at least 1, got {self.tap_count}")
-        if self.tap_spacing_s is not None and not self.tap_spacing_s > 0:
-            raise ConfigurationError(f"tap spacing must be positive, got {self.tap_spacing_s}")
-        if not self.epsilon0 > 0:
-            raise ConfigurationError(f"epsilon0 must be positive, got {self.epsilon0}")
+        for name in ("tap_spacing_s", "epsilon0", "p_b", "p_u", "gamma_d"):
+            if not getattr(self, name) > 0:
+                raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
         check_budget(self.estimated_bytes)
+        path_gains(self.topology, self.grid, self.w, self.tap_count, self.tap_spacing_s)
 
     @property
     def expected_records(self) -> int:
@@ -276,11 +283,6 @@ def config_from_dict(raw: dict) -> SweepConfig:
     if b < 1 or u < 1:
         raise ConfigurationError(f"need at least one AP and one user, got b={b} u={u}")
     p_b = _as_float(raw, "p_b", 10e-3)
-    if not p_b > 0:
-        raise ConfigurationError(f"p_b must be positive, got {p_b}")
-    p_u = _as_float(raw, "p_u", p_b / u)
-    if not p_u > 0:
-        raise ConfigurationError(f"p_u must be positive, got {p_u}")
 
     queue_units = raw.get("queue_units", "paper").strip().lower()
     if queue_units not in QUEUE_UNIT_PRESETS:
@@ -300,10 +302,6 @@ def config_from_dict(raw: dict) -> SweepConfig:
         mu=mu,
         lam=lam,
     )
-
-    gamma_d = _as_float(raw, "gamma_d", 20e-3)
-    if not gamma_d > 0:
-        raise ConfigurationError(f"gamma_d must be positive, got {gamma_d}")
 
     area = IndoorArea(
         x_range=_as_range(raw, "area_x", (0.0, 10.0)),
@@ -331,29 +329,20 @@ def config_from_dict(raw: dict) -> SweepConfig:
             ap_pos = DEFAULT_AP_POSITIONS
         else:
             rng = np.random.default_rng([seed, 2])
-            ap_pos = tuple(tuple(area.sample(rng).as_array()) for _ in range(b))
+            ap_pos = tuple(area.sample(rng) for _ in range(b))
     if user_pos is None:
         if u == len(DEFAULT_USER_POSITIONS):
             user_pos = DEFAULT_USER_POSITIONS
         else:
             rng = np.random.default_rng([seed, 3])
-            user_pos = tuple(tuple(area.sample(rng).as_array()) for _ in range(u))
+            user_pos = tuple(area.sample(rng) for _ in range(u))
     if len(ap_pos) != b:
         raise ConfigurationError(f"expected {b} AP positions, got {len(ap_pos)}")
     if len(user_pos) != u:
         raise ConfigurationError(f"expected {u} user positions, got {len(user_pos)}")
 
-    aps = tuple(
-        AccessPoint(j, Position3D(*ap_pos[j]), p_b) for j in range(b)
-    )
-    users = tuple(
-        UserNode(i, Position3D(*user_pos[i]), p_u, gamma_d) for i in range(u)
-    )
-    topology = NetworkTopology(area=area, aps=aps, users=users)
-    tap_spacing = _as_float(raw, "tap_spacing", 0.0)
-
     return SweepConfig(
-        topology=topology,
+        topology=NetworkTopology(area=area, aps=ap_pos, users=user_pos),
         grid=grid,
         codebooks=codebooks,
         esn0_db=esn0,
@@ -364,11 +353,14 @@ def config_from_dict(raw: dict) -> SweepConfig:
         v_j=_as_int(raw, "v_j", u),
         seed=seed,
         tap_count=tap_count,
-        tap_spacing_s=None if tap_spacing == 0 else tap_spacing,
+        # 0 means one sample of the total bandwidth
+        tap_spacing_s=_as_float(raw, "tap_spacing", 0.0) or grid.sample_period,
         epsilon0=_as_float(raw, "epsilon0", 1.0),
         gain_mode=raw.get("gain_mode", "deterministic").strip().lower(),
         mode_bin_s=_as_float(raw, "mode_bin", 1e-6),
-        noise_reference_w=p_b,
+        p_b=p_b,
+        p_u=_as_float(raw, "p_u", p_b / u),
+        gamma_d=_as_float(raw, "gamma_d", 20e-3),
     )
 
 

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamforming import Codebook, design_link
-from .channel import synthesize_dl, synthesize_ul
+from .channel import path_gains, synthesize_dl, synthesize_ul
 from .config import SweepConfig
 from .errors import InvalidInputError
-from .linkmetrics import compute_metrics, evaluation_cells, noise_power
+from .linkmetrics import compute_metrics, noise_power
 from .numerics import FACTOR_TOL, MODULUS_TOL
 from .qos import link_utilities, processing_delay, queue_delay, transmission_delay
 
@@ -28,21 +28,10 @@ CSV_HEADER = (
 )
 
 
-@dataclass(frozen=True)
-class ConstraintViolation:
-    """One failed feasibility check for one link."""
-
-    constraint: str  # letter a..e
-    user: int
-    ap: int
-    measured: float
-    required: float
-
-    def describe(self) -> str:
-        return (
-            f"({self.constraint}) user {self.user} / AP {self.ap}: "
-            f"measured {self.measured:.6g} vs required {self.required:.6g}"
-        )
+# a record's violation letters, indexed by its failed checks as bits a = 1 .. e = 16
+VIOLATIONS = tuple(tuple(x for bit, x in enumerate("abcde") if code >> bit & 1) for code in range(32))
+# the bits of check_constraints' (a), (c), (d), (e) columns
+CHECK_BITS = np.array([1, 4, 8, 16])
 
 
 @dataclass(frozen=True)
@@ -76,55 +65,34 @@ class SweepResult:
     summary: dict
 
 
-def check_constraints(n_users_on_ap, ap_power_used_w, solution, user, ap, v_j: int, p_b) -> list:
+def check_constraints(n_users_on_ap, ap_power_used_w, solution, v_j: int, p_b: float) -> np.ndarray:
     """The feasibility families that do not depend on Es/N0: (a) AP occupancy,
     (c) AP power budget, (d) precoder entry modulus, (e) combiner entry
     modulus. Family (b), the minimum DL rate, is checked per sweep point.
 
-    For a stacked solution every argument but v_j holds one value per link;
-    the violations come link by link, each link's in letter order.
+    n_users_on_ap and ap_power_used_w hold one value per link of the
+    (stacked) solution. Returns a boolean mask (..., 4), True where a link
+    fails (a), (c), (d) or (e).
     """
     cb = solution.codebook
-    devs = [np.max(np.abs(np.abs(analog) ** 2 - 1.0 / n), axis=(-2, -1))
-            for analog, n in ((solution.analog_precoder, cb.n_tx), (solution.analog_combiner, cb.n_rx))]
-    columns = np.broadcast_arrays(n_users_on_ap, ap_power_used_w, user, ap, p_b, *devs)
-    violations = []
-    for n, power, u, j, budget, dev_d, dev_e in zip(*(np.atleast_1d(c).tolist() for c in columns)):
-        if n > v_j:
-            violations.append(ConstraintViolation("a", u, j, float(n), float(v_j)))
-        if power > budget * (1.0 + FACTOR_TOL):
-            violations.append(ConstraintViolation("c", u, j, power, budget))
-        for letter, dev in (("d", dev_d), ("e", dev_e)):
-            if dev > MODULUS_TOL:
-                violations.append(ConstraintViolation(letter, u, j, dev, MODULUS_TOL))
-    return violations
+    dev_d, dev_e = (np.max(np.abs(np.abs(analog) ** 2 - 1.0 / n), axis=(-2, -1))
+                    for analog, n in ((solution.analog_precoder, cb.n_tx), (solution.analog_combiner, cb.n_rx)))
+    checks = (n_users_on_ap > v_j, ap_power_used_w > p_b * (1.0 + FACTOR_TOL), dev_d > MODULUS_TOL, dev_e > MODULUS_TOL)
+    return np.stack(np.broadcast_arrays(*checks), axis=-1)
 
 
-def _design_codebook(config: SweepConfig, codebook: Codebook) -> tuple:
+def _design_codebook(config: SweepConfig, codebook: Codebook, amplitude, n_served, budget) -> tuple:
     """Every link's design for one codebook, reduced to what the sweep reads:
-    the squared effective gains (U, B, n_sc) and the letters of the
-    Es/N0-independent checks, indexed [user][ap]."""
-    topo = config.topology
+    the squared effective gains (U, B, n_sc) and the violation bits of the
+    Es/N0-independent checks (U, B). n_served and budget hold one value
+    per link, user-major like the DL stack."""
     rng = np.random.default_rng([config.seed, 1])
-    dl = synthesize_dl(
-        topo, config.grid, codebook.n_tx, codebook.n_rx, config.tap_count, config.tap_spacing_s,
-        config.gain_mode, rng,
-    )
-    # every link in one stacked design, user-major like dl.matrices
-    links = [(i, j) for i in range(topo.n_users) for j in range(topo.n_aps)]
-    n_served = np.array([evaluation_cells(config.base_cells, i, j).count(j) for i, j in links])
-    ap_powers = np.array([topo.aps[j].power_w for _, j in links])
-    sol = design_link(dl.matrices.reshape((len(links),) + dl.matrices.shape[2:]), codebook, ap_powers / n_served)
-    gains = (sol.effective_gain_per_subcarrier() ** 2).reshape(topo.n_users, topo.n_aps, -1)
-    violations = check_constraints(
-        n_served, n_served * sol.transmit_power(), sol, [topo.users[i].user_id for i, _ in links],
-        [topo.aps[j].ap_id for _, j in links], config.v_j, ap_powers,
-    )
-    found = {}
-    for v in violations:
-        found.setdefault((v.user, v.ap), {})[v.constraint] = None
-    letters = [[tuple(found.get((user.user_id, ap.ap_id), ())) for ap in topo.aps] for user in topo.users]
-    return gains, letters
+    dl = synthesize_dl(config.topology, amplitude, config.grid.n_sc, codebook.n_tx, codebook.n_rx, config.gain_mode, rng)
+    # every link in one stacked design
+    sol = design_link(dl.matrices.reshape((n_served.size,) + dl.matrices.shape[2:]), codebook, budget)
+    fails = check_constraints(n_served, n_served * sol.transmit_power(), sol, config.v_j, config.p_b)
+    gains = sol.effective_gain_per_subcarrier() ** 2
+    return gains.reshape(amplitude.shape + (-1,)), (fails @ CHECK_BITS).reshape(amplitude.shape)
 
 
 def min_statistic(values) -> float:
@@ -178,17 +146,22 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     arrays, one block of Es/N0 points at a time.
     """
     topo, traffic = config.topology, config.traffic
-    rng = np.random.default_rng([config.seed, 0])
-    ul = synthesize_ul(topo, config.grid, config.w, config.gain_mode, rng)
-    gains, letters = zip(*(_design_codebook(config, cb) for cb in config.codebooks))
-    gains = np.stack(gains)
-    user_powers = np.array([usr.power_w for usr in topo.users])
-    ap_powers = np.array([ap.power_w for ap in topo.aps])
-    gamma = np.array([usr.delay_tolerance_s for usr in topo.users])[:, None]  # (U, 1)
+    ul_gain, amplitude = path_gains(topo, config.grid, config.w, config.tap_count, config.tap_spacing_s)
+    ul = synthesize_ul(ul_gain, config.grid.n_sc, config.gain_mode, np.random.default_rng([config.seed, 0]))
+    # users on AP j while user i is re-homed to it: j's home users, plus i
+    # unless j is already i's home; one per link, user-major
+    home = np.array(config.base_cells)[:, None] == np.arange(topo.n_aps)
+    n_served = (home.sum(axis=0) - home + 1).reshape(-1)
+    budget = config.p_b / n_served
+    gains, checks = map(np.stack, zip(*(
+        _design_codebook(config, cb, amplitude, n_served, budget) for cb in config.codebooks
+    )))
+    user_powers = np.full(topo.n_users, config.p_u)
+    ap_powers = np.full(topo.n_aps, config.p_b)
     d_proc = processing_delay(traffic.v_bits, traffic.m_capacity, traffic.n_share)
     d_queue = queue_delay(traffic.mu, traffic.lam)
     esn0_all = config.esn0_db.tolist()
-    sigma_all = np.array([noise_power(e, config.noise_reference_w) for e in esn0_all])
+    sigma_all = np.array([noise_power(e, config.p_b) for e in esn0_all])
     step = max(1, BLOCK_CELLS // ul.size)
 
     records = []
@@ -203,7 +176,6 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             config.scenarios, config.grid.total_bandwidth, config.grid.subcarrier_bandwidth,
         )
         rate_ul = np.mean(m.rate_ul, axis=-1).tolist()
-        tolerance = np.broadcast_to(gamma, m.rate_ul.shape[:-1])
         for s, scenario in enumerate(config.scenarios):
             for c, codebook in enumerate(config.codebooks):
                 rate_dl = m.rate_dl[s, c]  # (E, U, B)
@@ -215,26 +187,22 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                 # a link with no rate in one direction, or with delays past
                 # the float range, never completes a frame: no utility, fails (b)
                 carries = np.isfinite(d_total_n)
-                utilities_n = link_utilities(
-                    totals_n[carries], m.sinr_ul[carries], tolerance[carries][:, None], config.epsilon0
-                )
-                fails_b = ((rate_dl < config.r_min) | ~carries).tolist()
+                utilities_n = link_utilities(totals_n[carries], m.sinr_ul[carries], config.gamma_d, config.epsilon0)
+                codes = (checks[c] | 2 * ((rate_dl < config.r_min) | ~carries)).tolist()
                 d_total = d_total_n.tolist()
                 utility = _per_link(carries, np.mean(utilities_n, axis=-1))
                 utility_sum = _per_link(carries, np.sum(utilities_n, axis=-1))
                 rates_dl = rate_dl.tolist()
                 for e, esn0_db in enumerate(esn0_all[start : start + step]):
                     objective = 0.0
-                    for i, user in enumerate(topo.users):
-                        for j, ap in enumerate(topo.aps):
-                            found = letters[c][i][j]
-                            if fails_b[e][i][j]:
-                                found = tuple(sorted(found + ("b",)))
+                    for i in range(topo.n_users):
+                        for j in range(topo.n_aps):
+                            found = VIOLATIONS[codes[e][i][j]]
                             if not found:
                                 objective += utility_sum[e][i][j]
                             records.append(SweepRecord(
-                                scenario.value, codebook.n_tx, codebook.n_rf, esn0_db, ap.ap_id,
-                                user.user_id, rates_dl[e][i][j], rate_ul[e][i][j], d_trans[e][i][j],
+                                scenario.value, codebook.n_tx, codebook.n_rf, esn0_db, j,
+                                i, rates_dl[e][i][j], rate_ul[e][i][j], d_trans[e][i][j],
                                 d_proc, d_queue, d_total[e][i][j],
                                 None if found else utility[e][i][j], not found, found,
                             ))

@@ -19,9 +19,6 @@ class Position3D:
             if not math.isfinite(c):
                 raise InvalidInputError(f"non-finite coordinate in {(self.x, self.y, self.z)}")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
 
 @dataclass(frozen=True)
 class IndoorArea:
@@ -53,46 +50,26 @@ class IndoorArea:
 
 
 @dataclass(frozen=True)
-class AccessPoint:
-    ap_id: int
-    position: Position3D
-    power_w: float  # DL transmit power budget
-
-
-@dataclass(frozen=True)
-class UserNode:
-    user_id: int
-    position: Position3D
-    power_w: float            # UL transmit power
-    delay_tolerance_s: float  # gamma_D
-
-
-@dataclass(frozen=True)
 class NetworkTopology:
-    """Immutable AP/user layout. Indexing order of the tuples is the canonical
-    (user, ap) index order used by every downstream array."""
+    """Immutable AP/user layout. A node is its position, and its index in its
+    tuple is its id: the canonical (user, ap) index order of every
+    downstream array."""
 
     area: IndoorArea
-    aps: tuple
-    users: tuple
+    aps: tuple    # of Position3D
+    users: tuple  # of Position3D
 
     def __post_init__(self):
         if len(self.aps) < 1 or len(self.users) < 1:
             raise ConfigurationError("topology needs at least one AP and one user")
-        ap_ids = [a.ap_id for a in self.aps]
-        user_ids = [u.user_id for u in self.users]
-        if len(set(ap_ids)) != len(ap_ids) or len(set(user_ids)) != len(user_ids):
-            raise ConfigurationError("duplicate node ids in topology")
-        for node in list(self.aps) + list(self.users):
-            if not self.area.contains(node.position):
-                raise ConfigurationError(
-                    f"node at {node.position} lies outside the indoor area"
-                )
+        for node in self.aps + self.users:
+            if not self.area.contains(node):
+                raise ConfigurationError(f"node at {node} lies outside the indoor area")
         # a link's azimuths are undefined when its ends share an xy position
-        for user in self.users:
-            for ap in self.aps:
-                if (user.position.x, user.position.y) == (ap.position.x, ap.position.y):
-                    raise ConfigurationError(f"user {user.user_id} and AP {ap.ap_id} share the xy position")
+        for i, user in enumerate(self.users):
+            for j, ap in enumerate(self.aps):
+                if (user.x, user.y) == (ap.x, ap.y):
+                    raise ConfigurationError(f"user {i} and AP {j} share the xy position")
 
     @property
     def n_aps(self) -> int:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from vrlink.beamforming import design_link, effective_channel, hybrid_digital
-from vrlink.channel import synthesize_dl
+from vrlink.channel import path_gains, synthesize_dl
 from vrlink.config import config_from_dict
 from vrlink.linkmetrics import evaluation_cells, sinr_dl, sinr_ul
 from vrlink.numerics import svd
@@ -80,14 +80,14 @@ def test_criterion_3_constraint_conformance_full_sweep(default_sweep):
     topo = cfg.topology
     base = cfg.base_cells
     checked = 0
+    _, amplitude = path_gains(topo, cfg.grid, cfg.w, cfg.tap_count, cfg.tap_spacing_s)
     for codebook in cfg.codebooks:
         dl = synthesize_dl(
             topo,
-            cfg.grid,
+            amplitude,
+            cfg.grid.n_sc,
             codebook.n_tx,
             codebook.n_rx,
-            tap_count=cfg.tap_count,
-            tap_spacing_s=cfg.tap_spacing_s,
             mode=cfg.gain_mode,
             rng=np.random.default_rng([cfg.seed, 1]),
         )
@@ -96,7 +96,7 @@ def test_criterion_3_constraint_conformance_full_sweep(default_sweep):
                 cells = evaluation_cells(base, i, j)
                 n_served = sum(1 for c in cells if c == j)
                 sol = design_link(
-                    dl.matrices[i, j], codebook, topo.aps[j].power_w / n_served
+                    dl.matrices[i, j], codebook, cfg.p_b / n_served
                 )
                 dev_p = np.abs(np.abs(sol.analog_precoder) ** 2 - 1.0 / codebook.n_tx)
                 dev_g = np.abs(np.abs(sol.analog_combiner) ** 2 - 1.0 / codebook.n_rx)

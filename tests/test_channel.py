@@ -11,6 +11,7 @@ from vrlink.channel import (
     SubcarrierGrid,
     dl_link_channels,
     fspl_db,
+    path_gains,
     steering_vector,
     subcarrier_gains,
     subcarrier_phase_ramp,
@@ -20,22 +21,20 @@ from vrlink.channel import (
     ul_channel,
 )
 from vrlink.errors import ConfigurationError, DegenerateGeometryError, InvalidInputError
-from vrlink.topology import AccessPoint, IndoorArea, NetworkTopology, Position3D, UserNode
+from vrlink.topology import IndoorArea, NetworkTopology, Position3D
 
 GRID = SubcarrierGrid(n_sc=64, carrier_frequency=60e9, total_bandwidth=2.16e9)
 
 
 def small_topology():
-    area = IndoorArea()
-    aps = (
-        AccessPoint(0, Position3D(2.5, 4.0, 3.0), 0.01),
-        AccessPoint(1, Position3D(7.5, 13.0, 3.0), 0.01),
-    )
-    users = (
-        UserNode(0, Position3D(3.0, 6.0, 1.5), 0.005, 0.02),
-        UserNode(1, Position3D(6.5, 11.0, 1.5), 0.005, 0.02),
-    )
-    return NetworkTopology(area=area, aps=aps, users=users)
+    aps = (Position3D(2.5, 4.0, 3.0), Position3D(7.5, 13.0, 3.0))
+    users = (Position3D(3.0, 6.0, 1.5), Position3D(6.5, 11.0, 1.5))
+    return NetworkTopology(area=IndoorArea(), aps=aps, users=users)
+
+
+def gains_of(topo, w=3.2, tap_count=4):
+    """path_gains at the default tap spacing, one sample of GRID's bandwidth."""
+    return path_gains(topo, GRID, w, tap_count, GRID.sample_period)
 
 
 def test_phase_ramp_first_element():
@@ -142,9 +141,9 @@ def test_dl_channel_matrix_axis_aligned():
     # receiver due east of the transmitter: departure azimuth 0
     tx = Position3D(0, 0, 1)
     rx = Position3D(2, 0, 1)
-    h = dl_link_channels(tx, rx, RAMP[:1], n_tx=2, n_rx=1, grid=GRID, tap_count=1)
-    assert h.shape == (1, 1, 2)
     amp = 10.0 ** (fspl_db(2.0, GRID.wavelength) / 10.0)
+    h = dl_link_channels(tx, rx, amp, RAMP[:1], n_tx=2, n_rx=1)
+    assert h.shape == (1, 1, 2)
     expected = amp * np.exp(1j * math.pi / 180.0) * np.array([[1, 1]]) / math.sqrt(2)
     assert np.allclose(h[0], expected, rtol=1e-12)
 
@@ -153,7 +152,7 @@ def test_dl_channel_matrix_rank_one():
     tx = Position3D(1, 1, 3)
     rx = Position3D(4, 7, 1.5)
     for n_rx in (1, 3):
-        for h in dl_link_channels(tx, rx, RAMP, n_tx=8, n_rx=n_rx, grid=GRID):
+        for h in dl_link_channels(tx, rx, 1e-7, RAMP, n_tx=8, n_rx=n_rx):
             s = np.linalg.svd(h, compute_uv=False)
             assert s[0] > 0
             assert np.all(s[1:] < 1e-12 * s[0])
@@ -167,15 +166,17 @@ def test_dl_channel_matrix_frobenius_matches_amplitude():
     expected = 10.0 ** (fspl_db(d, GRID.wavelength) / 10.0) * tap_decay_sum(
         tau, 4, GRID.sample_period
     )
+    _, amp = gains_of(small_topology())
+    assert amp[0, 0] == pytest.approx(expected, rel=1e-12)
     for n_tx in (2, 4, 8):
-        h = dl_link_channels(tx, rx, RAMP, n_tx=n_tx, n_rx=1, grid=GRID, tap_count=4)
+        h = dl_link_channels(tx, rx, amp[0, 0], RAMP, n_tx=n_tx, n_rx=1)
         assert np.linalg.norm(h, axis=(1, 2)) == pytest.approx(np.full(GRID.n_sc, expected), rel=1e-9)
 
 
 def test_dl_channel_subcarriers_differ_by_scalar_ramp():
     tx = Position3D(1, 2, 3)
     rx = Position3D(5, 9, 1.5)
-    h = dl_link_channels(tx, rx, RAMP, n_tx=4, n_rx=1, grid=GRID)
+    h = dl_link_channels(tx, rx, 1e-7, RAMP, n_tx=4, n_rx=1)
     for n in (2, 17, 64):
         ratio = h[n - 1] / h[0]
         expected = np.exp(1j * (n - 1) * math.pi / 180.0)
@@ -183,17 +184,33 @@ def test_dl_channel_subcarriers_differ_by_scalar_ramp():
 
 
 def test_dl_channel_distance_monotonicity():
-    tx = Position3D(0, 0, 1)
-    near = dl_link_channels(tx, Position3D(2, 0, 1), RAMP[:1], n_tx=4, n_rx=1, grid=GRID)
-    far = dl_link_channels(tx, Position3D(4, 0, 1), RAMP[:1], n_tx=4, n_rx=1, grid=GRID)
-    assert np.linalg.norm(far) < np.linalg.norm(near)
+    users = (Position3D(2, 0, 1), Position3D(4, 0, 1))
+    ul, dl = gains_of(NetworkTopology(IndoorArea(), aps=(Position3D(0, 0, 1),), users=users))
+    assert ul[1, 0] < ul[0, 0] and dl[1, 0] < dl[0, 0]
 
 
 def test_dl_link_channels_rejects_degenerate_geometry():
     with pytest.raises(DegenerateGeometryError):
-        dl_link_channels(Position3D(1, 1, 1), Position3D(1, 1, 1), RAMP, 2, 1, GRID)
+        dl_link_channels(Position3D(1, 1, 1), Position3D(1, 1, 1), 1.0, RAMP, 2, 1)
     with pytest.raises(DegenerateGeometryError):
-        dl_link_channels(Position3D(1, 1, 1), Position3D(1, 1, 2), RAMP, 2, 1, GRID)
+        dl_link_channels(Position3D(1, 1, 1), Position3D(1, 1, 2), 1.0, RAMP, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "user, w, fc, link",
+    [
+        (Position3D(1e-200, 0, 1), 3.2, 60e9, "user 1 / AP 0: distance 0 m"),  # d underflows to 0
+        (Position3D(1e-100, 0, 1), 3.2, 60e9, "user 1 / AP 0: distance 1e-100 m"),  # d^-w overflows
+        (Position3D(0.5, 0, 1.5), 3000.0, 60e9, "user 1 / AP 0: distance 0.707107 m"),
+        (Position3D(1e300, 0, 1), 3.2, 60e9, "user 1 / AP 0: distance inf m"),  # d overflows
+        (Position3D(2, 0, 1), 3.2, 1e-290, "user 0 / AP 0"),  # every DL amplitude overflows
+    ],
+)
+def test_path_gains_reject_a_link_without_a_finite_gain(user, w, fc, link):
+    area = IndoorArea(x_range=(0.0, 1e300))
+    topo = NetworkTopology(area, aps=(Position3D(0, 0, 1),), users=(Position3D(5, 5, 1), user))
+    with pytest.raises(ConfigurationError, match=link):
+        path_gains(topo, SubcarrierGrid(4, fc, 2.16e9), w, 4, GRID.sample_period)
 
 
 def test_ul_doubling_distance_scales_by_pathloss():
@@ -205,14 +222,11 @@ def test_ul_doubling_distance_scales_by_pathloss():
 
 def test_synthesize_ul_moduli_and_aggregate():
     topo = small_topology()
-    ul = synthesize_ul(topo, GRID, 3.2)
+    ul = synthesize_ul(gains_of(topo)[0], GRID.n_sc)
     assert ul.shape == (2, 2, 64)
     for i, user in enumerate(topo.users):
         for j, ap in enumerate(topo.aps):
-            d = math.dist(
-                (user.position.x, user.position.y, user.position.z),
-                (ap.position.x, ap.position.y, ap.position.z),
-            )
+            d = math.dist((user.x, user.y, user.z), (ap.x, ap.y, ap.z))
             assert np.all(np.abs(np.abs(ul[i, j]) - d ** (-3.2)) < 1e-15)
             # the subcarrier sum equals an explicit per-subcarrier loop
             brute = sum(
@@ -223,7 +237,7 @@ def test_synthesize_ul_moduli_and_aggregate():
 
 def test_synthesize_dl_shapes_and_tau():
     topo = small_topology()
-    dl = synthesize_dl(topo, GRID, n_tx=4, n_rx=1)
+    dl = synthesize_dl(topo, gains_of(topo)[1], GRID.n_sc, n_tx=4, n_rx=1)
     assert dl.matrices.shape == (2, 2, 64, 1, 4)
     # the propagation delay enters every subcarrier through the tap sum
     d00 = math.sqrt(0.5**2 + 2.0**2 + 1.5**2)
@@ -237,9 +251,10 @@ def test_synthesize_dl_shapes_and_tau():
 
 def test_synthesize_dl_gaussian_mode_deterministic_per_seed():
     topo = small_topology()
-    a = synthesize_dl(topo, GRID, 2, 1, mode="gaussian", rng=np.random.default_rng([1, 1]))
-    b = synthesize_dl(topo, GRID, 2, 1, mode="gaussian", rng=np.random.default_rng([1, 1]))
-    c = synthesize_dl(topo, GRID, 2, 1, mode="gaussian", rng=np.random.default_rng([2, 1]))
+    args = (topo, gains_of(topo)[1], GRID.n_sc, 2, 1, "gaussian")
+    a = synthesize_dl(*args, np.random.default_rng([1, 1]))
+    b = synthesize_dl(*args, np.random.default_rng([1, 1]))
+    c = synthesize_dl(*args, np.random.default_rng([2, 1]))
     assert np.array_equal(a.matrices, b.matrices)
     assert not np.array_equal(a.matrices, c.matrices)
 

@@ -51,8 +51,11 @@ def test_default_parameter_values():
     assert cfg.w == pytest.approx(3.2)
     assert [cb.label for cb in cfg.codebooks] == ["2A1R", "2A2R", "4A1R", "4A2R", "8A1R", "8A2R"]
     assert cfg.topology.n_aps == 2 and cfg.topology.n_users == 2
-    assert cfg.topology.aps[0].power_w == pytest.approx(0.01)
-    assert cfg.topology.users[0].power_w == pytest.approx(0.005)  # p_b / u
+    assert cfg.p_b == pytest.approx(0.01)
+    assert cfg.p_u == pytest.approx(0.005)  # p_b / u
+    assert cfg.gamma_d == pytest.approx(20e-3)
+    # a tap_spacing of 0, the default, is one sample of the total bandwidth
+    assert cfg.tap_spacing_s == config_from_dict({"tap_spacing": "0"}).tap_spacing_s == 1.0 / 2.16e9
     assert cfg.traffic.s_bits == pytest.approx(512 * 24)
     assert cfg.traffic.a_bits == pytest.approx(6)
     assert cfg.traffic.v_bits == pytest.approx(5)
@@ -116,8 +119,8 @@ def test_queue_unit_presets():
 
 def test_position_overrides_and_mismatch():
     cfg = config_from_dict({"ap_positions": "1,1,2 ; 9,16,2", "user_positions": "2,2,1 ; 8,15,1"})
-    assert cfg.topology.aps[0].position.x == pytest.approx(1.0)
-    assert cfg.topology.users[1].position.y == pytest.approx(15.0)
+    assert cfg.topology.aps[0].x == pytest.approx(1.0)
+    assert cfg.topology.users[1].y == pytest.approx(15.0)
     with pytest.raises(ConfigurationError):
         config_from_dict({"ap_positions": "1,1,2"})  # b defaults to 2
     with pytest.raises(ConfigurationError):
@@ -129,12 +132,23 @@ def test_nondefault_counts_get_seeded_positions():
     bb = config_from_dict({"b": "3", "u": "4", "v_j": "4"})
     assert a.topology.n_aps == 3 and a.topology.n_users == 4
     for pa, pb in zip(a.topology.aps, bb.topology.aps):
-        assert pa.position == pb.position
+        assert pa == pb
 
 
 def test_codebook_keys_build_cartesian_product():
     cfg = config_from_dict({"n_t": "2,4", "n_rf": "1"})
     assert [cb.label for cb in cfg.codebooks] == ["2A1R", "4A1R"]
+
+
+def test_integers_are_finite_numbers_equal_to_an_integer():
+    cfg = config_from_dict({"n_t": "2.0, 4", "n_rf": "1e0", "n_r": "2.0", "u": "2.0"})
+    assert [(cb.n_tx, cb.n_rf, cb.n_rx) for cb in cfg.codebooks] == [(2, 1, 2), (4, 1, 2)]
+    assert cfg.topology.n_users == 2
+    for key in ("n_t", "n_rf", "n_r", "u"):
+        with pytest.raises(ConfigurationError, match="expected an integer"):
+            config_from_dict({key: "2.5"})
+    with pytest.raises(ConfigurationError, match="expected an integer"):
+        config_from_dict({"n_t": "2, 4.5"})
 
 
 def test_bad_values_raise_configuration_error():
@@ -213,6 +227,17 @@ BAD_INPUTS = [
     ("bw_total = 1e-320", None),
     ("m_capacity = 1e-300\nn_share = 1e300", None),
     ("mu = 1e-310\nlambda = 0", None),
+    # a link whose distance or path gain leaves the float range
+    ("fc = 1e-290\nn_sc = 4\nesn0_stop = 0", None),
+    ("fc = 1e-290\nn_sc = 4\nesn0_stop = 0", []),
+    ("u = 3\narea_x = -1e300, 1e300\nn_sc = 4\nesn0_stop = 0", None),
+    ("u = 3\narea_x = -1e300, 1e300\nn_sc = 4\nesn0_stop = 0", []),
+    ("w = 3000\nap_positions = 1,1,2 ; 9,16,2\nuser_positions = 1.5,1,1.5 ; 8,15,1", None),
+    ("w = 3000\nap_positions = 1,1,2 ; 9,16,2\nuser_positions = 1.5,1,1.5 ; 8,15,1", []),
+    ("ap_positions = 0,0,1 ; 9,16,2\nuser_positions = 1e-200,0,1 ; 8,15,1", None),
+    ("ap_positions = 0,0,1 ; 9,16,2\nuser_positions = 1e-200,0,1 ; 8,15,1", []),
+    ("ap_positions = 0,0,1 ; 9,16,2\nuser_positions = 1e-100,0,1 ; 8,15,1", None),
+    ("ap_positions = 0,0,1 ; 9,16,2\nuser_positions = 1e-100,0,1 ; 8,15,1", []),
 ]
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vrlink import runner
 from vrlink.beamforming import Codebook, design_link
 from vrlink.cli import main
 from vrlink.config import config_from_dict
@@ -46,32 +47,46 @@ def make_solution(codebook=Codebook(2, 1), n_sc=4, seed=0, p_b=0.01):
 
 def test_check_constraints_all_satisfied():
     sol = make_solution()
-    violations = check_constraints(2, 0.01, sol, 0, 0, v_j=2, p_b=0.01)
-    assert violations == []
+    assert check_constraints(2, 0.01, sol, v_j=2, p_b=0.01).tolist() == [False] * 4
 
 
 def test_check_constraints_occupancy():
     sol = make_solution()
-    violations = check_constraints(3, 0.01, sol, 0, 0, v_j=2, p_b=0.01)
-    assert [v.constraint for v in violations] == ["a"]
-    assert violations[0].measured == 3.0 and violations[0].required == 2.0
-    assert "user 0" in violations[0].describe()
+    # one column per family: (a), (c), (d), (e)
+    assert check_constraints(3, 0.01, sol, v_j=2, p_b=0.01).tolist() == [True, False, False, False]
 
 
 def test_check_constraints_power_budget():
     sol = make_solution()
-    violations = check_constraints(1, 0.02, sol, 0, 0, v_j=2, p_b=0.01)
-    assert [v.constraint for v in violations] == ["c"]
+    assert check_constraints(1, 0.02, sol, v_j=2, p_b=0.01).tolist() == [False, True, False, False]
 
 
 def test_check_constraints_modulus_families():
     sol = make_solution()
     bad_p = dataclasses.replace(sol, analog_precoder=sol.analog_precoder * 1.5)
-    violations = check_constraints(1, 0.01, bad_p, 0, 0, v_j=2, p_b=0.01)
-    assert "d" in [v.constraint for v in violations]
+    assert check_constraints(1, 0.01, bad_p, v_j=2, p_b=0.01).tolist() == [False, False, True, False]
     bad_g = dataclasses.replace(sol, analog_combiner=sol.analog_combiner * 0.5)
-    violations = check_constraints(1, 0.01, bad_g, 0, 0, v_j=2, p_b=0.01)
-    assert "e" in [v.constraint for v in violations]
+    assert check_constraints(1, 0.01, bad_g, v_j=2, p_b=0.01).tolist() == [False, False, False, True]
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"gain_mode": "gaussian", "esn0_stop": "80"},
+        {"u": "3", "b": "2", "n_sc": "16", "gain_mode": "gaussian", "esn0_stop": "40"},
+    ],
+)
+def test_sweep_in_es_n0_blocks_equals_one_block(raw, monkeypatch):
+    # 81 and 41 points fit one block by default; blocks of 7 points end in a
+    # partial block of 4 and 6
+    cfg = config_from_dict(raw)
+    whole = run_sweep(cfg)
+    cells = cfg.topology.n_users * cfg.topology.n_aps * cfg.grid.n_sc
+    assert len(cfg.esn0_db) * cells <= runner.BLOCK_CELLS
+    monkeypatch.setattr(runner, "BLOCK_CELLS", 7 * cells)
+    blocked = run_sweep(cfg)
+    for field in ("records", "objectives", "summary"):
+        assert repr(getattr(blocked, field)) == repr(getattr(whole, field))
 
 
 def test_min_rate_is_checked_per_record():

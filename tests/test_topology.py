@@ -6,22 +6,7 @@ import numpy as np
 import pytest
 
 from vrlink.errors import ConfigurationError, DegenerateGeometryError, InvalidInputError
-from vrlink.topology import (
-    AccessPoint,
-    IndoorArea,
-    NetworkTopology,
-    Position3D,
-    UserNode,
-    departure_arrival_angles,
-    distance,
-)
-
-
-def make_topology(ap_xy=(2.0, 2.0), user_xy=(5.0, 6.0)):
-    area = IndoorArea()
-    aps = (AccessPoint(0, Position3D(ap_xy[0], ap_xy[1], 3.0), 0.01),)
-    users = (UserNode(0, Position3D(user_xy[0], user_xy[1], 1.5), 0.005, 0.02),)
-    return NetworkTopology(area=area, aps=aps, users=users)
+from vrlink.topology import IndoorArea, NetworkTopology, Position3D, departure_arrival_angles, distance
 
 
 def test_position_rejects_non_finite():
@@ -99,22 +84,19 @@ def test_area_rejects_empty_range():
 
 def test_topology_validation():
     area = IndoorArea()
-    ap = AccessPoint(0, Position3D(1, 1, 2), 0.01)
-    user = UserNode(0, Position3D(2, 2, 1), 0.005, 0.02)
+    ap = Position3D(1, 1, 2)
+    user = Position3D(2, 2, 1)
     NetworkTopology(area=area, aps=(ap,), users=(user,))  # fine
 
     with pytest.raises(ConfigurationError):
         NetworkTopology(area=area, aps=(), users=(user,))
     with pytest.raises(ConfigurationError):
-        NetworkTopology(area=area, aps=(ap, ap), users=(user,))  # duplicate id
-    outside = UserNode(1, Position3D(11, 2, 1), 0.005, 0.02)
-    with pytest.raises(ConfigurationError):
-        NetworkTopology(area=area, aps=(ap,), users=(outside,))
-    # a user above, on or below an AP: the link has no azimuth
+        NetworkTopology(area=area, aps=(ap,), users=(Position3D(11, 2, 1),))  # outside
+    # a user above, on or below an AP: the link has no azimuth; a node's
+    # index in its tuple names it
     for z in (1, 2, 0):
-        user = UserNode(0, Position3D(1, 1, z), 0.005, 0.02)
-        with pytest.raises(ConfigurationError, match="user 0 and AP 0"):
-            NetworkTopology(area=area, aps=(ap,), users=(user,))
-    # two users may share a spot: no link joins them
-    twins = tuple(UserNode(i, Position3D(2, 2, 1), 0.005, 0.02) for i in range(2))
-    NetworkTopology(area=area, aps=(ap,), users=twins)
+        with pytest.raises(ConfigurationError, match="user 1 and AP 0"):
+            NetworkTopology(area=area, aps=(ap,), users=(user, Position3D(1, 1, z)))
+    # two users, or two APs, may share a spot: no link joins them
+    NetworkTopology(area=area, aps=(ap,), users=(user, user))
+    NetworkTopology(area=area, aps=(ap, ap), users=(user,))
