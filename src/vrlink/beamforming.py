@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, ShapeError
-from .numerics import ensure_complex_matrix, ensure_complex_stack, frobenius_norms, svd, unit_modulus_normalize
+from .numerics import ensure_complex_matrix, ensure_complex_stack, frobenius_norms, singular_values
+from .numerics import svd, unit_modulus_normalize
 
 _CODEBOOK_RE = re.compile(r"^(\d+)\s*[xA]\s*(\d+)R?$", re.IGNORECASE)
 
@@ -122,9 +123,7 @@ def hybrid_digital(h_d: np.ndarray, n_ds: int, n_rf: int) -> tuple:
     if n_ds > min(rows, cols):
         raise ShapeError(f"n_ds={n_ds} exceeds min reduced dimension {min(rows, cols)}")
     res = svd(h)
-    precoder = res.right[..., :n_ds]
-    combiner = res.left[..., :n_ds]
-    return precoder, combiner
+    return res.right[..., :n_ds], res.left[..., :n_ds]
 
 
 def effective_channel(g: np.ndarray, h: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -177,7 +176,7 @@ class BeamformingSolution:
     def effective_gain_per_subcarrier(self) -> np.ndarray:
         """Largest singular value of each effective channel (|h| for one
         stream): (n_sc,) for one link, (L, n_sc) for a stack."""
-        return np.linalg.svd(self.effective_channels, compute_uv=False)[..., 0]
+        return singular_values(self.effective_channels)[..., 0]
 
 
 def design_link(channels: np.ndarray, codebook: Codebook, p_b) -> BeamformingSolution:

@@ -112,13 +112,11 @@ def _cmd_stats(args) -> int:
         raise OSError(f"cannot read {args.in_path}: {e}") from e
     if not groups:
         raise ConfigurationError(f"no finite transmission delays found in {args.in_path}")
+    # every statistic before any output, so a rejected bin width prints nothing
+    stats = {key: min_statistic(v) if args.metric == "min" else mode_statistic(v, args.bin) for key, v in groups.items()}
     print(f"scenario,n_tx,n_rf,d_trans_{args.metric}_s")
     for key in sorted(groups):
-        if args.metric == "min":
-            stat = min_statistic(groups[key])
-        else:
-            stat = mode_statistic(groups[key], args.bin)
-        print(f"{key[0]},{key[1]},{key[2]},{stat:.9g}")
+        print(f"{key[0]},{key[1]},{key[2]},{stats[key]:.9g}")
     return EXIT_OK
 
 

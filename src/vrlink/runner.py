@@ -108,8 +108,8 @@ def mode_statistic(values, bin_width: float) -> float:
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise InvalidInputError("mode statistic of an empty vector")
-    if not bin_width > 0:
-        raise InvalidInputError(f"bin width must be positive, got {bin_width}")
+    if not 0 < bin_width < math.inf:
+        raise InvalidInputError(f"bin width must be finite and positive, got {bin_width}")
     # float bins: an int64 cast wraps for delays above 2^63 bins
     with np.errstate(over="ignore"):
         bins = np.floor(arr / bin_width)

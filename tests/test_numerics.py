@@ -9,8 +9,12 @@ from vrlink.numerics import (
     MODULUS_TOL,
     ZERO_MODULUS,
     SvdResult,
+    _BIGNUM,
+    _SMLNUM,
+    _lapack_svd,
     ensure_complex_matrix,
     frobenius_norms,
+    singular_values,
     svd,
     unit_modulus_normalize,
 )
@@ -182,3 +186,79 @@ def test_last_axis_reductions_of_a_stack_equal_per_row_calls(n_sc):
         rows = stack.reshape(-1, n_sc)
         assert np.array_equal(reduce(stack, axis=-1).ravel(), [reduce(row) for row in rows])
         assert np.array_equal(reduce(picked, axis=-1), [reduce(row) for row in picked])
+
+
+def assert_same_bits(got, want):
+    # == first, then the bytes: the closed forms also keep LAPACK's zero signs
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_factors_equal_lapack(stack):
+    got = _lapack_svd(stack)
+    for g, w in zip(got, np.linalg.svd(stack, full_matrices=True)):
+        assert_same_bits(g, w)
+
+
+@pytest.mark.parametrize("cols", [1, 2])
+def test_closed_form_svd_equals_lapack_across_magnitudes(cols):
+    # 1e-160 .. 1e160 covers both sides of the scaling window [2 SMLNUM, BIGNUM / 2]
+    rng = np.random.default_rng(40 + cols)
+    for exponent in range(-160, 161, 10):
+        scale = 10.0 ** (exponent + rng.uniform(-1, 1, (400, 1, cols)))
+        stack = (rng.standard_normal((400, 1, cols)) + 1j * rng.standard_normal((400, 1, cols))) * scale
+        assert_factors_equal_lapack(stack)
+
+
+def test_closed_form_svd_window_edges():
+    rng = np.random.default_rng(44)
+    edges = [2 * _SMLNUM, np.nextafter(2 * _SMLNUM, 0), _BIGNUM / 2, np.nextafter(_BIGNUM / 2, np.inf)]
+    for cols in (1, 2):
+        for edge in edges:
+            stack = (rng.uniform(-1, 1, (200, 1, cols)) + 1j * rng.uniform(-1, 1, (200, 1, cols))) * edge
+            stack[:, 0, 0] = edge * rng.choice([1, -1, 1j, -1j], 200)
+            assert_factors_equal_lapack(stack)
+
+
+def test_closed_form_svd_special_entries():
+    # exact and signed zeros, purely real and purely imaginary entries, tiny
+    # parts next to large ones, and h = (real, 0), where zlarfg takes tau = 0
+    values = [0.0, -0.0, 1.5, -2.5, 1e-300, -5e-324, 3e120]
+    entries = [complex(re, im) for re in values for im in values]
+    rows1 = np.array(entries).reshape(-1, 1, 1)
+    rows2 = np.array([[a, b] for a in entries for b in entries]).reshape(-1, 1, 2)
+    for stack in (rows1, rows2):
+        assert_factors_equal_lapack(stack)
+        for matrix in stack:
+            assert_factors_equal_lapack(matrix[None])
+    real_first = np.array([[[x, 0.0]] for x in (1.0, -3.0, 1e-100, -7e100)], dtype=complex)
+    real_first.imag[:, 0, 1] = -0.0
+    assert_factors_equal_lapack(real_first)
+
+
+def test_closed_form_svd_mixed_stack():
+    # in-window and out-of-window matrices (LAPACK rescales those) in one stack
+    rng = np.random.default_rng(45)
+    for cols in (1, 2):
+        scale = rng.choice([0.0, 1e-150, 1e-20, 1.0, 1e30, 1e150], (3000, 1, 1))
+        stack = (rng.standard_normal((3000, 1, cols)) + 1j * rng.standard_normal((3000, 1, cols))) * scale
+        assert_factors_equal_lapack(stack)
+
+
+def test_singular_values_of_1x1_stacks_equal_lapack():
+    rng = np.random.default_rng(46)
+    scale = 10.0 ** rng.uniform(-170, 170, (4, 500, 1, 1))
+    stack = (rng.standard_normal((4, 500, 1, 1)) + 1j * rng.standard_normal((4, 500, 1, 1))) * scale
+    stack[0, :50] = 0.0
+    stack[1, :50] = stack[1, :50].real
+    assert_same_bits(singular_values(stack), np.linalg.svd(stack, compute_uv=False))
+    wide = random_complex(rng, 2, 3)
+    assert_same_bits(singular_values(wide), np.linalg.svd(wide, compute_uv=False))
+
+
+def test_three_column_rows_stay_on_lapack():
+    # dznrm2 of two entries sums in an order the closed form does not follow
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        assert_factors_equal_lapack(random_complex(rng, 1, 3)[None] * 10.0 ** rng.uniform(-100, 100))

@@ -186,6 +186,8 @@ def test_mode_statistic():
         mode_statistic([], 1.0)
     with pytest.raises(InvalidInputError):
         mode_statistic([1.0], 0.0)
+    with pytest.raises(InvalidInputError):
+        mode_statistic([1.0], math.inf)
 
 
 def test_mode_statistic_beyond_int64_bins():
@@ -495,6 +497,20 @@ def test_cli_stats_roundtrip(tmp_path, capsys):
     assert main(["stats", "--in", csv_path, "--metric", "mode", "--bin", "1.0"]) == 0
     out = capsys.readouterr().out
     assert "d_trans_mode_s" in out
+
+
+@pytest.mark.parametrize("width", ["inf", "nan", "0", "-1"])
+def test_cli_stats_rejects_a_bin_width_that_is_not_finite_and_positive(tmp_path, capsys, width):
+    # 0 * inf would be every group's edge: nan printed with exit 0
+    p = write_config(tmp_path)
+    out_dir = tmp_path / "out4"
+    main(["simulate", "--config", str(p), "--out", str(out_dir)])
+    capsys.readouterr()
+    args = ["stats", "--in", str(out_dir / "results.csv"), "--metric", "mode", "--bin", width]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
 
 
 def test_cli_stats_missing_file(tmp_path, capsys):
