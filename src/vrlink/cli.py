@@ -13,7 +13,7 @@ import os
 import sys
 
 from .beamforming import Codebook
-from .config import MAX_SWEEP_BYTES, load_config, parse_esn0_range
+from .config import MAX_SWEEP_BYTES, QUEUE_UNIT_PRESETS, load_config, parse_esn0_range
 from .errors import ConfigurationError, InvalidInputError
 from .runner import min_statistic, mode_statistic, run_sweep, write_results_csv
 
@@ -40,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--queue-units",
         choices=["paper", "reciprocal"],
         dest="queue_units",
-        help="queue-rate preset when mu/lambda are not explicit in the config",
+        help="queue-rate preset; sets mu and lambda over the config's values",
     )
 
     st = sub.add_parser("stats", help="min/mode transmission-delay statistics from a results CSV")
@@ -60,7 +60,7 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.queue_units:
-        overrides["queue_units"] = args.queue_units
+        overrides["mu"], overrides["lambda"] = QUEUE_UNIT_PRESETS[args.queue_units]
     if args.esn0:
         start, step, stop = parse_esn0_range(args.esn0)
         overrides["esn0_start"] = start
@@ -83,7 +83,7 @@ def _cmd_simulate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "results.csv")
     write_results_csv(result, out_path)
-    print(f"wrote {out_path} ({len(result.records)} records)")
+    print(f"wrote {out_path} ({result.codes.size} records)")
     print("scenario,codebook,utility_mean,d_trans_min_s,d_trans_mode_s")
     for (scenario, label), row in sorted(result.summary["per_codebook"].items()):
         print(

@@ -27,8 +27,8 @@ QUEUE_UNIT_PRESETS = {
 # size caps: the sweep allocates arrays in proportion to both
 MAX_N_SC = 8192
 MAX_ESN0_POINTS = 1001
-# allocation budget: the largest DL channel stack plus the records, at
-# RECORD_BYTES each (a record and its share of the summary at their peak),
+# allocation budget: the largest DL channel stack plus the rows, at
+# RECORD_BYTES each (a row at the sweep's peak),
 # plus one link's delay taps at TAP_BYTES each (a tap and its temporaries)
 MAX_SWEEP_BYTES = 1 << 30
 RECORD_BYTES = 1024
@@ -180,7 +180,7 @@ def parse_esn0_range(text: str) -> tuple:
 
 
 def sweep_bytes(links: int, n_sc: int, codebooks, records: int, tap_count: int) -> int:
-    """The largest complex DL channel stack over the codebooks, the records
+    """The largest complex DL channel stack over the codebooks, the rows
     and one link's delay taps."""
     dl = max((links * n_sc * cb.n_rx * cb.n_tx * 16 for cb in codebooks), default=0)
     return dl + records * RECORD_BYTES + tap_count * TAP_BYTES

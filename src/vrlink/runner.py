@@ -1,12 +1,16 @@
 """Sweep orchestration: channels -> beamforming -> rates -> delays -> utility.
 
-Evaluates every scenario x codebook x Es/N0 combination, checks the
-feasibility constraints, and emits a deterministic, sorted CSV.
+Evaluates every scenario x codebook x Es/N0 combination and checks the
+feasibility constraints into one table of arrays on (scenario, codebook,
+Es/N0, AP, user). Scenarios are sorted by name and codebooks by (n_tx,
+n_rf), so the table's C-order flattening is the CSV row order; the summary
+and the CSV are read from it.
 """
 
+import dataclasses
+import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,40 +31,29 @@ CSV_HEADER = (
     "d_trans_s,d_proc_s,d_queue_s,d_total_s,utility,feasible,violations"
 )
 
-
-# a record's violation letters, indexed by its failed checks as bits a = 1 .. e = 16
-VIOLATIONS = tuple(tuple(x for bit, x in enumerate("abcde") if code >> bit & 1) for code in range(32))
+# a row's violation letters, indexed by its failed checks as bits a = 1 .. e = 16
+VIOLATIONS = tuple(";".join(x for bit, x in enumerate("abcde") if code >> bit & 1) for code in range(32))
 # the bits of check_constraints' (a), (c), (d), (e) columns
 CHECK_BITS = np.array([1, 4, 8, 16])
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One CSV row: a fully evaluated (scenario, codebook, esn0, user, AP) cell."""
-
-    scenario: str
-    n_tx: int
-    n_rf: int
-    esn0_db: float
-    ap: int
-    user: int
-    rate_dl_bps: float
-    rate_ul_bps: float
-    d_trans_s: float
-    d_proc_s: float
-    d_queue_s: float
-    d_total_s: float
-    utility: object  # float when feasible, None otherwise
-    feasible: bool
-    violations: tuple  # constraint letters
-
-    def sort_key(self):
-        return (self.scenario, self.n_tx, self.n_rf, self.esn0_db, self.ap, self.user)
-
-
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class SweepResult:
-    records: tuple
+    """One sweep as a table. The row arrays are on (scenario, codebook, Es/N0,
+    AP, user), in the order of ``scenarios``, ``codebooks`` and ``esn0_db``;
+    their C-order flattening is the CSV row order."""
+
+    scenarios: tuple       # GainAggregation, sorted by name
+    codebooks: tuple       # Codebook, sorted by (n_tx, n_rf)
+    esn0_db: np.ndarray    # (E,)
+    rate_dl: np.ndarray    # (S, C, E, B, U) bits/s
+    d_trans: np.ndarray    # (S, C, E, B, U) s
+    d_total: np.ndarray    # (S, C, E, B, U) s
+    utility: np.ndarray    # (S, C, E, B, U), NaN where infeasible
+    codes: np.ndarray      # (S, C, E, B, U) violation bits, 0 where feasible
+    rate_ul: np.ndarray    # (E, B, U) bits/s
+    d_proc: float
+    d_queue: float
     objectives: dict  # (scenario, codebook label, esn0_db) -> summed per-subcarrier utility
     summary: dict
 
@@ -122,24 +115,21 @@ def mode_statistic(values, bin_width: float) -> float:
     return edge if math.isinf(index) else index * bin_width
 
 
-def select_best_codebook(records):
-    """Codebook with the largest utility sum among those whose records are
-    all feasible, over the records given (one Es/N0 point's, say).
-
-    Ties break toward fewer antennas, then fewer RF chains. Returns None
-    when no codebook is feasible.
+def select_best_codebook(codebooks, utility):
+    """Codebook with the largest utility sum among those whose links are all
+    feasible. utility holds one row of links per codebook, NaN where a link
+    is infeasible; codebooks are in (n_tx, n_rf) order, so a tie goes to
+    fewer antennas, then fewer RF chains. Returns None when no codebook is
+    feasible.
     """
-    groups = {}
-    for rec in records:
-        groups.setdefault((rec.n_tx, rec.n_rf), []).append(rec)
-    feasible = [key for key in sorted(groups) if all(r.feasible for r in groups[key])]
-    # max keeps the first of equal sums, the smallest key
-    best = max(feasible, key=lambda key: sum(r.utility for r in groups[key]), default=None)
-    return None if best is None else Codebook(*best)
+    # adds left to right; a NaN marks a codebook with an infeasible link
+    sums = np.cumsum(utility, axis=-1)[:, -1]
+    feasible = ~np.isnan(sums)
+    return codebooks[int(np.argmax(np.where(feasible, sums, -np.inf)))] if feasible.any() else None
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
-    """Evaluate the full scenario x codebook x Es/N0 product, sorted and summarized.
+    """Evaluate the full scenario x codebook x Es/N0 product into one table.
 
     The UL channels are drawn once and each link is designed once per
     codebook; SINR, rate, delay and utility are then evaluated on whole
@@ -164,105 +154,97 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     sigma_all = np.array([noise_power(e, config.p_b) for e in esn0_all])
     step = max(1, BLOCK_CELLS // ul.size)
 
-    records = []
-    # keyed in codebook, scenario, Es/N0 order whatever the block order
-    objectives = {
-        (scenario.value, cb.label, e): 0.0
-        for cb in config.codebooks for scenario in config.scenarios for e in esn0_all
-    }
+    # (scenario, codebook, Es/N0, user, AP) in config order until the end
+    shape = (len(config.scenarios), len(config.codebooks), len(esn0_all)) + amplitude.shape
+    rate_dl, d_trans, d_total = np.empty(shape), np.empty(shape), np.empty(shape)
+    utility, utility_sum, codes = np.full(shape, np.nan), np.zeros(shape), np.empty(shape, dtype=int)
+    rate_ul = np.empty(shape[2:])
     for start in range(0, len(esn0_all), step):
+        block = slice(start, start + step)
         m = compute_metrics(
-            ul, gains, user_powers, ap_powers, config.base_cells, sigma_all[start : start + step],
+            ul, gains, user_powers, ap_powers, config.base_cells, sigma_all[block],
             config.scenarios, config.grid.total_bandwidth, config.grid.subcarrier_bandwidth,
         )
-        rate_ul = np.mean(m.rate_ul, axis=-1).tolist()
-        for s, scenario in enumerate(config.scenarios):
-            for c, codebook in enumerate(config.codebooks):
-                rate_dl = m.rate_dl[s, c]  # (E, U, B)
-                d_trans_n = transmission_delay(traffic.s_bits, traffic.a_bits, rate_dl[..., None], m.rate_ul)
-                with np.errstate(over="ignore"):
-                    totals_n = d_trans_n + d_proc + d_queue
-                    d_total_n = np.mean(totals_n, axis=-1)
-                    d_trans = np.mean(d_trans_n, axis=-1).tolist()
-                # a link with no rate in one direction, or with delays past
-                # the float range, never completes a frame: no utility, fails (b)
-                carries = np.isfinite(d_total_n)
-                utilities_n = link_utilities(totals_n[carries], m.sinr_ul[carries], config.gamma_d, config.epsilon0)
-                codes = (checks[c] | 2 * ((rate_dl < config.r_min) | ~carries)).tolist()
-                d_total = d_total_n.tolist()
-                utility = _per_link(carries, np.mean(utilities_n, axis=-1))
-                utility_sum = _per_link(carries, np.sum(utilities_n, axis=-1))
-                rates_dl = rate_dl.tolist()
-                for e, esn0_db in enumerate(esn0_all[start : start + step]):
-                    objective = 0.0
-                    for i in range(topo.n_users):
-                        for j in range(topo.n_aps):
-                            found = VIOLATIONS[codes[e][i][j]]
-                            if not found:
-                                objective += utility_sum[e][i][j]
-                            records.append(SweepRecord(
-                                scenario.value, codebook.n_tx, codebook.n_rf, esn0_db, j,
-                                i, rates_dl[e][i][j], rate_ul[e][i][j], d_trans[e][i][j],
-                                d_proc, d_queue, d_total[e][i][j],
-                                None if found else utility[e][i][j], not found, found,
-                            ))
-                    objectives[(scenario.value, codebook.label, esn0_db)] = objective
-    records.sort(key=lambda r: r.sort_key())
-    return SweepResult(records=tuple(records), objectives=objectives, summary=_summarize(config, records))
+        rate_ul[block] = np.mean(m.rate_ul, axis=-1)
+        rate_dl[:, :, block] = m.rate_dl
+        for s, c in np.ndindex(shape[:2]):
+            d_trans_n = transmission_delay(traffic.s_bits, traffic.a_bits, m.rate_dl[s, c, ..., None], m.rate_ul)
+            with np.errstate(over="ignore"):
+                totals_n = d_trans_n + d_proc + d_queue
+                d_total[s, c, block] = np.mean(totals_n, axis=-1)
+                d_trans[s, c, block] = np.mean(d_trans_n, axis=-1)
+            # a link with no rate in one direction, or with delays past the
+            # float range, never completes a frame: no utility, fails (b)
+            carries = np.isfinite(d_total[s, c, block])
+            utilities_n = link_utilities(totals_n[carries], m.sinr_ul[carries], config.gamma_d, config.epsilon0)
+            codes[s, c, block] = checks[c] | 2 * ((m.rate_dl[s, c] < config.r_min) | ~carries)
+            utility[s, c, block][carries] = np.mean(utilities_n, axis=-1)
+            utility_sum[s, c, block][carries] = np.sum(utilities_n, axis=-1)
+    utility[codes != 0], utility_sum[codes != 0] = np.nan, 0.0
+    # each point's feasible links added user-major, left to right
+    sums = np.cumsum(utility_sum.reshape(shape[:3] + (-1,)), axis=-1)[..., -1].tolist()
+    objectives = {
+        (scenario.value, cb.label, e): sums[s][c][k]
+        for c, cb in enumerate(config.codebooks)
+        for s, scenario in enumerate(config.scenarios)
+        for k, e in enumerate(esn0_all)
+    }
+
+    # the one permutation to row order: scenarios by name, codebooks by
+    # (n_tx, n_rf), AP before user
+    s_order = sorted(range(shape[0]), key=lambda s: config.scenarios[s].value)
+    c_order = sorted(range(shape[1]), key=lambda c: (config.codebooks[c].n_tx, config.codebooks[c].n_rf))
+    table = SweepResult(
+        tuple(config.scenarios[s] for s in s_order), tuple(config.codebooks[c] for c in c_order), config.esn0_db,
+        *(np.ascontiguousarray(a[np.ix_(s_order, c_order)].swapaxes(-1, -2))
+          for a in (rate_dl, d_trans, d_total, utility, codes)),
+        np.ascontiguousarray(rate_ul.swapaxes(-1, -2)), d_proc, d_queue, objectives, summary=None,
+    )
+    return dataclasses.replace(table, summary=_summarize(config, table))
 
 
-def _per_link(carries: np.ndarray, values: np.ndarray) -> list:
-    """One value per carrying link, inf for the others, as nested lists."""
-    out = np.full(carries.shape, math.inf)
-    out[carries] = values
-    return out.tolist()
-
-
-def _summarize(config: SweepConfig, records) -> dict:
-    """Per-codebook statistics and the best codebook per Es/N0, from one
-    grouping pass over the sorted records."""
-    per_group = {}
-    per_point = {}
-    for rec in records:
-        utilities, d_trans = per_group.setdefault((rec.scenario, rec.n_tx, rec.n_rf), ([], []))
-        if rec.utility is not None:
-            utilities.append(rec.utility)
-        if math.isfinite(rec.d_trans_s):
-            d_trans.append(rec.d_trans_s)
-        per_point.setdefault(rec.esn0_db, []).append(rec)
+def _summarize(config: SweepConfig, table: SweepResult) -> dict:
+    """Per-codebook statistics and the best codebook per Es/N0, in config order."""
     per_codebook = {}
     for scenario in config.scenarios:
         for codebook in config.codebooks:
-            utilities, d_trans = per_group.get((scenario.value, codebook.n_tx, codebook.n_rf), ([], []))
+            at = (table.scenarios.index(scenario), table.codebooks.index(codebook))
+            utilities = table.utility[at][table.codes[at] == 0]
+            d_trans = table.d_trans[at][np.isfinite(table.d_trans[at])]
             per_codebook[(scenario.value, codebook.label)] = {
-                "utility_mean": float(np.mean(utilities)) if utilities else math.nan,
-                "d_trans_min_s": min_statistic(d_trans) if d_trans else math.nan,
-                "d_trans_mode_s": mode_statistic(d_trans, config.mode_bin_s) if d_trans else math.nan,
+                "utility_mean": float(np.mean(utilities)) if utilities.size else math.nan,
+                "d_trans_min_s": min_statistic(d_trans) if d_trans.size else math.nan,
+                "d_trans_mode_s": mode_statistic(d_trans, config.mode_bin_s) if d_trans.size else math.nan,
             }
     best = {}
-    for esn0 in config.esn0_db.tolist():
-        choice = select_best_codebook(per_point.get(esn0, ()))
-        best[esn0] = choice.label if choice is not None else None
+    for e, esn0 in enumerate(table.esn0_db.tolist()):
+        # one row per codebook: its links of every scenario, in row order
+        per_link = np.moveaxis(table.utility[:, :, e], 1, 0).reshape(len(table.codebooks), -1)
+        choice = select_best_codebook(table.codebooks, per_link)
+        best[esn0] = None if choice is None else choice.label
     return {"per_codebook": per_codebook, "best_codebook": best}
 
 
-def record_to_csv_row(rec: SweepRecord) -> str:
-    """One CSV line in header order; floats carry 9 significant digits."""
-    numbers = (rec.rate_dl_bps, rec.rate_ul_bps, rec.d_trans_s, rec.d_proc_s, rec.d_queue_s, rec.d_total_s)
-    fields = [rec.scenario, str(rec.n_tx), str(rec.n_rf), f"{rec.esn0_db:.9g}", str(rec.ap), str(rec.user)]
-    fields += [f"{x:.9g}" for x in numbers]
-    fields += [
-        "" if rec.utility is None else f"{rec.utility:.9g}",
-        "true" if rec.feasible else "false",
-        ";".join(rec.violations),
-    ]
-    return ",".join(fields)
-
-
 def write_results_csv(result: SweepResult, path: str) -> None:
-    """Sorted records to CSV with a pinned header; floats carry 9 significant digits."""
+    """The table's rows in order under a pinned header; floats carry 9
+    significant digits, and each distinct value is formatted once."""
+    n_e = len(result.esn0_db)
+    n_links = math.prod(result.rate_ul.shape[1:])
+    links = [f"{j},{i}" for j, i in np.ndindex(result.rate_ul.shape[1:])]
+    rate_ul = [[f"{x:.9g}" for x in point] for point in result.rate_ul.reshape(n_e, n_links).tolist()]
+    keys = [
+        f"{s.value},{cb.n_tx},{cb.n_rf},{e:.9g}"
+        for s in result.scenarios for cb in result.codebooks for e in result.esn0_db.tolist()
+    ]
+    queue = f"{result.d_proc:.9g},{result.d_queue:.9g}"
+    columns = (a.reshape(len(keys), n_links).tolist() for a in
+               (result.rate_dl, result.d_trans, result.d_total, result.utility, result.codes))
     rows = [CSV_HEADER]
-    rows.extend(record_to_csv_row(rec) for rec in sorted(result.records, key=lambda r: r.sort_key()))
+    # the Es/N0 axis runs fastest over the points
+    for key, ul_point, *point in zip(keys, itertools.cycle(rate_ul), *columns):
+        for link, ul, dl, dt, total, u, code in zip(links, ul_point, *point):
+            tail = f",false,{VIOLATIONS[code]}" if code else f"{u:.9g},true,"
+            rows.append(f"{key},{link},{dl:.9g},{ul},{dt:.9g},{queue},{total:.9g},{tail}")
     text = "\n".join(rows) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:

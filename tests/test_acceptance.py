@@ -3,7 +3,7 @@
 One test per criterion, so ``pytest tests/test_acceptance.py -v`` prints one
 pass/fail line each. The full default sweep (two scenarios, six antenna/RF
 configurations, 21 Es/N0 points, two users, two APs, 64 subcarriers) is run
-once and shared by the record-level checks.
+once and shared by the row-level checks.
 """
 
 import math
@@ -165,48 +165,32 @@ def test_criterion_5_utility_boundaries_and_range(default_sweep):
         assert conditional_utility(gamma, d_max, gamma) == 1.0
         assert conditional_utility(d_max, d_max, gamma) == 0.0
     _, result = default_sweep
-    assert result.records
-    for rec in result.records:
-        assert rec.utility is not None
-        assert 0.0 <= rec.utility <= 1.0
+    assert result.utility.size
+    # NaN, an infeasible row, fails both comparisons
+    assert np.all((0.0 <= result.utility) & (result.utility <= 1.0))
 
 
 def test_criterion_6_delay_monotone_in_esn0(default_sweep):
     cfg, result = default_sweep
-    series = {}
-    for rec in result.records:
-        key = (rec.scenario, rec.n_tx, rec.n_rf, rec.ap, rec.user)
-        series.setdefault(key, []).append((rec.esn0_db, rec.d_trans_s))
-    assert len(series) == len(cfg.scenarios) * len(cfg.codebooks) * 4
-    violations = 0
-    for points in series.values():
-        points.sort()
-        delays = [d for _, d in points]
-        assert len(delays) == len(cfg.esn0_db)
-        violations += sum(1 for a, b in zip(delays, delays[1:]) if b > a)
+    # one series per (scenario, codebook, AP, user) along the Es/N0 axis
+    assert result.d_trans.shape == (len(cfg.scenarios), len(cfg.codebooks), len(cfg.esn0_db), 2, 2)
+    assert np.all(np.diff(result.esn0_db) > 0)
+    violations = np.count_nonzero(result.d_trans[:, :, 1:] > result.d_trans[:, :, :-1])
     assert violations == 0
 
 
 def test_criterion_7_scenario_ordering_and_antenna_trend(default_sweep):
     cfg, result = default_sweep
-    by_key = {
-        (r.scenario, r.n_tx, r.n_rf, r.esn0_db, r.ap, r.user): r for r in result.records
-    }
-    for key, rec in by_key.items():
-        if key[0] != "min":
-            continue
-        mean_rec = by_key[("mean",) + key[1:]]
-        assert rec.utility <= mean_rec.utility
-        assert rec.d_trans_s >= mean_rec.d_trans_s
+    names = [s.value for s in result.scenarios]
+    lo, hi = names.index("min"), names.index("mean")
+    assert np.all(result.utility[lo] <= result.utility[hi])
+    assert np.all(result.d_trans[lo] >= result.d_trans[hi])
     # min scenario: sweep-averaged utility non-decreasing in antenna count
+    books = [(cb.n_tx, cb.n_rf) for cb in result.codebooks]
     for n_rf in (1, 2):
         avgs = []
         for n_tx in (2, 4, 8):
-            vals = [
-                r.utility
-                for r in result.records
-                if r.scenario == "min" and (r.n_tx, r.n_rf) == (n_tx, n_rf)
-            ]
+            vals = result.utility[lo, books.index((n_tx, n_rf))].ravel().tolist()
             assert vals
             avgs.append(sum(vals) / len(vals))
         assert avgs[0] <= avgs[1] + 1e-12
@@ -219,7 +203,7 @@ def test_criterion_8_deterministic_csv_and_runtime(tmp_path):
     first = run_sweep(cfg)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
-    assert len(first.records) == 2 * 6 * 21 * 4
+    assert first.codes.size == 2 * 6 * 21 * 4
     second = run_sweep(cfg)
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -264,15 +248,13 @@ def test_criterion_9_hand_recomputed_sweep_point(default_sweep):
     g = [[dl_gain(d[i][j]) for j in range(2)] for i in range(2)]
     base = (0, 1)
 
-    picked = [
-        r
-        for r in result.records
-        if (r.scenario, r.n_tx, r.n_rf, r.esn0_db) == ("mean", 2, 1, 10.0)
-    ]
-    assert len(picked) == 4
+    s = [sc.value for sc in result.scenarios].index("mean")
+    c = [(cb.n_tx, cb.n_rf) for cb in result.codebooks].index((2, 1))
+    e = result.esn0_db.tolist().index(10.0)
+    assert result.codes[s, c, e].shape == (2, 2)
 
-    for rec in picked:
-        i, j = rec.user, rec.ap
+    for j, i in np.ndindex(2, 2):
+        at = (s, c, e, j, i)
         cells = list(base)
         cells[i] = j
         den_ul = sigma_sq
@@ -297,13 +279,13 @@ def test_criterion_9_hand_recomputed_sweep_point(default_sweep):
         d_queue = 1.0 / (4e-9 - 2e-9)
         d_total = d_trans + d_proc + d_queue
 
-        assert rec.rate_ul_bps == pytest.approx(r_ul, rel=HAND_TOL)
-        assert rec.rate_dl_bps == pytest.approx(r_dl, rel=HAND_TOL)
-        assert rec.d_trans_s == pytest.approx(d_trans, rel=HAND_TOL)
-        assert rec.d_proc_s == pytest.approx(d_proc, rel=HAND_TOL)
-        assert rec.d_queue_s == pytest.approx(d_queue, rel=HAND_TOL)
-        assert rec.d_total_s == pytest.approx(d_total, rel=HAND_TOL)
+        assert result.rate_ul[e, j, i] == pytest.approx(r_ul, rel=HAND_TOL)
+        assert result.rate_dl[at] == pytest.approx(r_dl, rel=HAND_TOL)
+        assert result.d_trans[at] == pytest.approx(d_trans, rel=HAND_TOL)
+        assert result.d_proc == pytest.approx(d_proc, rel=HAND_TOL)
+        assert result.d_queue == pytest.approx(d_queue, rel=HAND_TOL)
+        assert result.d_total[at] == pytest.approx(d_total, rel=HAND_TOL)
         # every subcarrier sits at the window maximum and at the worst
         # tracking error simultaneously, so the utility is exactly zero
-        assert rec.feasible
-        assert rec.utility == 0.0
+        assert result.codes[at] == 0
+        assert result.utility[at] == 0.0

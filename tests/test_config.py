@@ -1,5 +1,6 @@
 """Config parsing, defaults, and validation."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from vrlink.config import (
     MAX_N_SC,
     MAX_SWEEP_BYTES,
     TAP_BYTES,
+    SweepConfig,
     config_from_dict,
     esn0_grid,
     load_config,
@@ -192,6 +194,18 @@ def test_shipped_default_config_parses():
     assert cfg.topology.n_users == 2
     assert len(cfg.codebooks) == 6
     assert len(cfg.esn0_db) == 21
+
+
+def test_shipped_config_resolves_to_the_defaults():
+    # a key that drifts from its default in the shipped file shows here
+    shipped = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "indoor_default.conf"))
+    defaults = config_from_dict({})
+    for field in dataclasses.fields(SweepConfig):
+        got, want = getattr(shipped, field.name), getattr(defaults, field.name)
+        if field.name == "esn0_db":
+            assert np.array_equal(got, want)
+        else:
+            assert got == want, field.name
 
 
 # (config file text, extra simulate arguments or None for check-config)

@@ -15,14 +15,14 @@ from vrlink.beamforming import Codebook, design_link
 from vrlink.cli import main
 from vrlink.config import config_from_dict
 from vrlink.errors import InvalidInputError
+from vrlink.linkmetrics import GainAggregation
 from vrlink.runner import (
     CSV_HEADER,
-    SweepRecord,
+    VIOLATIONS,
     SweepResult,
     check_constraints,
     min_statistic,
     mode_statistic,
-    record_to_csv_row,
     run_sweep,
     select_best_codebook,
     write_results_csv,
@@ -35,6 +35,27 @@ SMALL = {"n_sc": "8", "esn0_stop": "4", "n_t": "2,4", "n_rf": "1"}
 def small_result():
     cfg = config_from_dict(SMALL)
     return cfg, run_sweep(cfg)
+
+
+def same_result(a: SweepResult, b: SweepResult) -> bool:
+    """Every field equal: arrays bit for bit, the rest by repr."""
+    for field in dataclasses.fields(SweepResult):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            if (x.dtype, x.shape, x.tobytes()) != (y.dtype, y.shape, y.tobytes()):
+                return False
+        elif repr(x) != repr(y):
+            return False
+    return True
+
+
+def point(result: SweepResult, scenario: str, n_tx: int, n_rf: int, esn0_db: float) -> tuple:
+    """Index of one (scenario, codebook, Es/N0) point of the table."""
+    return (
+        [s.value for s in result.scenarios].index(scenario),
+        [(cb.n_tx, cb.n_rf) for cb in result.codebooks].index((n_tx, n_rf)),
+        result.esn0_db.tolist().index(esn0_db),
+    )
 
 
 def make_solution(codebook=Codebook(2, 1), n_sc=4, seed=0, p_b=0.01):
@@ -85,19 +106,18 @@ def test_sweep_in_es_n0_blocks_equals_one_block(raw, monkeypatch):
     assert len(cfg.esn0_db) * cells <= runner.BLOCK_CELLS
     monkeypatch.setattr(runner, "BLOCK_CELLS", 7 * cells)
     blocked = run_sweep(cfg)
-    for field in ("records", "objectives", "summary"):
-        assert repr(getattr(blocked, field)) == repr(getattr(whole, field))
+    assert same_result(blocked, whole)
 
 
 def test_min_rate_is_checked_per_record():
     # (b) holds at r_min and fails below it: r_min at the smallest DL rate
     # of the sweep fails nowhere, twice the largest fails everywhere
     cfg = config_from_dict(dict(SMALL, esn0_stop="1", n_t="2"))
-    rates = [r.rate_dl_bps for r in run_sweep(cfg).records]
-    low = run_sweep(dataclasses.replace(cfg, r_min=min(rates)))
-    assert all(r.feasible for r in low.records)
-    high = run_sweep(dataclasses.replace(cfg, r_min=2.0 * max(rates)))
-    assert all(r.violations == ("b",) and r.utility is None for r in high.records)
+    rates = run_sweep(cfg).rate_dl
+    low = run_sweep(dataclasses.replace(cfg, r_min=float(rates.min())))
+    assert np.all(low.codes == 0)
+    high = run_sweep(dataclasses.replace(cfg, r_min=2.0 * float(rates.max())))
+    assert np.all(high.codes == 2) and np.all(np.isnan(high.utility))
 
 
 def test_letters_of_one_record_come_in_order(monkeypatch):
@@ -109,9 +129,11 @@ def test_letters_of_one_record_come_in_order(monkeypatch):
 
     monkeypatch.setattr("vrlink.runner.design_link", loud)
     cfg = config_from_dict(dict(SMALL, esn0_stop="0", n_t="2", v_j="1", r_min="1e30"))
-    records = {(r.scenario, r.user, r.ap): r for r in run_sweep(cfg).records}
-    assert records[("mean", 0, 1)].violations == ("a", "b", "c")
-    assert records[("mean", 0, 0)].violations == ("b", "c")
+    result = run_sweep(cfg)
+    at = point(result, "mean", 2, 1, 0.0)
+    # (AP, user) = (1, 0), then (0, 0)
+    assert VIOLATIONS[result.codes[at][1, 0]] == "a;b;c"
+    assert VIOLATIONS[result.codes[at][0, 0]] == "b;c"
 
 
 @pytest.mark.parametrize(
@@ -125,14 +147,13 @@ def test_letters_of_one_record_come_in_order(monkeypatch):
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_link_without_rate_fails_min_rate(raw, dead):
-    records = run_sweep(config_from_dict(raw)).records
-    silent = [r for r in records if r.rate_dl_bps == 0.0 or r.rate_ul_bps == 0.0]
-    assert len(silent) == dead
-    for rec in silent:
-        assert rec.d_trans_s == math.inf and rec.d_total_s == math.inf
-        assert not rec.feasible and rec.utility is None
-        assert "b" in rec.violations
-    assert all(r.violations for r in records if not r.feasible)
+    result = run_sweep(config_from_dict(raw))
+    silent = (result.rate_dl == 0.0) | (result.rate_ul == 0.0)
+    assert np.count_nonzero(silent) == dead
+    assert np.all(result.d_trans[silent] == math.inf) and np.all(result.d_total[silent] == math.inf)
+    assert np.all(np.isnan(result.utility[silent]))
+    assert np.all(result.codes[silent] & 2)
+    assert all(VIOLATIONS[code] for code in result.codes[result.codes != 0].tolist())
 
 
 @pytest.mark.parametrize(
@@ -213,22 +234,16 @@ def test_mode_statistic_bin_index_past_float_range():
 def test_evaluate_sweep_point_record_count_and_objective(small_result):
     cfg, result = small_result
     codebook = cfg.codebooks[0]
-    records = [
-        r
-        for r in result.records
-        if (r.scenario, r.n_tx, r.n_rf, r.esn0_db) == ("mean", codebook.n_tx, codebook.n_rf, 2.0)
-    ]
+    at = point(result, "mean", codebook.n_tx, codebook.n_rf, 2.0)
     objective = result.objectives[("mean", codebook.label, 2.0)]
-    assert len(records) == cfg.topology.n_users * cfg.topology.n_aps
-    # the objective is the per-subcarrier utility sum, the record utility its mean
-    assert objective == pytest.approx(
-        sum(r.utility * cfg.grid.n_sc for r in records if r.utility is not None), rel=1e-12
-    )
-    for r in records:
-        assert r.feasible
-        assert r.violations == ()
-        assert 0.0 <= r.utility <= 1.0
-        assert r.d_total_s == pytest.approx(r.d_trans_s + r.d_proc_s + r.d_queue_s, rel=1e-12)
+    assert result.utility[at].shape == (cfg.topology.n_aps, cfg.topology.n_users)
+    assert np.all(result.codes[at] == 0)
+    utility = result.utility[at].ravel().tolist()
+    # the objective is the per-subcarrier utility sum, the row utility its mean
+    assert objective == pytest.approx(sum(u * cfg.grid.n_sc for u in utility), rel=1e-12)
+    assert all(0.0 <= u <= 1.0 for u in utility)
+    for d_trans, d_total in zip(result.d_trans[at].ravel().tolist(), result.d_total[at].ravel().tolist()):
+        assert d_total == pytest.approx(d_trans + result.d_proc + result.d_queue, rel=1e-12)
 
 
 def test_run_sweep_record_count(small_result):
@@ -237,45 +252,38 @@ def test_run_sweep_record_count(small_result):
         len(cfg.scenarios) * len(cfg.codebooks) * len(cfg.esn0_db)
         * cfg.topology.n_users * cfg.topology.n_aps
     )
-    assert len(result.records) == expected
-    # one record per cell, no duplicates
-    keys = {r.sort_key() for r in result.records}
-    assert len(keys) == expected
+    assert result.codes.size == expected
+    # one row per cell: each axis holds each scenario, codebook, point, AP and user once
+    assert result.codes.shape == (
+        len(cfg.scenarios), len(cfg.codebooks), len(cfg.esn0_db), cfg.topology.n_aps, cfg.topology.n_users,
+    )
+    assert set(result.scenarios) == set(cfg.scenarios) and set(result.codebooks) == set(cfg.codebooks)
 
 
 def test_run_sweep_sorted_and_deterministic(small_result):
     cfg, result = small_result
-    keys = [r.sort_key() for r in result.records]
-    assert keys == sorted(keys)
+    names = [s.value for s in result.scenarios]
+    books = [(cb.n_tx, cb.n_rf) for cb in result.codebooks]
+    assert names == sorted(names) and books == sorted(books)
+    assert np.all(np.diff(result.esn0_db) > 0)
     again = run_sweep(cfg)
-    assert result.records == again.records
+    assert same_result(result, again)
     assert result.objectives == again.objectives
 
 
 def test_delay_monotone_in_esn0(small_result):
     cfg, result = small_result
-    groups = {}
-    for r in result.records:
-        groups.setdefault((r.scenario, r.n_tx, r.n_rf, r.ap, r.user), []).append(
-            (r.esn0_db, r.d_trans_s)
-        )
-    for series in groups.values():
-        series.sort()
-        delays = [d for _, d in series]
-        assert all(a >= b - 1e-15 for a, b in zip(delays, delays[1:]))
+    # the Es/N0 axis is the third
+    d = result.d_trans
+    assert np.all(d[:, :, :-1] >= d[:, :, 1:] - 1e-15)
 
 
 def test_min_scenario_never_beats_mean(small_result):
     cfg, result = small_result
-    by_key = {}
-    for r in result.records:
-        by_key[(r.scenario, r.n_tx, r.n_rf, r.esn0_db, r.ap, r.user)] = r
-    for key, rec in by_key.items():
-        if key[0] != "min":
-            continue
-        mean_rec = by_key[("mean",) + key[1:]]
-        assert rec.utility <= mean_rec.utility + 1e-12
-        assert rec.d_trans_s >= mean_rec.d_trans_s - 1e-15
+    names = [s.value for s in result.scenarios]
+    lo, hi = names.index("min"), names.index("mean")
+    assert np.all(result.utility[lo] <= result.utility[hi] + 1e-12)
+    assert np.all(result.d_trans[lo] >= result.d_trans[hi] - 1e-15)
 
 
 def test_objectives_min_below_mean(small_result):
@@ -299,34 +307,30 @@ def test_summary_contents(small_result):
 
 
 def test_select_best_codebook_prefers_max_then_smallest():
-    def rec(n_tx, n_rf, utility, feasible=True):
-        return SweepRecord(
-            scenario="mean", n_tx=n_tx, n_rf=n_rf, esn0_db=5.0, ap=0, user=0,
-            rate_dl_bps=1.0, rate_ul_bps=1.0, d_trans_s=1.0, d_proc_s=0.0,
-            d_queue_s=0.0, d_total_s=1.0, utility=utility if feasible else None,
-            feasible=feasible, violations=() if feasible else ("b",),
-        )
+    def best(*rows):
+        """rows of (n_tx, n_rf, one link's utility), NaN where infeasible"""
+        books = tuple(Codebook(n_tx, n_rf) for n_tx, n_rf, _ in rows)
+        return select_best_codebook(books, np.array([u for *_, u in rows]).reshape(-1, 1))
 
-    assert select_best_codebook((rec(2, 1, 0.4), rec(8, 2, 0.9))).label == "8A2R"
+    assert best((2, 1, 0.4), (8, 2, 0.9)).label == "8A2R"
     # scaling every utility leaves the argmax unchanged
-    assert select_best_codebook((rec(2, 1, 0.04), rec(8, 2, 0.09))).label == "8A2R"
-    # ties break toward fewer antennas, then fewer chains
-    assert select_best_codebook((rec(4, 1, 0.5), rec(2, 2, 0.5), rec(2, 1, 0.5))).label == "2A1R"
+    assert best((2, 1, 0.04), (8, 2, 0.09)).label == "8A2R"
+    # ties break toward fewer antennas, then fewer chains: the codebooks come
+    # in (n_tx, n_rf) order, and the first of equal sums wins
+    assert best((2, 1, 0.5), (2, 2, 0.5), (4, 1, 0.5)).label == "2A1R"
     # infeasible codebooks are skipped; all-infeasible yields None
-    assert select_best_codebook((rec(2, 1, 0.9, feasible=False), rec(4, 1, 0.1))).label == "4A1R"
-    assert select_best_codebook((rec(2, 1, 0.9, feasible=False),)) is None
-    assert select_best_codebook(()) is None
+    assert best((2, 1, math.nan), (4, 1, 0.1)).label == "4A1R"
+    assert best((2, 1, math.nan)) is None
+    assert best() is None
 
 
 def test_infeasible_points_recorded_not_raised():
     # an unreachable minimum rate flags every record as violating (b)
     cfg = config_from_dict(dict(SMALL, r_min="1e30", esn0_stop="0", n_t="2", scenario="mean"))
     result = run_sweep(cfg)
-    assert len(result.records) == 4
-    for r in result.records:
-        assert not r.feasible
-        assert r.utility is None
-        assert "b" in r.violations
+    assert result.codes.size == 4
+    assert np.all(result.codes & 2)
+    assert np.all(np.isnan(result.utility))
     assert result.objectives == {("mean", "2A1R", 0.0): 0.0}
 
 
@@ -336,14 +340,30 @@ def test_csv_header_and_rows(small_result, tmp_path):
     write_results_csv(result, str(path))
     lines = path.read_text().splitlines()
     assert lines[0] == CSV_HEADER
-    assert len(lines) == 1 + len(result.records)
+    assert len(lines) == 1 + result.codes.size
     # rows stay sorted in file order
     assert lines[1].startswith("mean,2,1,0,")
 
 
+def one_codebook_table(scenario, codebook, esn0_db, rate_ul, d_proc, d_queue, **rows):
+    """A table of one scenario and one codebook; rate_ul and each row array
+    are given on (Es/N0, AP, user)."""
+    return SweepResult(
+        (scenario,), (codebook,), np.asarray(esn0_db, dtype=float),
+        **{name: np.asarray(v)[None, None] for name, v in rows.items()},
+        rate_ul=np.asarray(rate_ul, dtype=float), d_proc=d_proc, d_queue=d_queue, objectives={}, summary={},
+    )
+
+
 def test_csv_empty_result(tmp_path):
+    # no Es/N0 point: the link labels come from the shape alone
     path = tmp_path / "empty.csv"
-    write_results_csv(SweepResult(records=(), objectives={}, summary={}), str(path))
+    empty = np.empty((0, 2, 2))
+    table = one_codebook_table(
+        GainAggregation.MEAN, Codebook(2, 1), [], empty, 0.0, 0.0,
+        rate_dl=empty, d_trans=empty, d_total=empty, utility=empty, codes=empty.astype(int),
+    )
+    write_results_csv(table, str(path))
     assert path.read_text() == CSV_HEADER + "\n"
 
 
@@ -352,27 +372,42 @@ def test_csv_roundtrip_precision(small_result, tmp_path):
     path = tmp_path / "results.csv"
     write_results_csv(result, str(path))
     lines = path.read_text().splitlines()[1:]
-    for line, rec in zip(lines, result.records):
+    rate_ul = np.broadcast_to(result.rate_ul, result.rate_dl.shape)
+    columns = (result.rate_dl, rate_ul, result.d_trans, result.d_total)
+    assert len(lines) == result.rate_dl.size
+    for line, values in zip(lines, zip(*(a.ravel().tolist() for a in columns))):
         fields = line.split(",")
-        for got, want in (
-            (fields[6], rec.rate_dl_bps),
-            (fields[7], rec.rate_ul_bps),
-            (fields[8], rec.d_trans_s),
-            (fields[11], rec.d_total_s),
-        ):
+        for got, want in zip((fields[6], fields[7], fields[8], fields[11]), values):
             # nine significant digits round-trip to within one unit in the last place
             assert float(got) == pytest.approx(want, rel=5e-9)
 
 
-def test_csv_infeasible_row_shape():
-    rec = SweepRecord(
-        scenario="min", n_tx=4, n_rf=2, esn0_db=3.0, ap=1, user=0,
-        rate_dl_bps=12.5, rate_ul_bps=8.25, d_trans_s=math.inf, d_proc_s=1e-8,
-        d_queue_s=5e8, d_total_s=math.inf, utility=None, feasible=False,
-        violations=("a", "b"),
+def test_csv_infeasible_row_shape(tmp_path):
+    # one point of two APs and one user; the AP 1 row fails (a) and (b)
+    table = one_codebook_table(
+        GainAggregation.MIN, Codebook(4, 2), [3.0], [[[2.0], [8.25]]], 1e-8, 5e8,
+        rate_dl=[[[1.0], [12.5]]], d_trans=[[[1.0], [math.inf]]], d_total=[[[1.0], [math.inf]]],
+        utility=[[[0.5], [math.nan]]], codes=[[[0], [3]]],
     )
-    row = record_to_csv_row(rec)
+    path = tmp_path / "row.csv"
+    write_results_csv(table, str(path))
+    row = path.read_text().splitlines()[2]
     assert row == "min,4,2,3,1,0,12.5,8.25,inf,1e-08,500000000,inf,,false,a;b"
+
+
+def test_row_order_does_not_depend_on_config_order(tmp_path):
+    # scenarios and codebooks given out of order: the one permutation in
+    # run_sweep puts the rows in the order of the same set given sorted
+    def run(scenario, books):
+        cfg = config_from_dict({"scenario": scenario})
+        result = run_sweep(dataclasses.replace(cfg, codebooks=tuple(map(Codebook.from_string, books))))
+        path = tmp_path / "results.csv"
+        write_results_csv(result, str(path))
+        return path.read_bytes(), result.summary["best_codebook"]
+
+    given = run("min,mean", ("8x2", "2x1", "4x2"))
+    assert given == run("mean,min", ("2x1", "4x2", "8x2"))
+    assert set(given[1].values()) - {None}
 
 
 def test_write_results_csv_unwritable_path(small_result, tmp_path):
@@ -394,10 +429,10 @@ def test_gaussian_mode_sweep_runs_and_is_seeded(tmp_path):
     cfg = config_from_dict(dict(SMALL, gain_mode="gaussian", esn0_stop="1"))
     r1 = run_sweep(cfg)
     r2 = run_sweep(cfg)
-    assert r1.records == r2.records
+    assert same_result(r1, r2)
     other = config_from_dict(dict(SMALL, gain_mode="gaussian", esn0_stop="1", seed="7"))
     r3 = run_sweep(other)
-    assert r3.records != r1.records
+    assert not same_result(r3, r1)
 
 
 def write_config(tmp_path, name="run.conf", extra=""):
@@ -459,6 +494,20 @@ def test_cli_simulate_overrides(tmp_path):
     assert all(line.split(",")[0] == "mean" for line in lines[1:])
     # reciprocal queue preset: 1/(4e9 - 2e9)
     assert float(lines[1].split(",")[10]) == pytest.approx(5e-10, rel=1e-9)
+
+
+@pytest.mark.parametrize("extra", ["", "mu = 4e-9\nlambda = 2e-9\n"])
+def test_cli_queue_units_flag_beats_the_config_file(tmp_path, extra):
+    # README's command on the shipped config, and a config that sets mu and
+    # lambda itself: the flag sets both, like every other override
+    conf = (Path(__file__).resolve().parents[1] / "configs" / "indoor_default.conf").read_text()
+    p = tmp_path / "queue.conf"
+    p.write_text(conf + extra)
+    assert main(["simulate", "--config", str(p), "--out", str(tmp_path), "--queue-units", "reciprocal"]) == 0
+    with open(tmp_path / "results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1008
+    assert {r["d_queue_s"] for r in rows} == {"5e-10"}
 
 
 def test_cli_codebook_named_twice_is_evaluated_once(tmp_path):

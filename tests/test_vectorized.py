@@ -44,7 +44,7 @@ from vrlink.qos import (
     tracking_utility,
     transmission_delay,
 )
-from vrlink.runner import check_constraints, record_to_csv_row, run_sweep
+from vrlink.runner import check_constraints, run_sweep, write_results_csv
 from vrlink.topology import departure_arrival_angles, distance
 
 
@@ -432,7 +432,7 @@ def test_synthesize_dl_matches_per_subcarrier_reference(raw):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_zero_power_user_is_an_infeasible_record():
+def test_zero_power_user_is_an_infeasible_record(tmp_path):
     # user 0 stands 24 m from both APs: 24^-300 underflows to 0, so no UL
     # power reaches them and each of its links fails (b) alone
     cfg = config_from_dict({
@@ -442,12 +442,13 @@ def test_zero_power_user_is_an_infeasible_record():
     ul_gain, _ = path_gains(cfg.topology, cfg.grid, cfg.w, cfg.tap_count, cfg.tap_spacing_s)
     assert ul_gain[0].tolist() == [0.0, 0.0] and np.all(ul_gain[1] > 0)
     result = run_sweep(cfg)
-    silent = [r for r in result.records if r.user == 0]
-    assert len(silent) == 72
-    for rec in silent:
-        assert rec.rate_ul_bps == 0.0
-        assert rec.d_trans_s == math.inf and rec.d_total_s == math.inf
-        assert rec.utility is None and rec.violations == ("b",)
-        assert record_to_csv_row(rec).split(",")[12] == ""
-    heard = [r for r in result.records if r.user == 1]
-    assert len(heard) == 72 and all(r.feasible for r in heard)
+    # the user axis is the last
+    assert result.codes[..., 0].size == 72
+    assert np.all(result.rate_ul[..., 0] == 0.0)
+    assert np.all(result.d_trans[..., 0] == math.inf) and np.all(result.d_total[..., 0] == math.inf)
+    assert np.all(np.isnan(result.utility[..., 0])) and np.all(result.codes[..., 0] == 2)
+    path = tmp_path / "results.csv"
+    write_results_csv(result, str(path))
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert all(row[12] == "" and row[14] == "b" for row in rows if row[5] == "0")
+    assert result.codes[..., 1].size == 72 and np.all(result.codes[..., 1] == 0)
