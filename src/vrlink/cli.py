@@ -8,12 +8,13 @@ Exit codes: 0 success, 2 configuration problem, 3 I/O problem.
 import argparse
 import csv
 import dataclasses
+import itertools
 import math
 import os
 import sys
 
 from .beamforming import Codebook
-from .config import MAX_SWEEP_BYTES, QUEUE_UNIT_PRESETS, load_config, parse_esn0_range
+from .config import KEYS, MAX_SWEEP_BYTES, QUEUE_UNIT_PRESETS, load_config, parse_esn0_range
 from .errors import ConfigurationError, InvalidInputError
 from .runner import min_statistic, mode_statistic, run_sweep, write_results_csv
 
@@ -46,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     st = sub.add_parser("stats", help="min/mode transmission-delay statistics from a results CSV")
     st.add_argument("--in", dest="in_path", required=True, help="results.csv produced by simulate")
     st.add_argument("--metric", choices=["min", "mode"], required=True)
-    st.add_argument("--bin", type=float, default=1e-6, help="bin width in seconds for the mode metric")
+    st.add_argument("--bin", type=float, default=KEYS["mode_bin"][1], help="bin width in seconds for the mode metric")
 
     chk = sub.add_parser("check-config", help="validate a config file and describe the sweep")
     chk.add_argument("--config", required=True)
@@ -85,9 +86,11 @@ def _cmd_simulate(args) -> int:
     write_results_csv(result, out_path)
     print(f"wrote {out_path} ({result.codes.size} records)")
     print("scenario,codebook,utility_mean,d_trans_min_s,d_trans_mode_s")
-    for (scenario, label), row in sorted(result.summary["per_codebook"].items()):
+    # in the table's order, like results.csv
+    for scenario, cb in itertools.product(result.scenarios, result.codebooks):
+        row = result.summary["per_codebook"][(scenario.value, cb.label)]
         print(
-            f"{scenario},{label},{row['utility_mean']:.9g},"
+            f"{scenario.value},{cb.label},{row['utility_mean']:.9g},"
             f"{row['d_trans_min_s']:.9g},{row['d_trans_mode_s']:.9g}"
         )
     return EXIT_OK

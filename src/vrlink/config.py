@@ -1,8 +1,9 @@
 """Flat key = value config parsing and the sweep configuration object.
 
 Keys mirror the simulation parameter names (fc, w, n_sc, n_t, n_rf, ...).
-Unknown keys are rejected so typos surface as configuration errors instead
-of silently running defaults.
+``KEYS`` names every key with its parser and default. Unknown keys are
+rejected so typos surface as configuration errors instead of silently
+running defaults.
 """
 
 import math
@@ -36,22 +37,6 @@ TAP_BYTES = 32
 
 DEFAULT_AP_POSITIONS = (Position3D(2.5, 4.0, 3.0), Position3D(7.5, 13.0, 3.0))
 DEFAULT_USER_POSITIONS = (Position3D(3.0, 6.0, 1.5), Position3D(6.5, 11.0, 1.5))
-
-KNOWN_KEYS = frozenset(
-    {
-        "fc", "w", "n_sc", "n_t", "n_rf", "n_r", "n_ds",
-        "s_i", "a_i", "v", "b", "u",
-        "p_b", "p_u", "mu", "lambda", "queue_units",
-        "gamma_d", "r_min", "v_j",
-        "esn0_start", "esn0_stop", "esn0_step",
-        "scenario", "seed", "bw_total", "tap_count", "tap_spacing",
-        "epsilon0", "m_capacity", "n_share",
-        "gain_mode", "mode_bin",
-        "area_x", "area_y", "area_z",
-        "ap_positions", "user_positions",
-    }
-)
-
 
 def parse_config_text(text: str) -> dict:
     """Parse `key = value` lines; # starts a comment; blank lines ignored."""
@@ -91,48 +76,30 @@ def _integer(key: str, text: str) -> int:
     return int(v)
 
 
-def _as_float(raw: dict, key: str, default: float) -> float:
-    return _number(key, raw[key]) if key in raw else default
+def _int_list(key: str, text: str) -> tuple:
+    return tuple(_integer(key, part) for part in text.replace(",", " ").split())
 
 
-def _as_int(raw: dict, key: str, default: int) -> int:
-    return _integer(key, raw[key]) if key in raw else default
-
-
-def _as_int_list(raw: dict, key: str, default: tuple) -> tuple:
-    if key not in raw:
-        return default
-    return tuple(_integer(key, part) for part in raw[key].replace(",", " ").split())
-
-
-def _as_range(raw: dict, key: str, default: tuple) -> tuple:
-    if key not in raw:
-        return default
-    parts = raw[key].replace(",", " ").split()
+def _range(key: str, text: str) -> tuple:
+    parts = text.replace(",", " ").split()
     if len(parts) != 2:
-        raise ConfigurationError(f"key {key!r}: expected two numbers, got {raw[key]!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError as e:
-        raise ConfigurationError(f"key {key!r}: cannot parse {raw[key]!r}") from e
+        raise ConfigurationError(f"key {key!r}: expected two numbers, got {text!r}")
+    return _number(key, parts[0]), _number(key, parts[1])
 
 
-def _as_positions(raw: dict, key: str):
+def _positions(key: str, text: str) -> tuple:
     """Semicolon-separated triples: `x,y,z ; x,y,z ; ...`."""
-    if key not in raw:
-        return None
     triples = []
-    for chunk in raw[key].split(";"):
+    for chunk in text.split(";"):
         parts = chunk.replace(",", " ").split()
         if len(parts) != 3:
             raise ConfigurationError(f"key {key!r}: expected x,y,z triples, got {chunk!r}")
-        try:
-            triples.append(Position3D(*(float(p) for p in parts)))
-        except ValueError as e:
-            raise ConfigurationError(f"key {key!r}: cannot parse {chunk!r}") from e
-    if not triples:
-        raise ConfigurationError(f"key {key!r}: no positions given")
+        triples.append(Position3D(*(_number(key, p) for p in parts)))
     return tuple(triples)
+
+
+def _word(key: str, text: str) -> str:
+    return text.strip().lower()
 
 
 def parse_scenarios(text: str) -> tuple:
@@ -172,11 +139,7 @@ def parse_esn0_range(text: str) -> tuple:
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigurationError(f"expected start:step:stop, got {text!r}")
-    try:
-        start, step, stop = (float(p) for p in parts)
-    except ValueError as e:
-        raise ConfigurationError(f"cannot parse esn0 range {text!r}") from e
-    return start, step, stop
+    return tuple(_number("esn0", p) for p in parts)
 
 
 def sweep_bytes(links: int, n_sc: int, codebooks, records: int, tap_count: int) -> int:
@@ -258,109 +221,121 @@ class SweepConfig:
         return tuple(i % self.topology.n_aps for i in range(self.topology.n_users))
 
 
+# every config key: its parser, called as parser(key, text), and its default;
+# a default of None is worked out from other keys in config_from_dict
+KEYS = {
+    "fc": (_number, 60e9),
+    "w": (_number, 3.2),
+    "n_sc": (_integer, 64),
+    "bw_total": (_number, 2.16e9),
+    "n_t": (_int_list, (2, 4, 8)),
+    "n_rf": (_int_list, (1, 2)),
+    "n_r": (_integer, 1),
+    "n_ds": (_integer, 1),
+    "b": (_integer, 2),
+    "u": (_integer, 2),
+    "p_b": (_number, 10e-3),
+    "p_u": (_number, None),  # p_b / u
+    "s_i": (_number, 512 * 24),
+    "a_i": (_number, 6),
+    "v": (_number, 5),
+    "m_capacity": (_number, 1e9),
+    "n_share": (_number, 2),
+    "queue_units": (_word, "paper"),
+    "mu": (_number, None),  # the queue_units preset
+    "lambda": (_number, None),  # the queue_units preset
+    "gamma_d": (_number, 20e-3),
+    "r_min": (_number, 0.0),
+    "v_j": (_integer, None),  # u
+    "epsilon0": (_number, 1.0),
+    "esn0_start": (_number, 0.0),
+    "esn0_stop": (_number, 20.0),
+    "esn0_step": (_number, 1.0),
+    "scenario": (lambda key, text: parse_scenarios(text), (GainAggregation.MEAN, GainAggregation.MIN)),
+    "seed": (_integer, 1),
+    "tap_count": (_integer, 4),
+    "tap_spacing": (_number, 0.0),  # 0: one sample of bw_total
+    "gain_mode": (_word, "deterministic"),
+    "mode_bin": (_number, 1e-6),
+    "area_x": (_range, (0.0, 10.0)),
+    "area_y": (_range, (0.0, 17.0)),
+    "area_z": (_range, (0.0, 3.0)),
+    "ap_positions": (_positions, None),  # fixed when b is 2, else sampled from the seed
+    "user_positions": (_positions, None),  # fixed when u is 2, else sampled from the seed
+}
+
+
 def config_from_dict(raw: dict) -> SweepConfig:
     """Resolve defaults, validate, and build the immutable sweep config."""
-    unknown = set(raw) - KNOWN_KEYS
+    unknown = set(raw) - set(KEYS)
     if unknown:
         raise ConfigurationError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    c = {key: parse(key, raw[key]) if key in raw else default for key, (parse, default) in KEYS.items()}
 
-    fc = _as_float(raw, "fc", 60e9)
-    w = _as_float(raw, "w", 3.2)
-    n_sc = _as_int(raw, "n_sc", 64)
-    if n_sc > MAX_N_SC:
-        raise ConfigurationError(f"n_sc must be at most {MAX_N_SC}, got {n_sc}")
-    bw_total = _as_float(raw, "bw_total", 2.16e9)
-    grid = SubcarrierGrid(n_sc=n_sc, carrier_frequency=fc, total_bandwidth=bw_total)
+    if c["n_sc"] > MAX_N_SC:
+        raise ConfigurationError(f"n_sc must be at most {MAX_N_SC}, got {c['n_sc']}")
+    grid = SubcarrierGrid(n_sc=c["n_sc"], carrier_frequency=c["fc"], total_bandwidth=c["bw_total"])
+    codebooks = tuple(Codebook(t, r, c["n_r"], c["n_ds"]) for t in sorted(set(c["n_t"])) for r in sorted(set(c["n_rf"])))
 
-    n_t = _as_int_list(raw, "n_t", (2, 4, 8))
-    n_rf = _as_int_list(raw, "n_rf", (1, 2))
-    n_r = _as_int(raw, "n_r", 1)
-    n_ds = _as_int(raw, "n_ds", 1)
-    codebooks = tuple(Codebook(t, r, n_r, n_ds) for t in sorted(set(n_t)) for r in sorted(set(n_rf)))
-
-    b = _as_int(raw, "b", 2)
-    u = _as_int(raw, "u", 2)
+    b, u = c["b"], c["u"]
     if b < 1 or u < 1:
         raise ConfigurationError(f"need at least one AP and one user, got b={b} u={u}")
-    p_b = _as_float(raw, "p_b", 10e-3)
-
-    queue_units = raw.get("queue_units", "paper").strip().lower()
-    if queue_units not in QUEUE_UNIT_PRESETS:
+    if c["queue_units"] not in QUEUE_UNIT_PRESETS:
         raise ConfigurationError(
-            f"unknown queue_units {queue_units!r}, expected one of {sorted(QUEUE_UNIT_PRESETS)}"
+            f"unknown queue_units {c['queue_units']!r}, expected one of {sorted(QUEUE_UNIT_PRESETS)}"
         )
-    mu_default, lam_default = QUEUE_UNIT_PRESETS[queue_units]
-    mu = _as_float(raw, "mu", mu_default)
-    lam = _as_float(raw, "lambda", lam_default)
-
+    mu, lam = QUEUE_UNIT_PRESETS[c["queue_units"]]
     traffic = TrafficModel(
-        s_bits=_as_float(raw, "s_i", 512 * 24),
-        a_bits=_as_float(raw, "a_i", 6),
-        v_bits=_as_float(raw, "v", 5),
-        m_capacity=_as_float(raw, "m_capacity", 1e9),
-        n_share=_as_float(raw, "n_share", 2),
-        mu=mu,
-        lam=lam,
+        s_bits=c["s_i"],
+        a_bits=c["a_i"],
+        v_bits=c["v"],
+        m_capacity=c["m_capacity"],
+        n_share=c["n_share"],
+        mu=mu if c["mu"] is None else c["mu"],
+        lam=lam if c["lambda"] is None else c["lambda"],
     )
+    area = IndoorArea(x_range=c["area_x"], y_range=c["area_y"], z_range=c["area_z"])
 
-    area = IndoorArea(
-        x_range=_as_range(raw, "area_x", (0.0, 10.0)),
-        y_range=_as_range(raw, "area_y", (0.0, 17.0)),
-        z_range=_as_range(raw, "area_z", (0.0, 3.0)),
-    )
-
-    seed = _as_int(raw, "seed", 1)
+    seed = c["seed"]
     if seed < 0:
         raise ConfigurationError(f"seed must be non-negative, got {seed}")
-
-    esn0 = esn0_grid(
-        _as_float(raw, "esn0_start", 0.0), _as_float(raw, "esn0_step", 1.0), _as_float(raw, "esn0_stop", 20.0)
-    )
-    scenarios = parse_scenarios(raw.get("scenario", "both"))
-    tap_count = _as_int(raw, "tap_count", 4)
+    esn0 = esn0_grid(c["esn0_start"], c["esn0_step"], c["esn0_stop"])
     # before any per-node work: the sizes alone can exceed the budget
-    records = len(scenarios) * len(codebooks) * len(esn0) * u * b
-    check_budget(sweep_bytes(u * b, n_sc, codebooks, records, tap_count))
+    records = len(c["scenario"]) * len(codebooks) * len(esn0) * u * b
+    check_budget(sweep_bytes(u * b, c["n_sc"], codebooks, records, c["tap_count"]))
 
-    ap_pos = _as_positions(raw, "ap_positions")
-    user_pos = _as_positions(raw, "user_positions")
-    if ap_pos is None:
-        if b == len(DEFAULT_AP_POSITIONS):
-            ap_pos = DEFAULT_AP_POSITIONS
-        else:
-            rng = np.random.default_rng([seed, 2])
-            ap_pos = tuple(area.sample(rng) for _ in range(b))
-    if user_pos is None:
-        if u == len(DEFAULT_USER_POSITIONS):
-            user_pos = DEFAULT_USER_POSITIONS
-        else:
-            rng = np.random.default_rng([seed, 3])
-            user_pos = tuple(area.sample(rng) for _ in range(u))
-    if len(ap_pos) != b:
-        raise ConfigurationError(f"expected {b} AP positions, got {len(ap_pos)}")
-    if len(user_pos) != u:
-        raise ConfigurationError(f"expected {u} user positions, got {len(user_pos)}")
+    # positions not given are fixed for a count of 2, else drawn from the seed
+    for key, count, fixed, stream in (
+        ("ap_positions", b, DEFAULT_AP_POSITIONS, 2),
+        ("user_positions", u, DEFAULT_USER_POSITIONS, 3),
+    ):
+        if c[key] is None and count == len(fixed):
+            c[key] = fixed
+        elif c[key] is None:
+            rng = np.random.default_rng([seed, stream])
+            c[key] = tuple(area.sample(rng) for _ in range(count))
+        if len(c[key]) != count:
+            raise ConfigurationError(f"expected {count} {key}, got {len(c[key])}")
 
     return SweepConfig(
-        topology=NetworkTopology(area=area, aps=ap_pos, users=user_pos),
+        topology=NetworkTopology(area=area, aps=c["ap_positions"], users=c["user_positions"]),
         grid=grid,
         codebooks=codebooks,
         esn0_db=esn0,
-        scenarios=scenarios,
+        scenarios=c["scenario"],
         traffic=traffic,
-        w=w,
-        r_min=_as_float(raw, "r_min", 0.0),
-        v_j=_as_int(raw, "v_j", u),
+        w=c["w"],
+        r_min=c["r_min"],
+        v_j=u if c["v_j"] is None else c["v_j"],
         seed=seed,
-        tap_count=tap_count,
-        # 0 means one sample of the total bandwidth
-        tap_spacing_s=_as_float(raw, "tap_spacing", 0.0) or grid.sample_period,
-        epsilon0=_as_float(raw, "epsilon0", 1.0),
-        gain_mode=raw.get("gain_mode", "deterministic").strip().lower(),
-        mode_bin_s=_as_float(raw, "mode_bin", 1e-6),
-        p_b=p_b,
-        p_u=_as_float(raw, "p_u", p_b / u),
-        gamma_d=_as_float(raw, "gamma_d", 20e-3),
+        tap_count=c["tap_count"],
+        tap_spacing_s=c["tap_spacing"] or grid.sample_period,
+        epsilon0=c["epsilon0"],
+        gain_mode=c["gain_mode"],
+        mode_bin_s=c["mode_bin"],
+        p_b=c["p_b"],
+        p_u=c["p_b"] / u if c["p_u"] is None else c["p_u"],
+        gamma_d=c["gamma_d"],
     )
 
 

@@ -227,27 +227,26 @@ def _summarize(config: SweepConfig, table: SweepResult) -> dict:
 
 def write_results_csv(result: SweepResult, path: str) -> None:
     """The table's rows in order under a pinned header; floats carry 9
-    significant digits, and each distinct value is formatted once."""
+    significant digits, and each distinct value is formatted once. The
+    file is written one (scenario, codebook) block at a time."""
     n_e = len(result.esn0_db)
     n_links = math.prod(result.rate_ul.shape[1:])
     links = [f"{j},{i}" for j, i in np.ndindex(result.rate_ul.shape[1:])]
     rate_ul = [[f"{x:.9g}" for x in point] for point in result.rate_ul.reshape(n_e, n_links).tolist()]
-    keys = [
-        f"{s.value},{cb.n_tx},{cb.n_rf},{e:.9g}"
-        for s in result.scenarios for cb in result.codebooks for e in result.esn0_db.tolist()
-    ]
+    esn0 = [f"{e:.9g}" for e in result.esn0_db.tolist()]
     queue = f"{result.d_proc:.9g},{result.d_queue:.9g}"
-    columns = (a.reshape(len(keys), n_links).tolist() for a in
-               (result.rate_dl, result.d_trans, result.d_total, result.utility, result.codes))
-    rows = [CSV_HEADER]
-    # the Es/N0 axis runs fastest over the points
-    for key, ul_point, *point in zip(keys, itertools.cycle(rate_ul), *columns):
-        for link, ul, dl, dt, total, u, code in zip(links, ul_point, *point):
-            tail = f",false,{VIOLATIONS[code]}" if code else f"{u:.9g},true,"
-            rows.append(f"{key},{link},{dl:.9g},{ul},{dt:.9g},{queue},{total:.9g},{tail}")
-    text = "\n".join(rows) + "\n"
+    shape = (len(result.scenarios), len(result.codebooks), n_e, n_links)
+    columns = [a.reshape(shape) for a in (result.rate_dl, result.d_trans, result.d_total, result.utility, result.codes)]
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.write(CSV_HEADER + "\n")
+            for (s, scenario), (c, cb) in itertools.product(enumerate(result.scenarios), enumerate(result.codebooks)):
+                rows = []
+                for e, ul_point, *point in zip(esn0, rate_ul, *(a[s, c].tolist() for a in columns)):
+                    key = f"{scenario.value},{cb.n_tx},{cb.n_rf},{e}"
+                    for link, ul, dl, dt, total, u, code in zip(links, ul_point, *point):
+                        tail = f",false,{VIOLATIONS[code]}" if code else f"{u:.9g},true,"
+                        rows.append(f"{key},{link},{dl:.9g},{ul},{dt:.9g},{queue},{total:.9g},{tail}\n")
+                fh.write("".join(rows))
     except OSError as e:
         raise OSError(f"cannot write results to {path}: {e}") from e

@@ -8,6 +8,7 @@ import pytest
 
 from vrlink.cli import main
 from vrlink.config import (
+    KEYS,
     MAX_ESN0_POINTS,
     MAX_N_SC,
     MAX_SWEEP_BYTES,
@@ -206,6 +207,13 @@ def test_shipped_config_resolves_to_the_defaults():
             assert np.array_equal(got, want)
         else:
             assert got == want, field.name
+
+
+def test_shipped_config_sets_every_key_with_a_fixed_default():
+    # the keys whose default is None are worked out from other keys
+    text = (Path(__file__).resolve().parents[1] / "configs" / "indoor_default.conf").read_text()
+    fixed = {key for key, (_, default) in KEYS.items() if default is not None}
+    assert fixed - set(parse_config_text(text)) == set()
 
 
 # (config file text, extra simulate arguments or None for check-config)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from vrlink.cli import main
-from vrlink.config import KNOWN_KEYS, load_config
+from vrlink.config import KEYS, load_config
 
 HOSTILE = ("0", "-1", "1e300", "-1e300", "1e-300", "inf", "nan", "banana")
 
@@ -45,7 +45,7 @@ def small_enough(config) -> bool:
 
 
 def draw(rng) -> dict:
-    names = sorted(KNOWN_KEYS)
+    names = sorted(KEYS)
     keys = [names[k] for k in rng.choice(len(names), size=int(rng.integers(1, 6)), replace=False)]
     raw = dict(BASE)
     for key in keys:

@@ -520,6 +520,17 @@ def test_cli_codebook_named_twice_is_evaluated_once(tmp_path):
     assert {tuple(line.split(",")[1:3]) for line in lines} == {("2", "1"), ("4", "1")}
 
 
+def test_cli_summary_follows_the_table_order(tmp_path, capsys):
+    # the codebooks in (n_tx, n_rf) order, like results.csv, not by label string
+    p = write_config(tmp_path)
+    args = ["--codebook", "16x1,2x1", "--esn0", "0:1:0"]
+    assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "order"), *args]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [tuple(row.split(",")[:2]) for row in rows] == [
+        ("mean", "2A1R"), ("mean", "16A1R"), ("min", "2A1R"), ("min", "16A1R"),
+    ]
+
+
 def test_cli_simulate_rejects_bad_esn0(tmp_path, capsys):
     p = write_config(tmp_path)
     assert main(["simulate", "--config", str(p), "--esn0", "0..10"]) == 2
