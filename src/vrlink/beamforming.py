@@ -5,7 +5,8 @@ stages are shared across subcarriers and come from the SVD of covariance sums,
 element-wise normalized to constant modulus. The digital stages are
 per-subcarrier SVDs of the analog-reduced channel. Every link of a codebook
 is designed at once, on stacked ``(links, n_sc, rows, cols)`` matrices with
-stacked ``@`` and one stacked SVD per stage. The only loop sums each link's
+stacked ``@`` and one stacked SVD per stage. Codebooks that differ only in
+n_rf share one pair of analog stages. The only loop sums each link's
 covariance, one link at a time.
 """
 
@@ -179,14 +180,22 @@ class BeamformingSolution:
         return singular_values(self.effective_channels)[..., 0]
 
 
-def design_link(channels: np.ndarray, codebook: Codebook, p_b) -> BeamformingSolution:
+def design_link(channels: np.ndarray, codebook, p_b):
     """One-shot hybrid design for a stack of (user, AP) links.
 
     channels: (L, n_sc, n_rx, n_tx), one channel stack per link. p_b: one
     transmit power budget per link, split equally across its subcarriers.
     One link's (n_sc, n_rx, n_tx) stack with a scalar budget is designed as
     a stack of one, and its solution has no link axis.
+
+    codebook is one Codebook, or a tuple of codebooks that share (n_tx,
+    n_rx, n_ds) and get one solution each, in order. Neither covariance
+    depends on n_rf, so the analog stages are taken once, the precoder at
+    the largest n_rf, and only the digital stage runs per codebook.
     """
+    group = codebook if isinstance(codebook, tuple) else (codebook,)
+    if len({(cb.n_tx, cb.n_rx, cb.n_ds) for cb in group}) != 1:
+        raise ShapeError(f"need codebooks that share one (n_tx, n_rx, n_ds), got {[cb.label for cb in group]}")
     single = np.ndim(channels) == 3 and np.ndim(p_b) == 0
     links, budgets = np.asarray(channels), np.asarray(p_b, dtype=float)
     if single:
@@ -194,33 +203,38 @@ def design_link(channels: np.ndarray, codebook: Codebook, p_b) -> BeamformingSol
     if links.ndim != 4:
         raise ShapeError(f"expected (L, n_sc, n_rx, n_tx) stack, got shape {links.shape}")
     n_links, n_sc, n_rx, n_tx = links.shape
-    if (n_rx, n_tx) != (codebook.n_rx, codebook.n_tx):
+    if (n_rx, n_tx) != (group[0].n_rx, group[0].n_tx):
         raise ShapeError(
-            f"channel shape {(n_rx, n_tx)} does not match codebook ({codebook.n_rx}, {codebook.n_tx})"
+            f"channel shape {(n_rx, n_tx)} does not match codebook ({group[0].n_rx}, {group[0].n_tx})"
         )
     if budgets.shape != (n_links,):
         raise ShapeError(f"need one power budget per link, got shape {budgets.shape}")
     if not np.all(budgets > 0):
         raise InvalidInputError(f"power budget must be positive, got {p_b}")
 
-    g_a = analog_combiner(links, codebook.n_ds)
-    p_a = analog_precoder(links, codebook.n_rf)
-    h_d = effective_channel(g_a[:, None], links, p_a[:, None])
-    d_pre, d_comb = hybrid_digital(h_d, codebook.n_ds, codebook.n_rf)
+    g_a = analog_combiner(links, group[0].n_ds)
+    p_widest = analog_precoder(links, max(cb.n_rf for cb in group))
+    solutions = []
+    for cb in group:
+        # a contiguous slice: stacked @ on a strided operand may round differently
+        p_a = np.ascontiguousarray(p_widest[..., :cb.n_rf])
+        h_d = effective_channel(g_a[:, None], links, p_a[:, None])
+        d_pre, d_comb = hybrid_digital(h_d, cb.n_ds, cb.n_rf)
 
-    # composite beams, unit Frobenius norm, so the effective gain is the
-    # channel response to a unit-power beam and can never exceed the
-    # leading singular value of the raw channel
-    f = p_a[:, None] @ d_pre
-    w = g_a[:, None] @ d_comb
-    f_norm = frobenius_norms(f)
-    w_norm = frobenius_norms(w)
-    if np.any(f_norm == 0.0) or np.any(w_norm == 0.0):
-        raise InvalidInputError("degenerate composite beam with zero norm")
-    effective = effective_channel(w / w_norm[..., None, None], links, f / f_norm[..., None, None])
+        # composite beams, unit Frobenius norm, so the effective gain is the
+        # channel response to a unit-power beam and can never exceed the
+        # leading singular value of the raw channel
+        f = p_a[:, None] @ d_pre
+        w = g_a[:, None] @ d_comb
+        f_norm = frobenius_norms(f)
+        w_norm = frobenius_norms(w)
+        if np.any(f_norm == 0.0) or np.any(w_norm == 0.0):
+            raise InvalidInputError("degenerate composite beam with zero norm")
+        effective = effective_channel(w / w_norm[..., None, None], links, f / f_norm[..., None, None])
 
-    fields = (
-        p_a, g_a, np.ascontiguousarray(d_pre), np.ascontiguousarray(d_comb), effective,
-        np.sqrt(budgets / n_sc)[:, None] / f_norm,  # equal split of the budget
-    )
-    return BeamformingSolution(codebook, *([x[0] for x in fields] if single else fields))
+        fields = (
+            p_a, g_a, np.ascontiguousarray(d_pre), np.ascontiguousarray(d_comb), effective,
+            np.sqrt(budgets / n_sc)[:, None] / f_norm,  # equal split of the budget
+        )
+        solutions.append(BeamformingSolution(cb, *([x[0] for x in fields] if single else fields)))
+    return tuple(solutions) if isinstance(codebook, tuple) else solutions[0]

@@ -30,6 +30,8 @@ x86-64 these hold:
   multiplies Q's first row by 1 maps q to ``(q.re - 0*q.im, q.im + 0)``.
 - stacked ``np.linalg.svd`` and stacked ``@`` equal their per-matrix calls,
   and so does ``np.sum`` over the two matrix axes of a contiguous stack;
+  a strided operand in stacked ``@`` (a column slice) may round differently
+  from a contiguous copy of it, so slices are made contiguous first;
   ``np.sqrt`` and real ``+ - * /`` are exact IEEE operations.
 - ``np.cumsum(x, axis=0)[-1]`` adds in index order, like a Python loop
   ``total += x[k]`` that starts from zero, except that the loop turns a

@@ -14,7 +14,7 @@ from collections import Counter
 
 import numpy as np
 
-from .beamforming import Codebook, design_link
+from .beamforming import design_link
 from .channel import path_gains, synthesize_dl, synthesize_ul
 from .config import SweepConfig
 from .errors import InvalidInputError
@@ -74,18 +74,21 @@ def check_constraints(n_users_on_ap, ap_power_used_w, solution, v_j: int, p_b: f
     return np.stack(np.broadcast_arrays(*checks), axis=-1)
 
 
-def _design_codebook(config: SweepConfig, codebook: Codebook, amplitude, n_served, budget) -> tuple:
-    """Every link's design for one codebook, reduced to what the sweep reads:
-    the squared effective gains (U, B, n_sc) and the violation bits of the
-    Es/N0-independent checks (U, B). n_served and budget hold one value
-    per link, user-major like the DL stack."""
+def _design_group(config: SweepConfig, group: tuple, amplitude, n_served, budget) -> list:
+    """Every link's design for codebooks that share (n_tx, n_rx, n_ds), from
+    one DL draw, reduced per codebook to what the sweep reads: the squared
+    effective gains (U, B, n_sc) and the violation bits of the
+    Es/N0-independent checks (U, B). n_served and budget hold one value per
+    link, user-major like the DL stack."""
     rng = np.random.default_rng([config.seed, 1])
-    dl = synthesize_dl(config.topology, amplitude, config.grid.n_sc, codebook.n_tx, codebook.n_rx, config.gain_mode, rng)
-    # every link in one stacked design
-    sol = design_link(dl.matrices.reshape((n_served.size,) + dl.matrices.shape[2:]), codebook, budget)
-    fails = check_constraints(n_served, n_served * sol.transmit_power(), sol, config.v_j, config.p_b)
-    gains = sol.effective_gain_per_subcarrier() ** 2
-    return gains.reshape(amplitude.shape + (-1,)), (fails @ CHECK_BITS).reshape(amplitude.shape)
+    dl = synthesize_dl(config.topology, amplitude, config.grid.n_sc, group[0].n_tx, group[0].n_rx, config.gain_mode, rng)
+    designs = []
+    # every link and every codebook of the group in one design
+    for sol in design_link(dl.matrices.reshape((n_served.size,) + dl.matrices.shape[2:]), group, budget):
+        fails = check_constraints(n_served, n_served * sol.transmit_power(), sol, config.v_j, config.p_b)
+        gains = sol.effective_gain_per_subcarrier() ** 2
+        designs.append((gains.reshape(amplitude.shape + (-1,)), (fails @ CHECK_BITS).reshape(amplitude.shape)))
+    return designs
 
 
 def min_statistic(values) -> float:
@@ -131,9 +134,10 @@ def select_best_codebook(codebooks, utility):
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Evaluate the full scenario x codebook x Es/N0 product into one table.
 
-    The UL channels are drawn once and each link is designed once per
-    codebook; SINR, rate, delay and utility are then evaluated on whole
-    arrays, one block of Es/N0 points at a time.
+    The UL channels are drawn once. The DL channels and the analog stages
+    are built once per (n_tx, n_rx, n_ds) group of codebooks, and only each
+    codebook's digital stage on its own; SINR, rate, delay and utility are
+    then evaluated on whole arrays, one block of Es/N0 points at a time.
     """
     topo, traffic = config.topology, config.traffic
     ul_gain, amplitude = path_gains(topo, config.grid, config.w, config.tap_count, config.tap_spacing_s)
@@ -143,9 +147,13 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     home = np.array(config.base_cells)[:, None] == np.arange(topo.n_aps)
     n_served = (home.sum(axis=0) - home + 1).reshape(-1)
     budget = config.p_b / n_served
-    gains, checks = map(np.stack, zip(*(
-        _design_codebook(config, cb, amplitude, n_served, budget) for cb in config.codebooks
-    )))
+    groups = {}
+    for cb in config.codebooks:
+        groups.setdefault((cb.n_tx, cb.n_rx, cb.n_ds), []).append(cb)
+    designs = {}
+    for group in map(tuple, groups.values()):
+        designs.update(zip(group, _design_group(config, group, amplitude, n_served, budget)))
+    gains, checks = map(np.stack, zip(*(designs[cb] for cb in config.codebooks)))
     user_powers = np.full(topo.n_users, config.p_u)
     ap_powers = np.full(topo.n_aps, config.p_b)
     d_proc = processing_delay(traffic.v_bits, traffic.m_capacity, traffic.n_share)

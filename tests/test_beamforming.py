@@ -1,5 +1,6 @@
 """Hybrid beamforming: analog stages, digital stages, power, gain bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -235,6 +236,30 @@ def test_design_link_rejects_mismatched_shapes():
         design_link(ch, Codebook(4, 2), p_b=0.01)
     with pytest.raises(InvalidInputError):
         design_link(ch, Codebook(2, 1), p_b=0.0)
+
+
+def test_grouped_design_equals_each_codebook_alone():
+    # one tuple call shares the analog stages of codebooks that differ only
+    # in n_rf; each solution must be the lone design, byte for byte, also
+    # with the tuple out of n_rf order and for a single link
+    rng = np.random.default_rng(79)
+    links = np.stack([random_channels(rng, 16, 1, 8) for _ in range(5)])
+    budgets = np.array([0.01, 0.005, 0.02, 0.01, 0.0025])
+    group = tuple(Codebook.from_string(text) for text in ("8x8", "8x1", "8x4", "8x2"))
+    for channels, p_b in ((links, budgets), (links[0], float(budgets[0]))):
+        grouped = design_link(channels, group, p_b)
+        assert isinstance(grouped, tuple) and len(grouped) == len(group)
+        for cb, sol in zip(group, grouped):
+            alone = design_link(channels, cb, p_b)
+            assert sol.codebook == cb
+            arrays = [field.name for field in dataclasses.fields(sol) if field.name != "codebook"]
+            for name in arrays:
+                x, y = getattr(sol, name), getattr(alone, name)
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), (cb.label, name)
+    with pytest.raises(ShapeError):
+        design_link(links, (Codebook(8, 2), Codebook(4, 2)), budgets)
+    with pytest.raises(ShapeError):
+        design_link(links, (), budgets)
 
 
 def test_reduction_identity_analog_recovers_full_digital():

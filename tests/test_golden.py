@@ -1,9 +1,11 @@
 """Golden-CSV gate: results.csv must stay byte-identical across refactors.
 
 Each hash is the sha256 of the results.csv that the scalar reference
-implementation wrote for the config. A refactor that changes any printed
-digit fails here. Regenerate a hash only for a declared correctness fix, in
-a change of its own, with the reason stated in CHANGES.md.
+implementation wrote for the config; the last one was taken from the
+per-codebook design that preceded the shared analog stages. A refactor
+that changes any printed digit fails here. Regenerate a hash only for a
+declared correctness fix, in a change of its own, with the reason stated
+in CHANGES.md.
 """
 
 import hashlib
@@ -37,6 +39,12 @@ GOLDEN = {
     "three_users_16_subcarriers": (
         {"u": "3", "b": "2", "n_sc": "16"},
         "ade304c0ad9bb0293fda221c8f0754818f71968706a6db9f4246568f7c5564f8",
+    ),
+    # analog precoders of up to eight columns, each codebook's a slice of
+    # the widest one in its antenna group
+    "eight_antennas_four_rf_counts": (
+        {"n_t": "8", "n_rf": "1,2,4,8", "gain_mode": "gaussian", "seed": "3"},
+        "6db3a540fe81f0a90ee0fdb14978a0da4c8c6425a126e127f0d316b3d78a5595",
     ),
 }
 

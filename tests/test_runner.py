@@ -120,12 +120,35 @@ def test_min_rate_is_checked_per_record():
     assert np.all(high.codes == 2) and np.all(np.isnan(high.utility))
 
 
+def test_codebooks_of_one_antenna_count_share_one_design(monkeypatch):
+    # the six default codebooks are three n_t with two n_rf each: one DL
+    # draw and one design call per n_t, not per codebook
+    synth_n_tx, design_groups = [], []
+    synthesize_dl = runner.synthesize_dl
+
+    def counted_synth(topology, amplitude, n_sc, n_tx, *args):
+        synth_n_tx.append(n_tx)
+        return synthesize_dl(topology, amplitude, n_sc, n_tx, *args)
+
+    def counted_design(channels, codebooks, p_b):
+        design_groups.append(tuple(cb.label for cb in codebooks))
+        return design_link(channels, codebooks, p_b)
+
+    monkeypatch.setattr("vrlink.runner.synthesize_dl", counted_synth)
+    monkeypatch.setattr("vrlink.runner.design_link", counted_design)
+    run_sweep(config_from_dict({}))
+    assert synth_n_tx == [2, 4, 8]
+    assert design_groups == [("2A1R", "2A2R"), ("4A1R", "4A2R"), ("8A1R", "8A2R")]
+
+
 def test_letters_of_one_record_come_in_order(monkeypatch):
     # v_j=1 overfills AP 1 when user 0 is re-homed there (a), no rate meets
     # r_min (b), and a doubled beam amplitude spends four times the budget (c)
-    def loud(channels, codebook, p_b):
-        sol = design_link(channels, codebook, p_b)
-        return dataclasses.replace(sol, power_scale=2.0 * sol.power_scale)
+    def loud(channels, codebooks, p_b):
+        return tuple(
+            dataclasses.replace(sol, power_scale=2.0 * sol.power_scale)
+            for sol in design_link(channels, codebooks, p_b)
+        )
 
     monkeypatch.setattr("vrlink.runner.design_link", loud)
     cfg = config_from_dict(dict(SMALL, esn0_stop="0", n_t="2", v_j="1", r_min="1e30"))
