@@ -1,13 +1,12 @@
 """One-shot SVD hybrid beamforming.
 
-Full-digital baselines come straight from the per-subcarrier SVD. The analog
-stages are shared across subcarriers and come from the SVD of covariance sums,
-element-wise normalized to constant modulus. The digital stages are
-per-subcarrier SVDs of the analog-reduced channel. Every link of a codebook
-is designed at once, on stacked ``(links, n_sc, rows, cols)`` matrices with
-stacked ``@`` and one stacked SVD per stage. Codebooks that differ only in
-n_rf share one pair of analog stages. The only loop sums each link's
-covariance, one link at a time.
+The analog stages are shared across subcarriers and come from the SVD of
+covariance sums, element-wise normalized to constant modulus. The digital
+stages are per-subcarrier SVDs of the analog-reduced channel. Every link of a
+group of codebooks is designed at once, on stacked ``(links, n_sc, rows,
+cols)`` matrices with stacked ``@`` and one stacked SVD per stage. Codebooks
+that differ only in n_rf share one pair of analog stages. The only loop sums
+each link's covariance, one link at a time.
 """
 
 import math
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, ShapeError
-from .numerics import ensure_complex_matrix, ensure_complex_stack, frobenius_norms, singular_values
+from .numerics import ensure_complex_stack, frobenius_norms, singular_values
 from .numerics import svd, unit_modulus_normalize
 
 _CODEBOOK_RE = re.compile(r"^(\d+)\s*[xA]\s*(\d+)R?$", re.IGNORECASE)
@@ -54,23 +53,6 @@ class Codebook:
         if not m:
             raise InvalidInputError(f"cannot parse codebook {text!r}, expected NTxNRF")
         return cls(n_tx=int(m.group(1)), n_rf=int(m.group(2)), n_rx=n_rx, n_ds=n_ds)
-
-
-def full_digital(h_sc: np.ndarray, n_ds: int) -> tuple:
-    """Unconstrained per-subcarrier precoder/combiner from the channel SVD.
-
-    The factor with as many rows as transmit antennas becomes the precoder,
-    the receive-sided factor the combiner, so the sandwich
-    combiner^H @ H @ precoder is the diagonal of leading singular values.
-    """
-    h = ensure_complex_matrix(h_sc, "h_sc")
-    n_rx, n_tx = h.shape
-    if n_ds > min(n_rx, n_tx):
-        raise ShapeError(f"n_ds={n_ds} exceeds min channel dimension {min(n_rx, n_tx)}")
-    res = svd(h)
-    precoder = res.right[:, :n_ds]   # n_tx rows
-    combiner = res.left[:, :n_ds]    # n_rx rows
-    return precoder, combiner
 
 
 def _covariance_beams(channels: np.ndarray, n_cols: int, receive_side: bool) -> np.ndarray:
@@ -144,8 +126,8 @@ def effective_channel(g: np.ndarray, h: np.ndarray, p: np.ndarray) -> np.ndarray
 
 @dataclass(frozen=True)
 class BeamformingSolution:
-    """Everything the link metrics need for one (user, AP) link, or for a
-    stack of links: every array field then has a leading link axis L.
+    """Everything the link metrics need for a stack of L (user, AP) links:
+    every array field has a leading link axis.
 
     digital_precoders are kept semi-unitary; power_scale carries the
     per-subcarrier amplitude that takes the composite transmit beam
@@ -156,69 +138,65 @@ class BeamformingSolution:
     """
 
     codebook: Codebook
-    analog_precoder: np.ndarray     # ([L,] n_tx, n_rf), entry modulus 1/sqrt(n_tx)
-    analog_combiner: np.ndarray     # ([L,] n_rx, n_ds), entry modulus 1/sqrt(n_rx)
-    digital_precoders: np.ndarray   # ([L,] n_sc, n_rf, n_ds), semi-unitary
-    digital_combiners: np.ndarray   # ([L,] n_sc, n_ds, n_ds)
-    effective_channels: np.ndarray  # ([L,] n_sc, n_ds, n_ds)
-    power_scale: np.ndarray         # ([L,] n_sc), watts^0.5 amplitudes
+    analog_precoder: np.ndarray     # (L, n_tx, n_rf), entry modulus 1/sqrt(n_tx)
+    analog_combiner: np.ndarray     # (L, n_rx, n_ds), entry modulus 1/sqrt(n_rx)
+    digital_precoders: np.ndarray   # (L, n_sc, n_rf, n_ds), semi-unitary
+    digital_combiners: np.ndarray   # (L, n_sc, n_ds, n_ds)
+    effective_channels: np.ndarray  # (L, n_sc, n_ds, n_ds)
+    power_scale: np.ndarray         # (L, n_sc), watts^0.5 amplitudes
 
     @property
     def n_sc(self) -> int:
         return self.digital_precoders.shape[-3]
 
     def transmit_power(self):
-        """Total transmit power summed over streams and subcarriers: one
-        float for one link, an (L,) array for a stack."""
+        """Total transmit power per link, summed over streams and
+        subcarriers: (L,)."""
         beams = self.power_scale[..., None, None] * (self.analog_precoder[..., None, :, :] @ self.digital_precoders)
         per_subcarrier = np.sum(np.abs(beams) ** 2, axis=(-2, -1))
         return np.cumsum(per_subcarrier, axis=-1)[..., -1]
 
     def effective_gain_per_subcarrier(self) -> np.ndarray:
         """Largest singular value of each effective channel (|h| for one
-        stream): (n_sc,) for one link, (L, n_sc) for a stack."""
+        stream): (L, n_sc)."""
         return singular_values(self.effective_channels)[..., 0]
 
 
-def design_link(channels: np.ndarray, codebook, p_b):
+def design_link(links: np.ndarray, codebooks: tuple, p_b: np.ndarray) -> tuple:
     """One-shot hybrid design for a stack of (user, AP) links.
 
-    channels: (L, n_sc, n_rx, n_tx), one channel stack per link. p_b: one
+    links: (L, n_sc, n_rx, n_tx), one channel stack per link. p_b: (L,), one
     transmit power budget per link, split equally across its subcarriers.
-    One link's (n_sc, n_rx, n_tx) stack with a scalar budget is designed as
-    a stack of one, and its solution has no link axis.
-
-    codebook is one Codebook, or a tuple of codebooks that share (n_tx,
-    n_rx, n_ds) and get one solution each, in order. Neither covariance
-    depends on n_rf, so the analog stages are taken once, the precoder at
-    the largest n_rf, and only the digital stage runs per codebook.
+    codebooks: a tuple of codebooks that share (n_tx, n_rx, n_ds); returns
+    one stacked solution per codebook, in tuple order. Neither covariance
+    depends on n_rf, so the analog stages and the combiner side of the
+    reduced channel are taken once, the precoder at the largest n_rf, and
+    only the digital stage runs per codebook.
     """
-    group = codebook if isinstance(codebook, tuple) else (codebook,)
-    if len({(cb.n_tx, cb.n_rx, cb.n_ds) for cb in group}) != 1:
-        raise ShapeError(f"need codebooks that share one (n_tx, n_rx, n_ds), got {[cb.label for cb in group]}")
-    single = np.ndim(channels) == 3 and np.ndim(p_b) == 0
-    links, budgets = np.asarray(channels), np.asarray(p_b, dtype=float)
-    if single:
-        links, budgets = links[None], budgets[None]
+    if not isinstance(codebooks, tuple) or len({(cb.n_tx, cb.n_rx, cb.n_ds) for cb in codebooks}) != 1:
+        raise ShapeError(f"need a tuple of codebooks that share one (n_tx, n_rx, n_ds), got {codebooks!r}")
+    links, budgets = np.asarray(links), np.asarray(p_b, dtype=float)
     if links.ndim != 4:
         raise ShapeError(f"expected (L, n_sc, n_rx, n_tx) stack, got shape {links.shape}")
     n_links, n_sc, n_rx, n_tx = links.shape
-    if (n_rx, n_tx) != (group[0].n_rx, group[0].n_tx):
+    if (n_rx, n_tx) != (codebooks[0].n_rx, codebooks[0].n_tx):
         raise ShapeError(
-            f"channel shape {(n_rx, n_tx)} does not match codebook ({group[0].n_rx}, {group[0].n_tx})"
+            f"channel shape {(n_rx, n_tx)} does not match codebook ({codebooks[0].n_rx}, {codebooks[0].n_tx})"
         )
     if budgets.shape != (n_links,):
         raise ShapeError(f"need one power budget per link, got shape {budgets.shape}")
     if not np.all(budgets > 0):
         raise InvalidInputError(f"power budget must be positive, got {p_b}")
 
-    g_a = analog_combiner(links, group[0].n_ds)
-    p_widest = analog_precoder(links, max(cb.n_rf for cb in group))
+    g_a = analog_combiner(links, codebooks[0].n_ds)
+    p_widest = analog_precoder(links, max(cb.n_rf for cb in codebooks))
+    # G^H @ H, the left product of every codebook's reduced channel G^H @ H @ P
+    g_h = np.conj(g_a[:, None]).swapaxes(-1, -2) @ links
     solutions = []
-    for cb in group:
+    for cb in codebooks:
         # a contiguous slice: stacked @ on a strided operand may round differently
         p_a = np.ascontiguousarray(p_widest[..., :cb.n_rf])
-        h_d = effective_channel(g_a[:, None], links, p_a[:, None])
+        h_d = g_h @ p_a[:, None]
         d_pre, d_comb = hybrid_digital(h_d, cb.n_ds, cb.n_rf)
 
         # composite beams, unit Frobenius norm, so the effective gain is the
@@ -231,10 +209,8 @@ def design_link(channels: np.ndarray, codebook, p_b):
         if np.any(f_norm == 0.0) or np.any(w_norm == 0.0):
             raise InvalidInputError("degenerate composite beam with zero norm")
         effective = effective_channel(w / w_norm[..., None, None], links, f / f_norm[..., None, None])
-
-        fields = (
-            p_a, g_a, np.ascontiguousarray(d_pre), np.ascontiguousarray(d_comb), effective,
+        solutions.append(BeamformingSolution(
+            cb, p_a, g_a, np.ascontiguousarray(d_pre), np.ascontiguousarray(d_comb), effective,
             np.sqrt(budgets / n_sc)[:, None] / f_norm,  # equal split of the budget
-        )
-        solutions.append(BeamformingSolution(cb, *([x[0] for x in fields] if single else fields)))
-    return tuple(solutions) if isinstance(codebook, tuple) else solutions[0]
+        ))
+    return tuple(solutions)

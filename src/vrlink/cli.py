@@ -70,14 +70,11 @@ def _cmd_simulate(args) -> int:
     config = load_config(args.config, overrides)
     if args.codebook:
         first = config.codebooks[0]
-        # a codebook named twice is evaluated once, in first-seen order
-        books = tuple(dict.fromkeys(
+        books = tuple(
             Codebook.from_string(part, n_rx=first.n_rx, n_ds=first.n_ds)
             for part in args.codebook.split(",")
             if part.strip()
-        ))
-        if not books:
-            raise ConfigurationError(f"empty codebook override {args.codebook!r}")
+        )
         config = dataclasses.replace(config, codebooks=books)
 
     result = run_sweep(config)
@@ -113,6 +110,8 @@ def _cmd_stats(args) -> int:
                     groups.setdefault(key, []).append(value)
     except OSError as e:
         raise OSError(f"cannot read {args.in_path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigurationError(f"{args.in_path} is not UTF-8 text: {e}") from e
     if not groups:
         raise ConfigurationError(f"no finite transmission delays found in {args.in_path}")
     # every statistic before any output, so a rejected bin width prints nothing

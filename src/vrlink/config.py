@@ -14,7 +14,7 @@ import numpy as np
 from .beamforming import Codebook
 from .channel import GAIN_MODES, SubcarrierGrid, path_gains
 from .errors import ConfigurationError
-from .linkmetrics import GainAggregation
+from .linkmetrics import GainAggregation, noise_power
 from .qos import TrafficModel
 from .topology import IndoorArea, NetworkTopology, Position3D
 
@@ -28,9 +28,10 @@ QUEUE_UNIT_PRESETS = {
 # size caps: the sweep allocates arrays in proportion to both
 MAX_N_SC = 8192
 MAX_ESN0_POINTS = 1001
-# allocation budget: the largest DL channel stack plus the rows, at
-# RECORD_BYTES each (a row at the sweep's peak),
-# plus one link's delay taps at TAP_BYTES each (a tap and its temporaries)
+# allocation budget: the largest DL channel stack, plus the analog stages'
+# covariance stacks, plus the rows, at RECORD_BYTES each (a row at the
+# sweep's peak), plus one link's delay taps at TAP_BYTES each (a tap and its
+# temporaries)
 MAX_SWEEP_BYTES = 1 << 30
 RECORD_BYTES = 1024
 TAP_BYTES = 32
@@ -103,21 +104,16 @@ def _word(key: str, text: str) -> str:
 
 
 def parse_scenarios(text: str) -> tuple:
-    """'mean', 'min', 'both', or a comma list of modes in the given order,
-    each mode once."""
+    """'mean', 'min', 'both', or a comma list of modes in the given order."""
     text = text.strip().lower()
     if text == "both":
         return (GainAggregation.MEAN, GainAggregation.MIN)
     out = []
     for part in text.replace(",", " ").split():
         try:
-            mode = GainAggregation(part)
+            out.append(GainAggregation(part))
         except ValueError as e:
             raise ConfigurationError(f"unknown scenario {part!r}, expected mean, min, or both") from e
-        if mode not in out:
-            out.append(mode)
-    if not out:
-        raise ConfigurationError("empty scenario list")
     return tuple(out)
 
 
@@ -143,10 +139,15 @@ def parse_esn0_range(text: str) -> tuple:
 
 
 def sweep_bytes(links: int, n_sc: int, codebooks, records: int, tap_count: int) -> int:
-    """The largest complex DL channel stack over the codebooks, the rows
-    and one link's delay taps."""
+    """The largest complex DL channel stack and covariance stacks over the
+    codebooks, the rows and one link's delay taps."""
     dl = max((links * n_sc * cb.n_rx * cb.n_tx * 16 for cb in codebooks), default=0)
-    return dl + records * RECORD_BYTES + tap_count * TAP_BYTES
+    # an analog stage of n antennas holds one link's (n_sc, n, n) products
+    # and every link's (n, n) sum, then the sums and five factor stacks of
+    # the same shape in their SVD
+    n = max((max(cb.n_tx, cb.n_rx) for cb in codebooks), default=0)
+    covariance = max(n_sc + links, 6 * links) * n * n * 16
+    return dl + covariance + records * RECORD_BYTES + tap_count * TAP_BYTES
 
 
 def check_budget(nbytes: int) -> None:
@@ -178,6 +179,10 @@ class SweepConfig:
     gamma_d: float                 # delay tolerance per user, s
 
     def __post_init__(self):
+        # row order: scenarios by name, codebooks by (n_tx, n_rf), each once
+        object.__setattr__(self, "scenarios", tuple(sorted(set(self.scenarios), key=lambda s: s.value)))
+        codebooks = sorted(dict.fromkeys(self.codebooks), key=lambda cb: (cb.n_tx, cb.n_rf))
+        object.__setattr__(self, "codebooks", tuple(codebooks))
         if len(self.esn0_db) == 0:
             raise ConfigurationError("empty Es/N0 grid")
         if np.any(np.diff(self.esn0_db) <= 0):
@@ -201,6 +206,13 @@ class SweepConfig:
         for name in ("tap_spacing_s", "epsilon0", "p_b", "p_u", "gamma_d"):
             if not getattr(self, name) > 0:
                 raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
+        try:  # the sweep's noise power at every grid point
+            noise = [noise_power(e, self.p_b) for e in self.esn0_db.tolist()]
+        except ArithmeticError:  # 10^(esn0/10) overflows, or underflows to 0
+            noise = [0.0]
+        if not 0 < min(noise) <= max(noise) < math.inf:
+            grid = f"{self.esn0_db[0]:g}..{self.esn0_db[-1]:g} dB"
+            raise ConfigurationError(f"noise power p_b / 10^(esn0/10) leaves the positive float range on Es/N0 {grid}")
         check_budget(self.estimated_bytes)
         path_gains(self.topology, self.grid, self.w, self.tap_count, self.tap_spacing_s)
 
@@ -275,7 +287,7 @@ def config_from_dict(raw: dict) -> SweepConfig:
     if c["n_sc"] > MAX_N_SC:
         raise ConfigurationError(f"n_sc must be at most {MAX_N_SC}, got {c['n_sc']}")
     grid = SubcarrierGrid(n_sc=c["n_sc"], carrier_frequency=c["fc"], total_bandwidth=c["bw_total"])
-    codebooks = tuple(Codebook(t, r, c["n_r"], c["n_ds"]) for t in sorted(set(c["n_t"])) for r in sorted(set(c["n_rf"])))
+    codebooks = tuple(Codebook(t, r, c["n_r"], c["n_ds"]) for t in set(c["n_t"]) for r in set(c["n_rf"]))
 
     b, u = c["b"], c["u"]
     if b < 1 or u < 1:
@@ -301,7 +313,7 @@ def config_from_dict(raw: dict) -> SweepConfig:
         raise ConfigurationError(f"seed must be non-negative, got {seed}")
     esn0 = esn0_grid(c["esn0_start"], c["esn0_step"], c["esn0_stop"])
     # before any per-node work: the sizes alone can exceed the budget
-    records = len(c["scenario"]) * len(codebooks) * len(esn0) * u * b
+    records = len(set(c["scenario"])) * len(codebooks) * len(esn0) * u * b
     check_budget(sweep_bytes(u * b, c["n_sc"], codebooks, records, c["tap_count"]))
 
     # positions not given are fixed for a count of 2, else drawn from the seed
@@ -346,6 +358,8 @@ def load_config(path: str, overrides: dict = None) -> SweepConfig:
             text = fh.read()
     except OSError as e:
         raise OSError(f"cannot read config {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigurationError(f"config {path} is not UTF-8 text: {e}") from e
     raw = parse_config_text(text)
     if overrides:
         raw.update({k: str(v) for k, v in overrides.items() if v is not None})

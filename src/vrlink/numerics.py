@@ -78,14 +78,6 @@ def ensure_complex_stack(m, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def ensure_complex_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Validate and return ``m`` as a finite, non-empty 2-D complex128 array."""
-    arr = np.asarray(m, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise InvalidInputError(f"{name} must be a non-empty 2-D matrix, got shape {arr.shape}")
-    return ensure_complex_stack(arr, name)
-
-
 @dataclass(frozen=True)
 class SvdResult:
     """Full SVD ``M = left @ diag(singular_values) @ right.conj().T``.

@@ -2,9 +2,9 @@
 
 Evaluates every scenario x codebook x Es/N0 combination and checks the
 feasibility constraints into one table of arrays on (scenario, codebook,
-Es/N0, AP, user). Scenarios are sorted by name and codebooks by (n_tx,
-n_rf), so the table's C-order flattening is the CSV row order; the summary
-and the CSV are read from it.
+Es/N0, AP, user). The config holds scenarios sorted by name and codebooks by
+(n_tx, n_rf), so the sweep computes in row order and the table's C-order
+flattening is the CSV row order; the summary and the CSV are read from it.
 """
 
 import dataclasses
@@ -147,13 +147,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     home = np.array(config.base_cells)[:, None] == np.arange(topo.n_aps)
     n_served = (home.sum(axis=0) - home + 1).reshape(-1)
     budget = config.p_b / n_served
-    groups = {}
-    for cb in config.codebooks:
-        groups.setdefault((cb.n_tx, cb.n_rx, cb.n_ds), []).append(cb)
-    designs = {}
-    for group in map(tuple, groups.values()):
-        designs.update(zip(group, _design_group(config, group, amplitude, n_served, budget)))
-    gains, checks = map(np.stack, zip(*(designs[cb] for cb in config.codebooks)))
+    groups = itertools.groupby(config.codebooks, key=lambda cb: (cb.n_tx, cb.n_rx, cb.n_ds))
+    designs = [d for _, group in groups for d in _design_group(config, tuple(group), amplitude, n_served, budget)]
+    gains, checks = map(np.stack, zip(*designs))
     user_powers = np.full(topo.n_users, config.p_u)
     ap_powers = np.full(topo.n_aps, config.p_b)
     d_proc = processing_delay(traffic.v_bits, traffic.m_capacity, traffic.n_share)
@@ -162,7 +158,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     sigma_all = np.array([noise_power(e, config.p_b) for e in esn0_all])
     step = max(1, BLOCK_CELLS // ul.size)
 
-    # (scenario, codebook, Es/N0, user, AP) in config order until the end
+    # (scenario, codebook, Es/N0, user, AP) until the end
     shape = (len(config.scenarios), len(config.codebooks), len(esn0_all)) + amplitude.shape
     rate_dl, d_trans, d_total = np.empty(shape), np.empty(shape), np.empty(shape)
     utility, utility_sum, codes = np.full(shape, np.nan), np.zeros(shape), np.empty(shape, dtype=int)
@@ -197,33 +193,26 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         for s, scenario in enumerate(config.scenarios)
         for k, e in enumerate(esn0_all)
     }
-
-    # the one permutation to row order: scenarios by name, codebooks by
-    # (n_tx, n_rf), AP before user
-    s_order = sorted(range(shape[0]), key=lambda s: config.scenarios[s].value)
-    c_order = sorted(range(shape[1]), key=lambda c: (config.codebooks[c].n_tx, config.codebooks[c].n_rf))
+    # AP before user in the table, as in the CSV rows
     table = SweepResult(
-        tuple(config.scenarios[s] for s in s_order), tuple(config.codebooks[c] for c in c_order), config.esn0_db,
-        *(np.ascontiguousarray(a[np.ix_(s_order, c_order)].swapaxes(-1, -2))
-          for a in (rate_dl, d_trans, d_total, utility, codes)),
+        config.scenarios, config.codebooks, config.esn0_db,
+        *(np.ascontiguousarray(a.swapaxes(-1, -2)) for a in (rate_dl, d_trans, d_total, utility, codes)),
         np.ascontiguousarray(rate_ul.swapaxes(-1, -2)), d_proc, d_queue, objectives, summary=None,
     )
     return dataclasses.replace(table, summary=_summarize(config, table))
 
 
 def _summarize(config: SweepConfig, table: SweepResult) -> dict:
-    """Per-codebook statistics and the best codebook per Es/N0, in config order."""
+    """Per-codebook statistics and the best codebook per Es/N0, in row order."""
     per_codebook = {}
-    for scenario in config.scenarios:
-        for codebook in config.codebooks:
-            at = (table.scenarios.index(scenario), table.codebooks.index(codebook))
-            utilities = table.utility[at][table.codes[at] == 0]
-            d_trans = table.d_trans[at][np.isfinite(table.d_trans[at])]
-            per_codebook[(scenario.value, codebook.label)] = {
-                "utility_mean": float(np.mean(utilities)) if utilities.size else math.nan,
-                "d_trans_min_s": min_statistic(d_trans) if d_trans.size else math.nan,
-                "d_trans_mode_s": mode_statistic(d_trans, config.mode_bin_s) if d_trans.size else math.nan,
-            }
+    for (s, scenario), (c, codebook) in itertools.product(enumerate(table.scenarios), enumerate(table.codebooks)):
+        utilities = table.utility[s, c][table.codes[s, c] == 0]
+        d_trans = table.d_trans[s, c][np.isfinite(table.d_trans[s, c])]
+        per_codebook[(scenario.value, codebook.label)] = {
+            "utility_mean": float(np.mean(utilities)) if utilities.size else math.nan,
+            "d_trans_min_s": min_statistic(d_trans) if d_trans.size else math.nan,
+            "d_trans_mode_s": mode_statistic(d_trans, config.mode_bin_s) if d_trans.size else math.nan,
+        }
     best = {}
     for e, esn0 in enumerate(table.esn0_db.tolist()):
         # one row per codebook: its links of every scenario, in row order

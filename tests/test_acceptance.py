@@ -59,8 +59,8 @@ def test_criterion_2_hybrid_gain_never_beats_full_digital():
             ch = rng.standard_normal((n_sc, 1, codebook.n_tx)) + 1j * rng.standard_normal(
                 (n_sc, 1, codebook.n_tx)
             )
-            sol = design_link(ch, codebook, 0.01)
-            hybrid = sol.effective_gain_per_subcarrier()
+            (sol,) = design_link(ch[None], (codebook,), np.array([0.01]))
+            hybrid = sol.effective_gain_per_subcarrier()[0]
             for sc in range(n_sc):
                 full = np.linalg.svd(ch[sc], compute_uv=False)[0]
                 assert hybrid[sc] <= full + FACTOR_TOL
@@ -95,8 +95,8 @@ def test_criterion_3_constraint_conformance_full_sweep(default_sweep):
             for j in range(topo.n_aps):
                 cells = evaluation_cells(base, i, j)
                 n_served = sum(1 for c in cells if c == j)
-                sol = design_link(
-                    dl.matrices[i, j], codebook, cfg.p_b / n_served
+                (sol,) = design_link(
+                    dl.matrices[i, j][None], (codebook,), np.array([cfg.p_b / n_served])
                 )
                 dev_p = np.abs(np.abs(sol.analog_precoder) ** 2 - 1.0 / codebook.n_tx)
                 dev_g = np.abs(np.abs(sol.analog_combiner) ** 2 - 1.0 / codebook.n_rx)
@@ -104,8 +104,8 @@ def test_criterion_3_constraint_conformance_full_sweep(default_sweep):
                 assert float(np.max(dev_g)) <= MODULUS_TOL
                 eye = np.eye(codebook.n_ds)
                 for sc in range(sol.n_sc):
-                    d = sol.digital_precoders[sc]
-                    c = sol.digital_combiners[sc]
+                    d = sol.digital_precoders[0, sc]
+                    c = sol.digital_combiners[0, sc]
                     assert np.linalg.norm(d.conj().T @ d - eye) < FACTOR_TOL
                     assert np.linalg.norm(c.conj().T @ c - eye) < FACTOR_TOL
                 checked += 1

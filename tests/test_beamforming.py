@@ -12,7 +12,6 @@ from vrlink.beamforming import (
     analog_precoder,
     design_link,
     effective_channel,
-    full_digital,
     hybrid_digital,
 )
 from vrlink.config import config_from_dict
@@ -43,36 +42,6 @@ def test_codebook_validation_and_labels():
 def test_default_codebooks_cover_six_configs():
     labels = [cb.label for cb in config_from_dict({}).codebooks]
     assert labels == ["2A1R", "2A2R", "4A1R", "4A2R", "8A1R", "8A2R"]
-
-
-def test_full_digital_identity_channel():
-    pre, comb = full_digital(np.eye(2), 2)
-    assert np.allclose(pre, np.eye(2))
-    assert np.allclose(comb, np.eye(2))
-    assert np.allclose(effective_channel(comb, np.eye(2), pre), np.eye(2))
-
-
-def test_full_digital_dominant_mode():
-    h = np.diag([3.0, 1.0]).astype(complex)
-    pre, comb = full_digital(h, 1)
-    eff = effective_channel(comb, h, pre)
-    assert eff.shape == (1, 1)
-    assert eff[0, 0] == pytest.approx(3.0, rel=1e-12)
-
-
-def test_full_digital_matches_singular_value():
-    rng = np.random.default_rng(19)
-    for _ in range(50):
-        h = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-        pre, comb = full_digital(h, 1)
-        gain = abs(effective_channel(comb, h, pre)[0, 0])
-        sigma = np.linalg.svd(h, compute_uv=False)[0]
-        assert gain == pytest.approx(sigma, rel=1e-9)
-
-
-def test_full_digital_rejects_oversized_streams():
-    with pytest.raises(ShapeError):
-        full_digital(np.ones((1, 4), dtype=complex), 2)
 
 
 def test_analog_combiner_scalar_receiver():
@@ -167,21 +136,24 @@ def test_effective_channel_identity_sandwich():
 
 def test_effective_channel_recomposes_diagonal():
     h = np.diag([3.0, 1.0]).astype(complex)
-    pre, comb = full_digital(h, 2)
+    res = svd(h)
+    pre, comb = res.right, res.left
     assert np.allclose(effective_channel(comb, h, pre), h, atol=1e-12)
 
 
 def test_design_link_shapes_and_units():
     rng = np.random.default_rng(53)
-    ch = random_channels(rng, 64, 1, 2)
-    sol = design_link(ch, Codebook(2, 1), p_b=0.01)
-    assert sol.analog_precoder.shape == (2, 1)
-    assert sol.analog_combiner.shape == (1, 1)
-    assert sol.digital_precoders.shape == (64, 1, 1)
-    assert sol.effective_channels.shape == (64, 1, 1)
+    links = np.stack([random_channels(rng, 64, 1, 2) for _ in range(3)])
+    (sol,) = design_link(links, (Codebook(2, 1),), np.array([0.01, 0.005, 0.01]))
+    assert sol.analog_precoder.shape == (3, 2, 1)
+    assert sol.analog_combiner.shape == (3, 1, 1)
+    assert sol.digital_precoders.shape == (3, 64, 1, 1)
+    assert sol.effective_channels.shape == (3, 64, 1, 1)
+    assert sol.power_scale.shape == (3, 64)
     assert sol.n_sc == 64
+    assert sol.transmit_power().shape == (3,)
     gains = sol.effective_gain_per_subcarrier()
-    assert gains.shape == (64,)
+    assert gains.shape == (3, 64)
     assert np.all(gains >= 0)
 
 
@@ -189,30 +161,30 @@ def test_design_link_invariants_all_codebooks():
     rng = np.random.default_rng(59)
     for cb in config_from_dict({}).codebooks:
         ch = random_channels(rng, 16, cb.n_rx, cb.n_tx)
-        sol = design_link(ch, cb, p_b=0.01)
+        (sol,) = design_link(ch[None], (cb,), np.array([0.01]))
         # constant-modulus analog entries
         assert np.all(np.abs(np.abs(sol.analog_precoder) - 1 / math.sqrt(cb.n_tx)) < 1e-12)
         assert np.all(np.abs(np.abs(sol.analog_combiner) - 1 / math.sqrt(cb.n_rx)) < 1e-12)
         for sc in range(16):
-            d = sol.digital_precoders[sc]
+            d = sol.digital_precoders[0, sc]
             # semi-unitary before power scaling
             assert np.linalg.norm(d.conj().T @ d - np.eye(cb.n_ds)) < 1e-9
         # the power budget is met exactly across streams and subcarriers
-        assert sol.transmit_power() == pytest.approx(0.01, rel=1e-9)
+        assert sol.transmit_power()[0] == pytest.approx(0.01, rel=1e-9)
         # hybrid gain never beats the per-subcarrier full-digital gain
         for sc in range(16):
             sigma = np.linalg.svd(ch[sc], compute_uv=False)[0]
-            assert sol.effective_gain_per_subcarrier()[sc] <= sigma + 1e-9
+            assert sol.effective_gain_per_subcarrier()[0, sc] <= sigma + 1e-9
 
 
 def test_design_link_single_subcarrier_matches_single_covariance():
     rng = np.random.default_rng(61)
     ch = random_channels(rng, 1, 1, 4)
-    sol = design_link(ch, Codebook(4, 2), p_b=0.005)
+    (sol,) = design_link(ch[None], (Codebook(4, 2),), np.array([0.005]))
     cov = ch[0].conj().T @ ch[0]
     top2 = svd(cov).left[:, :2]
     expected_phases = np.angle(top2[np.abs(top2) > 1e-15])
-    got_phases = np.angle(sol.analog_precoder[np.abs(top2) > 1e-15])
+    got_phases = np.angle(sol.analog_precoder[0][np.abs(top2) > 1e-15])
     assert np.allclose(
         np.exp(1j * got_phases), np.exp(1j * expected_phases), atol=1e-9
     )
@@ -220,9 +192,9 @@ def test_design_link_single_subcarrier_matches_single_covariance():
 
 def test_design_link_deterministic():
     rng = np.random.default_rng(67)
-    ch = random_channels(rng, 8, 1, 4)
-    a = design_link(ch, Codebook(4, 2), p_b=0.01)
-    b = design_link(ch.copy(), Codebook(4, 2), p_b=0.01)
+    links = random_channels(rng, 8, 1, 4)[None]
+    (a,) = design_link(links, (Codebook(4, 2),), np.array([0.01]))
+    (b,) = design_link(links.copy(), (Codebook(4, 2),), np.array([0.01]))
     assert np.array_equal(a.analog_precoder, b.analog_precoder)
     assert np.array_equal(a.digital_precoders, b.digital_precoders)
     assert np.array_equal(a.effective_channels, b.effective_channels)
@@ -231,26 +203,37 @@ def test_design_link_deterministic():
 
 def test_design_link_rejects_mismatched_shapes():
     rng = np.random.default_rng(71)
-    ch = random_channels(rng, 4, 1, 2)
+    links = random_channels(rng, 4, 1, 2)[None]
+    budget = np.array([0.01])
     with pytest.raises(ShapeError):
-        design_link(ch, Codebook(4, 2), p_b=0.01)
+        design_link(links, (Codebook(4, 2),), budget)
     with pytest.raises(InvalidInputError):
-        design_link(ch, Codebook(2, 1), p_b=0.0)
+        design_link(links, (Codebook(2, 1),), np.array([0.0]))
+    # one form only: a tuple of codebooks, an (L, n_sc, n_rx, n_tx) stack
+    # and one budget per link
+    with pytest.raises(ShapeError):
+        design_link(links, Codebook(2, 1), budget)
+    with pytest.raises(ShapeError):
+        design_link(links[0], (Codebook(2, 1),), budget)
+    with pytest.raises(ShapeError):
+        design_link(links, (Codebook(2, 1),), 0.01)
+    with pytest.raises(ShapeError):
+        design_link(links, (Codebook(2, 1),), np.array([0.01, 0.01]))
 
 
 def test_grouped_design_equals_each_codebook_alone():
     # one tuple call shares the analog stages of codebooks that differ only
     # in n_rf; each solution must be the lone design, byte for byte, also
-    # with the tuple out of n_rf order and for a single link
+    # with the tuple out of n_rf order and for a stack of one link
     rng = np.random.default_rng(79)
     links = np.stack([random_channels(rng, 16, 1, 8) for _ in range(5)])
     budgets = np.array([0.01, 0.005, 0.02, 0.01, 0.0025])
     group = tuple(Codebook.from_string(text) for text in ("8x8", "8x1", "8x4", "8x2"))
-    for channels, p_b in ((links, budgets), (links[0], float(budgets[0]))):
+    for channels, p_b in ((links, budgets), (links[:1], budgets[:1])):
         grouped = design_link(channels, group, p_b)
         assert isinstance(grouped, tuple) and len(grouped) == len(group)
         for cb, sol in zip(group, grouped):
-            alone = design_link(channels, cb, p_b)
+            (alone,) = design_link(channels, (cb,), p_b)
             assert sol.codebook == cb
             arrays = [field.name for field in dataclasses.fields(sol) if field.name != "codebook"]
             for name in arrays:

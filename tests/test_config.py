@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vrlink.beamforming import Codebook
 from vrlink.cli import main
 from vrlink.config import (
     KEYS,
@@ -260,6 +261,19 @@ BAD_INPUTS = [
     ("ap_positions = 0,0,1 ; 9,16,2\nuser_positions = 1e-200,0,1 ; 8,15,1", []),
     ("ap_positions = 0,0,1 ; 9,16,2\nuser_positions = 1e-100,0,1 ; 8,15,1", None),
     ("ap_positions = 0,0,1 ; 9,16,2\nuser_positions = 1e-100,0,1 ; 8,15,1", []),
+    # the noise power p_b / 10^(esn0/10) overflows 10^(esn0/10) or divides by 0
+    ("esn0_start = 4000\nesn0_stop = 4000", None),
+    ("esn0_start = 4000\nesn0_stop = 4000", []),
+    ("n_sc = 8", ["--esn0=-5:1e308:1e308"]),
+    ("esn0_start = -4000\nesn0_stop = -4000", None),
+    ("esn0_start = -4000\nesn0_stop = -4000", []),
+    ("esn0_start = -3110\nesn0_stop = -3110", None),
+    ("p_b = 1e-300\nesn0_start = 300\nesn0_stop = 300", None),
+    # an analog stage's (n_sc, n_t, n_t) covariance products
+    ("n_t = 9999", None),
+    ("n_sc = 8", ["--codebook", "9999x1"]),
+    ("n_sc = 8", ["--codebook", ","]),
+    ("scenario = ,", None),
 ]
 
 
@@ -274,6 +288,29 @@ def test_bad_input_exits_2_with_message(text, simulate_args, tmp_path, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "results.csv").exists()
+
+
+def test_config_holds_the_row_order_on_every_path():
+    # scenarios by name and codebooks by (n_tx, n_rf), each once, whether
+    # parsed or replaced
+    cfg = config_from_dict({"scenario": "min,mean,min", "n_t": "8,2,8", "n_rf": "2,1"})
+    assert cfg.scenarios == (GainAggregation.MEAN, GainAggregation.MIN)
+    assert [cb.label for cb in cfg.codebooks] == ["2A1R", "2A2R", "8A1R", "8A2R"]
+    books = tuple(Codebook.from_string(text) for text in ("8x2", "2x1", "8x1", "2x1", "4x4"))
+    replaced = dataclasses.replace(cfg, codebooks=books, scenarios=(GainAggregation.MIN,) * 2)
+    assert replaced.scenarios == (GainAggregation.MIN,)
+    assert [cb.label for cb in replaced.codebooks] == ["2A1R", "4A4R", "8A1R", "8A2R"]
+    # a tie in (n_tx, n_rf) keeps the given order
+    ties = (Codebook(4, 1, n_rx=2), Codebook(2, 1), Codebook(4, 1))
+    assert dataclasses.replace(cfg, codebooks=ties).codebooks == (ties[1], ties[0], ties[2])
+
+
+def test_covariance_stacks_count_toward_the_budget():
+    small = config_from_dict({"n_t": "8", "n_rf": "1"})
+    large = config_from_dict({"n_t": "64", "n_rf": "1"})
+    links = 4
+    dl = links * 64 * (64 - 8) * 16
+    assert large.estimated_bytes - small.estimated_bytes == dl + (64 + links) * (64 * 64 - 8 * 8) * 16
 
 
 def test_size_caps_are_inclusive():

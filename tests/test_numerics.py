@@ -12,7 +12,7 @@ from vrlink.numerics import (
     _BIGNUM,
     _SMLNUM,
     _lapack_svd,
-    ensure_complex_matrix,
+    ensure_complex_stack,
     frobenius_norms,
     singular_values,
     svd,
@@ -100,15 +100,18 @@ def test_svd_rank_one_outer_product():
     assert np.all(res.singular_values[1:] < 1e-12)
 
 
-def test_ensure_complex_matrix_rejects_bad_input():
+def test_ensure_complex_stack_rejects_bad_input():
     with pytest.raises(InvalidInputError):
-        ensure_complex_matrix(np.zeros((0, 3)))
+        ensure_complex_stack(np.zeros((0, 3)))
     with pytest.raises(InvalidInputError):
-        ensure_complex_matrix(np.array([1.0, 2.0]))
+        ensure_complex_stack(np.zeros((2, 3, 0)))
     with pytest.raises(InvalidInputError):
-        ensure_complex_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        ensure_complex_stack(np.array([1.0, 2.0]))
     with pytest.raises(InvalidInputError):
-        ensure_complex_matrix(np.array([[np.inf * 1j, 0.0], [0.0, 1.0]]))
+        ensure_complex_stack(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(InvalidInputError):
+        ensure_complex_stack(np.array([[[1.0, 0.0]], [[np.inf * 1j, 0.0]]]))
+    assert ensure_complex_stack(np.ones((2, 1, 3))).dtype == np.complex128
 
 
 def test_reconstruct_respects_given_factors():

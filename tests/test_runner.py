@@ -59,35 +59,36 @@ def point(result: SweepResult, scenario: str, n_tx: int, n_rf: int, esn0_db: flo
 
 
 def make_solution(codebook=Codebook(2, 1), n_sc=4, seed=0, p_b=0.01):
+    """The design of a stack of one link."""
     rng = np.random.default_rng(seed)
-    ch = rng.standard_normal((n_sc, 1, codebook.n_tx)) + 1j * rng.standard_normal(
-        (n_sc, 1, codebook.n_tx)
+    ch = rng.standard_normal((1, n_sc, 1, codebook.n_tx)) + 1j * rng.standard_normal(
+        (1, n_sc, 1, codebook.n_tx)
     )
-    return design_link(ch, codebook, p_b)
+    return design_link(ch, (codebook,), np.array([p_b]))[0]
 
 
 def test_check_constraints_all_satisfied():
     sol = make_solution()
-    assert check_constraints(2, 0.01, sol, v_j=2, p_b=0.01).tolist() == [False] * 4
+    assert check_constraints(2, 0.01, sol, v_j=2, p_b=0.01).tolist() == [[False] * 4]
 
 
 def test_check_constraints_occupancy():
     sol = make_solution()
     # one column per family: (a), (c), (d), (e)
-    assert check_constraints(3, 0.01, sol, v_j=2, p_b=0.01).tolist() == [True, False, False, False]
+    assert check_constraints(3, 0.01, sol, v_j=2, p_b=0.01).tolist() == [[True, False, False, False]]
 
 
 def test_check_constraints_power_budget():
     sol = make_solution()
-    assert check_constraints(1, 0.02, sol, v_j=2, p_b=0.01).tolist() == [False, True, False, False]
+    assert check_constraints(1, 0.02, sol, v_j=2, p_b=0.01).tolist() == [[False, True, False, False]]
 
 
 def test_check_constraints_modulus_families():
     sol = make_solution()
     bad_p = dataclasses.replace(sol, analog_precoder=sol.analog_precoder * 1.5)
-    assert check_constraints(1, 0.01, bad_p, v_j=2, p_b=0.01).tolist() == [False, False, True, False]
+    assert check_constraints(1, 0.01, bad_p, v_j=2, p_b=0.01).tolist() == [[False, False, True, False]]
     bad_g = dataclasses.replace(sol, analog_combiner=sol.analog_combiner * 0.5)
-    assert check_constraints(1, 0.01, bad_g, v_j=2, p_b=0.01).tolist() == [False, False, False, True]
+    assert check_constraints(1, 0.01, bad_g, v_j=2, p_b=0.01).tolist() == [[False, False, False, True]]
 
 
 @pytest.mark.parametrize(
@@ -419,8 +420,8 @@ def test_csv_infeasible_row_shape(tmp_path):
 
 
 def test_row_order_does_not_depend_on_config_order(tmp_path):
-    # scenarios and codebooks given out of order: the one permutation in
-    # run_sweep puts the rows in the order of the same set given sorted
+    # scenarios and codebooks given out of order: SweepConfig puts them in
+    # the order of the same set given sorted, and run_sweep computes in it
     def run(scenario, books):
         cfg = config_from_dict({"scenario": scenario})
         result = run_sweep(dataclasses.replace(cfg, codebooks=tuple(map(Codebook.from_string, books))))
@@ -594,6 +595,23 @@ def test_cli_stats_rejects_a_bin_width_that_is_not_finite_and_positive(tmp_path,
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["check-config", "simulate", "stats"])
+def test_cli_rejects_input_that_is_not_utf8(tmp_path, capsys, command):
+    # a UTF-16 byte-order mark: the config or CSV cannot be decoded
+    p = tmp_path / "utf16.txt"
+    p.write_bytes(b"\xff\xfe" + "n_sc = 8\n".encode("utf-16-le"))
+    argv = {
+        "check-config": ["check-config", "--config", str(p)],
+        "simulate": ["simulate", "--config", str(p), "--out", str(tmp_path / "out")],
+        "stats": ["stats", "--in", str(p), "--metric", "min"],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "not UTF-8" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_stats_missing_file(tmp_path, capsys):

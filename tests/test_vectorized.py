@@ -321,17 +321,17 @@ def test_design_link_matches_per_subcarrier_reference():
         codebook = Codebook(n_tx, n_rf, n_rx, n_ds)
         channels = random_complex(rng, (n_sc, n_rx, n_tx)) * 1e-5
         p_b = float(rng.uniform(1e-3, 1e-1))
-        sol = design_link(channels, codebook, p_b)
+        (sol,) = design_link(channels[None], (codebook,), np.array([p_b]))
         p_a, g_a, pre, comb, eff, scale = per_subcarrier_design(channels, codebook, p_b)
-        assert np.array_equal(sol.analog_precoder, p_a)
-        assert np.array_equal(sol.analog_combiner, g_a)
-        assert np.array_equal(sol.digital_precoders, pre)
-        assert np.array_equal(sol.digital_combiners, comb)
-        assert np.array_equal(sol.effective_channels, eff)
-        assert np.array_equal(sol.power_scale, scale)
+        assert np.array_equal(sol.analog_precoder[0], p_a)
+        assert np.array_equal(sol.analog_combiner[0], g_a)
+        assert np.array_equal(sol.digital_precoders[0], pre)
+        assert np.array_equal(sol.digital_combiners[0], comb)
+        assert np.array_equal(sol.effective_channels[0], eff)
+        assert np.array_equal(sol.power_scale[0], scale)
         power, gains = per_subcarrier_power_and_gain(p_a, pre, eff, scale)
-        assert sol.transmit_power() == power
-        assert np.array_equal(sol.effective_gain_per_subcarrier(), gains)
+        assert sol.transmit_power()[0] == power
+        assert np.array_equal(sol.effective_gain_per_subcarrier()[0], gains)
 
 
 def random_links(rng, trial):
@@ -366,7 +366,7 @@ def test_stacked_design_equals_one_design_per_link():
         codebook, links = random_links(rng, trial)
         shapes.add((codebook.n_rx > 1, codebook.n_ds > 1))
         budgets = rng.uniform(1e-3, 1e-1, len(links))
-        stacked = design_link(links, codebook, budgets)
+        (stacked,) = design_link(links, (codebook,), budgets)
         powers = stacked.transmit_power()
         gains = stacked.effective_gain_per_subcarrier()
         assert powers.shape == (len(links),)
@@ -377,17 +377,17 @@ def test_stacked_design_equals_one_design_per_link():
         stretch = rng.choice([1.0, 1.5], len(links))
         bent = dataclasses.replace(stacked, analog_precoder=stacked.analog_precoder * stretch[:, None, None])
         want = []
-        for k, channels in enumerate(links):
-            one = design_link(channels, codebook, float(budgets[k]))
+        for k in range(len(links)):
+            (one,) = design_link(links[k:k + 1], (codebook,), budgets[k:k + 1])
             for field in dataclasses.fields(one):
                 if field.name != "codebook":
-                    assert np.array_equal(getattr(stacked, field.name)[k], getattr(one, field.name))
-            power = one.transmit_power()
+                    assert np.array_equal(getattr(stacked, field.name)[k], getattr(one, field.name)[0])
+            power = one.transmit_power()[0]
             assert powers[k] == power
-            assert np.array_equal(gains[k], one.effective_gain_per_subcarrier())
+            assert np.array_equal(gains[k], one.effective_gain_per_subcarrier()[0])
             one = dataclasses.replace(one, analog_precoder=one.analog_precoder * stretch[k])
             n = int(n_served[k])
-            want.append(check_constraints(n, n * power, one, 2, 0.1))
+            want.append(check_constraints(n, n * power, one, 2, 0.1)[0])
         got = check_constraints(n_served, n_served * powers, bent, 2, 0.1)
         assert np.array_equal(got, np.array(want))
     assert shapes == {(False, False), (True, False), (True, True)}
