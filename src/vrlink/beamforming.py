@@ -145,10 +145,6 @@ class BeamformingSolution:
     effective_channels: np.ndarray  # (L, n_sc, n_ds, n_ds)
     power_scale: np.ndarray         # (L, n_sc), watts^0.5 amplitudes
 
-    @property
-    def n_sc(self) -> int:
-        return self.digital_precoders.shape[-3]
-
     def transmit_power(self):
         """Total transmit power per link, summed over streams and
         subcarriers: (L,)."""

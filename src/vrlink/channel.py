@@ -80,15 +80,6 @@ def subcarrier_gains(n_sc: int, mode: str = "deterministic", rng=None) -> np.nda
     raise ConfigurationError(f"unknown gain mode {mode!r}, expected one of {GAIN_MODES}")
 
 
-def ul_channel(d: float, w: float, ramp_n: complex) -> complex:
-    """Single-subcarrier UL coefficient: per-subcarrier factor times d^-w."""
-    if not d > 0:
-        raise DegenerateGeometryError(f"distance must be positive, got {d}")
-    if not w > 0:
-        raise InvalidInputError(f"path-loss exponent must be positive, got {w}")
-    return ramp_n * d ** (-w)
-
-
 def fspl_db(d: float, wavelength: float) -> float:
     """Free-space path loss 20*log10(wavelength / (4*pi*d)) in dB."""
     if not d > 0:

@@ -112,6 +112,8 @@ def _cmd_stats(args) -> int:
         raise OSError(f"cannot read {args.in_path}: {e}") from e
     except UnicodeDecodeError as e:
         raise ConfigurationError(f"{args.in_path} is not UTF-8 text: {e}") from e
+    except csv.Error as e:
+        raise ConfigurationError(f"{args.in_path} is not a readable CSV: {e}") from e
     if not groups:
         raise ConfigurationError(f"no finite transmission delays found in {args.in_path}")
     # every statistic before any output, so a rejected bin width prints nothing

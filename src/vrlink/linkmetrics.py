@@ -7,9 +7,11 @@ anchored to a reference power through the swept Es/N0 value.
 The pipeline entry point, ``compute_metrics``, evaluates both directions on
 whole arrays: the UL on ``(E, U, B, n_sc)``, the DL on every scenario,
 codebook and Es/N0 point at once. It forms each interference sum once, with
-the same masks for both directions, and reproduces ``sinr_ul``, ``sinr_dl``,
-``rate`` and ``aggregate_gain`` bit for bit. Those scalar functions state the
-model one cell at a time and serve only as the tests' oracles.
+the same masks for both directions. The scalar statement of the model, one
+cell at a time, lives in the tests (tests/oracles.py), which hold this path
+to it bit for bit. ``sinr_ul`` stays here only as the target of the
+benchmark's ``linkmetrics.sinr_ul`` layer hook; nothing in the package calls
+it.
 """
 
 import math
@@ -38,13 +40,6 @@ def noise_power(esn0_db: float, reference_power: float) -> float:
     if not reference_power > 0:
         raise InvalidInputError(f"reference power must be positive, got {reference_power}")
     return reference_power / 10.0 ** (esn0_db / 10.0)
-
-
-def evaluation_cells(base_cells, i: int, j: int) -> tuple:
-    """Home-AP assignment with user i re-homed to AP j for this evaluation."""
-    cells = list(base_cells)
-    cells[i] = j
-    return tuple(cells)
 
 
 def sinr_ul(
@@ -84,68 +79,6 @@ def sinr_ul(
     return float(signal / (sigma_sq + intra + inter))
 
 
-def sinr_dl(
-    i: int,
-    j: int,
-    ap_powers: np.ndarray,
-    dl_gains: np.ndarray,
-    cells,
-    sigma_sq: float,
-) -> float:
-    """DL SINR for user i served by AP j with subcarrier-aggregated gains.
-
-    Intra-cell interference counts the other users of AP j, each weighted by
-    the serving AP's power through user i's own gain; inter-cell interference
-    sums other APs' users through their own links.
-    """
-    if not sigma_sq > 0:
-        raise InvalidInputError(f"noise power must be positive, got {sigma_sq}")
-    if cells[i] != j:
-        raise InvalidInputError(f"user {i} is not homed to AP {j} in this evaluation")
-    signal = ap_powers[j] * dl_gains[i, j]
-    intra = 0.0
-    inter = 0.0
-    n_users, n_aps = dl_gains.shape
-    for l in range(n_users):
-        if l == i:
-            continue
-        if cells[l] == j:
-            intra += ap_powers[j] * dl_gains[i, j]
-    for b in range(n_aps):
-        if b == j:
-            continue
-        for k in range(n_users):
-            if k == i or cells[k] != b:
-                continue
-            inter += ap_powers[b] * dl_gains[k, b]
-    return float(signal / (sigma_sq + intra + inter))
-
-
-def rate(bw: float, sinr: float) -> float:
-    """Shannon rate bw * log2(1 + sinr) in bits/s.
-
-    log1p keeps full precision for the tiny SINRs the path-loss model
-    produces, where 1 + sinr would round away the signal.
-    """
-    if not bw > 0:
-        raise InvalidInputError(f"bandwidth must be positive, got {bw}")
-    if sinr < 0:
-        raise InvalidInputError(f"SINR must be non-negative, got {sinr}")
-    return bw * math.log1p(sinr) / LN2
-
-
-def aggregate_gain(per_subcarrier_gains, mode: GainAggregation) -> float:
-    """Collapse per-subcarrier gains by arithmetic mean or minimum."""
-    gains = np.asarray(per_subcarrier_gains, dtype=float)
-    if gains.size == 0:
-        raise InvalidInputError("cannot aggregate an empty gain vector")
-    if np.any(gains < 0):
-        raise InvalidInputError("gains must be non-negative")
-    if mode not in _AGGREGATE:
-        raise InvalidInputError(f"unknown aggregation mode {mode!r}")
-    return float(_AGGREGATE[mode](gains))
-
-
 @dataclass(frozen=True)
 class LinkMetrics:
     """SINR and rate surfaces over Es/N0 points, scenarios, codebooks and cells."""
@@ -164,7 +97,8 @@ def _interference(base_cells, n_aps: int, intra_term, inter_term, tail: tuple = 
     is what user l, homed to AP j, adds at (i, j); inter_term(k, b) is what
     user k, homed to another AP b, adds. Both broadcast against the (U, B)
     cell grid followed by `tail` unit axes. The masked terms are added from
-    0.0 in the scalar oracles' order, so the sums round as theirs do.
+    0.0 in the order of the scalar ``sinr_ul`` and ``sinr_dl``, so the sums
+    round as theirs do.
     """
     users = np.arange(len(base_cells)).reshape((-1, 1) + tail)
     aps = np.arange(n_aps).reshape((1, -1) + tail)
@@ -179,7 +113,11 @@ def _interference(base_cells, n_aps: int, intra_term, inter_term, tail: tuple = 
 
 
 def _rate(bw: float, sinr: np.ndarray) -> np.ndarray:
-    """``rate`` per element; math.log1p, not np.log1p: the two round differently."""
+    """Shannon rate bw * log2(1 + sinr) in bits/s per element.
+
+    math.log1p keeps full precision for the tiny SINRs the path-loss model
+    produces; np.log1p rounds differently from it.
+    """
     if not bw > 0:
         raise InvalidInputError(f"bandwidth must be positive, got {bw}")
     if np.any(sinr < 0):

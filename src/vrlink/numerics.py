@@ -84,18 +84,13 @@ class SvdResult:
 
     ``left`` is m x m unitary, ``right`` is n x n unitary, and
     ``singular_values`` holds min(m, n) non-negative reals, descending. For a
-    stacked input every field carries the same leading axes.
+    stacked input every field carries the same leading axes. The tests
+    multiply the factors back with ``reconstruct`` (tests/oracles.py).
     """
 
     left: np.ndarray
     singular_values: np.ndarray
     right: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        m, n, k = self.left.shape[-1], self.right.shape[-1], self.singular_values.shape[-1]
-        sigma = np.zeros(self.singular_values.shape[:-1] + (m, n))
-        sigma[..., range(k), range(k)] = self.singular_values
-        return self.left @ sigma @ np.conj(self.right).swapaxes(-1, -2)
 
 
 def _complex(re, im) -> np.ndarray:

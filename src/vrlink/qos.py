@@ -7,10 +7,9 @@ wait. Utility is the product of a delay-tolerance factor and a tracking
 
 The pipeline works on stacks of link windows, one link's subcarriers on the
 last axis: ``transmission_delay`` and ``link_utilities`` compute every
-subcarrier of every window with array arithmetic. The scalar
-``conditional_utility``, ``tracking_error``, ``tracking_utility`` and
-``total_utility`` state the model one subcarrier at a time; the window path
-reproduces them bit for bit and the tests hold it to them as oracles.
+subcarrier of every window with array arithmetic. The tests state the
+utility one subcarrier at a time (tests/oracles.py) and hold the window path
+to that statement bit for bit.
 """
 
 import math
@@ -86,58 +85,6 @@ def queue_delay(mu: float, lam: float) -> float:
     return 1.0 / (mu - lam)
 
 
-def conditional_utility(d: float, d_max: float, gamma_d: float) -> float:
-    """Delay-tolerance factor: 1 below gamma_d, linear down to 0 at d_max."""
-    if d < 0 or d_max < 0 or gamma_d < 0:
-        raise InvalidInputError("delays must be non-negative")
-    if d > d_max:
-        raise InvalidInputError(
-            f"delay {d} exceeds the window maximum {d_max}; d_max must cover every subcarrier"
-        )
-    if d < gamma_d:
-        return 1.0
-    if d_max <= gamma_d:
-        # whole window within tolerance, reachable only at d == gamma_d == d_max
-        return 1.0
-    return (d_max - d) / (d_max - gamma_d)
-
-
-def tracking_error(sinr_ul: float, epsilon0: float) -> float:
-    """Position error versus UL SINR: epsilon0 / sqrt(1 + SINR).
-
-    A declared, pluggable mapping; only error ratios reach the utility, so
-    the exact shape matters less than monotonicity.
-    """
-    if sinr_ul < 0:
-        raise InvalidInputError(f"SINR must be non-negative, got {sinr_ul}")
-    if not epsilon0 > 0:
-        raise InvalidInputError(f"epsilon0 must be positive, got {epsilon0}")
-    return epsilon0 / math.sqrt(1.0 + sinr_ul)
-
-
-def tracking_utility(error_n: float, errors_all_n) -> float:
-    """Accuracy factor: 1 - error / worst-subcarrier error."""
-    errors = np.asarray(errors_all_n, dtype=float)
-    if errors.size == 0:
-        raise InvalidInputError("empty tracking-error vector")
-    if np.any(errors < 0) or error_n < 0:
-        raise InvalidInputError("tracking errors must be non-negative")
-    worst = float(np.max(errors))
-    if error_n > worst:
-        raise InvalidInputError(f"error {error_n} is not an element of the window (max {worst})")
-    if worst == 0.0:
-        return 1.0
-    return 1.0 - error_n / worst
-
-
-def total_utility(conditional: float, tracking: float) -> float:
-    """Product of the two factors."""
-    for name, v in (("conditional", conditional), ("tracking", tracking)):
-        if not 0.0 <= v <= 1.0:
-            raise InvalidInputError(f"{name} utility must lie in [0,1], got {v}")
-    return conditional * tracking
-
-
 def link_utilities(
     delays_total: np.ndarray,
     sinrs_ul: np.ndarray,
@@ -149,9 +96,9 @@ def link_utilities(
     delays_total and sinrs_ul are one window or a stack of windows; gamma_d
     is one tolerance or one per window (shape (..., 1)). d_max is the worst
     total delay over a window's subcarriers; the tracking anchor is the
-    worst tracking error over the same window. Equal, bit for bit, to
-    ``total_utility(conditional_utility(...), tracking_utility(...))`` per
-    subcarrier.
+    worst tracking error over the same window. Equal, bit for bit, to the
+    scalar ``total_utility(conditional_utility(...), tracking_utility(...))``
+    of tests/oracles.py per subcarrier.
     """
     delays = np.asarray(delays_total, dtype=float)
     sinrs = np.asarray(sinrs_ul, dtype=float)

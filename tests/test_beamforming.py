@@ -150,7 +150,6 @@ def test_design_link_shapes_and_units():
     assert sol.digital_precoders.shape == (3, 64, 1, 1)
     assert sol.effective_channels.shape == (3, 64, 1, 1)
     assert sol.power_scale.shape == (3, 64)
-    assert sol.n_sc == 64
     assert sol.transmit_power().shape == (3,)
     gains = sol.effective_gain_per_subcarrier()
     assert gains.shape == (3, 64)

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import ul_channel
 from vrlink.channel import (
     SPEED_OF_LIGHT,
     SubcarrierGrid,
@@ -18,7 +19,6 @@ from vrlink.channel import (
     synthesize_dl,
     synthesize_ul,
     tap_decay_sum,
-    ul_channel,
 )
 from vrlink.errors import ConfigurationError, DegenerateGeometryError, InvalidInputError
 from vrlink.topology import IndoorArea, NetworkTopology, Position3D

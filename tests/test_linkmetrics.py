@@ -5,17 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import aggregate_gain, evaluation_cells, rate, sinr_dl, sinr_ul
 from vrlink.errors import InvalidInputError
-from vrlink.linkmetrics import (
-    GainAggregation,
-    aggregate_gain,
-    compute_metrics,
-    evaluation_cells,
-    noise_power,
-    rate,
-    sinr_dl,
-    sinr_ul,
-)
+from vrlink.linkmetrics import GainAggregation, compute_metrics, noise_power
 
 
 def test_noise_power_values():

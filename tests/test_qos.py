@@ -6,16 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import conditional_utility, total_utility, tracking_error, tracking_utility
 from vrlink.errors import ConfigurationError, InvalidInputError
 from vrlink.qos import (
     TrafficModel,
-    conditional_utility,
     link_utilities,
     processing_delay,
     queue_delay,
-    total_utility,
-    tracking_error,
-    tracking_utility,
     transmission_delay,
 )
 

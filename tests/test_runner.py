@@ -622,3 +622,13 @@ def test_cli_stats_malformed_csv(tmp_path, capsys):
     p = tmp_path / "junk.csv"
     p.write_text("a,b,c\n1,2,3\n")
     assert main(["stats", "--in", str(p), "--metric", "min"]) == 2
+
+
+def test_cli_stats_field_past_the_csv_field_limit(tmp_path, capsys):
+    # csv.Error: the reader stops at a quoted field past csv.field_size_limit()
+    p = tmp_path / "long_field.csv"
+    p.write_text('scenario,n_tx,n_rf,d_trans_s\nmean,2,1,"' + "1" * 200_000 + '"\n')
+    assert main(["stats", "--in", str(p), "--metric", "min"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and str(p) in captured.err
+    assert captured.out == ""

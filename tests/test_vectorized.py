@@ -14,6 +14,17 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import (
+    aggregate_gain,
+    conditional_utility,
+    evaluation_cells,
+    rate,
+    sinr_dl,
+    sinr_ul,
+    total_utility,
+    tracking_error,
+    tracking_utility,
+)
 from vrlink.beamforming import Codebook, design_link
 from vrlink.channel import (
     SPEED_OF_LIGHT,
@@ -26,24 +37,9 @@ from vrlink.channel import (
 )
 from vrlink.config import config_from_dict
 from vrlink.errors import InvalidInputError
-from vrlink.linkmetrics import (
-    GainAggregation,
-    aggregate_gain,
-    compute_metrics,
-    evaluation_cells,
-    rate,
-    sinr_dl,
-    sinr_ul,
-)
+from vrlink.linkmetrics import GainAggregation, compute_metrics
 from vrlink.numerics import ZERO_MODULUS, svd, unit_modulus_normalize
-from vrlink.qos import (
-    conditional_utility,
-    link_utilities,
-    total_utility,
-    tracking_error,
-    tracking_utility,
-    transmission_delay,
-)
+from vrlink.qos import link_utilities, transmission_delay
 from vrlink.runner import check_constraints, run_sweep, write_results_csv
 from vrlink.topology import departure_arrival_angles, distance
 
