@@ -4,8 +4,12 @@ UL links are scalar path-loss channels with a unit-modulus per-subcarrier
 factor; DL links are rank-1 matrices built from free-space path loss, a
 delay-tap decay sum, and ULA steering vectors at the departure/arrival
 azimuths. ``path_gains`` computes each link's distance, UL path gain and
-DL amplitude once; the DL is then synthesized once per link and codebook:
-the steering vectors are shared, and each subcarrier scales the same
+DL amplitude once. The UL is drawn once per sweep, the DL once per group of
+codebooks that share (n_tx, n_rx, n_ds). Each synthesis builds every link in
+one pass: one phase ramp shared by all links, or one Gaussian draw of
+(links, 2, n_sc) normals, which holds the same stream as one real-part and
+one imaginary-part draw per link in user-major order. A link's steering
+vectors are shared by its subcarriers, and each subcarrier scales the same
 outer product by its own gain.
 """
 
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateGeometryError, InvalidInputError
-from .topology import NetworkTopology, Position3D, departure_arrival_angles, distance
+from .topology import NetworkTopology, departure_arrival_angles, distance
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -61,22 +65,24 @@ def subcarrier_phase_ramp(n_sc: int) -> np.ndarray:
     return np.exp(1j * n * np.pi / 180.0)
 
 
-def subcarrier_gains(n_sc: int, mode: str = "deterministic", rng=None) -> np.ndarray:
-    """Per-subcarrier complex gain factors.
+def subcarrier_gains(n_sc: int, mode: str = "deterministic", rng=None, links: int = None) -> np.ndarray:
+    """Per-subcarrier complex gain factors, (n_sc,), or (links, n_sc) for that
+    many links in a row.
 
-    deterministic reproduces the unit-modulus phase ramp; gaussian draws
-    circularly-symmetric CN(0,1) samples from the supplied generator.
+    deterministic reproduces the unit-modulus phase ramp, the same for every
+    link; gaussian draws circularly-symmetric CN(0,1) samples from the
+    supplied generator, each link's real parts and then its imaginary parts.
     """
     if mode == "deterministic":
-        return subcarrier_phase_ramp(n_sc)
+        ramp = subcarrier_phase_ramp(n_sc)
+        return ramp if links is None else np.broadcast_to(ramp, (links, n_sc))
     if mode == "gaussian":
         if rng is None:
             raise ConfigurationError("gaussian gain mode needs a seeded generator")
         if n_sc < 1:
             raise InvalidInputError(f"n_sc must be >= 1, got {n_sc}")
-        re = rng.standard_normal(n_sc)
-        im = rng.standard_normal(n_sc)
-        return (re + 1j * im) / math.sqrt(2.0)
+        draw = rng.standard_normal((2, n_sc) if links is None else (links, 2, n_sc))
+        return (draw[..., 0, :] + 1j * draw[..., 1, :]) / math.sqrt(2.0)
     raise ConfigurationError(f"unknown gain mode {mode!r}, expected one of {GAIN_MODES}")
 
 
@@ -103,14 +109,17 @@ def tap_decay_sum(tau_s: float, tap_count: int, tap_spacing_s: float) -> float:
         return float(np.sum(np.exp(-(k * tap_spacing_s) / tau_s)))
 
 
-def steering_vector(n_elements: int, azimuth_deg: float, spacing_over_wavelength: float = 0.5) -> np.ndarray:
-    """ULA response, element k = (1/sqrt(N)) * exp(-j*k*2*pi*(d/lambda)*sin(az))."""
+def steering_vector(n_elements: int, azimuth_deg, spacing_over_wavelength: float = 0.5) -> np.ndarray:
+    """ULA response, element k = (1/sqrt(N)) * exp(-j*k*2*pi*(d/lambda)*sin(az)):
+    (N,) for one azimuth, (L, N) for a sequence of L azimuths."""
     if n_elements < 1:
         raise InvalidInputError(f"element count must be >= 1, got {n_elements}")
     if not spacing_over_wavelength > 0:
         raise InvalidInputError(f"spacing ratio must be positive, got {spacing_over_wavelength}")
     k = np.arange(n_elements, dtype=float)
-    phase = -2.0 * np.pi * spacing_over_wavelength * math.sin(math.radians(azimuth_deg)) * k
+    # math.sin per azimuth, as for one link: numpy's sin may round differently
+    slopes = [-2.0 * np.pi * spacing_over_wavelength * math.sin(math.radians(az)) for az in np.ravel(azimuth_deg)]
+    phase = np.multiply(np.reshape(slopes, np.shape(azimuth_deg) + (1,)), k)
     return np.exp(1j * phase) / math.sqrt(n_elements)
 
 
@@ -140,19 +149,6 @@ def path_gains(topology: NetworkTopology, grid: SubcarrierGrid, w: float, tap_co
     return ul, dl
 
 
-def dl_link_channels(tx: Position3D, rx: Position3D, amp: float, gains: np.ndarray, n_tx: int, n_rx: int) -> np.ndarray:
-    """Rank-1 DL matrices (n_sc, n_rx, n_tx) of one link, one per entry of gains.
-
-    H_n = amp * gains[n] * a_rx(aoa) a_tx(aod)^H, with amp the link's
-    ``path_gains`` amplitude. The angles and steering vectors belong to the
-    link, so only the gain varies across subcarriers.
-    """
-    aod_az, aoa_az = departure_arrival_angles(tx, rx)
-    a_tx = steering_vector(n_tx, aod_az)
-    a_rx = steering_vector(n_rx, aoa_az)
-    return (amp * np.asarray(gains))[:, None, None] * np.outer(a_rx, a_tx.conj())
-
-
 @dataclass(frozen=True)
 class DlChannelSet:
     """DL matrices for every (user, AP) link and subcarrier."""
@@ -163,10 +159,8 @@ class DlChannelSet:
 def synthesize_ul(path_gain: np.ndarray, n_sc: int, mode: str = "deterministic", rng=None) -> np.ndarray:
     """UL scalar coefficients (U, B, n_sc) from the (U, B) ``path_gains``:
     every entry of a link has modulus d^-w."""
-    coeffs = np.zeros(path_gain.shape + (n_sc,), dtype=complex)
-    for i, j in np.ndindex(path_gain.shape):
-        coeffs[i, j] = subcarrier_gains(n_sc, mode, rng) * path_gain[i, j]
-    return coeffs
+    gains = subcarrier_gains(n_sc, mode, rng, links=path_gain.size)
+    return np.multiply(gains, path_gain.reshape(-1, 1)).reshape(path_gain.shape + (n_sc,))
 
 
 def synthesize_dl(
@@ -179,10 +173,16 @@ def synthesize_dl(
     rng=None,
 ) -> DlChannelSet:
     """DL matrices for every (user, AP) pair, all subcarriers, from the
-    (U, B) ``path_gains`` amplitudes."""
-    mats = np.zeros(amplitude.shape + (n_sc, n_rx, n_tx), dtype=complex)
-    for i, user in enumerate(topology.users):
-        for j, ap in enumerate(topology.aps):
-            gains = subcarrier_gains(n_sc, mode, rng)
-            mats[i, j] = dl_link_channels(ap, user, amplitude[i, j], gains, n_tx, n_rx)
-    return DlChannelSet(matrices=mats)
+    (U, B) ``path_gains`` amplitudes.
+
+    Link (i, j) holds H_n = amp * gains[n] * a_rx(aoa) a_tx(aod)^H: the
+    angles and steering vectors belong to the link, so only the gain varies
+    across subcarriers.
+    """
+    angles = [departure_arrival_angles(ap, user) for user in topology.users for ap in topology.aps]
+    a_tx = steering_vector(n_tx, [aod for aod, _ in angles])
+    a_rx = steering_vector(n_rx, [aoa for _, aoa in angles])
+    outer = np.multiply(a_rx[:, :, None], np.conj(a_tx)[:, None, :])
+    scaled = np.multiply(amplitude.reshape(-1, 1), subcarrier_gains(n_sc, mode, rng, links=len(angles)))
+    mats = np.multiply(scaled[:, :, None, None], outer[:, None])
+    return DlChannelSet(matrices=mats.reshape(amplitude.shape + mats.shape[1:]))

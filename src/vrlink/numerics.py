@@ -2,7 +2,8 @@
 element-wise modulus normalization.
 
 The factorization is LAPACK's zgesdd via numpy, or for one-row matrices of
-one or two columns a numpy closed form of it; this module pins down the
+one or two columns a numpy closed form of it (for 1x1 matrices also its
+singular values alone); this module pins down the
 conventions the beamforming stages rely on (descending singular values,
 reproducible singular-vector phases, tolerance policy). ``svd`` takes a single
 matrix or a stack ``(..., m, n)``; a single matrix is a stack of one, so both
@@ -46,6 +47,15 @@ x86-64 these hold:
   flattened stack take the same dot, so ``frobenius_norms`` equals the
   per-matrix norm; contiguous copies of the views round differently.
 - ``np.log1p`` is not per-element equal to ``math.log1p``; keep that scalar.
+- ``Generator.standard_normal`` gives one stream however it is split: one
+  ``(links, 2, n)`` draw holds, in C order, what ``2 * links`` draws of
+  ``n`` return one after another.
+- ``np.multiply(a[:, :, None], b[:, None, :])`` on stacks of vectors equals
+  ``np.outer(a[k], b[k])`` for each ``k``, and a broadcast product over a
+  stack of links equals the one-link product, as long as the operands keep
+  their order (see the fused product above).
+- ``np.argmax`` keeps the first of equal maxima, so the pivot of a two-entry
+  column is its second entry only where that one is strictly larger.
 """
 
 import math
@@ -102,8 +112,15 @@ def _complex(re, im) -> np.ndarray:
 def _conj_pivot_phase(vectors: np.ndarray) -> np.ndarray:
     """Conjugate phase of each column's largest-magnitude entry, (S, rows, cols)
     -> (S, cols); 1 for a column whose pivot is below ``ZERO_MODULUS``."""
-    idx = np.argmax(np.abs(vectors), axis=-2)
-    pivot = np.take_along_axis(vectors, idx[:, None, :], axis=-2)[:, 0, :]
+    rows = vectors.shape[-2]
+    if rows == 1:
+        pivot = vectors[:, 0, :]
+    elif rows == 2:
+        # argmax keeps the first of two equal magnitudes
+        pivot = np.where(np.abs(vectors[:, 1, :]) > np.abs(vectors[:, 0, :]), vectors[:, 1, :], vectors[:, 0, :])
+    else:
+        idx = np.argmax(np.abs(vectors), axis=-2)
+        pivot = np.take_along_axis(vectors, idx[:, None, :], axis=-2)[:, 0, :]
     re, im = pivot.real, pivot.imag
     mag = np.hypot(re, im)
     usable = mag > ZERO_MODULUS
@@ -128,8 +145,11 @@ def _rotate_columns(vectors: np.ndarray, phase: np.ndarray) -> np.ndarray:
 def _zscal(alpha: np.ndarray, x: np.ndarray) -> np.ndarray:
     """OpenBLAS's zscal: ``x * alpha`` in plain products, skipping a zero part of alpha."""
     ar, ai, xr, xi = alpha.real, alpha.imag, x.real, x.imag
-    re = np.where(ar == 0, np.where(ai == 0, 0.0, -ai * xi), np.where(ai == 0, ar * xr, ar * xr - ai * xi))
-    im = np.where(ar == 0, np.where(ai == 0, 0.0, ai * xr), np.where(ai == 0, ar * xi, ar * xi + ai * xr))
+    re, im = ar * xr - ai * xi, ar * xi + ai * xr
+    zero_r, zero_i = ar == 0, ai == 0
+    if zero_r.any() or zero_i.any():
+        re = np.where(zero_r, np.where(zero_i, 0.0, -ai * xi), np.where(zero_i, ar * xr, re))
+        im = np.where(zero_r, np.where(zero_i, 0.0, ai * xr), np.where(zero_i, ar * xi, im))
     return _complex(re, im)
 
 
@@ -173,14 +193,21 @@ def _svd_1x2(h: np.ndarray) -> tuple:
     return _complex(np.copysign(1.0, beta), 0.0)[:, None, None], s[:, None], vh
 
 
+def _inside_window(rows: np.ndarray) -> np.ndarray:
+    """Which rows (S, cols) of at most two entries zgesdd takes unscaled:
+    the largest ``max(|re|, |im|)`` inside [2 SMLNUM, BIGNUM / 2]."""
+    parts = np.maximum(np.abs(rows.real), np.abs(rows.imag))
+    peak = parts[:, 0] if rows.shape[-1] == 1 else np.maximum(parts[:, 0], parts[:, 1])
+    return (peak >= 2.0 * _SMLNUM) & (peak <= _BIGNUM / 2.0)
+
+
 def _lapack_svd(stack: np.ndarray) -> tuple:
     """``np.linalg.svd(stack, full_matrices=True)`` of a stack ``(S, m, n)``, bit for bit:
     one-row matrices of one or two columns inside the scaling window in closed form."""
     rows, cols = stack.shape[-2:]
     if rows != 1 or cols > 2:
         return np.linalg.svd(stack, full_matrices=True)
-    peak = np.max(np.maximum(np.abs(stack.real), np.abs(stack.imag)), axis=(-2, -1))
-    inside = (peak >= 2.0 * _SMLNUM) & (peak <= _BIGNUM / 2.0)
+    inside = _inside_window(stack[:, 0])
     with np.errstate(under="ignore"):
         u, s, vh = (_svd_1x1 if cols == 1 else _svd_1x2)(np.where(inside[:, None], stack[:, 0], 1.0))
     if not inside.all():
@@ -213,12 +240,19 @@ def svd(m) -> SvdResult:
 
 
 def singular_values(m) -> np.ndarray:
-    """``np.linalg.svd(m, compute_uv=False)`` of one matrix or a stack ``(..., m, n)``; zgesdd
-    gives a 1x1 matrix the same value with or without vectors, so those take ``_lapack_svd``."""
+    """``np.linalg.svd(m, compute_uv=False)`` of one matrix or a stack ``(..., m, n)``; a 1x1
+    matrix inside the scaling window takes zgesdd's value in closed form, without vectors."""
     a = ensure_complex_stack(m)
     if a.shape[-2:] != (1, 1):
         return np.linalg.svd(a, compute_uv=False)
-    return _lapack_svd(a.reshape(-1, 1, 1))[1].reshape(a.shape[:-2] + (1,))
+    h = a.reshape(-1, 1)
+    inside = _inside_window(h)
+    z = np.where(inside, h[:, 0], 1.0)
+    with np.errstate(under="ignore"):
+        s = _dlapy3(z.real, z.imag, 0.0)
+    if not inside.all():
+        s[~inside] = np.linalg.svd(h[~inside, :, None], compute_uv=False)[:, 0]
+    return s.reshape(a.shape[:-2] + (1,))
 
 
 def frobenius_norms(stack: np.ndarray) -> np.ndarray:

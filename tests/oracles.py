@@ -11,8 +11,8 @@ the tests compare the array path with them by ``==``:
   (``aggregate_gain``);
 - the utility factors (``conditional_utility``, ``tracking_error``,
   ``tracking_utility``, ``total_utility``);
-- one UL coefficient (``ul_channel``) and the product of SVD factors
-  (``reconstruct``).
+- one UL coefficient (``ul_channel``), one link's DL matrices
+  (``dl_link_channels``) and the product of SVD factors (``reconstruct``).
 
 ``sinr_ul`` is re-exported from ``vrlink.linkmetrics``. It stays in the
 package only as the target of the benchmark's ``linkmetrics.sinr_ul`` layer
@@ -23,10 +23,12 @@ import math
 
 import numpy as np
 
+from vrlink.channel import steering_vector
 from vrlink.errors import DegenerateGeometryError, InvalidInputError
 from vrlink.linkmetrics import _AGGREGATE, LN2, GainAggregation
 from vrlink.linkmetrics import sinr_ul  # noqa: F401 (re-exported, see above)
 from vrlink.numerics import SvdResult
+from vrlink.topology import Position3D, departure_arrival_angles
 
 
 def evaluation_cells(base_cells, i: int, j: int) -> tuple:
@@ -157,6 +159,19 @@ def ul_channel(d: float, w: float, ramp_n: complex) -> complex:
     if not w > 0:
         raise InvalidInputError(f"path-loss exponent must be positive, got {w}")
     return ramp_n * d ** (-w)
+
+
+def dl_link_channels(tx: Position3D, rx: Position3D, amp: float, gains: np.ndarray, n_tx: int, n_rx: int) -> np.ndarray:
+    """Rank-1 DL matrices (n_sc, n_rx, n_tx) of one link, one per entry of gains.
+
+    H_n = amp * gains[n] * a_rx(aoa) a_tx(aod)^H, with amp the link's
+    ``path_gains`` amplitude. The angles and steering vectors belong to the
+    link, so only the gain varies across subcarriers.
+    """
+    aod_az, aoa_az = departure_arrival_angles(tx, rx)
+    a_tx = steering_vector(n_tx, aod_az)
+    a_rx = steering_vector(n_rx, aoa_az)
+    return (amp * np.asarray(gains))[:, None, None] * np.outer(a_rx, a_tx.conj())
 
 
 def reconstruct(res: SvdResult) -> np.ndarray:

@@ -1,16 +1,17 @@
 """Channel synthesis: phase ramp, path loss, steering vectors, DL matrices."""
 
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from oracles import ul_channel
+from oracles import dl_link_channels, ul_channel
 from vrlink.channel import (
+    GAIN_MODES,
     SPEED_OF_LIGHT,
     SubcarrierGrid,
-    dl_link_channels,
     fspl_db,
     path_gains,
     steering_vector,
@@ -20,6 +21,7 @@ from vrlink.channel import (
     synthesize_ul,
     tap_decay_sum,
 )
+from vrlink.config import config_from_dict
 from vrlink.errors import ConfigurationError, DegenerateGeometryError, InvalidInputError
 from vrlink.topology import IndoorArea, NetworkTopology, Position3D
 
@@ -64,6 +66,18 @@ def test_subcarrier_gains_gaussian_mode_seeded():
         subcarrier_gains(16, "gaussian")
     with pytest.raises(ConfigurationError):
         subcarrier_gains(16, "uniform")
+
+
+def test_gaussian_gains_of_many_links_are_one_stream():
+    # one (links, 2, n_sc) draw holds each link's real parts, then its
+    # imaginary parts, as separate draws one link at a time would
+    rng = np.random.default_rng(11)
+    want = [(rng.standard_normal(9) + 1j * rng.standard_normal(9)) / math.sqrt(2.0) for _ in range(6)]
+    rng = np.random.default_rng(11)
+    got = [subcarrier_gains(9, "gaussian", rng)] + list(subcarrier_gains(9, "gaussian", rng, links=5))
+    assert np.array_equal(np.array(got).view(float), np.array(want).view(float))
+    ramps = subcarrier_gains(9, links=3)
+    assert ramps.shape == (3, 9) and np.array_equal(ramps, np.tile(subcarrier_phase_ramp(9), (3, 1)))
 
 
 def test_ul_channel_values():
@@ -257,6 +271,27 @@ def test_synthesize_dl_gaussian_mode_deterministic_per_seed():
     c = synthesize_dl(*args, np.random.default_rng([2, 1]))
     assert np.array_equal(a.matrices, b.matrices)
     assert not np.array_equal(a.matrices, c.matrices)
+
+
+@pytest.mark.parametrize("mode", GAIN_MODES)
+@pytest.mark.parametrize("n_rx", [1, 2])
+@pytest.mark.parametrize("u, b", [(3, 2), (8, 4)])
+def test_stacked_synthesis_equals_one_link_at_a_time(mode, n_rx, u, b):
+    cfg = config_from_dict({"u": str(u), "b": str(b), "n_sc": "17", "gain_mode": mode, "seed": "5"})
+    topo, n_sc = cfg.topology, cfg.grid.n_sc
+    ul_gain, amp = path_gains(topo, cfg.grid, cfg.w, cfg.tap_count, cfg.tap_spacing_s)
+    ul = synthesize_ul(ul_gain, n_sc, mode, np.random.default_rng([5, 0]))
+    ul_rng = np.random.default_rng([5, 0])
+    for i, j in np.ndindex(ul_gain.shape):
+        want = subcarrier_gains(n_sc, mode, ul_rng) * ul_gain[i, j]
+        assert np.array_equal(ul[i, j].view(float), want.view(float))
+    for n_tx in (1, 4):
+        dl = synthesize_dl(topo, amp, n_sc, n_tx, n_rx, mode, np.random.default_rng([5, 1])).matrices
+        assert dl.shape == (u, b, n_sc, n_rx, n_tx)
+        dl_rng = np.random.default_rng([5, 1])
+        for (i, user), (j, ap) in itertools.product(enumerate(topo.users), enumerate(topo.aps)):
+            want = dl_link_channels(ap, user, amp[i, j], subcarrier_gains(n_sc, mode, dl_rng), n_tx, n_rx)
+            assert np.array_equal(dl[i, j].view(float), want.view(float))
 
 
 def test_grid_validation():

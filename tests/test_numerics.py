@@ -13,6 +13,7 @@ from vrlink.numerics import (
     _BIGNUM,
     _SMLNUM,
     _lapack_svd,
+    _zscal,
     ensure_complex_stack,
     frobenius_norms,
     singular_values,
@@ -257,6 +258,12 @@ def test_singular_values_of_1x1_stacks_equal_lapack():
     stack[0, :50] = 0.0
     stack[1, :50] = stack[1, :50].real
     assert_same_bits(singular_values(stack), np.linalg.svd(stack, compute_uv=False))
+    # both sides of each edge of the scaling window, on the real or the imaginary part
+    edges = [2 * _SMLNUM, np.nextafter(2 * _SMLNUM, 0), _BIGNUM / 2, np.nextafter(_BIGNUM / 2, np.inf)]
+    for edge in edges:
+        stack = edge * rng.choice([1, -1, 1j, -1j], (200, 1, 1)) + rng.uniform(-1, 1, (200, 1, 1)) * edge * 1j
+        stack[:20] = edge
+        assert_same_bits(singular_values(stack), np.linalg.svd(stack, compute_uv=False))
     wide = random_complex(rng, 2, 3)
     assert_same_bits(singular_values(wide), np.linalg.svd(wide, compute_uv=False))
 
@@ -266,3 +273,81 @@ def test_three_column_rows_stay_on_lapack():
     rng = np.random.default_rng(47)
     for _ in range(20):
         assert_factors_equal_lapack(random_complex(rng, 1, 3)[None] * 10.0 ** rng.uniform(-100, 100))
+
+
+def reference_svd(matrix):
+    """One matrix's ``svd``, as the convention states it: LAPACK's factors,
+    each left column rotated in place by the conjugate phase of its first
+    largest-magnitude entry, each right column by its left partner's phase,
+    or by its own pivot's when it has none."""
+    u, s, vh = np.linalg.svd(matrix, full_matrices=True)
+    v = np.conj(vh).T
+
+    def conj_pivot_phase(column):
+        pivot = column[np.argmax(np.abs(column))]
+        mag = np.hypot(pivot.real, pivot.imag)
+        if not mag > ZERO_MODULUS:
+            return complex(1.0, -0.0)
+        scale = 1.0 / mag
+        return complex((pivot.real + pivot.imag * 0.0) * scale, -((pivot.imag - pivot.real * 0.0) * scale))
+
+    phases = [conj_pivot_phase(u[:, c]) for c in range(u.shape[1])]
+    phases += [conj_pivot_phase(v[:, c]) for c in range(len(s), v.shape[1])]
+    for c in range(u.shape[1]):
+        u[:, c] *= phases[c]
+    for c in range(v.shape[1]):
+        v[:, c] *= phases[c] if c < len(s) else phases[u.shape[1] + c - len(s)]
+    return u, s, v
+
+
+def test_svd_of_tied_pivots_takes_the_first_entry():
+    # columns whose two entries have equal magnitude: the pivot is the first
+    rng = np.random.default_rng(48)
+    a, b = (rng.standard_normal(300) + 1j * rng.standard_normal(300) for _ in range(2))
+    stacks = [
+        np.stack([a, a], -1)[:, None, :],
+        np.stack([a, np.conj(a)], -1)[:, None, :],
+        np.stack([a, a.imag + 1j * a.real], -1)[:, None, :],
+        np.stack([a, 1j * a], -1)[:, :, None],
+        np.stack([np.stack([a, a], -1), np.stack([a, -a], -1)], 1),
+        np.stack([np.stack([a, b], -1), np.stack([b, a], -1)], 1),
+    ]
+    ties = 0
+    for stack in stacks:
+        res = svd(stack)
+        for k, matrix in enumerate(stack):
+            u, s, v = reference_svd(matrix)
+            ties += sum(int(np.abs(x[0, c]) == np.abs(x[1, c])) for x in (u, v) if len(x) == 2 for c in range(2))
+            assert_same_bits(res.left[k], u)
+            assert_same_bits(res.singular_values[k], s)
+            assert_same_bits(res.right[k], v)
+    assert ties > 1000
+
+
+def zscal_nested(alpha, x):
+    """OpenBLAS's zscal written as one nested selection per part."""
+    ar, ai, xr, xi = alpha.real, alpha.imag, x.real, x.imag
+    out = np.empty(np.broadcast_shapes(alpha.shape, x.shape), dtype=np.complex128)
+    out.real = np.where(ar == 0, np.where(ai == 0, 0.0, -ai * xi), np.where(ai == 0, ar * xr, ar * xr - ai * xi))
+    out.imag = np.where(ar == 0, np.where(ai == 0, 0.0, ai * xr), np.where(ai == 0, ar * xi, ar * xi + ai * xr))
+    return out
+
+
+def test_zscal_skips_a_zero_part_of_alpha():
+    rng = np.random.default_rng(49)
+
+    def complex_of(re, im):  # keeps the sign of a zero part, which re + 1j * im loses
+        out = np.empty(len(re), dtype=np.complex128)
+        out.real, out.imag = re, im
+        return out
+
+    parts = rng.standard_normal((2, 400))
+    x = complex_of(*rng.standard_normal((2, 400)) * 10.0 ** rng.uniform(-100, 100, 400))
+    x[:40] = complex_of(rng.choice([0.0, -0.0], 40), rng.choice([0.0, -0.0, 2.5], 40))
+    for re_zero, im_zero in ((False, False), (True, False), (False, True), (True, True)):
+        re = np.where(re_zero, rng.choice([0.0, -0.0], 400), parts[0])
+        im = np.where(im_zero, rng.choice([0.0, -0.0], 400), parts[1])
+        alpha = complex_of(re, im)
+        # every lane of one kind, then a stack that mixes them with general lanes
+        for lanes in (alpha, np.where(rng.uniform(size=400) < 0.3, alpha, complex_of(*parts))):
+            assert_same_bits(_zscal(lanes, x), zscal_nested(lanes, x))
