@@ -65,24 +65,22 @@ def subcarrier_phase_ramp(n_sc: int) -> np.ndarray:
     return np.exp(1j * n * np.pi / 180.0)
 
 
-def subcarrier_gains(n_sc: int, mode: str = "deterministic", rng=None, links: int = None) -> np.ndarray:
-    """Per-subcarrier complex gain factors, (n_sc,), or (links, n_sc) for that
-    many links in a row.
+def subcarrier_gains(links: int, n_sc: int, mode: str = "deterministic", rng=None) -> np.ndarray:
+    """Per-subcarrier complex gain factors (links, n_sc) of that many links in a row.
 
     deterministic reproduces the unit-modulus phase ramp, the same for every
     link; gaussian draws circularly-symmetric CN(0,1) samples from the
     supplied generator, each link's real parts and then its imaginary parts.
     """
     if mode == "deterministic":
-        ramp = subcarrier_phase_ramp(n_sc)
-        return ramp if links is None else np.broadcast_to(ramp, (links, n_sc))
+        return np.broadcast_to(subcarrier_phase_ramp(n_sc), (links, n_sc))
     if mode == "gaussian":
         if rng is None:
             raise ConfigurationError("gaussian gain mode needs a seeded generator")
         if n_sc < 1:
             raise InvalidInputError(f"n_sc must be >= 1, got {n_sc}")
-        draw = rng.standard_normal((2, n_sc) if links is None else (links, 2, n_sc))
-        return (draw[..., 0, :] + 1j * draw[..., 1, :]) / math.sqrt(2.0)
+        draw = rng.standard_normal((links, 2, n_sc))
+        return (draw[:, 0] + 1j * draw[:, 1]) / math.sqrt(2.0)
     raise ConfigurationError(f"unknown gain mode {mode!r}, expected one of {GAIN_MODES}")
 
 
@@ -109,17 +107,17 @@ def tap_decay_sum(tau_s: float, tap_count: int, tap_spacing_s: float) -> float:
         return float(np.sum(np.exp(-(k * tap_spacing_s) / tau_s)))
 
 
-def steering_vector(n_elements: int, azimuth_deg, spacing_over_wavelength: float = 0.5) -> np.ndarray:
-    """ULA response, element k = (1/sqrt(N)) * exp(-j*k*2*pi*(d/lambda)*sin(az)):
-    (N,) for one azimuth, (L, N) for a sequence of L azimuths."""
+def steering_vector(n_elements: int, azimuths_deg, spacing_over_wavelength: float = 0.5) -> np.ndarray:
+    """ULA responses (L, N) at a sequence of L azimuths, element k of each
+    (1/sqrt(N)) * exp(-j*k*2*pi*(d/lambda)*sin(az))."""
     if n_elements < 1:
         raise InvalidInputError(f"element count must be >= 1, got {n_elements}")
     if not spacing_over_wavelength > 0:
         raise InvalidInputError(f"spacing ratio must be positive, got {spacing_over_wavelength}")
     k = np.arange(n_elements, dtype=float)
     # math.sin per azimuth, as for one link: numpy's sin may round differently
-    slopes = [-2.0 * np.pi * spacing_over_wavelength * math.sin(math.radians(az)) for az in np.ravel(azimuth_deg)]
-    phase = np.multiply(np.reshape(slopes, np.shape(azimuth_deg) + (1,)), k)
+    slopes = [-2.0 * np.pi * spacing_over_wavelength * math.sin(math.radians(az)) for az in azimuths_deg]
+    phase = np.multiply(np.reshape(slopes, (-1, 1)), k)
     return np.exp(1j * phase) / math.sqrt(n_elements)
 
 
@@ -159,7 +157,7 @@ class DlChannelSet:
 def synthesize_ul(path_gain: np.ndarray, n_sc: int, mode: str = "deterministic", rng=None) -> np.ndarray:
     """UL scalar coefficients (U, B, n_sc) from the (U, B) ``path_gains``:
     every entry of a link has modulus d^-w."""
-    gains = subcarrier_gains(n_sc, mode, rng, links=path_gain.size)
+    gains = subcarrier_gains(path_gain.size, n_sc, mode, rng)
     return np.multiply(gains, path_gain.reshape(-1, 1)).reshape(path_gain.shape + (n_sc,))
 
 
@@ -183,6 +181,6 @@ def synthesize_dl(
     a_tx = steering_vector(n_tx, [aod for aod, _ in angles])
     a_rx = steering_vector(n_rx, [aoa for _, aoa in angles])
     outer = np.multiply(a_rx[:, :, None], np.conj(a_tx)[:, None, :])
-    scaled = np.multiply(amplitude.reshape(-1, 1), subcarrier_gains(n_sc, mode, rng, links=len(angles)))
+    scaled = np.multiply(amplitude.reshape(-1, 1), subcarrier_gains(len(angles), n_sc, mode, rng))
     mats = np.multiply(scaled[:, :, None, None], outer[:, None])
     return DlChannelSet(matrices=mats.reshape(amplitude.shape + mats.shape[1:]))

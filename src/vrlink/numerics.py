@@ -193,12 +193,20 @@ def _svd_1x2(h: np.ndarray) -> tuple:
     return _complex(np.copysign(1.0, beta), 0.0)[:, None, None], s[:, None], vh
 
 
-def _inside_window(rows: np.ndarray) -> np.ndarray:
-    """Which rows (S, cols) of at most two entries zgesdd takes unscaled:
-    the largest ``max(|re|, |im|)`` inside [2 SMLNUM, BIGNUM / 2]."""
+def _closed_form_or_lapack(rows: np.ndarray, closed, lapack) -> tuple:
+    """``closed`` of the one-row matrices ``rows`` (S, cols), cols <= 2, whose largest
+    ``max(|re|, |im|)`` lies inside zgesdd's scaling window [2 SMLNUM, BIGNUM / 2];
+    ``lapack`` of the matrices (S', 1, cols) outside it, which zgesdd rescales.
+    Both return a tuple of stacks over S."""
     parts = np.maximum(np.abs(rows.real), np.abs(rows.imag))
     peak = parts[:, 0] if rows.shape[-1] == 1 else np.maximum(parts[:, 0], parts[:, 1])
-    return (peak >= 2.0 * _SMLNUM) & (peak <= _BIGNUM / 2.0)
+    inside = (peak >= 2.0 * _SMLNUM) & (peak <= _BIGNUM / 2.0)
+    with np.errstate(under="ignore"):
+        out = closed(np.where(inside[:, None], rows, 1.0))
+    if not inside.all():
+        for part, fallback in zip(out, lapack(rows[~inside, None, :])):
+            part[~inside] = fallback
+    return out
 
 
 def _lapack_svd(stack: np.ndarray) -> tuple:
@@ -207,12 +215,9 @@ def _lapack_svd(stack: np.ndarray) -> tuple:
     rows, cols = stack.shape[-2:]
     if rows != 1 or cols > 2:
         return np.linalg.svd(stack, full_matrices=True)
-    inside = _inside_window(stack[:, 0])
-    with np.errstate(under="ignore"):
-        u, s, vh = (_svd_1x1 if cols == 1 else _svd_1x2)(np.where(inside[:, None], stack[:, 0], 1.0))
-    if not inside.all():
-        u[~inside], s[~inside], vh[~inside] = np.linalg.svd(stack[~inside], full_matrices=True)
-    return u, s, vh
+    return _closed_form_or_lapack(
+        stack[:, 0], _svd_1x1 if cols == 1 else _svd_1x2, lambda m: np.linalg.svd(m, full_matrices=True)
+    )
 
 
 def svd(m) -> SvdResult:
@@ -245,13 +250,11 @@ def singular_values(m) -> np.ndarray:
     a = ensure_complex_stack(m)
     if a.shape[-2:] != (1, 1):
         return np.linalg.svd(a, compute_uv=False)
-    h = a.reshape(-1, 1)
-    inside = _inside_window(h)
-    z = np.where(inside, h[:, 0], 1.0)
-    with np.errstate(under="ignore"):
-        s = _dlapy3(z.real, z.imag, 0.0)
-    if not inside.all():
-        s[~inside] = np.linalg.svd(h[~inside, :, None], compute_uv=False)[:, 0]
+    (s,) = _closed_form_or_lapack(
+        a.reshape(-1, 1),
+        lambda h: (_dlapy3(h.real, h.imag, 0.0),),
+        lambda m: (np.linalg.svd(m, compute_uv=False),),
+    )
     return s.reshape(a.shape[:-2] + (1,))
 
 

@@ -11,8 +11,10 @@ the tests compare the array path with them by ``==``:
   (``aggregate_gain``);
 - the utility factors (``conditional_utility``, ``tracking_error``,
   ``tracking_utility``, ``total_utility``);
-- one UL coefficient (``ul_channel``), one link's DL matrices
-  (``dl_link_channels``) and the product of SVD factors (``reconstruct``).
+- one link's subcarrier gains (``link_gains``), one UL coefficient
+  (``ul_channel``), one steering vector (``link_steering``), one link's DL
+  matrices (``dl_link_channels``) and the product of SVD factors
+  (``reconstruct``).
 
 ``sinr_ul`` is re-exported from ``vrlink.linkmetrics``. It stays in the
 package only as the target of the benchmark's ``linkmetrics.sinr_ul`` layer
@@ -23,8 +25,7 @@ import math
 
 import numpy as np
 
-from vrlink.channel import steering_vector
-from vrlink.errors import DegenerateGeometryError, InvalidInputError
+from vrlink.errors import ConfigurationError, DegenerateGeometryError, InvalidInputError
 from vrlink.linkmetrics import _AGGREGATE, LN2, GainAggregation
 from vrlink.linkmetrics import sinr_ul  # noqa: F401 (re-exported, see above)
 from vrlink.numerics import SvdResult
@@ -161,6 +162,25 @@ def ul_channel(d: float, w: float, ramp_n: complex) -> complex:
     return ramp_n * d ** (-w)
 
 
+def link_gains(n_sc: int, mode: str, rng=None) -> np.ndarray:
+    """One link's gain per subcarrier: the phase ramp exp(j*n*pi/180), n = 1..n_sc,
+    or CN(0,1) from one draw of n_sc real parts and then one of n_sc imaginary parts."""
+    if mode == "deterministic":
+        return np.exp(1j * np.arange(1, n_sc + 1, dtype=float) * np.pi / 180.0)
+    if mode == "gaussian":
+        re = rng.standard_normal(n_sc)
+        im = rng.standard_normal(n_sc)
+        return (re + 1j * im) / math.sqrt(2.0)
+    raise ConfigurationError(f"unknown gain mode {mode!r}")
+
+
+def link_steering(n_elements: int, azimuth_deg: float) -> np.ndarray:
+    """Half-wavelength ULA response at one azimuth,
+    element k = (1/sqrt(N)) * exp(-j*k*2*pi*0.5*sin(az))."""
+    k = np.arange(n_elements, dtype=float)
+    return np.exp(1j * (-2.0 * np.pi * 0.5 * math.sin(math.radians(azimuth_deg)) * k)) / math.sqrt(n_elements)
+
+
 def dl_link_channels(tx: Position3D, rx: Position3D, amp: float, gains: np.ndarray, n_tx: int, n_rx: int) -> np.ndarray:
     """Rank-1 DL matrices (n_sc, n_rx, n_tx) of one link, one per entry of gains.
 
@@ -169,8 +189,8 @@ def dl_link_channels(tx: Position3D, rx: Position3D, amp: float, gains: np.ndarr
     link, so only the gain varies across subcarriers.
     """
     aod_az, aoa_az = departure_arrival_angles(tx, rx)
-    a_tx = steering_vector(n_tx, aod_az)
-    a_rx = steering_vector(n_rx, aoa_az)
+    a_tx = link_steering(n_tx, aod_az)
+    a_rx = link_steering(n_rx, aoa_az)
     return (amp * np.asarray(gains))[:, None, None] * np.outer(a_rx, a_tx.conj())
 
 

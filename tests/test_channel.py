@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import dl_link_channels, ul_channel
+from oracles import dl_link_channels, link_gains, link_steering, ul_channel
 from vrlink.channel import (
     GAIN_MODES,
     SPEED_OF_LIGHT,
@@ -57,27 +57,29 @@ def test_phase_ramp_rejects_bad_count():
 
 
 def test_subcarrier_gains_gaussian_mode_seeded():
-    a = subcarrier_gains(16, "gaussian", np.random.default_rng(5))
-    b = subcarrier_gains(16, "gaussian", np.random.default_rng(5))
-    c = subcarrier_gains(16, "gaussian", np.random.default_rng(6))
+    a = subcarrier_gains(1, 16, "gaussian", np.random.default_rng(5))
+    b = subcarrier_gains(1, 16, "gaussian", np.random.default_rng(5))
+    c = subcarrier_gains(1, 16, "gaussian", np.random.default_rng(6))
+    assert a.shape == (1, 16)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     with pytest.raises(ConfigurationError):
-        subcarrier_gains(16, "gaussian")
+        subcarrier_gains(1, 16, "gaussian")
     with pytest.raises(ConfigurationError):
-        subcarrier_gains(16, "uniform")
+        subcarrier_gains(1, 16, "uniform")
 
 
 def test_gaussian_gains_of_many_links_are_one_stream():
     # one (links, 2, n_sc) draw holds each link's real parts, then its
     # imaginary parts, as separate draws one link at a time would
     rng = np.random.default_rng(11)
-    want = [(rng.standard_normal(9) + 1j * rng.standard_normal(9)) / math.sqrt(2.0) for _ in range(6)]
+    want = [link_gains(9, "gaussian", rng) for _ in range(6)]
     rng = np.random.default_rng(11)
-    got = [subcarrier_gains(9, "gaussian", rng)] + list(subcarrier_gains(9, "gaussian", rng, links=5))
+    got = list(subcarrier_gains(1, 9, "gaussian", rng)) + list(subcarrier_gains(5, 9, "gaussian", rng))
     assert np.array_equal(np.array(got).view(float), np.array(want).view(float))
-    ramps = subcarrier_gains(9, links=3)
+    ramps = subcarrier_gains(3, 9)
     assert ramps.shape == (3, 9) and np.array_equal(ramps, np.tile(subcarrier_phase_ramp(9), (3, 1)))
+    assert np.array_equal(ramps[0].view(float), link_gains(9, "deterministic").view(float))
 
 
 def test_ul_channel_values():
@@ -107,13 +109,14 @@ def test_fspl_reference_values():
 
 
 def test_steering_vector_zero_angle():
-    a = steering_vector(2, 0.0)
-    assert np.allclose(a, [1 / math.sqrt(2), 1 / math.sqrt(2)])
+    a = steering_vector(2, [0.0])
+    assert a.shape == (1, 2)
+    assert np.allclose(a[0], [1 / math.sqrt(2), 1 / math.sqrt(2)])
 
 
 def test_steering_vector_30_degrees():
     # sin 30 = 1/2 with half-wavelength spacing gives a phase step of -pi/2
-    a = steering_vector(2, 30.0)
+    a = steering_vector(2, [30.0])[0]
     assert a[0] == pytest.approx(1 / math.sqrt(2), rel=1e-12)
     assert a[1] == pytest.approx(-1j / math.sqrt(2), rel=1e-12)
 
@@ -123,15 +126,25 @@ def test_steering_vector_unit_norm():
     for _ in range(100):
         n = int(rng.integers(1, 17))
         az = float(rng.uniform(0, 360))
-        a = steering_vector(n, az)
+        a = steering_vector(n, [az])[0]
         assert abs(np.linalg.norm(a) - 1.0) < 1e-12
+
+
+def test_steering_vectors_equal_one_azimuth_at_a_time():
+    rng = np.random.default_rng(19)
+    azimuths = list(rng.uniform(-180, 360, 40)) + [0.0, 30.0, 90.0, -90.0, 180.0]
+    for n in (1, 2, 3, 8, 16):
+        got = steering_vector(n, azimuths)
+        assert got.shape == (len(azimuths), n)
+        want = np.array([link_steering(n, az) for az in azimuths])
+        assert np.array_equal(got.view(float), want.view(float))
 
 
 def test_steering_vector_rejects_bad_input():
     with pytest.raises(InvalidInputError):
-        steering_vector(0, 10.0)
+        steering_vector(0, [10.0])
     with pytest.raises(InvalidInputError):
-        steering_vector(4, 10.0, spacing_over_wavelength=0.0)
+        steering_vector(4, [10.0], spacing_over_wavelength=0.0)
 
 
 def test_tap_decay_sum():
@@ -283,14 +296,14 @@ def test_stacked_synthesis_equals_one_link_at_a_time(mode, n_rx, u, b):
     ul = synthesize_ul(ul_gain, n_sc, mode, np.random.default_rng([5, 0]))
     ul_rng = np.random.default_rng([5, 0])
     for i, j in np.ndindex(ul_gain.shape):
-        want = subcarrier_gains(n_sc, mode, ul_rng) * ul_gain[i, j]
+        want = link_gains(n_sc, mode, ul_rng) * ul_gain[i, j]
         assert np.array_equal(ul[i, j].view(float), want.view(float))
     for n_tx in (1, 4):
         dl = synthesize_dl(topo, amp, n_sc, n_tx, n_rx, mode, np.random.default_rng([5, 1])).matrices
         assert dl.shape == (u, b, n_sc, n_rx, n_tx)
         dl_rng = np.random.default_rng([5, 1])
         for (i, user), (j, ap) in itertools.product(enumerate(topo.users), enumerate(topo.aps)):
-            want = dl_link_channels(ap, user, amp[i, j], subcarrier_gains(n_sc, mode, dl_rng), n_tx, n_rx)
+            want = dl_link_channels(ap, user, amp[i, j], link_gains(n_sc, mode, dl_rng), n_tx, n_rx)
             assert np.array_equal(dl[i, j].view(float), want.view(float))
 
 

@@ -7,7 +7,8 @@ digests: the bytes of ``results.csv``, and the stdout summary lines with the
 output directory replaced by ``OUT``. pytest runs it with RuntimeWarning as
 an error, so a case also fails on a numeric warning.
 
-The cases cover the seven goldens (tests/test_golden.py), the benchmark's
+The cases cover the seven goldens (tests/test_golden.py, whose ``GOLDEN``
+holds their results.csv digests), the benchmark's
 workload configs, the closed-form SVDs' out-of-window fallback
 (``fc = 1e300``), delays past 1e100 s (``w`` = 167, 170, 300), rows failing
 (a) and (b), an Es/N0 grid down to -40 dB, users with two and three antennas
@@ -68,8 +69,20 @@ CASES = {
     ),
 }
 
+# golden name -> summary sha256; the results.csv sha256 is GOLDEN's
+GOLDEN_SUMMARIES = {
+    "default": "07c3a153a9881daf97807fdc56a50898edda244ca708390214e0033193401808",
+    "dense_gaussian": "dc1805ce5c2effc1dba9bb49213eb9f278718a54c1c17a788b2e5a53fcae7d43",
+    "eight_antennas_four_rf_counts": "70f8ad03509911c2eff8428dff86539ef97e8ad7dabbd40cff27de64fb986729",
+    "gaussian_seed1": "4f1882e5f664755bb2e061cc6e7299aa2ab63299dcad6c3bfdae7e3143ebe2a4",
+    "gaussian_seed7": "c25f3ec9783ff36d94cbc6aa1016c4b1d40330eec53952c5ec6ce393be96e242",
+    "reciprocal_queue": "07c3a153a9881daf97807fdc56a50898edda244ca708390214e0033193401808",
+    "three_users_16_subcarriers": "4d82ae1d5fb59c33b933217d3467d37784018c81a575012d13233b750631fd93",
+}
+
 # name -> (results.csv sha256, summary sha256)
 PINS = {
+    **{f"golden_{name}": (GOLDEN[name][1], summary) for name, summary in GOLDEN_SUMMARIES.items()},
     "codebooks_gaussian_out_of_order": (
         "7b905a8b4fa16a6a9f49bcdb88723dc02ee50f70053abadec0b12ad484a83b6c",
         "034a8855d64ebb37ef497b47d71bdda19d3ecf3e20d36d50820a4223cff8c502",
@@ -89,34 +102,6 @@ PINS = {
     "fc_1e300": (
         "bd1854a8aae4d29d66664ff98a38845f3011b0bf54851c5ef9cfd24b94a83925",
         "5e8ef99f48039f772800b9492e6fea75fa158eb7806f21eb4d06b08180e4715f",
-    ),
-    "golden_default": (
-        "1402f083029906b65cd6e8488434a9c819821cff8e8e89986ad210d6b3a764f4",
-        "07c3a153a9881daf97807fdc56a50898edda244ca708390214e0033193401808",
-    ),
-    "golden_dense_gaussian": (
-        "59e75d74a01c3972ab78f92961dad422143e324facc8513ff42173eba026eb7e",
-        "dc1805ce5c2effc1dba9bb49213eb9f278718a54c1c17a788b2e5a53fcae7d43",
-    ),
-    "golden_eight_antennas_four_rf_counts": (
-        "6db3a540fe81f0a90ee0fdb14978a0da4c8c6425a126e127f0d316b3d78a5595",
-        "70f8ad03509911c2eff8428dff86539ef97e8ad7dabbd40cff27de64fb986729",
-    ),
-    "golden_gaussian_seed1": (
-        "2abf9d3d0295504cb61eebf66ee70d0308a9b704f5d7c0e2dfe155d3f1272398",
-        "4f1882e5f664755bb2e061cc6e7299aa2ab63299dcad6c3bfdae7e3143ebe2a4",
-    ),
-    "golden_gaussian_seed7": (
-        "7b4d4520cfe0b8516786540ccb1d21bccf41e9379823ba8b62d986edd78119a6",
-        "c25f3ec9783ff36d94cbc6aa1016c4b1d40330eec53952c5ec6ce393be96e242",
-    ),
-    "golden_reciprocal_queue": (
-        "3d87daf831206d59868aea66c34a5aafe7517ddae43ab5ebf7c88db7d69c471c",
-        "07c3a153a9881daf97807fdc56a50898edda244ca708390214e0033193401808",
-    ),
-    "golden_three_users_16_subcarriers": (
-        "ade304c0ad9bb0293fda221c8f0754818f71968706a6db9f4246568f7c5564f8",
-        "4d82ae1d5fb59c33b933217d3467d37784018c81a575012d13233b750631fd93",
     ),
     "one_user_per_ap_unreachable_rate": (
         "2abdba006fd3dc3ae1ff8971a3cf348bf3d33d5fdb9d807baacf44663b966bda",

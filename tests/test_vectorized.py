@@ -394,15 +394,15 @@ def per_subcarrier_dl(topology, grid, n_tx, n_rx, tap_count, tap_spacing_s, mode
     mats = np.zeros((topology.n_users, topology.n_aps, grid.n_sc, n_rx, n_tx), dtype=complex)
     for i, user in enumerate(topology.users):
         for j, ap in enumerate(topology.aps):
-            gains = subcarrier_gains(grid.n_sc, mode, rng)
+            gains = subcarrier_gains(1, grid.n_sc, mode, rng)[0]
             for n in range(grid.n_sc):
                 d = distance(ap, user)
                 aod, aoa = departure_arrival_angles(ap, user)
                 amp = 10.0 ** (fspl_db(d, grid.wavelength) / 10.0) * tap_decay_sum(
                     d / SPEED_OF_LIGHT, tap_count, tap_spacing_s
                 )
-                a_tx = steering_vector(n_tx, aod)
-                a_rx = steering_vector(n_rx, aoa)
+                a_tx = steering_vector(n_tx, [aod])[0]
+                a_rx = steering_vector(n_rx, [aoa])[0]
                 mats[i, j, n] = amp * gains[n] * np.outer(a_rx, a_tx.conj())
     return mats
 
