@@ -6,7 +6,11 @@ stages are per-subcarrier SVDs of the analog-reduced channel. Every link of a
 group of codebooks is designed at once, on stacked ``(links, n_sc, rows,
 cols)`` matrices with stacked ``@`` and one stacked SVD per stage. Codebooks
 that differ only in n_rf share one pair of analog stages. The only loop sums
-each link's covariance, one link at a time.
+each link's covariance, one link at a time, so that one link's
+``(n_sc, n, n)`` products are held; the sum reads them once, in subcarrier
+order, and keeps no running sums. A solution keeps the composite beam
+``analog @ digital`` that the design normalizes, and its transmit power is
+read from that beam.
 """
 
 import math
@@ -55,6 +59,19 @@ class Codebook:
         return cls(n_tx=int(m.group(1)), n_rf=int(m.group(2)), n_rx=n_rx, n_ds=n_ds)
 
 
+def _subcarrier_sum(products: np.ndarray) -> np.ndarray:
+    """Sum of a C-contiguous (n_sc, n, n) stack, added from zero in
+    subcarrier order like a Python loop (see the numerics docstring).
+
+    add.reduce adds in index order over the outer axis of a stack with
+    n >= 2; along a 1 x 1 stack's only axis it adds pairwise, so there the
+    running sum, in place, keeps the order.
+    """
+    if products.shape[-1] > 1:
+        return np.add.reduce(products, axis=0) + 0.0
+    return np.cumsum(products, axis=0, out=products)[-1] + 0.0
+
+
 def _covariance_beams(channels: np.ndarray, n_cols: int, receive_side: bool) -> np.ndarray:
     """Shared analog stage: SVD of a covariance sum, constant-modulus entries.
 
@@ -70,13 +87,10 @@ def _covariance_beams(channels: np.ndarray, n_cols: int, receive_side: bool) -> 
         raise ShapeError(f"cannot take {n_cols} beams from {size} antennas")
     links = channels.reshape((-1,) + channels.shape[-3:])
     cov = np.empty((len(links), size, size), dtype=np.complex128)
+    # one link at a time, so that only one (n_sc, n, n) stack is held
     for k, h in enumerate(links):
         h_herm = np.conj(h).swapaxes(-1, -2)
-        products = h @ h_herm if receive_side else h_herm @ h
-        # running sum from zero in subcarrier order (see the numerics
-        # docstring), in place and one link at a time so that only one
-        # (n_sc, n, n) stack is held
-        cov[k] = np.cumsum(products, axis=0, out=products)[-1] + 0.0
+        cov[k] = _subcarrier_sum(h @ h_herm if receive_side else h_herm @ h)
     beams = unit_modulus_normalize(svd(cov).left[..., :n_cols], 1.0 / math.sqrt(size))
     return beams.reshape(channels.shape[:-3] + beams.shape[-2:])
 
@@ -129,9 +143,10 @@ class BeamformingSolution:
     """Everything the link metrics need for a stack of L (user, AP) links:
     every array field has a leading link axis.
 
-    digital_precoders are kept semi-unitary; power_scale carries the
-    per-subcarrier amplitude that takes the composite transmit beam
-    analog_precoder @ digital_precoder to the link's power budget.
+    digital_precoders are kept semi-unitary; composite_precoders holds the
+    composite transmit beam analog_precoder @ digital_precoder of each
+    subcarrier, as the design formed it, and power_scale the per-subcarrier
+    amplitude that takes that beam to the link's power budget.
     effective_channels are measured through unit-Frobenius-norm composite
     beams, so their singular values are directly comparable with the
     full-digital gain of the raw channel.
@@ -141,6 +156,7 @@ class BeamformingSolution:
     analog_precoder: np.ndarray     # (L, n_tx, n_rf), entry modulus 1/sqrt(n_tx)
     analog_combiner: np.ndarray     # (L, n_rx, n_ds), entry modulus 1/sqrt(n_rx)
     digital_precoders: np.ndarray   # (L, n_sc, n_rf, n_ds), semi-unitary
+    composite_precoders: np.ndarray  # (L, n_sc, n_tx, n_ds), analog @ digital
     digital_combiners: np.ndarray   # (L, n_sc, n_ds, n_ds)
     effective_channels: np.ndarray  # (L, n_sc, n_ds, n_ds)
     power_scale: np.ndarray         # (L, n_sc), watts^0.5 amplitudes
@@ -148,7 +164,7 @@ class BeamformingSolution:
     def transmit_power(self):
         """Total transmit power per link, summed over streams and
         subcarriers: (L,)."""
-        beams = self.power_scale[..., None, None] * (self.analog_precoder[..., None, :, :] @ self.digital_precoders)
+        beams = self.power_scale[..., None, None] * self.composite_precoders
         per_subcarrier = np.sum(np.abs(beams) ** 2, axis=(-2, -1))
         return np.cumsum(per_subcarrier, axis=-1)[..., -1]
 
@@ -206,7 +222,7 @@ def design_link(links: np.ndarray, codebooks: tuple, p_b: np.ndarray) -> tuple:
             raise InvalidInputError("degenerate composite beam with zero norm")
         effective = effective_channel(w / w_norm[..., None, None], links, f / f_norm[..., None, None])
         solutions.append(BeamformingSolution(
-            cb, p_a, g_a, np.ascontiguousarray(d_pre), np.ascontiguousarray(d_comb), effective,
+            cb, p_a, g_a, np.ascontiguousarray(d_pre), f, np.ascontiguousarray(d_comb), effective,
             np.sqrt(budgets / n_sc)[:, None] / f_norm,  # equal split of the budget
         ))
     return tuple(solutions)

@@ -29,9 +29,9 @@ QUEUE_UNIT_PRESETS = {
 MAX_N_SC = 8192
 MAX_ESN0_POINTS = 1001
 # allocation budget: the largest DL channel stack, plus the analog stages'
-# covariance stacks, plus the rows, at RECORD_BYTES each (a row at the
-# sweep's peak), plus one link's delay taps at TAP_BYTES each (a tap and its
-# temporaries)
+# covariance stacks, plus the composite beams one design call keeps, plus the
+# rows, at RECORD_BYTES each (a row at the sweep's peak), plus one link's
+# delay taps at TAP_BYTES each (a tap and its temporaries)
 MAX_SWEEP_BYTES = 1 << 30
 RECORD_BYTES = 1024
 TAP_BYTES = 32
@@ -139,15 +139,23 @@ def parse_esn0_range(text: str) -> tuple:
 
 
 def sweep_bytes(links: int, n_sc: int, codebooks, records: int, tap_count: int) -> int:
-    """The largest complex DL channel stack and covariance stacks over the
-    codebooks, the rows and one link's delay taps."""
+    """The largest complex DL channel stack, covariance stacks and kept
+    composite beams over the (distinct) codebooks, the rows and one link's
+    delay taps."""
     dl = max((links * n_sc * cb.n_rx * cb.n_tx * 16 for cb in codebooks), default=0)
     # an analog stage of n antennas holds one link's (n_sc, n, n) products
     # and every link's (n, n) sum, then the sums and five factor stacks of
     # the same shape in their SVD
     n = max((max(cb.n_tx, cb.n_rx) for cb in codebooks), default=0)
     covariance = max(n_sc + links, 6 * links) * n * n * 16
-    return dl + covariance + records * RECORD_BYTES + tap_count * TAP_BYTES
+    # one design call's solutions each keep (links, n_sc, n_tx, n_ds)
+    # composite beams, one solution per codebook of its (n_tx, n_rx, n_ds)
+    groups = {}
+    for cb in codebooks:
+        key = (cb.n_tx, cb.n_rx, cb.n_ds)
+        groups[key] = groups.get(key, 0) + links * n_sc * cb.n_tx * cb.n_ds * 16
+    composite = max(groups.values(), default=0)
+    return dl + covariance + composite + records * RECORD_BYTES + tap_count * TAP_BYTES
 
 
 def check_budget(nbytes: int) -> None:

@@ -154,7 +154,11 @@ def compute_metrics(
         raise InvalidInputError("gains must be non-negative")
     n_aps = ul_coeffs.shape[1]
     # received UL power of user l at AP b on subcarrier n
-    received = user_powers[:, None, None] * np.abs(ul_coeffs) ** 2
+    with np.errstate(over="ignore"):
+        received = user_powers[:, None, None] * np.abs(ul_coeffs) ** 2
+    if not np.all(np.isfinite(received)):
+        l, b, _ = np.argwhere(~np.isfinite(received))[0]
+        raise InvalidInputError(f"user {l} / AP {b}: UL received power p_u*|h|^2 leaves the float range")
     intra, inter = _interference(
         base_cells, n_aps, lambda l: received[l], lambda k, b: received[k, b], tail=(1,)
     )

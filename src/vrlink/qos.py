@@ -6,10 +6,14 @@ wait. Utility is the product of a delay-tolerance factor and a tracking
 -accuracy factor, each in [0, 1].
 
 The pipeline works on stacks of link windows, one link's subcarriers on the
-last axis: ``transmission_delay`` and ``link_utilities`` compute every
-subcarrier of every window with array arithmetic. The tests state the
-utility one subcarrier at a time (tests/oracles.py) and hold the window path
-to that statement bit for bit.
+last axis: ``transmission_delay``, ``tracking_factors`` and
+``link_utilities`` compute every subcarrier of every window with array
+arithmetic. The tracking factor depends on the UL SINR alone, so the sweep
+takes it once per block of Es/N0 points, for every link, and each
+(scenario, codebook) window multiplies its own rows of it by the delay
+factor in ``link_utilities``. The tests state the utility one subcarrier at
+a time (tests/oracles.py) and hold the window path to that statement bit
+for bit.
 """
 
 import math
@@ -85,41 +89,52 @@ def queue_delay(mu: float, lam: float) -> float:
     return 1.0 / (mu - lam)
 
 
-def link_utilities(
-    delays_total: np.ndarray,
-    sinrs_ul: np.ndarray,
-    gamma_d,
-    epsilon0: float,
-) -> np.ndarray:
-    """Per-subcarrier total utilities for link windows on the last axis.
+def tracking_factors(sinrs_ul: np.ndarray, epsilon0: float) -> np.ndarray:
+    """Per-subcarrier tracking-accuracy factors for link windows on the last
+    axis.
 
-    delays_total and sinrs_ul are one window or a stack of windows; gamma_d
-    is one tolerance or one per window (shape (..., 1)). d_max is the worst
-    total delay over a window's subcarriers; the tracking anchor is the
-    worst tracking error over the same window. Equal, bit for bit, to the
-    scalar ``total_utility(conditional_utility(...), tracking_utility(...))``
-    of tests/oracles.py per subcarrier.
+    sinrs_ul is one window or a stack of windows. The tracking error is
+    epsilon0 / sqrt(1 + SINR); each factor is 1 - error / worst, the worst
+    error taken over the factor's own window. Every operation is row-wise,
+    so a window's factors have the same bits in a full stack as on their
+    own (see the numerics docstring).
     """
-    delays = np.asarray(delays_total, dtype=float)
     sinrs = np.asarray(sinrs_ul, dtype=float)
-    gamma = np.asarray(gamma_d, dtype=float)
-    if delays.shape != sinrs.shape or delays.ndim == 0 or delays.shape[-1] == 0:
-        raise InvalidInputError("delay and SINR windows must be non-empty and congruent")
-    if np.any(delays < 0) or np.any(gamma < 0):
-        raise InvalidInputError("delays must be non-negative")
+    if sinrs.ndim == 0 or sinrs.shape[-1] == 0:
+        raise InvalidInputError("SINR windows must be non-empty")
     if np.any(sinrs < 0):
         raise InvalidInputError("SINR must be non-negative")
     if not epsilon0 > 0:
         raise InvalidInputError(f"epsilon0 must be positive, got {epsilon0}")
-    d_max = np.max(delays, axis=-1, keepdims=True)
-    # a window within the tolerance has factor 1; its divisor is a stand-in
-    span = np.where(d_max > gamma, d_max - gamma, 1.0)
-    conditional = np.where((delays < gamma) | (d_max <= gamma), 1.0, (d_max - delays) / span)
     errors = epsilon0 / np.sqrt(1.0 + sinrs)
     worst = np.max(errors, axis=-1, keepdims=True)
     # a worst error of 0 makes every error 0, and 1 - 0 / 1 is factor 1
     tracking = 1.0 - errors / np.where(worst == 0.0, 1.0, worst)
-    for name, v in (("conditional", conditional), ("tracking", tracking)):
-        if not np.all((0.0 <= v) & (v <= 1.0)):
-            raise InvalidInputError(f"{name} utility must lie in [0,1]")
+    if not np.all((0.0 <= tracking) & (tracking <= 1.0)):
+        raise InvalidInputError("tracking utility must lie in [0,1]")
+    return tracking
+
+
+def link_utilities(delays_total: np.ndarray, tracking: np.ndarray, gamma_d) -> np.ndarray:
+    """Per-subcarrier total utilities for link windows on the last axis.
+
+    delays_total and tracking (``tracking_factors`` of the same windows) are
+    one window or a stack of windows; gamma_d is one tolerance or one per
+    window (shape (..., 1)). d_max is the worst total delay over a window's
+    subcarriers. Equal, bit for bit, to the scalar
+    ``total_utility(conditional_utility(...), tracking_utility(...))`` of
+    tests/oracles.py per subcarrier.
+    """
+    delays = np.asarray(delays_total, dtype=float)
+    gamma = np.asarray(gamma_d, dtype=float)
+    if delays.shape != np.shape(tracking) or delays.ndim == 0 or delays.shape[-1] == 0:
+        raise InvalidInputError("delay and tracking windows must be non-empty and congruent")
+    if np.any(delays < 0) or np.any(gamma < 0):
+        raise InvalidInputError("delays must be non-negative")
+    d_max = np.max(delays, axis=-1, keepdims=True)
+    # a window within the tolerance has factor 1; its divisor is a stand-in
+    span = np.where(d_max > gamma, d_max - gamma, 1.0)
+    conditional = np.where((delays < gamma) | (d_max <= gamma), 1.0, (d_max - delays) / span)
+    if not np.all((0.0 <= conditional) & (conditional <= 1.0)):
+        raise InvalidInputError("conditional utility must lie in [0,1]")
     return conditional * tracking

@@ -20,7 +20,7 @@ from .config import SweepConfig
 from .errors import InvalidInputError
 from .linkmetrics import compute_metrics, noise_power
 from .numerics import FACTOR_TOL, MODULUS_TOL
-from .qos import link_utilities, processing_delay, queue_delay, transmission_delay
+from .qos import link_utilities, processing_delay, queue_delay, tracking_factors, transmission_delay
 
 # Es/N0 points per evaluation block: as many as keep the block's UL arrays
 # under this many (point, user, AP, subcarrier) cells, at least one
@@ -171,6 +171,8 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         )
         rate_ul[block] = np.mean(m.rate_ul, axis=-1)
         rate_dl[:, :, block] = m.rate_dl
+        # the tracking factor depends on the UL SINR alone: once per block
+        tracking = tracking_factors(m.sinr_ul, config.epsilon0)
         for s, c in np.ndindex(shape[:2]):
             d_trans_n = transmission_delay(traffic.s_bits, traffic.a_bits, m.rate_dl[s, c, ..., None], m.rate_ul)
             with np.errstate(over="ignore"):
@@ -180,7 +182,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             # a link with no rate in one direction, or with delays past the
             # float range, never completes a frame: no utility, fails (b)
             carries = np.isfinite(d_total[s, c, block])
-            utilities_n = link_utilities(totals_n[carries], m.sinr_ul[carries], config.gamma_d, config.epsilon0)
+            utilities_n = link_utilities(totals_n[carries], tracking[carries], config.gamma_d)
             codes[s, c, block] = checks[c] | 2 * ((m.rate_dl[s, c] < config.r_min) | ~carries)
             utility[s, c, block][carries] = np.mean(utilities_n, axis=-1)
             utility_sum[s, c, block][carries] = np.sum(utilities_n, axis=-1)
@@ -224,8 +226,10 @@ def _summarize(config: SweepConfig, table: SweepResult) -> dict:
 
 def write_results_csv(result: SweepResult, path: str) -> None:
     """The table's rows in order under a pinned header; floats carry 9
-    significant digits, and each distinct value is formatted once. The
-    file is written one (scenario, codebook) block at a time."""
+    significant digits. The UL rates, the Es/N0 labels and the processing
+    and queue delays, shared by every (scenario, codebook) block, are
+    formatted once; the other floats row by row. The file is written one
+    (scenario, codebook) block at a time."""
     n_e = len(result.esn0_db)
     n_links = math.prod(result.rate_ul.shape[1:])
     links = [f"{j},{i}" for j, i in np.ndindex(result.rate_ul.shape[1:])]

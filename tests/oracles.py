@@ -1,8 +1,8 @@
 """Scalar reference implementations the tests hold the pipeline to.
 
 The package evaluates the paper's chain once, on whole arrays:
-``vrlink.linkmetrics.compute_metrics``, ``vrlink.qos.transmission_delay`` and
-``vrlink.qos.link_utilities``. The functions here state the same model one
+``vrlink.linkmetrics.compute_metrics``, ``vrlink.qos.transmission_delay``,
+``vrlink.qos.tracking_factors`` and ``vrlink.qos.link_utilities``. The functions here state the same model one
 cell, one subcarrier or one matrix at a time, as the paper writes it, and
 the tests compare the array path with them by ``==``:
 

@@ -13,6 +13,7 @@ from vrlink.config import (
     MAX_ESN0_POINTS,
     MAX_N_SC,
     MAX_SWEEP_BYTES,
+    RECORD_BYTES,
     TAP_BYTES,
     SweepConfig,
     config_from_dict,
@@ -274,6 +275,9 @@ BAD_INPUTS = [
     ("n_sc = 8", ["--codebook", "9999x1"]),
     ("n_sc = 8", ["--codebook", ","]),
     ("scenario = ,", None),
+    # each user 0.17 m from its AP: the UL received power p_u*|h|^2 overflows
+    ("w = 300\nuser_positions = 2.6,4.1,2.9 ; 7.4,12.9,2.9", []),
+    ("w = 300\nuser_positions = 2.6,4.1,2.9 ; 7.4,12.9,2.9\ngain_mode = gaussian", []),
 ]
 
 
@@ -288,6 +292,15 @@ def test_bad_input_exits_2_with_message(text, simulate_args, tmp_path, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize("mode", ["deterministic", "gaussian"])
+def test_overflowing_ul_received_power_names_its_link(mode, tmp_path, capsys):
+    # user 1 stands 0.17 m from AP 1 as well, but user 0's link is the first
+    path = tmp_path / "near.conf"
+    path.write_text(f"w = 300\nuser_positions = 2.6,4.1,2.9 ; 7.4,12.9,2.9\ngain_mode = {mode}\n")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: user 0 / AP 0: UL received power p_u*|h|^2 leaves the float range\n"
 
 
 def test_config_holds_the_row_order_on_every_path():
@@ -310,7 +323,23 @@ def test_covariance_stacks_count_toward_the_budget():
     large = config_from_dict({"n_t": "64", "n_rf": "1"})
     links = 4
     dl = links * 64 * (64 - 8) * 16
-    assert large.estimated_bytes - small.estimated_bytes == dl + (64 + links) * (64 * 64 - 8 * 8) * 16
+    # each sweep's one codebook keeps its (links, n_sc, n_t, n_ds = 1) composite beams
+    composite = links * 64 * (64 - 8) * 1 * 16
+    assert large.estimated_bytes - small.estimated_bytes == dl + (64 + links) * (64 * 64 - 8 * 8) * 16 + composite
+
+
+def test_kept_composite_beams_count_toward_the_budget():
+    # the codebooks of one (n_t, n_r, n_ds) group each keep (links, n_sc,
+    # n_t, n_ds) composite beams; the largest group's sum counts, beside
+    # the rows of the added codebooks
+    links, n_sc, rows = 4, 64, 2 * 21 * 4
+    one = config_from_dict({"n_t": "8", "n_rf": "2", "n_r": "2", "n_ds": "2"})
+    three = config_from_dict({"n_t": "8", "n_rf": "2,3,4", "n_r": "2", "n_ds": "2"})
+    beams = links * n_sc * 8 * 2 * 16
+    assert three.estimated_bytes - one.estimated_bytes == 2 * beams + 2 * rows * RECORD_BYTES
+    # a second, smaller group adds its rows, its beams do not
+    two_groups = config_from_dict({"n_t": "2,8", "n_rf": "2", "n_r": "2", "n_ds": "2"})
+    assert two_groups.estimated_bytes - one.estimated_bytes == rows * RECORD_BYTES
 
 
 def test_size_caps_are_inclusive():

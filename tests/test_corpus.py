@@ -12,8 +12,14 @@ holds their results.csv digests), the benchmark's
 workload configs, the closed-form SVDs' out-of-window fallback
 (``fc = 1e300``), delays past 1e100 s (``w`` = 167, 170, 300), rows failing
 (a) and (b), an Es/N0 grid down to -40 dB, users with two and three antennas
-and one or two data streams, 1024 subcarriers with 8 and 16 antennas, and
-two ``--codebook`` lists given out of order.
+and one or two data streams, 1024 subcarriers with 8 and 16 antennas,
+precoders sliced to one, two, four and eight columns from one analog
+design, and three ``--codebook`` lists. Two cases must write the bytes of
+another case (``TWINS``): ``--queue-units reciprocal`` those of the
+``queue_units = reciprocal`` golden, and a ``--codebook`` list in row order
+those of the same codebooks given out of order with a repeat. ``stats``
+runs on the ``w = 167`` results, whose delays near 1e129 s test both
+statistics, and pins its stdout.
 
 Every digest was taken on numpy 2.4.6 with its OpenBLAS build on x86-64,
 the build the closed-form SVDs and the goldens are checked on. A digest
@@ -63,6 +69,9 @@ CASES = {
          "esn0_stop": "10"},
         (),
     ),
+    "eight_antennas_four_rf_counts_seed1": ({"n_t": "8", "n_rf": "1,2,4,8", "gain_mode": "gaussian"}, ()),
+    "queue_units_flag_reciprocal": ({}, ("--queue-units", "reciprocal")),
+    "codebooks_in_row_order": ({}, ("--codebook", "2x1,8x1,8x2")),
     "codebooks_out_of_order_with_a_repeat": ({}, ("--codebook", "8x2,2x1,8x1,2x1")),
     "codebooks_gaussian_out_of_order": (
         {"gain_mode": "gaussian", "seed": "2"}, ("--codebook", "8x4,2x1,8x1,4x2,8x2,4x1"),
@@ -90,6 +99,10 @@ PINS = {
     "codebooks_out_of_order_with_a_repeat": (
         "ec548790c86377e50d9b28871e26bace8bbfe9215a94f7171a19435e22181cb5",
         "46be3ae98e2b339dd7fd6c48ea6800a8c578b4fd76ee718e07820dcd2cc1b5d6",
+    ),
+    "eight_antennas_four_rf_counts_seed1": (
+        "45ff7db025c6af93ac27b8b5576bc9b5d58ea01cf8663a9f831fd096c08fd566",
+        "b3f8200f28081e937485d7ac8b61076bf30fb837ca3e89fdec751561ef5a6a4c",
     ),
     "dense_gaussian_seed3": (
         "26cbd3991f5f4aa12464c0de4cd98c51b1612715047c1f19fbaca431b27d2307",
@@ -157,6 +170,19 @@ PINS = {
     ),
 }
 
+# case -> the case whose results.csv and summary it must write byte for byte
+TWINS = {
+    "queue_units_flag_reciprocal": "golden_reciprocal_queue",
+    "codebooks_in_row_order": "codebooks_out_of_order_with_a_repeat",
+}
+PINS.update({name: PINS[twin] for name, twin in TWINS.items()})
+
+# stats metric -> stdout sha256 of `vrlink stats` on the w_167 case's results.csv
+STATS_PINS = {
+    "min": "5eebb26651496ed4a8e226adcf9c9af5fdd05c403f093bc1988812819040fee0",
+    "mode": "97c0f1ac0cbaa4b62dc162ca7a4f998f4d55eaddb42eeaab40c14ed2d6911727",
+}
+
 
 def simulate(keys: dict, flags: tuple, tmp_path, capsys) -> tuple:
     """sha256 of the results.csv and of the stdout that simulate writes."""
@@ -179,3 +205,11 @@ def test_every_case_is_pinned():
 def test_simulate_output_matches_corpus_sha256(name, tmp_path, capsys):
     keys, flags = CASES[name]
     assert simulate(keys, flags, tmp_path, capsys) == PINS[name]
+
+
+@pytest.mark.parametrize("metric", sorted(STATS_PINS))
+def test_stats_output_matches_corpus_sha256(metric, tmp_path, capsys):
+    keys, flags = CASES["w_167"]
+    assert simulate(keys, flags, tmp_path, capsys) == PINS["w_167"]
+    assert cli.main(["stats", "--in", str(tmp_path / "out" / "results.csv"), "--metric", metric]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == STATS_PINS[metric]

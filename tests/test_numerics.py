@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import reconstruct
+from vrlink.beamforming import _subcarrier_sum
 from vrlink.errors import InvalidInputError
 from vrlink.numerics import (
     FACTOR_TOL,
@@ -191,6 +192,60 @@ def test_last_axis_reductions_of_a_stack_equal_per_row_calls(n_sc):
         rows = stack.reshape(-1, n_sc)
         assert np.array_equal(reduce(stack, axis=-1).ravel(), [reduce(row) for row in rows])
         assert np.array_equal(reduce(picked, axis=-1), [reduce(row) for row in picked])
+
+
+def loop_sum(stack):
+    """The covariance sum as the model states it: from zero, one subcarrier
+    at a time."""
+    total = np.zeros(stack.shape[1:], dtype=complex)
+    for m in stack:
+        total = total + m
+    return total
+
+
+def summand_stack(rng, n_sc, n, scale):
+    """Complex (n_sc, n, n) terms spread over six decades around scale, with
+    signed zeros and terms that cancel their predecessor exactly."""
+    stack = (rng.standard_normal((n_sc, n, n)) + 1j * rng.standard_normal((n_sc, n, n)))
+    stack *= scale * 10.0 ** rng.uniform(-3, 3, (n_sc, 1, 1))
+    stack[rng.uniform(size=stack.shape) < 0.1] = complex(-0.0, -0.0)
+    stack[:, 0, 0] = complex(-0.0, 0.0)  # an entry of -0.0 on every subcarrier
+    cancel = np.flatnonzero(rng.uniform(size=n_sc - 1) < 0.2) + 1
+    stack[cancel] = -stack[cancel - 1]
+    return stack
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+def test_add_reduce_over_subcarriers_equals_the_running_sum(scale):
+    # n >= 2: the summed axis is not the inner loop, so add.reduce adds in
+    # index order, like the running sum and the loop
+    rng = np.random.default_rng(449)
+    for n in range(2, 17):
+        for n_sc in (1, 2, 3, 8, 9, 127, 128, 129, 1024):
+            stack = summand_stack(rng, n_sc, n, scale)
+            want = (np.cumsum(stack, axis=0)[-1] + 0.0).tobytes()
+            assert (np.add.reduce(stack, axis=0) + 0.0).tobytes() == want
+            assert loop_sum(stack).tobytes() == want
+            assert _subcarrier_sum(stack.copy()).tobytes() == want
+
+
+def test_one_by_one_subcarrier_sum_keeps_the_running_sum():
+    # n = 1: the summed axis is the inner loop and add.reduce adds pairwise;
+    # one large term followed by many small ones tells the two apart
+    rng = np.random.default_rng(457)
+    differs = 0
+    for n_sc in (1, 2, 9, 128, 129, 1024):
+        for scale in (1e-150, 1.0, 1e150):
+            stack = np.empty((n_sc, 1, 1), dtype=complex)
+            stack[0] = complex(scale, -scale)
+            stack[1:] = scale * 1e-16 * rng.uniform(0.5, 1.0, (n_sc - 1, 1, 1)) * (1 - 1j)
+            want = (np.cumsum(stack, axis=0)[-1] + 0.0).tobytes()
+            assert loop_sum(stack).tobytes() == want
+            assert _subcarrier_sum(stack.copy()).tobytes() == want
+            differs += (np.add.reduce(stack, axis=0) + 0.0).tobytes() != want
+            mixed = summand_stack(rng, n_sc, 1, scale)
+            assert _subcarrier_sum(mixed.copy()).tobytes() == (np.cumsum(mixed, axis=0)[-1] + 0.0).tobytes()
+    assert differs > 0
 
 
 def assert_same_bits(got, want):

@@ -13,6 +13,7 @@ from vrlink.qos import (
     link_utilities,
     processing_delay,
     queue_delay,
+    tracking_factors,
     transmission_delay,
 )
 
@@ -154,7 +155,7 @@ def test_traffic_model_validation():
 def test_link_utilities_uniform_window_is_zero():
     # identical delays and SINRs across subcarriers: every subcarrier sits at
     # the worst delay and the worst tracking error simultaneously
-    u = link_utilities(np.full(8, 0.5), np.full(8, 2.0), 0.02, 1.0)
+    u = link_utilities(np.full(8, 0.5), tracking_factors(np.full(8, 2.0), 1.0), 0.02)
     assert u.shape == (8,)
     assert np.all(u == 0.0)
 
@@ -163,7 +164,7 @@ def test_link_utilities_hand_case():
     delays = np.array([0.04, 0.10])
     sinrs = np.array([3.0, 0.0])  # errors 0.5 and 1.0
     gamma, eps = 0.02, 1.0
-    u = link_utilities(delays, sinrs, gamma, eps)
+    u = link_utilities(delays, tracking_factors(sinrs, eps), gamma)
     # subcarrier 0: conditional (0.10-0.04)/(0.10-0.02) = 0.75, tracking 1-0.5 = 0.5
     assert u[0] == pytest.approx(0.375, rel=1e-12)
     # subcarrier 1 is the worst in both factors
@@ -173,6 +174,8 @@ def test_link_utilities_hand_case():
 
 def test_link_utilities_rejects_mismatch():
     with pytest.raises(InvalidInputError):
-        link_utilities(np.ones(3), np.ones(4), 0.02, 1.0)
+        link_utilities(np.ones(3), tracking_factors(np.ones(4), 1.0), 0.02)
     with pytest.raises(InvalidInputError):
-        link_utilities(np.array([]), np.array([]), 0.02, 1.0)
+        link_utilities(np.array([]), np.array([]), 0.02)
+    with pytest.raises(InvalidInputError):
+        tracking_factors(np.array([]), 1.0)

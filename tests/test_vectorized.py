@@ -39,7 +39,7 @@ from vrlink.config import config_from_dict
 from vrlink.errors import InvalidInputError
 from vrlink.linkmetrics import GainAggregation, compute_metrics
 from vrlink.numerics import ZERO_MODULUS, svd, unit_modulus_normalize
-from vrlink.qos import link_utilities, transmission_delay
+from vrlink.qos import link_utilities, tracking_factors, transmission_delay
 from vrlink.runner import check_constraints, run_sweep, write_results_csv
 from vrlink.topology import departure_arrival_angles, distance
 
@@ -132,7 +132,7 @@ def test_link_utilities_match_scalar_chain():
         # tolerance below, inside and above the window
         gamma_d = float(rng.choice([0.0, 20e-3, np.median(delays), 2.0 * np.max(delays)]))
         epsilon0 = float(rng.uniform(0.1, 5.0))
-        got = link_utilities(delays, sinrs, gamma_d, epsilon0)
+        got = link_utilities(delays, tracking_factors(sinrs, epsilon0), gamma_d)
         assert np.array_equal(got, scalar_link_utilities(delays, sinrs, gamma_d, epsilon0))
 
 
@@ -159,13 +159,32 @@ def test_link_utilities_stack_matches_scalar_chain_per_window():
         gammas = np.array([[r[2]] for r in rows])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = link_utilities(delays, sinrs, gammas, 1.5)
+            got = link_utilities(delays, tracking_factors(sinrs, 1.5), gammas)
             folded = link_utilities(
-                delays.reshape(2, 20, n_sc), sinrs.reshape(2, 20, n_sc), gammas.reshape(2, 20, 1), 1.5
+                delays.reshape(2, 20, n_sc), tracking_factors(sinrs.reshape(2, 20, n_sc), 1.5), gammas.reshape(2, 20, 1)
             )
         assert np.array_equal(folded.reshape(got.shape), got)
         for k, (d, s, g) in enumerate(rows):
             assert np.array_equal(got[k], scalar_link_utilities(d, s, g, 1.5))
+
+
+def test_block_tracking_factors_equal_those_of_the_masked_rows():
+    # the sweep takes the tracking factors of a whole (E, U, B, n_sc) block
+    # once and indexes them by each window's mask of carried links
+    rng = np.random.default_rng(443)
+    for n_sc in (1, 2, 7, 64, 300):
+        sinrs = 10.0 ** rng.uniform(-300, 300, (3, 4, 2, n_sc))
+        sinrs[rng.uniform(size=sinrs.shape) < 0.1] = 0.0
+        sinrs[0, 0, 0] = math.inf  # a window whose worst error is 0
+        sinrs[0, 1, 0] = sinrs[0, 1, 0, 0]  # a uniform window
+        delays = 10.0 ** rng.uniform(-4, 14, sinrs.shape)
+        tracking = tracking_factors(sinrs, 0.7)
+        for _ in range(4):
+            mask = rng.uniform(size=sinrs.shape[:-1]) < 0.6
+            assert tracking[mask].tobytes() == tracking_factors(sinrs[mask], 0.7).tobytes()
+            got = link_utilities(delays[mask], tracking[mask], 20e-3)
+            for row, d, s in zip(got, delays[mask], sinrs[mask]):
+                assert np.array_equal(row, scalar_link_utilities(d, s, 20e-3, 0.7))
 
 
 def test_transmission_delay_array_matches_scalar_calls():
@@ -325,6 +344,10 @@ def test_design_link_matches_per_subcarrier_reference():
         assert np.array_equal(sol.digital_combiners[0], comb)
         assert np.array_equal(sol.effective_channels[0], eff)
         assert np.array_equal(sol.power_scale[0], scale)
+        # the kept composite beams are, bit for bit, the product of the kept
+        # stages that transmit_power formed before it read them
+        composite = sol.analog_precoder[..., None, :, :] @ sol.digital_precoders
+        assert sol.composite_precoders.tobytes() == composite.tobytes()
         power, gains = per_subcarrier_power_and_gain(p_a, pre, eff, scale)
         assert sol.transmit_power()[0] == power
         assert np.array_equal(sol.effective_gain_per_subcarrier()[0], gains)
