@@ -6,11 +6,12 @@ stages are per-subcarrier SVDs of the analog-reduced channel. Every link of a
 group of codebooks is designed at once, on stacked ``(links, n_sc, rows,
 cols)`` matrices with stacked ``@`` and one stacked SVD per stage. Codebooks
 that differ only in n_rf share one pair of analog stages. The only loop sums
-each link's covariance, one link at a time, so that one link's
-``(n_sc, n, n)`` products are held; the sum reads them once, in subcarrier
-order, and keeps no running sums. A solution keeps the composite beam
-``analog @ digital`` that the design normalizes, and its transmit power is
-read from that beam.
+the covariances over blocks of ``max(1, L // n)`` links, so that the
+``(n_sc, n, n)`` products held at once are no larger than the channel stack
+or one link's products; each sum reads them once, in subcarrier order, as a
+one-link loop would, and keeps no running sums where n >= 2. A solution
+keeps the composite beam ``analog @ digital`` that the design normalizes,
+and its transmit power is read from that beam.
 """
 
 import math
@@ -60,16 +61,18 @@ class Codebook:
 
 
 def _subcarrier_sum(products: np.ndarray) -> np.ndarray:
-    """Sum of a C-contiguous (n_sc, n, n) stack, added from zero in
-    subcarrier order like a Python loop (see the numerics docstring).
+    """Sum over the subcarrier axis of a C-contiguous (..., n_sc, n, n)
+    stack, added from zero in subcarrier order like a Python loop over each
+    link (see the numerics docstring).
 
-    add.reduce adds in index order over the outer axis of a stack with
-    n >= 2; along a 1 x 1 stack's only axis it adds pairwise, so there the
-    running sum, in place, keeps the order.
+    add.reduce adds in index order over the subcarrier axis of a stack with
+    n >= 2, one link or a block of them; with n = 1 that axis is the inner
+    loop and add.reduce adds pairwise, so there the running sum, in place,
+    keeps the order.
     """
     if products.shape[-1] > 1:
-        return np.add.reduce(products, axis=0) + 0.0
-    return np.cumsum(products, axis=0, out=products)[-1] + 0.0
+        return np.add.reduce(products, axis=-3) + 0.0
+    return np.cumsum(products, axis=-3, out=products)[..., -1, :, :] + 0.0
 
 
 def _covariance_beams(channels: np.ndarray, n_cols: int, receive_side: bool) -> np.ndarray:
@@ -87,10 +90,13 @@ def _covariance_beams(channels: np.ndarray, n_cols: int, receive_side: bool) -> 
         raise ShapeError(f"cannot take {n_cols} beams from {size} antennas")
     links = channels.reshape((-1,) + channels.shape[-3:])
     cov = np.empty((len(links), size, size), dtype=np.complex128)
-    # one link at a time, so that only one (n_sc, n, n) stack is held
-    for k, h in enumerate(links):
+    # blocks of links whose (n_sc, size, size) products together take no
+    # more memory than the channel stack, or than one link's products
+    step = max(1, len(links) // size)
+    for k in range(0, len(links), step):
+        h = links[k:k + step]
         h_herm = np.conj(h).swapaxes(-1, -2)
-        cov[k] = _subcarrier_sum(h @ h_herm if receive_side else h_herm @ h)
+        cov[k:k + step] = _subcarrier_sum(h @ h_herm if receive_side else h_herm @ h)
     beams = unit_modulus_normalize(svd(cov).left[..., :n_cols], 1.0 / math.sqrt(size))
     return beams.reshape(channels.shape[:-3] + beams.shape[-2:])
 

@@ -143,11 +143,12 @@ def sweep_bytes(links: int, n_sc: int, codebooks, records: int, tap_count: int) 
     composite beams over the (distinct) codebooks, the rows and one link's
     delay taps."""
     dl = max((links * n_sc * cb.n_rx * cb.n_tx * 16 for cb in codebooks), default=0)
-    # an analog stage of n antennas holds one link's (n_sc, n, n) products
-    # and every link's (n, n) sum, then the sums and five factor stacks of
-    # the same shape in their SVD
+    # an analog stage of n antennas holds the (n_sc, n, n) products of a
+    # block of max(1, links // n) links and every link's (n, n) sum, then
+    # the sums and five factor stacks of the same shape in their SVD
     n = max((max(cb.n_tx, cb.n_rx) for cb in codebooks), default=0)
-    covariance = max(n_sc + links, 6 * links) * n * n * 16
+    block = max(1, links // max(n, 1))
+    covariance = max(block * n_sc + links, 6 * links) * n * n * 16
     # one design call's solutions each keep (links, n_sc, n_tx, n_ds)
     # composite beams, one solution per codebook of its (n_tx, n_rx, n_ds)
     groups = {}

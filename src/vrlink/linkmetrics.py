@@ -122,7 +122,8 @@ def _rate(bw: float, sinr: np.ndarray) -> np.ndarray:
         raise InvalidInputError(f"bandwidth must be positive, got {bw}")
     if np.any(sinr < 0):
         raise InvalidInputError("SINR must be non-negative")
-    log1p = np.fromiter(map(math.log1p, sinr.flat), float, sinr.size).reshape(sinr.shape)
+    # Python floats from tolist(): the same doubles, without numpy scalars
+    log1p = np.fromiter(map(math.log1p, sinr.ravel().tolist()), float, sinr.size).reshape(sinr.shape)
     return bw * log1p / LN2
 
 
@@ -145,6 +146,8 @@ def compute_metrics(
     slice per codebook. sigma_sq: (E,) noise powers. modes: the gain
     aggregations, one per scenario. The interference sums do not depend on
     the noise, so they are formed once and every Es/N0 point reuses them.
+    A UL received power, interference sum or SINR past the float range, or
+    a DL one, is an InvalidInputError naming the first such user and AP.
     """
     sigma = np.asarray(sigma_sq, dtype=float)
     if sigma.ndim != 1 or not np.all(sigma > 0):
@@ -159,17 +162,35 @@ def compute_metrics(
     if not np.all(np.isfinite(received)):
         l, b, _ = np.argwhere(~np.isfinite(received))[0]
         raise InvalidInputError(f"user {l} / AP {b}: UL received power p_u*|h|^2 leaves the float range")
-    intra, inter = _interference(
-        base_cells, n_aps, lambda l: received[l], lambda k, b: received[k, b], tail=(1,)
-    )
-    s_ul = received / ((sigma[:, None, None, None] + intra) + inter)
+    with np.errstate(over="ignore"):
+        intra, inter = _interference(
+            base_cells, n_aps, lambda l: received[l], lambda k, b: received[k, b], tail=(1,)
+        )
+        denominator = (sigma[:, None, None, None] + intra) + inter
+        s_ul = received / denominator
+    _check_range("UL", denominator, s_ul, cell_axes=(1, 2))
 
-    agg = np.stack([_AGGREGATE[mode](gains, axis=-1) for mode in modes])
-    # DL power of AP b through the gain of user k; user i's own link carries
-    # the intra-cell terms of its serving AP
-    own = ap_powers * agg
-    intra, inter = _interference(
-        base_cells, n_aps, lambda l: own, lambda k, b: own[..., k, b, None, None]
-    )
-    s_dl = own[..., None, :, :] / ((sigma[:, None, None] + intra[..., None, :, :]) + inter[..., None, :, :])
+    # an infinite DL power over an infinite sum divides to NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        agg = np.stack([_AGGREGATE[mode](gains, axis=-1) for mode in modes])
+        # DL power of AP b through the gain of user k; user i's own link
+        # carries the intra-cell terms of its serving AP
+        own = ap_powers * agg
+        intra, inter = _interference(
+            base_cells, n_aps, lambda l: own, lambda k, b: own[..., k, b, None, None]
+        )
+        denominator = (sigma[:, None, None] + intra[..., None, :, :]) + inter[..., None, :, :]
+        s_dl = own[..., None, :, :] / denominator
+    _check_range("DL", denominator, s_dl, cell_axes=(-2, -1))
     return LinkMetrics(s_ul, _rate(bw_subcarrier, s_ul), s_dl, _rate(bw_total, s_dl), agg)
+
+
+def _check_range(direction: str, denominator: np.ndarray, sinr: np.ndarray, cell_axes: tuple) -> None:
+    """Raise naming the first evaluation cell whose noise-plus-interference
+    sum or SINR left the float range. A sum past it would read as an SINR
+    of 0, an SINR past it as an infinite rate."""
+    bad = ~(np.isfinite(denominator) & np.isfinite(sinr))
+    if bad.any():
+        index = np.argwhere(bad)[0]
+        i, j = index[cell_axes[0]], index[cell_axes[1]]
+        raise InvalidInputError(f"user {i} / AP {j}: {direction} interference or SINR leaves the float range")

@@ -38,12 +38,16 @@ x86-64 these hold:
   ``total += x[k]`` that starts from zero, except that the loop turns a
   ``-0.0`` first term into ``+0.0``; adding ``0.0`` to the result does the
   same. ``np.sum(x, axis=0)`` may add pairwise and round differently.
-- on a C-contiguous ``(n_sc, n, n)`` stack with ``n >= 2``,
-  ``np.add.reduce(x, axis=0)`` adds in index order too, since the summed
-  axis is not numpy's inner loop, and equals ``np.cumsum(x, axis=0)[-1]``
-  without writing the running sums. With ``n = 1`` the summed axis is the
-  inner loop, which adds pairwise; there only the running sum keeps the
-  order.
+- on a C-contiguous ``(n_sc, n, n)`` stack with ``n >= 2``, or a block
+  ``(links, n_sc, n, n)`` of such stacks, ``np.add.reduce(x, axis=-3)``
+  adds in index order too, since the summed axis is not numpy's inner
+  loop, and equals each link's ``np.cumsum(x, axis=0)[-1]`` without
+  writing the running sums. With ``n = 1`` the summed axis is the inner
+  loop, which adds pairwise; there only the running sum, over one link or
+  a block, keeps the order.
+- ``"%.9g" % x`` equals ``f"{x:.9g}"`` for every double, NaN, infinities,
+  signed zeros and subnormals included: both call CPython's
+  ``PyOS_double_to_string(x, 'g', 9)``.
 - ``np.mean``, ``np.sum`` and ``np.max`` along the last axis of a
   C-contiguous or boolean-indexed stack equal the 1-D call on each row, so
   a stack of link windows reduces as one window at a time does.

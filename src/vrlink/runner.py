@@ -226,28 +226,39 @@ def _summarize(config: SweepConfig, table: SweepResult) -> dict:
 
 def write_results_csv(result: SweepResult, path: str) -> None:
     """The table's rows in order under a pinned header; floats carry 9
-    significant digits. The UL rates, the Es/N0 labels and the processing
-    and queue delays, shared by every (scenario, codebook) block, are
-    formatted once; the other floats row by row. The file is written one
-    (scenario, codebook) block at a time."""
+    significant digits.
+
+    A ``%`` template of one (scenario, codebook) block's rows is built once
+    per sweep: the Es/N0 labels, link labels, UL rates and the processing
+    and queue pair, shared by every block, are formatted into it, and each
+    row keeps ``%.9g`` slots for its DL rate and two delays and a ``%s``
+    slot for its utility tail. Each block puts its ``scenario,n_tx,n_rf,``
+    prefix on every row and fills the whole block with one ``%``, which
+    rounds as the f-string ``.9g`` does (see the numerics docstring). The
+    file is written one block at a time."""
     n_e = len(result.esn0_db)
     n_links = math.prod(result.rate_ul.shape[1:])
     links = [f"{j},{i}" for j, i in np.ndindex(result.rate_ul.shape[1:])]
     rate_ul = [[f"{x:.9g}" for x in point] for point in result.rate_ul.reshape(n_e, n_links).tolist()]
     esn0 = [f"{e:.9g}" for e in result.esn0_db.tolist()]
     queue = f"{result.d_proc:.9g},{result.d_queue:.9g}"
-    shape = (len(result.scenarios), len(result.codebooks), n_e, n_links)
+    # numbers formatted with .9g hold no "%"; the scenario name is escaped.
+    # The leading empty row puts the prefix before the first row.
+    rows = [""] + [
+        f"{e},{link},%.9g,{ul},%.9g,{queue},%.9g,%s\n"
+        for e, ul_point in zip(esn0, rate_ul)
+        for link, ul in zip(links, ul_point)
+    ]
+    failed = [f",false,{letters}" for letters in VIOLATIONS]
+    shape = (len(result.scenarios), len(result.codebooks), n_e * n_links)
     columns = [a.reshape(shape) for a in (result.rate_dl, result.d_trans, result.d_total, result.utility, result.codes)]
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(CSV_HEADER + "\n")
             for (s, scenario), (c, cb) in itertools.product(enumerate(result.scenarios), enumerate(result.codebooks)):
-                rows = []
-                for e, ul_point, *point in zip(esn0, rate_ul, *(a[s, c].tolist() for a in columns)):
-                    key = f"{scenario.value},{cb.n_tx},{cb.n_rf},{e}"
-                    for link, ul, dl, dt, total, u, code in zip(links, ul_point, *point):
-                        tail = f",false,{VIOLATIONS[code]}" if code else f"{u:.9g},true,"
-                        rows.append(f"{key},{link},{dl:.9g},{ul},{dt:.9g},{queue},{total:.9g},{tail}\n")
-                fh.write("".join(rows))
+                prefix = f"{scenario.value},{cb.n_tx},{cb.n_rf},".replace("%", "%%")
+                dl, d_trans, d_total, utility, codes = (a[s, c].tolist() for a in columns)
+                tails = [failed[code] if code else f"{u:.9g},true," for u, code in zip(utility, codes)]
+                fh.write(prefix.join(rows) % tuple(itertools.chain.from_iterable(zip(dl, d_trans, d_total, tails))))
     except OSError as e:
         raise OSError(f"cannot write results to {path}: {e}") from e

@@ -14,13 +14,16 @@ the tests compare the array path with them by ``==``:
 - one link's subcarrier gains (``link_gains``), one UL coefficient
   (``ul_channel``), one steering vector (``link_steering``), one link's DL
   matrices (``dl_link_channels``) and the product of SVD factors
-  (``reconstruct``).
+  (``reconstruct``);
+- the CSV writer that formats and assembles each row on its own
+  (``write_results_csv``).
 
 ``sinr_ul`` is re-exported from ``vrlink.linkmetrics``. It stays in the
 package only as the target of the benchmark's ``linkmetrics.sinr_ul`` layer
 hook (perfbench/layers.py), until the benchmark drops that hook.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -29,6 +32,7 @@ from vrlink.errors import ConfigurationError, DegenerateGeometryError, InvalidIn
 from vrlink.linkmetrics import _AGGREGATE, LN2, GainAggregation
 from vrlink.linkmetrics import sinr_ul  # noqa: F401 (re-exported, see above)
 from vrlink.numerics import SvdResult
+from vrlink.runner import CSV_HEADER, VIOLATIONS, SweepResult
 from vrlink.topology import Position3D, departure_arrival_angles
 
 
@@ -200,3 +204,32 @@ def reconstruct(res: SvdResult) -> np.ndarray:
     sigma = np.zeros(res.singular_values.shape[:-1] + (m, n))
     sigma[..., range(k), range(k)] = res.singular_values
     return res.left @ sigma @ np.conj(res.right).swapaxes(-1, -2)
+
+
+def write_results_csv(result: SweepResult, path: str) -> None:
+    """The table's rows in order under a pinned header; floats carry 9
+    significant digits. The UL rates, the Es/N0 labels and the processing
+    and queue delays, shared by every (scenario, codebook) block, are
+    formatted once; the other floats row by row. The file is written one
+    (scenario, codebook) block at a time."""
+    n_e = len(result.esn0_db)
+    n_links = math.prod(result.rate_ul.shape[1:])
+    links = [f"{j},{i}" for j, i in np.ndindex(result.rate_ul.shape[1:])]
+    rate_ul = [[f"{x:.9g}" for x in point] for point in result.rate_ul.reshape(n_e, n_links).tolist()]
+    esn0 = [f"{e:.9g}" for e in result.esn0_db.tolist()]
+    queue = f"{result.d_proc:.9g},{result.d_queue:.9g}"
+    shape = (len(result.scenarios), len(result.codebooks), n_e, n_links)
+    columns = [a.reshape(shape) for a in (result.rate_dl, result.d_trans, result.d_total, result.utility, result.codes)]
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(CSV_HEADER + "\n")
+            for (s, scenario), (c, cb) in itertools.product(enumerate(result.scenarios), enumerate(result.codebooks)):
+                rows = []
+                for e, ul_point, *point in zip(esn0, rate_ul, *(a[s, c].tolist() for a in columns)):
+                    key = f"{scenario.value},{cb.n_tx},{cb.n_rf},{e}"
+                    for link, ul, dl, dt, total, u, code in zip(links, ul_point, *point):
+                        tail = f",false,{VIOLATIONS[code]}" if code else f"{u:.9g},true,"
+                        rows.append(f"{key},{link},{dl:.9g},{ul},{dt:.9g},{queue},{total:.9g},{tail}\n")
+                fh.write("".join(rows))
+    except OSError as e:
+        raise OSError(f"cannot write results to {path}: {e}") from e

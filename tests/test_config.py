@@ -218,6 +218,12 @@ def test_shipped_config_sets_every_key_with_a_fixed_default():
     assert fixed - set(parse_config_text(text)) == set()
 
 
+# three users, two of them near AP 0; a user 0.17 m from its AP at 20 dB;
+# squared DL effective gains near 1e307 at p_b = 100 W
+NEAR_TRIO = "2.6,4.1,2.9 ; 7.4,12.9,2.9 ; 2.4,3.9,2.9"
+NEAR_PAIR = "w = 202.2\nuser_positions = 2.6,4.1,2.9 ; 5,8,1\nn_sc = 4\nesn0_start = 20\nesn0_stop = 20"
+HUGE_DL = "fc = 3e-70\np_b = 100\nn_sc = 4\nesn0_stop = 0"
+
 # (config file text, extra simulate arguments or None for check-config)
 BAD_INPUTS = [
     ("esn0_stop = inf", None),
@@ -278,6 +284,13 @@ BAD_INPUTS = [
     # each user 0.17 m from its AP: the UL received power p_u*|h|^2 overflows
     ("w = 300\nuser_positions = 2.6,4.1,2.9 ; 7.4,12.9,2.9", []),
     ("w = 300\nuser_positions = 2.6,4.1,2.9 ; 7.4,12.9,2.9\ngain_mode = gaussian", []),
+    # finite received powers whose interference sum or SINR leaves the
+    # float range: two intra-cell powers near 1e308, a user 0.17 m from its
+    # AP at 20 dB, DL powers near 1e308
+    (f"w = 202.26\nu = 3\np_u = 1\nuser_positions = {NEAR_TRIO}\nn_sc = 4\nesn0_stop = 0", []),
+    ("w = 202.2\nuser_positions = 2.6,4.1,2.9 ; 5,8,1", []),
+    (f"{NEAR_PAIR}\ngain_mode = gaussian", []),
+    (f"{HUGE_DL}\ngain_mode = gaussian", []),
 ]
 
 
@@ -303,6 +316,18 @@ def test_overflowing_ul_received_power_names_its_link(mode, tmp_path, capsys):
     assert capsys.readouterr().err == "error: user 0 / AP 0: UL received power p_u*|h|^2 leaves the float range\n"
 
 
+@pytest.mark.parametrize("mode", ["deterministic", "gaussian"])
+@pytest.mark.parametrize("text, message", [
+    (NEAR_PAIR, "user 0 / AP 0: UL interference or SINR leaves the float range"),
+    (HUGE_DL, "user 0 / AP 0: DL interference or SINR leaves the float range"),
+])
+def test_sinr_past_the_float_range_names_its_link(text, message, mode, tmp_path, capsys):
+    path = tmp_path / "near.conf"
+    path.write_text(f"{text}\ngain_mode = {mode}\n")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_config_holds_the_row_order_on_every_path():
     # scenarios by name and codebooks by (n_tx, n_rf), each once, whether
     # parsed or replaced
@@ -326,6 +351,13 @@ def test_covariance_stacks_count_toward_the_budget():
     # each sweep's one codebook keeps its (links, n_sc, n_t, n_ds = 1) composite beams
     composite = links * 64 * (64 - 8) * 1 * 16
     assert large.estimated_bytes - small.estimated_bytes == dl + (64 + links) * (64 * 64 - 8 * 8) * 16 + composite
+    # 32 links of n_t = 4 sum their products in blocks of 32 // 4 = 8 links;
+    # the second term holds every link's sum and its SVD factors
+    dense = config_from_dict({"u": "8", "b": "4", "n_t": "4", "n_rf": "1"})
+    links = 32
+    dl, composite = links * 64 * 4 * 16, links * 64 * 4 * 1 * 16
+    rest = dl + composite + dense.expected_records * RECORD_BYTES + dense.tap_count * TAP_BYTES
+    assert dense.estimated_bytes - rest == max(8 * 64 + links, 6 * links) * 4 * 4 * 16
 
 
 def test_kept_composite_beams_count_toward_the_budget():

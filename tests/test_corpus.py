@@ -31,6 +31,7 @@ import hashlib
 
 import pytest
 
+import oracles
 from test_golden import GOLDEN
 from vrlink import cli
 
@@ -205,6 +206,20 @@ def test_every_case_is_pinned():
 def test_simulate_output_matches_corpus_sha256(name, tmp_path, capsys):
     keys, flags = CASES[name]
     assert simulate(keys, flags, tmp_path, capsys) == PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_results_csv_equals_the_row_by_row_writer(name, tmp_path, capsys, monkeypatch):
+    write = cli.write_results_csv
+
+    def both(result, path):
+        write(result, path)
+        oracles.write_results_csv(result, str(tmp_path / "rows.csv"))
+
+    monkeypatch.setattr(cli, "write_results_csv", both)
+    keys, flags = CASES[name]
+    simulate(keys, flags, tmp_path, capsys)
+    assert (tmp_path / "out" / "results.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 @pytest.mark.parametrize("metric", sorted(STATS_PINS))

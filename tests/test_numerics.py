@@ -1,5 +1,7 @@
 """SVD contract: reconstruction, unitarity, ordering, phase convention."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,22 @@ def test_add_reduce_over_subcarriers_equals_the_running_sum(scale):
             assert (np.add.reduce(stack, axis=0) + 0.0).tobytes() == want
             assert loop_sum(stack).tobytes() == want
             assert _subcarrier_sum(stack.copy()).tobytes() == want
+    # a block of links (links, n_sc, n, n), summed at once, equals each
+    # link's running sum
+    for n in (2, 3, 4, 8):
+        for n_sc in (1, 9, 64, 129, 1024):
+            for links in BLOCK_LINKS:
+                block = np.stack([summand_stack(rng, n_sc, n, scale) for _ in range(links)])
+                assert _subcarrier_sum(block.copy()).tobytes() == running_sums(block)
+
+
+def running_sums(block):
+    """Each link's running sum over its subcarriers, as bytes, link after link."""
+    return b"".join((np.cumsum(stack, axis=0)[-1] + 0.0).tobytes() for stack in block)
+
+
+# the block sizes max(1, links // n) the sweep's analog stages use, and more
+BLOCK_LINKS = (1, 2, 3, 4, 16, 32)
 
 
 def test_one_by_one_subcarrier_sum_keeps_the_running_sum():
@@ -245,7 +263,27 @@ def test_one_by_one_subcarrier_sum_keeps_the_running_sum():
             differs += (np.add.reduce(stack, axis=0) + 0.0).tobytes() != want
             mixed = summand_stack(rng, n_sc, 1, scale)
             assert _subcarrier_sum(mixed.copy()).tobytes() == (np.cumsum(mixed, axis=0)[-1] + 0.0).tobytes()
+            for links in BLOCK_LINKS:
+                block = np.stack([summand_stack(rng, n_sc, 1, scale) if k % 2 else stack for k in range(links)])
+                assert _subcarrier_sum(block.copy()).tobytes() == running_sums(block)
+                differs += (np.add.reduce(block, axis=-3) + 0.0).tobytes() != running_sums(block)
     assert differs > 0
+
+
+# doubles at the edges of the float range and of nine significant digits
+SPECIAL_DOUBLES = (
+    math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    2.225073858507201e-308, 1e308, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e-5, 1e16,
+    123456789.5, 999999999.5, 9999999995.0, 1.00000000049999999,
+)
+
+
+def test_percent_format_equals_the_f_string_format():
+    # the CSV writer fills whole blocks with "%.9g" where the rows once
+    # took f"{x:.9g}"; both go through the same float repr routine
+    rng = np.random.default_rng(18)
+    values = rng.integers(0, 2**64, size=200_000, dtype=np.uint64).view(float).tolist() + list(SPECIAL_DOUBLES)
+    assert ["%.9g" % x for x in values] == [f"{x:.9g}" for x in values]
 
 
 def assert_same_bits(got, want):

@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
+from test_numerics import SPECIAL_DOUBLES
 from vrlink import runner
 from vrlink.beamforming import Codebook, design_link
 from vrlink.cli import main
@@ -417,6 +419,34 @@ def test_csv_infeasible_row_shape(tmp_path):
     write_results_csv(table, str(path))
     row = path.read_text().splitlines()[2]
     assert row == "min,4,2,3,1,0,12.5,8.25,inf,1e-08,500000000,inf,,false,a;b"
+
+
+def synthetic_table(rng, n_e: int, n_aps: int, n_users: int) -> SweepResult:
+    """Two scenarios and two codebooks of random bit patterns, special
+    doubles mixed in, and violation codes cycling through 0 .. 31."""
+    def doubles(*shape):
+        x = rng.integers(0, 2**64, size=shape, dtype=np.uint64).view(float)
+        picked = rng.uniform(size=shape) < 0.3
+        x[picked] = rng.choice(SPECIAL_DOUBLES, size=np.count_nonzero(picked))
+        return x
+
+    shape = (2, 2, n_e, n_aps, n_users)
+    codes = (np.arange(math.prod(shape)) % 32).reshape(shape)
+    return SweepResult(
+        (GainAggregation.MEAN, GainAggregation.MIN), (Codebook(2, 1), Codebook(4, 2)), doubles(n_e),
+        doubles(*shape), doubles(*shape), doubles(*shape), doubles(*shape), codes, doubles(n_e, n_aps, n_users),
+        *doubles(2).tolist(), objectives={}, summary={},
+    )
+
+
+@pytest.mark.parametrize("n_e, n_aps, n_users", [(3, 2, 3), (8, 1, 4), (1, 1, 1), (0, 2, 2), (16, 4, 8)])
+def test_csv_equals_the_row_by_row_writer(n_e, n_aps, n_users, tmp_path):
+    rng = np.random.default_rng([n_e, n_aps, n_users])
+    for _ in range(5):
+        table = synthetic_table(rng, n_e, n_aps, n_users)
+        write_results_csv(table, str(tmp_path / "block.csv"))
+        oracles.write_results_csv(table, str(tmp_path / "rows.csv"))
+        assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_row_order_does_not_depend_on_config_order(tmp_path):

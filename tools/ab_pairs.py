@@ -1,0 +1,112 @@
+"""Alternating A/B pairs of the sweep benchmark on two checkouts.
+
+    python3 tools/ab_pairs.py --parent ../parent --change . --workload paper_sweep \
+        --pairs 10 --seconds 30 --seed-base 18001 --out ab.json
+
+Pair k runs ``perfbench/run.py --workload W --seed <seed-base + k> --seconds S
+--trace 0`` once in each checkout, one after the other; the parent runs first
+in even pairs and the change first in odd ones, so a slow spell on the host
+does not always land on one side. Each checkout runs its own perfbench and
+src, so both must hold the workload.
+
+For every end-to-end metric that BENCHMARK.json declares (read from the
+change's checkout) it prints each pair, both sides' medians, the parent's
+interquartile range and the number of pairs the change wins (ties count for
+neither side). The JSON file holds, per pair, both runs' result files as
+perfbench wrote them to .bench_out/, and that summary. The exit status is 1
+if any sweep of any run failed (raised, or wrote a wrong results.csv).
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+    """One untraced benchmark run in a checkout: its result file."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"{checkout}: {' '.join(argv[1:])} exited {done.returncode}\n{done.stderr}")
+    return json.loads((checkout / ".bench_out" / f"{workload}-seed{seed}-trace0.json").read_text())
+
+
+def quartiles(values: list) -> tuple:
+    """Lower quartile, median and upper quartile (inclusive method)."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    low, mid, high = statistics.quantiles(values, n=4, method="inclusive")
+    return low, mid, high
+
+
+def summarize(pairs: dict, declared: list) -> dict:
+    """Per metric: both sides' quartiles, the parent's IQR and the change's wins."""
+    out = {}
+    for metric in declared:
+        name, lower = metric["name"], metric["better"] == "lower"
+        parent = [p["parent"]["metrics"][name]["value"] for p in pairs.values()]
+        change = [p["change"]["metrics"][name]["value"] for p in pairs.values()]
+        wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+        p_q, c_q = quartiles(parent), quartiles(change)
+        out[name] = {
+            "unit": metric["unit"], "better": metric["better"],
+            "parent_quartiles": p_q, "change_quartiles": c_q,
+            "parent_iqr": p_q[2] - p_q[0], "median_gap": c_q[1] - p_q[1],
+            "wins": wins, "pairs": len(parent),
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=int, required=True)
+    parser.add_argument("--seed-base", type=int, required=True)
+    parser.add_argument("--out", type=Path, help="JSON file for every run and the summary")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("need --pairs >= 1")
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    declared = json.loads((sides["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+
+    pairs, ok = {}, True
+    for k in range(args.pairs):
+        seed = args.seed_base + k
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        pair = {side: run(sides[side], args.workload, seed, args.seconds) for side in order}
+        pairs[str(seed)] = {"first": order[0], **pair}
+        ok &= all(report["failed"] == 0 for report in pair.values())
+        line = "  ".join(
+            f"{m['name']} {pair['parent']['metrics'][m['name']]['value']:.6g} -> "
+            f"{pair['change']['metrics'][m['name']]['value']:.6g}"
+            for m in declared
+        )
+        print(f"seed {seed} ({order[0]} first): {line}", flush=True)
+
+    summary = summarize(pairs, declared)
+    for name, s in summary.items():
+        print(
+            f"{name}: median {s['parent_quartiles'][1]:.6g} -> {s['change_quartiles'][1]:.6g} {s['unit']}"
+            f" (gap {s['median_gap']:+.6g}, parent IQR {s['parent_iqr']:.6g}),"
+            f" change better in {s['wins']}/{s['pairs']} pairs ({s['better']} is better)"
+        )
+    if args.out is not None:
+        record = {
+            "workload": args.workload, "seconds": args.seconds, "seed_base": args.seed_base,
+            "pairs": pairs, "summary": summary,
+        }
+        args.out.write_text(json.dumps(record, indent=1, default=repr))
+    if not ok:
+        print("a sweep failed; see the failures in the result files", file=sys.stderr)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
