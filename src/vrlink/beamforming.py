@@ -79,24 +79,25 @@ def _covariance_beams(channels: np.ndarray, n_cols: int, receive_side: bool) -> 
     """Shared analog stage: SVD of a covariance sum, constant-modulus entries.
 
     channels is one link's (n_sc, n_rx, n_tx) stack or a stack of links
-    (..., n_sc, n_rx, n_tx); the beams keep its leading link axes.
+    (..., n_sc, n_rx, n_tx); the beams keep its leading link axes. A sum
+    past the float range is an InvalidInputError naming the first such link,
+    counted in the C order of the leading axes.
     """
-    if channels.ndim < 3:
-        raise ShapeError(f"expected (n_sc, n_rx, n_tx) channel stack, got shape {channels.shape}")
-    if channels.shape[-3] < 1:
-        raise InvalidInputError("need at least one subcarrier matrix")
     size = channels.shape[-2] if receive_side else channels.shape[-1]
-    if n_cols > size:
-        raise ShapeError(f"cannot take {n_cols} beams from {size} antennas")
     links = channels.reshape((-1,) + channels.shape[-3:])
     cov = np.empty((len(links), size, size), dtype=np.complex128)
     # blocks of links whose (n_sc, size, size) products together take no
     # more memory than the channel stack, or than one link's products
     step = max(1, len(links) // size)
-    for k in range(0, len(links), step):
-        h = links[k:k + step]
-        h_herm = np.conj(h).swapaxes(-1, -2)
-        cov[k:k + step] = _subcarrier_sum(h @ h_herm if receive_side else h_herm @ h)
+    # an overflowing product or sum is caught by the check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(0, len(links), step):
+            h = links[k:k + step]
+            h_herm = np.conj(h).swapaxes(-1, -2)
+            cov[k:k + step] = _subcarrier_sum(h @ h_herm if receive_side else h_herm @ h)
+    bad = ~np.isfinite(cov).all(axis=(-2, -1))
+    if bad.any():
+        raise InvalidInputError(f"link {np.argmax(bad)}: DL channel covariance sum leaves the float range")
     beams = unit_modulus_normalize(svd(cov).left[..., :n_cols], 1.0 / math.sqrt(size))
     return beams.reshape(channels.shape[:-3] + beams.shape[-2:])
 
@@ -115,17 +116,11 @@ def hybrid_digital(h_d: np.ndarray, n_ds: int, n_rf: int) -> tuple:
     """Per-subcarrier digital stage: SVD of the analog-reduced channel.
 
     h_d is the channel seen through the analog stages (rows: combiner
-    outputs, columns: RF chains), one matrix or a stack over subcarriers.
-    Returns semi-unitary precoder (n_rf x n_ds) and combiner (rows x n_ds),
-    stacked like h_d.
+    outputs, columns: the n_rf RF chains), one matrix or a stack over
+    subcarriers. Returns semi-unitary precoder (n_rf x n_ds) and combiner
+    (rows x n_ds), stacked like h_d.
     """
-    h = ensure_complex_stack(h_d, "h_d")
-    rows, cols = h.shape[-2:]
-    if cols != n_rf:
-        raise ShapeError(f"reduced channel has {cols} columns, expected n_rf={n_rf}")
-    if n_ds > min(rows, cols):
-        raise ShapeError(f"n_ds={n_ds} exceeds min reduced dimension {min(rows, cols)}")
-    res = svd(h)
+    res = svd(h_d)
     return res.right[..., :n_ds], res.left[..., :n_ds]
 
 
@@ -134,13 +129,6 @@ def effective_channel(g: np.ndarray, h: np.ndarray, p: np.ndarray) -> np.ndarray
 
     Each operand is one matrix or a stack; stacks broadcast like ``@``.
     """
-    g = ensure_complex_stack(g, "g")
-    h = ensure_complex_stack(h, "h")
-    p = ensure_complex_stack(p, "p")
-    if g.shape[-2] != h.shape[-2]:
-        raise ShapeError(f"combiner rows {g.shape[-2]} != channel rows {h.shape[-2]}")
-    if h.shape[-1] != p.shape[-2]:
-        raise ShapeError(f"channel columns {h.shape[-1]} != precoder rows {p.shape[-2]}")
     return np.conj(g).swapaxes(-1, -2) @ h @ p
 
 
@@ -189,11 +177,13 @@ def design_link(links: np.ndarray, codebooks: tuple, p_b: np.ndarray) -> tuple:
     one stacked solution per codebook, in tuple order. Neither covariance
     depends on n_rf, so the analog stages and the combiner side of the
     reduced channel are taken once, the precoder at the largest n_rf, and
-    only the digital stage runs per codebook.
+    only the digital stage runs per codebook. Links enter here and are
+    checked once: finite, shaped for the codebooks, one positive budget each;
+    the stages below check only for covariance sums past the float range.
     """
     if not isinstance(codebooks, tuple) or len({(cb.n_tx, cb.n_rx, cb.n_ds) for cb in codebooks}) != 1:
         raise ShapeError(f"need a tuple of codebooks that share one (n_tx, n_rx, n_ds), got {codebooks!r}")
-    links, budgets = np.asarray(links), np.asarray(p_b, dtype=float)
+    links, budgets = ensure_complex_stack(links, "links"), np.asarray(p_b, dtype=float)
     if links.ndim != 4:
         raise ShapeError(f"expected (L, n_sc, n_rx, n_tx) stack, got shape {links.shape}")
     n_links, n_sc, n_rx, n_tx = links.shape

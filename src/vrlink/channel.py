@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateGeometryError, InvalidInputError
+from .errors import ConfigurationError, InvalidInputError
 from .topology import NetworkTopology, departure_arrival_angles, distance
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
@@ -59,8 +59,6 @@ class SubcarrierGrid:
 
 def subcarrier_phase_ramp(n_sc: int) -> np.ndarray:
     """Unit-modulus factor per subcarrier, exp(j*n*pi/180) with n = 1..n_sc."""
-    if n_sc < 1:
-        raise InvalidInputError(f"n_sc must be >= 1, got {n_sc}")
     n = np.arange(1, n_sc + 1, dtype=float)
     return np.exp(1j * n * np.pi / 180.0)
 
@@ -71,25 +69,16 @@ def subcarrier_gains(links: int, n_sc: int, mode: str = "deterministic", rng=Non
     deterministic reproduces the unit-modulus phase ramp, the same for every
     link; gaussian draws circularly-symmetric CN(0,1) samples from the
     supplied generator, each link's real parts and then its imaginary parts.
+    ``SweepConfig`` checks the mode and ``SubcarrierGrid`` the count.
     """
-    if mode == "deterministic":
-        return np.broadcast_to(subcarrier_phase_ramp(n_sc), (links, n_sc))
     if mode == "gaussian":
-        if rng is None:
-            raise ConfigurationError("gaussian gain mode needs a seeded generator")
-        if n_sc < 1:
-            raise InvalidInputError(f"n_sc must be >= 1, got {n_sc}")
         draw = rng.standard_normal((links, 2, n_sc))
         return (draw[:, 0] + 1j * draw[:, 1]) / math.sqrt(2.0)
-    raise ConfigurationError(f"unknown gain mode {mode!r}, expected one of {GAIN_MODES}")
+    return np.broadcast_to(subcarrier_phase_ramp(n_sc), (links, n_sc))
 
 
 def fspl_db(d: float, wavelength: float) -> float:
     """Free-space path loss 20*log10(wavelength / (4*pi*d)) in dB."""
-    if not d > 0:
-        raise DegenerateGeometryError(f"distance must be positive, got {d}")
-    if not wavelength > 0:
-        raise InvalidInputError(f"wavelength must be positive, got {wavelength}")
     return 20.0 * math.log10(wavelength / (4.0 * math.pi * d))
 
 
@@ -97,8 +86,6 @@ def tap_decay_sum(tau_s: float, tap_count: int, tap_spacing_s: float) -> float:
     """Sum over taps k = 0..T-1 of exp(-(k*dt)/tau)."""
     if tap_count < 1:
         raise InvalidInputError(f"tap count must be >= 1, got {tap_count}")
-    if not tau_s > 0:
-        raise DegenerateGeometryError(f"propagation delay must be positive, got {tau_s}")
     if not tap_spacing_s > 0:
         raise InvalidInputError(f"tap spacing must be positive, got {tap_spacing_s}")
     k = np.arange(tap_count, dtype=float)
@@ -110,10 +97,6 @@ def tap_decay_sum(tau_s: float, tap_count: int, tap_spacing_s: float) -> float:
 def steering_vector(n_elements: int, azimuths_deg, spacing_over_wavelength: float = 0.5) -> np.ndarray:
     """ULA responses (L, N) at a sequence of L azimuths, element k of each
     (1/sqrt(N)) * exp(-j*k*2*pi*(d/lambda)*sin(az))."""
-    if n_elements < 1:
-        raise InvalidInputError(f"element count must be >= 1, got {n_elements}")
-    if not spacing_over_wavelength > 0:
-        raise InvalidInputError(f"spacing ratio must be positive, got {spacing_over_wavelength}")
     k = np.arange(n_elements, dtype=float)
     # math.sin per azimuth, as for one link: numpy's sin may round differently
     slopes = [-2.0 * np.pi * spacing_over_wavelength * math.sin(math.radians(az)) for az in azimuths_deg]

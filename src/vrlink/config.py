@@ -7,7 +7,7 @@ running defaults.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -186,6 +186,11 @@ class SweepConfig:
     p_b: float                     # AP transmit power budget, W; also the Es/N0 anchor power
     p_u: float                     # UL transmit power per user, W
     gamma_d: float                 # delay tolerance per user, s
+    # worked out by __post_init__, for the sweep to read: (U, B) UL path
+    # gains and DL amplitudes (``path_gains``), one noise power per Es/N0 point
+    ul_gain: tuple = field(init=False, repr=False)
+    dl_amplitude: tuple = field(init=False, repr=False)
+    noise: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         # row order: scenarios by name, codebooks by (n_tx, n_rf), each once
@@ -223,7 +228,10 @@ class SweepConfig:
             grid = f"{self.esn0_db[0]:g}..{self.esn0_db[-1]:g} dB"
             raise ConfigurationError(f"noise power p_b / 10^(esn0/10) leaves the positive float range on Es/N0 {grid}")
         check_budget(self.estimated_bytes)
-        path_gains(self.topology, self.grid, self.w, self.tap_count, self.tap_spacing_s)
+        ul, dl = path_gains(self.topology, self.grid, self.w, self.tap_count, self.tap_spacing_s)
+        object.__setattr__(self, "ul_gain", tuple(map(tuple, ul.tolist())))
+        object.__setattr__(self, "dl_amplitude", tuple(map(tuple, dl.tolist())))
+        object.__setattr__(self, "noise", tuple(noise))
 
     @property
     def expected_records(self) -> int:

@@ -7,7 +7,9 @@ singular values alone); this module pins down the
 conventions the beamforming stages rely on (descending singular values,
 reproducible singular-vector phases, tolerance policy). ``svd`` takes a single
 matrix or a stack ``(..., m, n)``; a single matrix is a stack of one, so both
-go through the same convention.
+go through the same convention. ``svd``, ``singular_values`` and
+``unit_modulus_normalize`` only convert the package's arrays to complex128;
+``ensure_complex_stack`` checks a stack from outside (``design_link``'s).
 
 Bit-exactness: the stacked code reproduces, bit for bit, what one
 matrix-at-a-time loop computes. With numpy 2.x and its OpenBLAS build on
@@ -240,7 +242,7 @@ def svd(m) -> SvdResult:
     columns (n > m) get the same convention applied independently since they
     never touch the reconstruction.
     """
-    a = ensure_complex_stack(m)
+    a = np.asarray(m, dtype=np.complex128)
     lead, (rows, cols) = a.shape[:-2], a.shape[-2:]
     u, s, vh = _lapack_svd(a.reshape((-1, rows, cols)))
     v = np.conj(vh).swapaxes(-1, -2)
@@ -257,7 +259,7 @@ def svd(m) -> SvdResult:
 def singular_values(m) -> np.ndarray:
     """``np.linalg.svd(m, compute_uv=False)`` of one matrix or a stack ``(..., m, n)``; a 1x1
     matrix inside the scaling window takes zgesdd's value in closed form, without vectors."""
-    a = ensure_complex_stack(m)
+    a = np.asarray(m, dtype=np.complex128)
     if a.shape[-2:] != (1, 1):
         return np.linalg.svd(a, compute_uv=False)
     (s,) = _closed_form_or_lapack(
@@ -284,9 +286,7 @@ def unit_modulus_normalize(m, target_modulus: float) -> np.ndarray:
     modulus below ``ZERO_MODULUS`` have no usable phase and map to the real
     value ``target_modulus``.
     """
-    if not target_modulus > 0:
-        raise InvalidInputError(f"target modulus must be positive, got {target_modulus}")
-    a = ensure_complex_stack(m)
+    a = np.asarray(m, dtype=np.complex128)
     mags = np.abs(a)
     degenerate = mags < ZERO_MODULUS
     return np.where(degenerate, target_modulus, target_modulus * a / np.where(degenerate, 1.0, mags))

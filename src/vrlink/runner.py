@@ -15,10 +15,10 @@ from collections import Counter
 import numpy as np
 
 from .beamforming import design_link
-from .channel import path_gains, synthesize_dl, synthesize_ul
+from .channel import synthesize_dl, synthesize_ul
 from .config import SweepConfig
 from .errors import InvalidInputError
-from .linkmetrics import compute_metrics, noise_power
+from .linkmetrics import compute_metrics
 from .numerics import FACTOR_TOL, MODULUS_TOL
 from .qos import link_utilities, processing_delay, queue_delay, tracking_factors, transmission_delay
 
@@ -140,7 +140,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     then evaluated on whole arrays, one block of Es/N0 points at a time.
     """
     topo, traffic = config.topology, config.traffic
-    ul_gain, amplitude = path_gains(topo, config.grid, config.w, config.tap_count, config.tap_spacing_s)
+    ul_gain, amplitude = np.array(config.ul_gain), np.array(config.dl_amplitude)
     ul = synthesize_ul(ul_gain, config.grid.n_sc, config.gain_mode, np.random.default_rng([config.seed, 0]))
     # users on AP j while user i is re-homed to it: j's home users, plus i
     # unless j is already i's home; one per link, user-major
@@ -155,7 +155,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     d_proc = processing_delay(traffic.v_bits, traffic.m_capacity, traffic.n_share)
     d_queue = queue_delay(traffic.mu, traffic.lam)
     esn0_all = config.esn0_db.tolist()
-    sigma_all = np.array([noise_power(e, config.p_b) for e in esn0_all])
+    sigma_all = np.array(config.noise)
     step = max(1, BLOCK_CELLS // ul.size)
 
     # (scenario, codebook, Es/N0, user, AP) until the end

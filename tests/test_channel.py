@@ -51,11 +51,6 @@ def test_phase_ramp_element_64_and_moduli():
     assert np.all(np.abs(np.abs(ramp) - 1.0) < 1e-12)
 
 
-def test_phase_ramp_rejects_bad_count():
-    with pytest.raises(InvalidInputError):
-        subcarrier_phase_ramp(0)
-
-
 def test_subcarrier_gains_gaussian_mode_seeded():
     a = subcarrier_gains(1, 16, "gaussian", np.random.default_rng(5))
     b = subcarrier_gains(1, 16, "gaussian", np.random.default_rng(5))
@@ -63,10 +58,6 @@ def test_subcarrier_gains_gaussian_mode_seeded():
     assert a.shape == (1, 16)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-    with pytest.raises(ConfigurationError):
-        subcarrier_gains(1, 16, "gaussian")
-    with pytest.raises(ConfigurationError):
-        subcarrier_gains(1, 16, "uniform")
 
 
 def test_gaussian_gains_of_many_links_are_one_stream():
@@ -104,8 +95,6 @@ def test_fspl_reference_values():
     assert fspl_db(0.1, lam) == pytest.approx(-48.01080822955625, rel=1e-12)
     # log argument exactly 1
     assert fspl_db(lam / (4.0 * math.pi), lam) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(DegenerateGeometryError):
-        fspl_db(0.0, lam)
 
 
 def test_steering_vector_zero_angle():
@@ -140,21 +129,12 @@ def test_steering_vectors_equal_one_azimuth_at_a_time():
         assert np.array_equal(got.view(float), want.view(float))
 
 
-def test_steering_vector_rejects_bad_input():
-    with pytest.raises(InvalidInputError):
-        steering_vector(0, [10.0])
-    with pytest.raises(InvalidInputError):
-        steering_vector(4, [10.0], spacing_over_wavelength=0.0)
-
-
 def test_tap_decay_sum():
     assert tap_decay_sum(1e-8, 1, 1e-9) == pytest.approx(1.0)
     expected = 1.0 + math.exp(-0.1) + math.exp(-0.2) + math.exp(-0.3)
     assert tap_decay_sum(1e-8, 4, 1e-9) == pytest.approx(expected, rel=1e-12)
     with pytest.raises(InvalidInputError):
         tap_decay_sum(1e-8, 0, 1e-9)
-    with pytest.raises(DegenerateGeometryError):
-        tap_decay_sum(0.0, 4, 1e-9)
     # a tap delay past the float range contributes exp(-inf) = 0, silently
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

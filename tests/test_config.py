@@ -223,79 +223,103 @@ def test_shipped_config_sets_every_key_with_a_fixed_default():
 NEAR_TRIO = "2.6,4.1,2.9 ; 7.4,12.9,2.9 ; 2.4,3.9,2.9"
 NEAR_PAIR = "w = 202.2\nuser_positions = 2.6,4.1,2.9 ; 5,8,1\nn_sc = 4\nesn0_start = 20\nesn0_stop = 20"
 HUGE_DL = "fc = 3e-70\np_b = 100\nn_sc = 4\nesn0_stop = 0"
+# DL channels whose covariance sums over the subcarriers overflow in the design
+HUGE_COVARIANCE = ("fc = 1.5e-70\np_b = 1e-3\nn_sc = 4\nesn0_stop = 0", "fc = 2e-70\np_b = 1\nn_sc = 4\nesn0_stop = 0")
 
-# (config file text, extra simulate arguments or None for check-config)
+# (config file text, extra simulate arguments or None for check-config, the
+# message the CLI prints after "error: ")
 BAD_INPUTS = [
-    ("esn0_stop = inf", None),
-    ("seed = inf", None),
-    ("n_sc = inf", None),
-    ("esn0_start = nan", None),
-    ("esn0_step = 1e-12", None),
-    ("u = 0", None),
-    ("b = 0", None),
-    ("p_u = inf", None),
-    ("gamma_d = inf", None),
-    ("epsilon0 = inf", None),
-    ("mode_bin = inf", None),
-    ("r_min = nan", None),
-    ("n_sc = 1e9", None),
-    ("n_sc = 8", ["--esn0", "0:1e-12:20"]),
-    ("n_t = 1000000000", None),
-    ("u = 100000", None),
+    ("esn0_stop = inf", None, "key 'esn0_stop': expected a finite number, got 'inf'"),
+    ("seed = inf", None, "key 'seed': expected a finite number, got 'inf'"),
+    ("n_sc = inf", None, "key 'n_sc': expected a finite number, got 'inf'"),
+    ("esn0_start = nan", None, "key 'esn0_start': expected a finite number, got 'nan'"),
+    ("esn0_step = 1e-12", None, "esn0 grid has more than 1001 points"),
+    ("u = 0", None, "need at least one AP and one user, got b=2 u=0"),
+    ("b = 0", None, "need at least one AP and one user, got b=0 u=2"),
+    ("p_u = inf", None, "key 'p_u': expected a finite number, got 'inf'"),
+    ("gamma_d = inf", None, "key 'gamma_d': expected a finite number, got 'inf'"),
+    ("epsilon0 = inf", None, "key 'epsilon0': expected a finite number, got 'inf'"),
+    ("mode_bin = inf", None, "key 'mode_bin': expected a finite number, got 'inf'"),
+    ("r_min = nan", None, "key 'r_min': expected a finite number, got 'nan'"),
+    ("n_sc = 1e9", None, "n_sc must be at most 8192, got 1000000000"),
+    ("n_sc = 8", ["--esn0", "0:1e-12:20"], "esn0 grid has more than 1001 points"),
+    ("n_t = 1000000000", None, "sweep needs about 1088000012288000344192 bytes, over the 1073741824-byte budget"),
+    ("u = 100000", None, "sweep needs about 58368000128 bytes, over the 1073741824-byte budget"),
     # an AP above user 0, and one on it: the link has no azimuth
-    ("ap_positions = 3,6,3 ; 7.5,13,3", None),
-    ("ap_positions = 3,6,1.5 ; 7.5,13,3", None),
-    ("epsilon0 = 0", None),
-    ("epsilon0 = -1", None),
-    ("lambda = -1e-9", None),
-    ("tap_spacing = -1e-9", None),
-    ("tap_count = 1000000000", None),
-    ("u = 1000000", None),
+    ("ap_positions = 3,6,3 ; 7.5,13,3", None, "user 0 and AP 0 share the xy position"),
+    ("ap_positions = 3,6,1.5 ; 7.5,13,3", None, "user 0 and AP 0 share the xy position"),
+    ("epsilon0 = 0", None, "epsilon0 must be positive, got 0.0"),
+    ("epsilon0 = -1", None, "epsilon0 must be positive, got -1.0"),
+    ("lambda = -1e-9", None, "need 0 <= lambda < mu, got mu=4e-09 lambda=-1e-09"),
+    ("tap_spacing = -1e-9", None, "tap_spacing_s must be positive, got -1e-09"),
+    ("tap_count = 1000000000", None, "sweep needs about 32001200128 bytes, over the 1073741824-byte budget"),
+    ("u = 1000000", None, "sweep needs about 583680000128 bytes, over the 1073741824-byte budget"),
     # a derived quantity leaves the float range: the wavelength, the tap
     # spacing, the per-user compute share
-    ("fc = 1e-300", None),
-    ("bw_total = 1e-320", None),
-    ("m_capacity = 1e-300\nn_share = 1e300", None),
-    ("mu = 1e-310\nlambda = 0", None),
+    ("fc = 1e-300", None, "carrier frequency must be positive, not tiny, got 1e-300"),
+    ("bw_total = 1e-320", None, "total bandwidth must be positive, not tiny, got 1e-320"),
+    ("m_capacity = 1e-300\nn_share = 1e300", None,
+     "compute share m_capacity/n_share underflows to 0, got 1e-300/1e+300"),
+    ("mu = 1e-310\nlambda = 0", None, "processing plus queue delay must be finite, got inf"),
     # a link whose distance or path gain leaves the float range
-    ("fc = 1e-290\nn_sc = 4\nesn0_stop = 0", None),
-    ("fc = 1e-290\nn_sc = 4\nesn0_stop = 0", []),
-    ("u = 3\narea_x = -1e300, 1e300\nn_sc = 4\nesn0_stop = 0", None),
-    ("u = 3\narea_x = -1e300, 1e300\nn_sc = 4\nesn0_stop = 0", []),
-    ("w = 3000\nap_positions = 1,1,2 ; 9,16,2\nuser_positions = 1.5,1,1.5 ; 8,15,1", None),
-    ("w = 3000\nap_positions = 1,1,2 ; 9,16,2\nuser_positions = 1.5,1,1.5 ; 8,15,1", []),
-    ("ap_positions = 0,0,1 ; 9,16,2\nuser_positions = 1e-200,0,1 ; 8,15,1", None),
-    ("ap_positions = 0,0,1 ; 9,16,2\nuser_positions = 1e-200,0,1 ; 8,15,1", []),
-    ("ap_positions = 0,0,1 ; 9,16,2\nuser_positions = 1e-100,0,1 ; 8,15,1", None),
-    ("ap_positions = 0,0,1 ; 9,16,2\nuser_positions = 1e-100,0,1 ; 8,15,1", []),
+    ("fc = 1e-290\nn_sc = 4\nesn0_stop = 0", None, "user 0 / AP 0: distance 2.54951 m gives no finite path gain"),
+    ("fc = 1e-290\nn_sc = 4\nesn0_stop = 0", [], "user 0 / AP 0: distance 2.54951 m gives no finite path gain"),
+    ("u = 3\narea_x = -1e300, 1e300\nn_sc = 4\nesn0_stop = 0", None,
+     "user 0 / AP 0: distance inf m gives no finite path gain"),
+    ("u = 3\narea_x = -1e300, 1e300\nn_sc = 4\nesn0_stop = 0", [],
+     "user 0 / AP 0: distance inf m gives no finite path gain"),
+    ("w = 3000\nap_positions = 1,1,2 ; 9,16,2\nuser_positions = 1.5,1,1.5 ; 8,15,1", None,
+     "user 0 / AP 0: distance 0.707107 m gives no finite path gain"),
+    ("w = 3000\nap_positions = 1,1,2 ; 9,16,2\nuser_positions = 1.5,1,1.5 ; 8,15,1", [],
+     "user 0 / AP 0: distance 0.707107 m gives no finite path gain"),
+    ("ap_positions = 0,0,1 ; 9,16,2\nuser_positions = 1e-200,0,1 ; 8,15,1", None,
+     "user 0 / AP 0: distance 0 m gives no finite path gain"),
+    ("ap_positions = 0,0,1 ; 9,16,2\nuser_positions = 1e-200,0,1 ; 8,15,1", [],
+     "user 0 / AP 0: distance 0 m gives no finite path gain"),
+    ("ap_positions = 0,0,1 ; 9,16,2\nuser_positions = 1e-100,0,1 ; 8,15,1", None,
+     "user 0 / AP 0: distance 1e-100 m gives no finite path gain"),
+    ("ap_positions = 0,0,1 ; 9,16,2\nuser_positions = 1e-100,0,1 ; 8,15,1", [],
+     "user 0 / AP 0: distance 1e-100 m gives no finite path gain"),
     # the noise power p_b / 10^(esn0/10) overflows 10^(esn0/10) or divides by 0
-    ("esn0_start = 4000\nesn0_stop = 4000", None),
-    ("esn0_start = 4000\nesn0_stop = 4000", []),
-    ("n_sc = 8", ["--esn0=-5:1e308:1e308"]),
-    ("esn0_start = -4000\nesn0_stop = -4000", None),
-    ("esn0_start = -4000\nesn0_stop = -4000", []),
-    ("esn0_start = -3110\nesn0_stop = -3110", None),
-    ("p_b = 1e-300\nesn0_start = 300\nesn0_stop = 300", None),
+    ("esn0_start = 4000\nesn0_stop = 4000", None,
+     "noise power p_b / 10^(esn0/10) leaves the positive float range on Es/N0 4000..4000 dB"),
+    ("esn0_start = 4000\nesn0_stop = 4000", [],
+     "noise power p_b / 10^(esn0/10) leaves the positive float range on Es/N0 4000..4000 dB"),
+    ("n_sc = 8", ["--esn0=-5:1e308:1e308"],
+     "noise power p_b / 10^(esn0/10) leaves the positive float range on Es/N0 -5..1e+308 dB"),
+    ("esn0_start = -4000\nesn0_stop = -4000", None,
+     "noise power p_b / 10^(esn0/10) leaves the positive float range on Es/N0 -4000..-4000 dB"),
+    ("esn0_start = -4000\nesn0_stop = -4000", [],
+     "noise power p_b / 10^(esn0/10) leaves the positive float range on Es/N0 -4000..-4000 dB"),
+    ("esn0_start = -3110\nesn0_stop = -3110", None,
+     "noise power p_b / 10^(esn0/10) leaves the positive float range on Es/N0 -3110..-3110 dB"),
+    ("p_b = 1e-300\nesn0_start = 300\nesn0_stop = 300", None,
+     "noise power p_b / 10^(esn0/10) leaves the positive float range on Es/N0 300..300 dB"),
     # an analog stage's (n_sc, n_t, n_t) covariance products
-    ("n_t = 9999", None),
-    ("n_sc = 8", ["--codebook", "9999x1"]),
-    ("n_sc = 8", ["--codebook", ","]),
-    ("scenario = ,", None),
+    ("n_t = 9999", None, "sweep needs about 108901452992 bytes, over the 1073741824-byte budget"),
+    ("n_sc = 8", ["--codebook", "9999x1"], "sweep needs about 38402731520 bytes, over the 1073741824-byte budget"),
+    ("n_sc = 8", ["--codebook", ","], "empty codebook list"),
+    ("scenario = ,", None, "empty scenario list"),
     # each user 0.17 m from its AP: the UL received power p_u*|h|^2 overflows
-    ("w = 300\nuser_positions = 2.6,4.1,2.9 ; 7.4,12.9,2.9", []),
-    ("w = 300\nuser_positions = 2.6,4.1,2.9 ; 7.4,12.9,2.9\ngain_mode = gaussian", []),
+    ("w = 300\nuser_positions = 2.6,4.1,2.9 ; 7.4,12.9,2.9", [],
+     "user 0 / AP 0: UL received power p_u*|h|^2 leaves the float range"),
+    ("w = 300\nuser_positions = 2.6,4.1,2.9 ; 7.4,12.9,2.9\ngain_mode = gaussian", [],
+     "user 0 / AP 0: UL received power p_u*|h|^2 leaves the float range"),
     # finite received powers whose interference sum or SINR leaves the
     # float range: two intra-cell powers near 1e308, a user 0.17 m from its
     # AP at 20 dB, DL powers near 1e308
-    (f"w = 202.26\nu = 3\np_u = 1\nuser_positions = {NEAR_TRIO}\nn_sc = 4\nesn0_stop = 0", []),
-    ("w = 202.2\nuser_positions = 2.6,4.1,2.9 ; 5,8,1", []),
-    (f"{NEAR_PAIR}\ngain_mode = gaussian", []),
-    (f"{HUGE_DL}\ngain_mode = gaussian", []),
+    (f"w = 202.26\nu = 3\np_u = 1\nuser_positions = {NEAR_TRIO}\nn_sc = 4\nesn0_stop = 0", [],
+     "user 0 / AP 0: UL interference or SINR leaves the float range"),
+    ("w = 202.2\nuser_positions = 2.6,4.1,2.9 ; 5,8,1", [],
+     "user 0 / AP 0: UL interference or SINR leaves the float range"),
+    (f"{NEAR_PAIR}\ngain_mode = gaussian", [], "user 0 / AP 0: UL interference or SINR leaves the float range"),
+    (f"{HUGE_DL}\ngain_mode = gaussian", [], "user 0 / AP 0: DL interference or SINR leaves the float range"),
+    *((text, [], "link 0: DL channel covariance sum leaves the float range") for text in HUGE_COVARIANCE),
 ]
 
 
-@pytest.mark.parametrize("text, simulate_args", BAD_INPUTS)
-def test_bad_input_exits_2_with_message(text, simulate_args, tmp_path, capsys):
+@pytest.mark.parametrize("text, simulate_args, message", BAD_INPUTS)
+def test_bad_input_exits_2_with_message(text, simulate_args, message, tmp_path, capsys):
     path = tmp_path / "bad.conf"
     path.write_text(text + "\n")
     if simulate_args is None:
@@ -303,7 +327,7 @@ def test_bad_input_exits_2_with_message(text, simulate_args, tmp_path, capsys):
     else:
         argv = ["simulate", "--config", str(path), "--out", str(tmp_path), *simulate_args]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "results.csv").exists()
 
 
@@ -323,6 +347,20 @@ def test_overflowing_ul_received_power_names_its_link(mode, tmp_path, capsys):
 ])
 def test_sinr_past_the_float_range_names_its_link(text, message, mode, tmp_path, capsys):
     path = tmp_path / "near.conf"
+    path.write_text(f"{text}\ngain_mode = {mode}\n")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("mode, text, message", [
+    ("deterministic", HUGE_COVARIANCE[0], "link 0: DL channel covariance sum leaves the float range"),
+    ("gaussian", HUGE_COVARIANCE[0], "link 0: DL channel covariance sum leaves the float range"),
+    ("deterministic", HUGE_COVARIANCE[1], "link 0: DL channel covariance sum leaves the float range"),
+    # the gaussian gains leave links 0 to 2 inside the float range
+    ("gaussian", HUGE_COVARIANCE[1], "link 3: DL channel covariance sum leaves the float range"),
+])
+def test_dl_covariance_past_the_float_range_names_its_link(mode, text, message, tmp_path, capsys):
+    path = tmp_path / "huge.conf"
     path.write_text(f"{text}\ngain_mode = {mode}\n")
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"

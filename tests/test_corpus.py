@@ -19,7 +19,9 @@ another case (``TWINS``): ``--queue-units reciprocal`` those of the
 ``queue_units = reciprocal`` golden, and a ``--codebook`` list in row order
 those of the same codebooks given out of order with a repeat. ``stats``
 runs on the ``w = 167`` results, whose delays near 1e129 s test both
-statistics, and pins its stdout.
+statistics, and pins its stdout. On every case, the rates and delays each
+stage returns are non-negative and the tracking factors and utilities lie
+in [0, 1], ranges the package itself does not check at run time.
 
 Every digest was taken on numpy 2.4.6 with its OpenBLAS build on x86-64,
 the build the closed-form SVDs and the goldens are checked on. A digest
@@ -29,11 +31,12 @@ config it moves and why.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 import oracles
 from test_golden import GOLDEN
-from vrlink import cli
+from vrlink import cli, runner
 
 # name -> (config keys, extra simulate flags)
 CASES = {
@@ -220,6 +223,40 @@ def test_results_csv_equals_the_row_by_row_writer(name, tmp_path, capsys, monkey
     keys, flags = CASES[name]
     simulate(keys, flags, tmp_path, capsys)
     assert (tmp_path / "out" / "results.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def in_unit_interval(x) -> bool:
+    return bool(np.all((0.0 <= x) & (x <= 1.0)))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_rates_delays_and_utilities_keep_their_ranges(name, tmp_path, capsys, monkeypatch):
+    # the ranges the sweep's stages do not check at run time, on every
+    # array a stage returns and on the table: rates and delays >= 0 (NaN
+    # fails), factors and utilities in [0, 1]
+    def checked(fn, holds):
+        def wrapper(*args):
+            out = fn(*args)
+            assert holds(out), fn.__name__
+            return out
+        return wrapper
+
+    monkeypatch.setattr(runner, "compute_metrics", checked(
+        runner.compute_metrics, lambda m: np.all(m.rate_ul >= 0) and np.all(m.rate_dl >= 0)))
+    monkeypatch.setattr(runner, "transmission_delay", checked(runner.transmission_delay, lambda d: np.all(d >= 0)))
+    monkeypatch.setattr(runner, "tracking_factors", checked(runner.tracking_factors, in_unit_interval))
+    monkeypatch.setattr(runner, "link_utilities", checked(runner.link_utilities, in_unit_interval))
+    tables, write = [], cli.write_results_csv
+
+    def keep(result, path):
+        tables.append(result)
+        write(result, path)
+
+    monkeypatch.setattr(cli, "write_results_csv", keep)
+    simulate(*CASES[name], tmp_path, capsys)
+    (table,) = tables
+    assert in_unit_interval(table.utility[table.codes == 0])
+    assert np.all(table.rate_dl >= 0) and np.all(table.rate_ul >= 0) and np.all(table.d_trans >= 0)
 
 
 @pytest.mark.parametrize("metric", sorted(STATS_PINS))

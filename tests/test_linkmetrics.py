@@ -14,8 +14,6 @@ def test_noise_power_values():
     assert noise_power(0.0, 1.0) == pytest.approx(1.0)
     assert noise_power(10.0, 1.0) == pytest.approx(0.1, rel=1e-12)
     assert noise_power(3.0, 0.01) == pytest.approx(0.005011872336272722, rel=1e-12)
-    with pytest.raises(InvalidInputError):
-        noise_power(0.0, 0.0)
 
 
 def test_evaluation_cells_rehomes_one_user():
@@ -187,6 +185,3 @@ def test_compute_metrics_shapes_and_rehoming():
     # so both evaluate without raising and with positive signal
     assert np.all(metrics.sinr_dl[..., 0, 1] > 0)
     assert np.all(metrics.dl_gain == np.mean(gains, axis=2))
-    for bad in (np.array([1e-3, 0.0]), np.array(1e-3)):
-        with pytest.raises(InvalidInputError):
-            compute_metrics(*args, bad, (GainAggregation.MEAN,), 2.16e9, 2.16e9 / 64)

@@ -177,11 +177,6 @@ def test_frobenius_norms_equal_per_matrix_norm(n_tx, n_ds):
     assert np.array_equal(norms, [[np.linalg.norm(m) for m in link] for link in stack])
 
 
-def test_unit_modulus_normalize_rejects_bad_target():
-    with pytest.raises(InvalidInputError):
-        unit_modulus_normalize(np.eye(2), 0.0)
-    with pytest.raises(InvalidInputError):
-        unit_modulus_normalize(np.eye(2), -1.0)
 
 
 @pytest.mark.parametrize("n_sc", [1, 2, 7, 8, 9, 64, 1024, 4096])

@@ -40,9 +40,6 @@ def test_transmission_delay_zero_rate_is_infeasible():
         assert transmission_delay(12288, 6, 0.0, 1e6) == math.inf
         assert transmission_delay(12288, 6, 1e9, 0.0) == math.inf
         assert transmission_delay(12288, 6, 0.0, 0.0) == math.inf
-    for dl, ul in ((-1.0, 1e6), (1e9, -1e-300), (math.nan, 1e6), (1e9, math.nan)):
-        with pytest.raises(InvalidInputError):
-            transmission_delay(12288, 6, dl, ul)
 
 
 def test_processing_delay_values():
@@ -172,10 +169,18 @@ def test_link_utilities_hand_case():
     assert np.all((0.0 <= u) & (u <= 1.0))
 
 
-def test_link_utilities_rejects_mismatch():
-    with pytest.raises(InvalidInputError):
-        link_utilities(np.ones(3), tracking_factors(np.ones(4), 1.0), 0.02)
-    with pytest.raises(InvalidInputError):
-        link_utilities(np.array([]), np.array([]), 0.02)
-    with pytest.raises(InvalidInputError):
-        tracking_factors(np.array([]), 1.0)
+def test_factors_and_utilities_of_random_windows_lie_in_unit_interval():
+    # the range the pipeline no longer re-checks at run time: windows of one
+    # to 64 subcarriers, SINRs and delays over many decades with zeros and
+    # ties, tolerances below, inside and above each window
+    rng = np.random.default_rng(181)
+    for _ in range(200):
+        shape = (int(rng.integers(1, 6)), int(rng.integers(1, 65)))
+        sinrs = np.where(rng.random(shape) < 0.1, 0.0, 10.0 ** rng.uniform(-300, 300, shape))
+        sinrs[:, -1] = sinrs[:, 0]
+        tracking = tracking_factors(sinrs, float(10.0 ** rng.uniform(-3, 3)))
+        assert np.all((0.0 <= tracking) & (tracking <= 1.0))
+        delays = np.where(rng.random(shape) < 0.1, 0.0, 10.0 ** rng.uniform(-12, 14, shape))
+        gamma = 10.0 ** rng.uniform(-12, 14, (shape[0], 1))
+        utilities = link_utilities(delays, tracking, gamma)
+        assert np.all((0.0 <= utilities) & (utilities <= 1.0))

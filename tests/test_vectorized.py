@@ -36,7 +36,6 @@ from vrlink.channel import (
     tap_decay_sum,
 )
 from vrlink.config import config_from_dict
-from vrlink.errors import InvalidInputError
 from vrlink.linkmetrics import GainAggregation, compute_metrics
 from vrlink.numerics import ZERO_MODULUS, svd, unit_modulus_normalize
 from vrlink.qos import link_utilities, tracking_factors, transmission_delay
@@ -209,10 +208,6 @@ def test_transmission_delay_array_matches_scalar_calls():
         assert np.all(transmission_delay(12288.0, 6.0, 0.0, np.array([1e6, 1e6])) == math.inf)
         got = transmission_delay(12288.0, 6.0, np.array([[1e9], [0.0]]), np.ones((2, 3)))
         assert np.all(np.isfinite(got[0])) and np.all(got[1] == math.inf)
-    with pytest.raises(InvalidInputError):
-        transmission_delay(12288.0, 6.0, 1e9, np.array([1e6, -1.0, 1e6]))
-    with pytest.raises(InvalidInputError):
-        transmission_delay(12288.0, 6.0, np.array([[1e9], [math.nan]]), np.ones((2, 3)))
 
 
 def column_svd(m):
