@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, ShapeError
+from .errors import InvalidInputError, LinkError, ShapeError
 from .numerics import ensure_complex_stack, frobenius_norms, singular_values
 from .numerics import svd, unit_modulus_normalize
 
@@ -80,8 +80,8 @@ def _covariance_beams(channels: np.ndarray, n_cols: int, receive_side: bool) -> 
 
     channels is one link's (n_sc, n_rx, n_tx) stack or a stack of links
     (..., n_sc, n_rx, n_tx); the beams keep its leading link axes. A sum
-    past the float range is an InvalidInputError naming the first such link,
-    counted in the C order of the leading axes.
+    past the float range is a LinkError naming the first such link, counted
+    in the C order of the leading axes.
     """
     size = channels.shape[-2] if receive_side else channels.shape[-1]
     links = channels.reshape((-1,) + channels.shape[-3:])
@@ -97,7 +97,7 @@ def _covariance_beams(channels: np.ndarray, n_cols: int, receive_side: bool) -> 
             cov[k:k + step] = _subcarrier_sum(h @ h_herm if receive_side else h_herm @ h)
     bad = ~np.isfinite(cov).all(axis=(-2, -1))
     if bad.any():
-        raise InvalidInputError(f"link {np.argmax(bad)}: DL channel covariance sum leaves the float range")
+        raise LinkError(int(np.argmax(bad)), "DL channel covariance sum leaves the float range")
     beams = unit_modulus_normalize(svd(cov).left[..., :n_cols], 1.0 / math.sqrt(size))
     return beams.reshape(channels.shape[:-3] + beams.shape[-2:])
 
@@ -112,7 +112,7 @@ def analog_precoder(channels: np.ndarray, n_rf: int) -> np.ndarray:
     return _covariance_beams(channels, n_rf, receive_side=False)
 
 
-def hybrid_digital(h_d: np.ndarray, n_ds: int, n_rf: int) -> tuple:
+def hybrid_digital(h_d: np.ndarray, n_ds: int) -> tuple:
     """Per-subcarrier digital stage: SVD of the analog-reduced channel.
 
     h_d is the channel seen through the analog stages (rows: combiner
@@ -205,7 +205,7 @@ def design_link(links: np.ndarray, codebooks: tuple, p_b: np.ndarray) -> tuple:
         # a contiguous slice: stacked @ on a strided operand may round differently
         p_a = np.ascontiguousarray(p_widest[..., :cb.n_rf])
         h_d = g_h @ p_a[:, None]
-        d_pre, d_comb = hybrid_digital(h_d, cb.n_ds, cb.n_rf)
+        d_pre, d_comb = hybrid_digital(h_d, cb.n_ds)
 
         # composite beams, unit Frobenius norm, so the effective gain is the
         # channel response to a unit-power beam and can never exceed the

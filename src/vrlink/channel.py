@@ -94,12 +94,12 @@ def tap_decay_sum(tau_s: float, tap_count: int, tap_spacing_s: float) -> float:
         return float(np.sum(np.exp(-(k * tap_spacing_s) / tau_s)))
 
 
-def steering_vector(n_elements: int, azimuths_deg, spacing_over_wavelength: float = 0.5) -> np.ndarray:
-    """ULA responses (L, N) at a sequence of L azimuths, element k of each
-    (1/sqrt(N)) * exp(-j*k*2*pi*(d/lambda)*sin(az))."""
+def steering_vector(n_elements: int, azimuths_deg) -> np.ndarray:
+    """Half-wavelength ULA responses (L, N) at a sequence of L azimuths,
+    element k of each (1/sqrt(N)) * exp(-j*k*pi*sin(az))."""
     k = np.arange(n_elements, dtype=float)
     # math.sin per azimuth, as for one link: numpy's sin may round differently
-    slopes = [-2.0 * np.pi * spacing_over_wavelength * math.sin(math.radians(az)) for az in azimuths_deg]
+    slopes = [-np.pi * math.sin(math.radians(az)) for az in azimuths_deg]
     phase = np.multiply(np.reshape(slopes, (-1, 1)), k)
     return np.exp(1j * phase) / math.sqrt(n_elements)
 

@@ -164,6 +164,11 @@ def check_budget(nbytes: int) -> None:
         raise ConfigurationError(f"sweep needs about {nbytes} bytes, over the {MAX_SWEEP_BYTES}-byte budget")
 
 
+def check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {seed}")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Everything a sweep needs, fully resolved and validated."""
@@ -217,6 +222,7 @@ class SweepConfig:
             raise ConfigurationError(f"v_j must be at least 1, got {self.v_j}")
         if self.tap_count < 1:
             raise ConfigurationError(f"tap count must be at least 1, got {self.tap_count}")
+        check_seed(self.seed)
         for name in ("tap_spacing_s", "epsilon0", "p_b", "p_u", "gamma_d"):
             if not getattr(self, name) > 0:
                 raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
@@ -325,9 +331,7 @@ def config_from_dict(raw: dict) -> SweepConfig:
     )
     area = IndoorArea(x_range=c["area_x"], y_range=c["area_y"], z_range=c["area_z"])
 
-    seed = c["seed"]
-    if seed < 0:
-        raise ConfigurationError(f"seed must be non-negative, got {seed}")
+    check_seed(c["seed"])  # the position draws below read it
     esn0 = esn0_grid(c["esn0_start"], c["esn0_step"], c["esn0_stop"])
     # before any per-node work: the sizes alone can exceed the budget
     records = len(set(c["scenario"])) * len(codebooks) * len(esn0) * u * b
@@ -341,7 +345,7 @@ def config_from_dict(raw: dict) -> SweepConfig:
         if c[key] is None and count == len(fixed):
             c[key] = fixed
         elif c[key] is None:
-            rng = np.random.default_rng([seed, stream])
+            rng = np.random.default_rng([c["seed"], stream])
             c[key] = tuple(area.sample(rng) for _ in range(count))
         if len(c[key]) != count:
             raise ConfigurationError(f"expected {count} {key}, got {len(c[key])}")
@@ -356,7 +360,7 @@ def config_from_dict(raw: dict) -> SweepConfig:
         w=c["w"],
         r_min=c["r_min"],
         v_j=u if c["v_j"] is None else c["v_j"],
-        seed=seed,
+        seed=c["seed"],
         tap_count=c["tap_count"],
         tap_spacing_s=c["tap_spacing"] or grid.sample_period,
         epsilon0=c["epsilon0"],

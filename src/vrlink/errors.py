@@ -5,6 +5,14 @@ class InvalidInputError(ValueError):
     """An argument violates an operation's domain (NaN/Inf, empty vector, ...)."""
 
 
+class LinkError(InvalidInputError):
+    """An InvalidInputError about one link of a stack, named by its index."""
+
+    def __init__(self, link: int, problem: str):
+        super().__init__(f"link {link}: {problem}")
+        self.link, self.problem = link, problem
+
+
 class DegenerateGeometryError(ValueError):
     """Geometry the channel model cannot handle (zero distance, stacked nodes)."""
 

@@ -126,8 +126,8 @@ def _rate(bw: float, sinr: np.ndarray) -> np.ndarray:
 def compute_metrics(
     ul_coeffs: np.ndarray,
     dl_gain_per_sc: np.ndarray,
-    user_powers: np.ndarray,
-    ap_powers: np.ndarray,
+    p_u: float,
+    p_b: float,
     base_cells,
     sigma_sq: np.ndarray,
     modes,
@@ -139,18 +139,17 @@ def compute_metrics(
 
     ul_coeffs: (U, B, n_sc) complex scalars. dl_gain_per_sc: (..., U, B,
     n_sc) squared effective-channel magnitudes from the beamformer, e.g. one
-    slice per codebook. sigma_sq: (E,) noise powers. modes: the gain
+    slice per codebook. p_u, p_b: the one UL power of every user and DL
+    power of every AP. sigma_sq: (E,) noise powers. modes: the gain
     aggregations, one per scenario. The interference sums do not depend on
     the noise, so they are formed once and every Es/N0 point reuses them.
     A UL received power, interference sum or SINR past the float range, or
     a DL one, is an InvalidInputError naming the first such user and AP.
     """
-    sigma = np.asarray(sigma_sq, dtype=float)
-    gains = np.ascontiguousarray(dl_gain_per_sc, dtype=float)
     n_aps = ul_coeffs.shape[1]
     # received UL power of user l at AP b on subcarrier n
     with np.errstate(over="ignore"):
-        received = user_powers[:, None, None] * np.abs(ul_coeffs) ** 2
+        received = p_u * np.abs(ul_coeffs) ** 2
     if not np.all(np.isfinite(received)):
         l, b, _ = np.argwhere(~np.isfinite(received))[0]
         raise InvalidInputError(f"user {l} / AP {b}: UL received power p_u*|h|^2 leaves the float range")
@@ -158,20 +157,20 @@ def compute_metrics(
         intra, inter = _interference(
             base_cells, n_aps, lambda l: received[l], lambda k, b: received[k, b], tail=(1,)
         )
-        denominator = (sigma[:, None, None, None] + intra) + inter
+        denominator = (sigma_sq[:, None, None, None] + intra) + inter
         s_ul = received / denominator
     _check_range("UL", denominator, s_ul, cell_axes=(1, 2))
 
     # an infinite DL power over an infinite sum divides to NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        agg = np.stack([_AGGREGATE[mode](gains, axis=-1) for mode in modes])
+        agg = np.stack([_AGGREGATE[mode](dl_gain_per_sc, axis=-1) for mode in modes])
         # DL power of AP b through the gain of user k; user i's own link
         # carries the intra-cell terms of its serving AP
-        own = ap_powers * agg
+        own = p_b * agg
         intra, inter = _interference(
             base_cells, n_aps, lambda l: own, lambda k, b: own[..., k, b, None, None]
         )
-        denominator = (sigma[:, None, None] + intra[..., None, :, :]) + inter[..., None, :, :]
+        denominator = (sigma_sq[:, None, None] + intra[..., None, :, :]) + inter[..., None, :, :]
         s_dl = own[..., None, :, :] / denominator
     _check_range("DL", denominator, s_dl, cell_axes=(-2, -1))
     return LinkMetrics(s_ul, _rate(bw_subcarrier, s_ul), s_dl, _rate(bw_total, s_dl), agg)

@@ -57,15 +57,14 @@ class TrafficModel:
 def transmission_delay(s_bits: float, a_bits: float, rate_dl, rate_ul):
     """Over-the-air time: payload over the DL rate, tracking over the UL rate.
 
-    rate_ul is one rate, one link's per-subcarrier rates, or a stack of such
-    windows on its last axis; rate_dl is one rate per window and broadcasts
-    against it (shape (..., 1) for a stack). The delay has the broadcast
-    shape; a zero rate never completes the transfer, so its delay is inf, as
-    is one past the float range.
+    rate_ul is one link's per-subcarrier rates, or a stack of such windows
+    on its last axis; rate_dl is one rate per window and broadcasts against
+    it (shape (..., 1) for a stack). Both are float arrays. The delay has
+    the broadcast shape; a zero rate never completes the transfer, so its
+    delay is inf, as is one past the float range.
     """
-    dl, ul = np.asarray(rate_dl, dtype=float), np.asarray(rate_ul, dtype=float)
     with np.errstate(divide="ignore", over="ignore"):
-        return s_bits / dl + a_bits / ul
+        return s_bits / rate_dl + a_bits / rate_ul
 
 
 def processing_delay(v_bits: float, m_capacity: float, n_share: float) -> float:
@@ -99,26 +98,24 @@ def tracking_factors(sinrs_ul: np.ndarray, epsilon0: float) -> np.ndarray:
     so a window's factors have the same bits in a full stack as on their
     own (see the numerics docstring).
     """
-    errors = epsilon0 / np.sqrt(1.0 + np.asarray(sinrs_ul, dtype=float))
+    errors = epsilon0 / np.sqrt(1.0 + sinrs_ul)
     worst = np.max(errors, axis=-1, keepdims=True)
     # a worst error of 0 makes every error 0, and 1 - 0 / 1 is factor 1
     return 1.0 - errors / np.where(worst == 0.0, 1.0, worst)
 
 
-def link_utilities(delays_total: np.ndarray, tracking: np.ndarray, gamma_d) -> np.ndarray:
+def link_utilities(delays: np.ndarray, tracking: np.ndarray, gamma_d: float) -> np.ndarray:
     """Per-subcarrier total utilities for link windows on the last axis.
 
-    delays_total and tracking (``tracking_factors`` of the same windows) are
-    one window or a stack of windows; gamma_d is one tolerance or one per
-    window (shape (..., 1)). d_max is the worst total delay over a window's
-    subcarriers. Equal, bit for bit, to the scalar
+    delays (total delays) and tracking (``tracking_factors`` of the same
+    windows) are one window or a stack of windows; gamma_d is the delay
+    tolerance of every window. d_max is the worst total delay over a
+    window's subcarriers. Equal, bit for bit, to the scalar
     ``total_utility(conditional_utility(...), tracking_utility(...))`` of
     tests/oracles.py per subcarrier.
     """
-    delays = np.asarray(delays_total, dtype=float)
-    gamma = np.asarray(gamma_d, dtype=float)
     d_max = np.max(delays, axis=-1, keepdims=True)
     # a window within the tolerance has factor 1; its divisor is a stand-in
-    span = np.where(d_max > gamma, d_max - gamma, 1.0)
-    conditional = np.where((delays < gamma) | (d_max <= gamma), 1.0, (d_max - delays) / span)
+    span = np.where(d_max > gamma_d, d_max - gamma_d, 1.0)
+    conditional = np.where((delays < gamma_d) | (d_max <= gamma_d), 1.0, (d_max - delays) / span)
     return conditional * tracking

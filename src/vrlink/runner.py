@@ -17,7 +17,7 @@ import numpy as np
 from .beamforming import design_link
 from .channel import synthesize_dl, synthesize_ul
 from .config import SweepConfig
-from .errors import InvalidInputError
+from .errors import InvalidInputError, LinkError
 from .linkmetrics import compute_metrics
 from .numerics import FACTOR_TOL, MODULUS_TOL
 from .qos import link_utilities, processing_delay, queue_delay, tracking_factors, transmission_delay
@@ -54,7 +54,6 @@ class SweepResult:
     rate_ul: np.ndarray    # (E, B, U) bits/s
     d_proc: float
     d_queue: float
-    objectives: dict  # (scenario, codebook label, esn0_db) -> summed per-subcarrier utility
     summary: dict
 
 
@@ -82,9 +81,13 @@ def _design_group(config: SweepConfig, group: tuple, amplitude, n_served, budget
     link, user-major like the DL stack."""
     rng = np.random.default_rng([config.seed, 1])
     dl = synthesize_dl(config.topology, amplitude, config.grid.n_sc, group[0].n_tx, group[0].n_rx, config.gain_mode, rng)
+    try:  # every link and every codebook of the group in one design
+        solutions = design_link(dl.matrices.reshape((n_served.size,) + dl.matrices.shape[2:]), group, budget)
+    except LinkError as e:  # links are user-major
+        user, ap = divmod(e.link, amplitude.shape[1])
+        raise InvalidInputError(f"user {user} / AP {ap}: {e.problem}") from e
     designs = []
-    # every link and every codebook of the group in one design
-    for sol in design_link(dl.matrices.reshape((n_served.size,) + dl.matrices.shape[2:]), group, budget):
+    for sol in solutions:
         fails = check_constraints(n_served, n_served * sol.transmit_power(), sol, config.v_j, config.p_b)
         gains = sol.effective_gain_per_subcarrier() ** 2
         designs.append((gains.reshape(amplitude.shape + (-1,)), (fails @ CHECK_BITS).reshape(amplitude.shape)))
@@ -139,34 +142,31 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     codebook's digital stage on its own; SINR, rate, delay and utility are
     then evaluated on whole arrays, one block of Es/N0 points at a time.
     """
-    topo, traffic = config.topology, config.traffic
+    traffic = config.traffic
     ul_gain, amplitude = np.array(config.ul_gain), np.array(config.dl_amplitude)
     ul = synthesize_ul(ul_gain, config.grid.n_sc, config.gain_mode, np.random.default_rng([config.seed, 0]))
     # users on AP j while user i is re-homed to it: j's home users, plus i
     # unless j is already i's home; one per link, user-major
-    home = np.array(config.base_cells)[:, None] == np.arange(topo.n_aps)
+    home = np.array(config.base_cells)[:, None] == np.arange(config.topology.n_aps)
     n_served = (home.sum(axis=0) - home + 1).reshape(-1)
     budget = config.p_b / n_served
     groups = itertools.groupby(config.codebooks, key=lambda cb: (cb.n_tx, cb.n_rx, cb.n_ds))
     designs = [d for _, group in groups for d in _design_group(config, tuple(group), amplitude, n_served, budget)]
     gains, checks = map(np.stack, zip(*designs))
-    user_powers = np.full(topo.n_users, config.p_u)
-    ap_powers = np.full(topo.n_aps, config.p_b)
     d_proc = processing_delay(traffic.v_bits, traffic.m_capacity, traffic.n_share)
     d_queue = queue_delay(traffic.mu, traffic.lam)
-    esn0_all = config.esn0_db.tolist()
     sigma_all = np.array(config.noise)
     step = max(1, BLOCK_CELLS // ul.size)
 
     # (scenario, codebook, Es/N0, user, AP) until the end
-    shape = (len(config.scenarios), len(config.codebooks), len(esn0_all)) + amplitude.shape
+    shape = (len(config.scenarios), len(config.codebooks), len(sigma_all)) + amplitude.shape
     rate_dl, d_trans, d_total = np.empty(shape), np.empty(shape), np.empty(shape)
-    utility, utility_sum, codes = np.full(shape, np.nan), np.zeros(shape), np.empty(shape, dtype=int)
+    utility, codes = np.full(shape, np.nan), np.empty(shape, dtype=int)
     rate_ul = np.empty(shape[2:])
-    for start in range(0, len(esn0_all), step):
+    for start in range(0, len(sigma_all), step):
         block = slice(start, start + step)
         m = compute_metrics(
-            ul, gains, user_powers, ap_powers, config.base_cells, sigma_all[block],
+            ul, gains, config.p_u, config.p_b, config.base_cells, sigma_all[block],
             config.scenarios, config.grid.total_bandwidth, config.grid.subcarrier_bandwidth,
         )
         rate_ul[block] = np.mean(m.rate_ul, axis=-1)
@@ -185,21 +185,12 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             utilities_n = link_utilities(totals_n[carries], tracking[carries], config.gamma_d)
             codes[s, c, block] = checks[c] | 2 * ((m.rate_dl[s, c] < config.r_min) | ~carries)
             utility[s, c, block][carries] = np.mean(utilities_n, axis=-1)
-            utility_sum[s, c, block][carries] = np.sum(utilities_n, axis=-1)
-    utility[codes != 0], utility_sum[codes != 0] = np.nan, 0.0
-    # each point's feasible links added user-major, left to right
-    sums = np.cumsum(utility_sum.reshape(shape[:3] + (-1,)), axis=-1)[..., -1].tolist()
-    objectives = {
-        (scenario.value, cb.label, e): sums[s][c][k]
-        for c, cb in enumerate(config.codebooks)
-        for s, scenario in enumerate(config.scenarios)
-        for k, e in enumerate(esn0_all)
-    }
+    utility[codes != 0] = np.nan
     # AP before user in the table, as in the CSV rows
     table = SweepResult(
         config.scenarios, config.codebooks, config.esn0_db,
         *(np.ascontiguousarray(a.swapaxes(-1, -2)) for a in (rate_dl, d_trans, d_total, utility, codes)),
-        np.ascontiguousarray(rate_ul.swapaxes(-1, -2)), d_proc, d_queue, objectives, summary=None,
+        np.ascontiguousarray(rate_ul.swapaxes(-1, -2)), d_proc, d_queue, summary=None,
     )
     return dataclasses.replace(table, summary=_summarize(config, table))
 

@@ -68,7 +68,7 @@ def test_criterion_2_hybrid_gain_never_beats_full_digital():
     for n_tx in (2, 4, 8):
         for _ in range(50):
             h = rng.standard_normal((1, n_tx)) + 1j * rng.standard_normal((1, n_tx))
-            d_pre, d_comb = hybrid_digital(h, 1, n_tx)
+            d_pre, d_comb = hybrid_digital(h, 1)
             gain = abs(effective_channel(d_comb, h, d_pre)[0, 0])
             full = np.linalg.svd(h, compute_uv=False)[0]
             assert abs(gain - full) < FACTOR_TOL * full

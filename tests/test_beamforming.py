@@ -15,7 +15,7 @@ from vrlink.beamforming import (
     hybrid_digital,
 )
 from vrlink.config import config_from_dict
-from vrlink.errors import InvalidInputError, ShapeError
+from vrlink.errors import InvalidInputError, LinkError, ShapeError
 from vrlink.numerics import svd
 
 
@@ -97,7 +97,7 @@ def test_analog_precoder_aligns_with_dominant_direction():
 def test_hybrid_digital_square_selection():
     rng = np.random.default_rng(41)
     h_d = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    pre, comb = hybrid_digital(h_d, 2, 2)
+    pre, comb = hybrid_digital(h_d, 2)
     res = svd(h_d)
     assert np.allclose(pre, res.right)
     assert np.allclose(comb, res.left)
@@ -105,7 +105,7 @@ def test_hybrid_digital_square_selection():
 
 def test_hybrid_digital_axis_aligned():
     h_d = np.array([[2.0, 0.0]], dtype=complex)
-    pre, comb = hybrid_digital(h_d, 1, 2)
+    pre, comb = hybrid_digital(h_d, 1)
     eff = effective_channel(comb, h_d, pre)
     assert abs(eff[0, 0]) == pytest.approx(2.0, rel=1e-12)
     assert np.allclose(np.abs(pre[:, 0]), [1.0, 0.0], atol=1e-12)
@@ -115,7 +115,7 @@ def test_hybrid_digital_matches_sigma_max():
     rng = np.random.default_rng(43)
     for _ in range(50):
         h_d = rng.standard_normal((1, 2)) + 1j * rng.standard_normal((1, 2))
-        pre, comb = hybrid_digital(h_d, 1, 2)
+        pre, comb = hybrid_digital(h_d, 1)
         gain = abs(effective_channel(comb, h_d, pre)[0, 0])
         assert gain == pytest.approx(np.linalg.svd(h_d, compute_uv=False)[0], rel=1e-9)
 
@@ -212,6 +212,17 @@ def test_design_link_rejects_mismatched_shapes():
         design_link(links, (Codebook(2, 1),), np.array([0.01, 0.01]))
 
 
+def test_design_link_names_an_overflowing_covariance_by_stack_index():
+    # a sweep names the link by user and AP; design_link knows only its
+    # place in the stack
+    links = np.ones((4, 3, 1, 2), dtype=complex)
+    links[3] *= 1e200
+    with pytest.raises(LinkError) as raised:
+        design_link(links, (Codebook(2, 1),), np.full(4, 0.01))
+    assert raised.value.link == 3
+    assert str(raised.value) == "link 3: DL channel covariance sum leaves the float range"
+
+
 def test_grouped_design_equals_each_codebook_alone():
     # one tuple call shares the analog stages of codebooks that differ only
     # in n_rf; each solution must be the lone design, byte for byte, also
@@ -243,7 +254,7 @@ def test_reduction_identity_analog_recovers_full_digital():
     for n_tx in (2, 4, 8):
         for _ in range(20):
             h = rng.standard_normal((1, n_tx)) + 1j * rng.standard_normal((1, n_tx))
-            pre, comb = hybrid_digital(h, 1, n_tx)
+            pre, comb = hybrid_digital(h, 1)
             f = np.eye(n_tx) @ pre
             w = np.eye(1) @ comb
             eff = effective_channel(w / np.linalg.norm(w), h, f / np.linalg.norm(f))

@@ -314,7 +314,7 @@ BAD_INPUTS = [
      "user 0 / AP 0: UL interference or SINR leaves the float range"),
     (f"{NEAR_PAIR}\ngain_mode = gaussian", [], "user 0 / AP 0: UL interference or SINR leaves the float range"),
     (f"{HUGE_DL}\ngain_mode = gaussian", [], "user 0 / AP 0: DL interference or SINR leaves the float range"),
-    *((text, [], "link 0: DL channel covariance sum leaves the float range") for text in HUGE_COVARIANCE),
+    *((text, [], "user 0 / AP 0: DL channel covariance sum leaves the float range") for text in HUGE_COVARIANCE),
 ]
 
 
@@ -353,17 +353,25 @@ def test_sinr_past_the_float_range_names_its_link(text, message, mode, tmp_path,
 
 
 @pytest.mark.parametrize("mode, text, message", [
-    ("deterministic", HUGE_COVARIANCE[0], "link 0: DL channel covariance sum leaves the float range"),
-    ("gaussian", HUGE_COVARIANCE[0], "link 0: DL channel covariance sum leaves the float range"),
-    ("deterministic", HUGE_COVARIANCE[1], "link 0: DL channel covariance sum leaves the float range"),
-    # the gaussian gains leave links 0 to 2 inside the float range
-    ("gaussian", HUGE_COVARIANCE[1], "link 3: DL channel covariance sum leaves the float range"),
+    ("deterministic", HUGE_COVARIANCE[0], "user 0 / AP 0: DL channel covariance sum leaves the float range"),
+    ("gaussian", HUGE_COVARIANCE[0], "user 0 / AP 0: DL channel covariance sum leaves the float range"),
+    ("deterministic", HUGE_COVARIANCE[1], "user 0 / AP 0: DL channel covariance sum leaves the float range"),
+    # the gaussian gains leave user 0's links and user 1 / AP 0 inside the float range
+    ("gaussian", HUGE_COVARIANCE[1], "user 1 / AP 1: DL channel covariance sum leaves the float range"),
 ])
 def test_dl_covariance_past_the_float_range_names_its_link(mode, text, message, tmp_path, capsys):
     path = tmp_path / "huge.conf"
     path.write_text(f"{text}\ngain_mode = {mode}\n")
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_negative_seed_is_rejected_on_every_path():
+    message = "seed must be non-negative, got -1"
+    with pytest.raises(ConfigurationError, match=message):
+        config_from_dict({"seed": "-1"})
+    with pytest.raises(ConfigurationError, match=message):
+        dataclasses.replace(config_from_dict({}), seed=-1)
 
 
 def test_config_holds_the_row_order_on_every_path():

@@ -2,6 +2,8 @@
 
 Random subsets of the known keys get hostile values: 0, -1, +-1e300,
 1e-300, inf, nan, text, and positions that put an AP on a user's xy spot.
+Half the drawn keys get a well-formed value instead, so that more draws
+pass the checks and reach `simulate`.
 `check-config` must exit 0, or 2 with an `error:` line; no exception may
 escape. Accepted configs small enough to run quickly also go through
 `simulate`, which must exit 0 or 2 as well. A numeric warning counts as
@@ -31,6 +33,9 @@ SHAPED = {
     "user_positions": ("2.5,4,1 ; 6.5,11,1.5", "7.5,13,0 ; 7.5,13,3", "0,0,0 ; 10,17,3"),
 }
 
+# well-formed values for the keys without SHAPED ones
+MILD = ("1", "2", "3")
+
 # the keys a fuzz draw leaves alone keep the sweep small
 BASE = {"n_sc": "4", "esn0_stop": "2"}
 
@@ -49,7 +54,7 @@ def draw(rng) -> dict:
     keys = [names[k] for k in rng.choice(len(names), size=int(rng.integers(1, 6)), replace=False)]
     raw = dict(BASE)
     for key in keys:
-        values = HOSTILE + SHAPED.get(key, ())
+        values = SHAPED.get(key, MILD) if rng.random() < 0.5 else HOSTILE + SHAPED.get(key, ())
         raw[key] = values[int(rng.integers(len(values)))]
     return raw
 

@@ -172,7 +172,7 @@ def test_compute_metrics_shapes_and_rehoming():
     u, b, n_sc = 2, 2, 8
     coeffs = rng.standard_normal((u, b, n_sc)) + 1j * rng.standard_normal((u, b, n_sc))
     gains = rng.uniform(0, 1e-10, (u, b, n_sc))
-    args = (coeffs, gains, np.array([0.005, 0.005]), np.array([0.01, 0.01]), (0, 1))
+    args = (coeffs, gains, 0.005, 0.01, (0, 1))
     sigmas = np.array([1e-3, 1e-2, 1e-1])
     metrics = compute_metrics(*args, sigmas, (GainAggregation.MEAN,), 2.16e9, 2.16e9 / 64)
     assert metrics.sinr_ul.shape == (3, u, b, n_sc)

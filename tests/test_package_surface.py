@@ -1,4 +1,5 @@
-"""The shipped package has no public name that only tests reach.
+"""The shipped package has no public name that only tests reach, and no
+parameter that its function never reads.
 
 The test walks src/vrlink/*.py with ast. A public module-level function or
 class counts as read when another module of the package imports it or its
@@ -7,6 +8,10 @@ package code reads an attribute of that name. Annotations are not reads.
 Allowed without a reader: the names vrlink/__init__.py exports, cli.main,
 and the functions the benchmark's layer trace wraps (perfbench/layers.py,
 loaded by path as in test_bench_hooks.py).
+
+A parameter counts as read when the body of its def, nested code included,
+loads its name. Allowed unread: the key of a ``config.KEYS`` parser, which
+is called as parser(key, text) whether it names the key or not.
 """
 
 import ast
@@ -110,5 +115,30 @@ def unread_names() -> list:
     return unread
 
 
+def unread_parameters() -> list:
+    """Parameters of defs under src/vrlink that their body never loads, as
+    "module.function(parameter)"."""
+    unread = []
+    for mod, tree in _modules().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p is not None]
+            loads = {
+                n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            unread += [
+                f"{mod}.{node.name}({p})" for p in params
+                if p not in loads and not (mod == "config" and params == ["key", "text"] and p == "key")
+            ]
+    return unread
+
+
 def test_every_public_name_has_a_reader_in_the_package():
     assert unread_names() == []
+
+
+def test_every_parameter_is_read_by_its_function():
+    assert unread_parameters() == []

@@ -257,17 +257,13 @@ def test_mode_statistic_bin_index_past_float_range():
         assert mode_statistic([2e300, 3.0], 1e-10) == pytest.approx(3.0)
 
 
-def test_evaluate_sweep_point_record_count_and_objective(small_result):
+def test_evaluate_sweep_point_utilities_and_delays(small_result):
     cfg, result = small_result
     codebook = cfg.codebooks[0]
     at = point(result, "mean", codebook.n_tx, codebook.n_rf, 2.0)
-    objective = result.objectives[("mean", codebook.label, 2.0)]
     assert result.utility[at].shape == (cfg.topology.n_aps, cfg.topology.n_users)
     assert np.all(result.codes[at] == 0)
-    utility = result.utility[at].ravel().tolist()
-    # the objective is the per-subcarrier utility sum, the row utility its mean
-    assert objective == pytest.approx(sum(u * cfg.grid.n_sc for u in utility), rel=1e-12)
-    assert all(0.0 <= u <= 1.0 for u in utility)
+    assert all(0.0 <= u <= 1.0 for u in result.utility[at].ravel().tolist())
     for d_trans, d_total in zip(result.d_trans[at].ravel().tolist(), result.d_total[at].ravel().tolist()):
         assert d_total == pytest.approx(d_trans + result.d_proc + result.d_queue, rel=1e-12)
 
@@ -294,7 +290,6 @@ def test_run_sweep_sorted_and_deterministic(small_result):
     assert np.all(np.diff(result.esn0_db) > 0)
     again = run_sweep(cfg)
     assert same_result(result, again)
-    assert result.objectives == again.objectives
 
 
 def test_delay_monotone_in_esn0(small_result):
@@ -310,15 +305,6 @@ def test_min_scenario_never_beats_mean(small_result):
     lo, hi = names.index("min"), names.index("mean")
     assert np.all(result.utility[lo] <= result.utility[hi] + 1e-12)
     assert np.all(result.d_trans[lo] >= result.d_trans[hi] - 1e-15)
-
-
-def test_objectives_min_below_mean(small_result):
-    cfg, result = small_result
-    for cb in cfg.codebooks:
-        for esn0 in cfg.esn0_db:
-            lo = result.objectives[("min", cb.label, float(esn0))]
-            hi = result.objectives[("mean", cb.label, float(esn0))]
-            assert lo <= hi + 1e-12
 
 
 def test_summary_contents(small_result):
@@ -357,7 +343,6 @@ def test_infeasible_points_recorded_not_raised():
     assert result.codes.size == 4
     assert np.all(result.codes & 2)
     assert np.all(np.isnan(result.utility))
-    assert result.objectives == {("mean", "2A1R", 0.0): 0.0}
 
 
 def test_csv_header_and_rows(small_result, tmp_path):
@@ -377,7 +362,7 @@ def one_codebook_table(scenario, codebook, esn0_db, rate_ul, d_proc, d_queue, **
     return SweepResult(
         (scenario,), (codebook,), np.asarray(esn0_db, dtype=float),
         **{name: np.asarray(v)[None, None] for name, v in rows.items()},
-        rate_ul=np.asarray(rate_ul, dtype=float), d_proc=d_proc, d_queue=d_queue, objectives={}, summary={},
+        rate_ul=np.asarray(rate_ul, dtype=float), d_proc=d_proc, d_queue=d_queue, summary={},
     )
 
 
@@ -435,7 +420,7 @@ def synthetic_table(rng, n_e: int, n_aps: int, n_users: int) -> SweepResult:
     return SweepResult(
         (GainAggregation.MEAN, GainAggregation.MIN), (Codebook(2, 1), Codebook(4, 2)), doubles(n_e),
         doubles(*shape), doubles(*shape), doubles(*shape), doubles(*shape), codes, doubles(n_e, n_aps, n_users),
-        *doubles(2).tolist(), objectives={}, summary={},
+        *doubles(2).tolist(), summary={},
     )
 
 

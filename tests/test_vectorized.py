@@ -8,6 +8,7 @@ seeded random inputs.
 """
 
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -70,15 +71,14 @@ def check_compute_metrics(points, trials, max_u, max_b, max_sc, max_cb):
         n_cb = int(rng.integers(1, max_cb + 1))
         coeffs = random_complex(rng, (u, b, n_sc)) * 10.0 ** rng.uniform(-6, 0)
         gains = rng.uniform(0.0, 1e-9, (n_cb, u, b, n_sc))
-        user_powers = rng.uniform(1e-3, 1e-2, u)
-        ap_powers = rng.uniform(1e-3, 2e-2, b)
+        p_u, p_b = float(rng.uniform(1e-3, 1e-2)), float(rng.uniform(1e-3, 2e-2))
         cells = tuple(int(c) for c in rng.integers(0, b, u))
         sigmas = 10.0 ** rng.uniform(-14, -2, points)
         modes = all_modes[int(rng.integers(len(all_modes)))]
         bw_total = 2.16e9
         bw_sc = bw_total / n_sc
         metrics = compute_metrics(
-            coeffs, gains, user_powers, ap_powers, cells, sigmas, modes, bw_total, bw_sc
+            coeffs, gains, p_u, p_b, cells, sigmas, modes, bw_total, bw_sc
         )
         agg = np.array(
             [
@@ -93,12 +93,12 @@ def check_compute_metrics(points, trials, max_u, max_b, max_sc, max_cb):
                 for j in range(b):
                     probe = evaluation_cells(cells, i, j)
                     for n in range(n_sc):
-                        s = sinr_ul(i, j, n, user_powers, coeffs, probe, sigma_sq)
+                        s = sinr_ul(i, j, n, np.full(u, p_u), coeffs, probe, sigma_sq)
                         assert metrics.sinr_ul[e, i, j, n] == s
                         assert metrics.rate_ul[e, i, j, n] == rate(bw_sc, s)
                     for m in range(len(modes)):
                         for c in range(n_cb):
-                            s = sinr_dl(i, j, ap_powers, agg[m, c], probe, sigma_sq)
+                            s = sinr_dl(i, j, np.full(b, p_b), agg[m, c], probe, sigma_sq)
                             assert metrics.sinr_dl[m, c, e, i, j] == s
                             assert metrics.rate_dl[m, c, e, i, j] == rate(bw_total, s)
 
@@ -136,35 +136,36 @@ def test_link_utilities_match_scalar_chain():
 
 
 def test_link_utilities_stack_matches_scalar_chain_per_window():
-    # one stack mixing windows within the tolerance, windows whose worst
-    # tracking error is 0, uniform windows and ordinary ones
+    # one stack, under one tolerance, mixing windows within it (reaching it
+    # or not), windows whose worst tracking error is 0, uniform windows and
+    # ordinary ones, which mostly straddle it
     rng = np.random.default_rng(421)
-    for n_sc in (1, 2, 7, 64):
+    for n_sc, gamma_d in itertools.product((1, 2, 7, 64), (0.0, 20e-3, 1e5)):
         rows = []
         for kind in range(40):
             delays = 10.0 ** rng.uniform(-4, 14, n_sc)
             sinrs = 10.0 ** rng.uniform(-12, 3, n_sc) * (rng.uniform(size=n_sc) > 0.1)
-            gamma_d = float(rng.choice([0.0, 20e-3, np.median(delays)]))
             if kind % 4 == 0:
-                gamma_d = float(rng.choice([np.max(delays), 2.0 * np.max(delays)]))
+                delays = gamma_d * rng.uniform(0.0, 1.0, n_sc)
+                if kind % 8 == 0:
+                    delays[-1] = gamma_d
             elif kind % 4 == 1:
                 sinrs = np.full(n_sc, math.inf)
             elif kind % 4 == 2:
                 delays = np.full(n_sc, delays[0])
                 sinrs = np.full(n_sc, sinrs[0])
-            rows.append((delays, sinrs, gamma_d))
+            rows.append((delays, sinrs))
         delays = np.array([r[0] for r in rows])
         sinrs = np.array([r[1] for r in rows])
-        gammas = np.array([[r[2]] for r in rows])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = link_utilities(delays, tracking_factors(sinrs, 1.5), gammas)
+            got = link_utilities(delays, tracking_factors(sinrs, 1.5), gamma_d)
             folded = link_utilities(
-                delays.reshape(2, 20, n_sc), tracking_factors(sinrs.reshape(2, 20, n_sc), 1.5), gammas.reshape(2, 20, 1)
+                delays.reshape(2, 20, n_sc), tracking_factors(sinrs.reshape(2, 20, n_sc), 1.5), gamma_d
             )
         assert np.array_equal(folded.reshape(got.shape), got)
-        for k, (d, s, g) in enumerate(rows):
-            assert np.array_equal(got[k], scalar_link_utilities(d, s, g, 1.5))
+        for k, (d, s) in enumerate(rows):
+            assert np.array_equal(got[k], scalar_link_utilities(d, s, gamma_d, 1.5))
 
 
 def test_block_tracking_factors_equal_those_of_the_masked_rows():
@@ -205,7 +206,7 @@ def test_transmission_delay_array_matches_scalar_calls():
         warnings.simplefilter("error", RuntimeWarning)
         got = transmission_delay(12288.0, 6.0, 1e9, np.array([1e6, 0.0, 1e6]))
         assert np.array_equal(got, [transmission_delay(12288.0, 6.0, 1e9, 1e6), math.inf, got[0]])
-        assert np.all(transmission_delay(12288.0, 6.0, 0.0, np.array([1e6, 1e6])) == math.inf)
+        assert np.all(transmission_delay(12288.0, 6.0, np.zeros(1), np.array([1e6, 1e6])) == math.inf)
         got = transmission_delay(12288.0, 6.0, np.array([[1e9], [0.0]]), np.ones((2, 3)))
         assert np.all(np.isfinite(got[0])) and np.all(got[1] == math.inf)
 
