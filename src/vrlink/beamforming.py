@@ -10,8 +10,9 @@ the covariances over blocks of ``max(1, L // n)`` links, so that the
 ``(n_sc, n, n)`` products held at once are no larger than the channel stack
 or one link's products; each sum reads them once, in subcarrier order, as a
 one-link loop would, and keeps no running sums where n >= 2. A solution
-keeps the composite beam ``analog @ digital`` that the design normalizes,
-and its transmit power is read from that beam.
+keeps what the sweep reads: the analog stages, the effective channels and
+the transmit power of each subcarrier, summed from the composite beam
+``analog @ digital`` while the design holds it.
 """
 
 import math
@@ -137,30 +138,22 @@ class BeamformingSolution:
     """Everything the link metrics need for a stack of L (user, AP) links:
     every array field has a leading link axis.
 
-    digital_precoders are kept semi-unitary; composite_precoders holds the
-    composite transmit beam analog_precoder @ digital_precoder of each
-    subcarrier, as the design formed it, and power_scale the per-subcarrier
-    amplitude that takes that beam to the link's power budget.
     effective_channels are measured through unit-Frobenius-norm composite
     beams, so their singular values are directly comparable with the
-    full-digital gain of the raw channel.
+    full-digital gain of the raw channel. subcarrier_power is the power of
+    each subcarrier's composite beam analog @ digital, scaled to an equal
+    share of the link's budget.
     """
 
     codebook: Codebook
     analog_precoder: np.ndarray     # (L, n_tx, n_rf), entry modulus 1/sqrt(n_tx)
     analog_combiner: np.ndarray     # (L, n_rx, n_ds), entry modulus 1/sqrt(n_rx)
-    digital_precoders: np.ndarray   # (L, n_sc, n_rf, n_ds), semi-unitary
-    composite_precoders: np.ndarray  # (L, n_sc, n_tx, n_ds), analog @ digital
-    digital_combiners: np.ndarray   # (L, n_sc, n_ds, n_ds)
     effective_channels: np.ndarray  # (L, n_sc, n_ds, n_ds)
-    power_scale: np.ndarray         # (L, n_sc), watts^0.5 amplitudes
+    subcarrier_power: np.ndarray    # (L, n_sc), watts
 
     def transmit_power(self):
-        """Total transmit power per link, summed over streams and
-        subcarriers: (L,)."""
-        beams = self.power_scale[..., None, None] * self.composite_precoders
-        per_subcarrier = np.sum(np.abs(beams) ** 2, axis=(-2, -1))
-        return np.cumsum(per_subcarrier, axis=-1)[..., -1]
+        """Total transmit power per link, summed over subcarriers: (L,)."""
+        return np.cumsum(self.subcarrier_power, axis=-1)[..., -1]
 
     def effective_gain_per_subcarrier(self) -> np.ndarray:
         """Largest singular value of each effective channel (|h| for one
@@ -217,8 +210,8 @@ def design_link(links: np.ndarray, codebooks: tuple, p_b: np.ndarray) -> tuple:
         if np.any(f_norm == 0.0) or np.any(w_norm == 0.0):
             raise InvalidInputError("degenerate composite beam with zero norm")
         effective = effective_channel(w / w_norm[..., None, None], links, f / f_norm[..., None, None])
-        solutions.append(BeamformingSolution(
-            cb, p_a, g_a, np.ascontiguousarray(d_pre), f, np.ascontiguousarray(d_comb), effective,
-            np.sqrt(budgets / n_sc)[:, None] / f_norm,  # equal split of the budget
-        ))
+        scale = np.sqrt(budgets / n_sc)[:, None] / f_norm  # equal split of the budget
+        power = np.sum(np.abs(scale[..., None, None] * f) ** 2, axis=(-2, -1))
+        solutions.append(BeamformingSolution(cb, p_a, g_a, effective, power))
+        del h_d, d_pre, d_comb, f, w  # this codebook's SVD factors go before the next SVD
     return tuple(solutions)

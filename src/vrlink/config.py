@@ -29,9 +29,9 @@ QUEUE_UNIT_PRESETS = {
 MAX_N_SC = 8192
 MAX_ESN0_POINTS = 1001
 # allocation budget: the largest DL channel stack, plus the analog stages'
-# covariance stacks, plus the composite beams one design call keeps, plus the
-# rows, at RECORD_BYTES each (a row at the sweep's peak), plus one link's
-# delay taps at TAP_BYTES each (a tap and its temporaries)
+# covariance stacks, plus one codebook's digital stage, plus the rows, at
+# RECORD_BYTES each (a row at the sweep's peak), plus one link's delay taps
+# at TAP_BYTES each (a tap and its temporaries)
 MAX_SWEEP_BYTES = 1 << 30
 RECORD_BYTES = 1024
 TAP_BYTES = 32
@@ -139,9 +139,8 @@ def parse_esn0_range(text: str) -> tuple:
 
 
 def sweep_bytes(links: int, n_sc: int, codebooks, records: int, tap_count: int) -> int:
-    """The largest complex DL channel stack, covariance stacks and kept
-    composite beams over the (distinct) codebooks, the rows and one link's
-    delay taps."""
+    """The largest complex DL channel stack, covariance stacks and digital
+    stage over the codebooks, the rows and one link's delay taps."""
     dl = max((links * n_sc * cb.n_rx * cb.n_tx * 16 for cb in codebooks), default=0)
     # an analog stage of n antennas holds the (n_sc, n, n) products of a
     # block of max(1, links // n) links and every link's (n, n) sum, then
@@ -149,14 +148,13 @@ def sweep_bytes(links: int, n_sc: int, codebooks, records: int, tap_count: int) 
     n = max((max(cb.n_tx, cb.n_rx) for cb in codebooks), default=0)
     block = max(1, links // max(n, 1))
     covariance = max(block * n_sc + links, 6 * links) * n * n * 16
-    # one design call's solutions each keep (links, n_sc, n_tx, n_ds)
-    # composite beams, one solution per codebook of its (n_tx, n_rx, n_ds)
-    groups = {}
-    for cb in codebooks:
-        key = (cb.n_tx, cb.n_rx, cb.n_ds)
-        groups[key] = groups.get(key, 0) + links * n_sc * cb.n_tx * cb.n_ds * 16
-    composite = max(groups.values(), default=0)
-    return dl + covariance + composite + records * RECORD_BYTES + tap_count * TAP_BYTES
+    # a codebook's digital stage forms, per link and subcarrier, the reduced
+    # channels G^H H and G^H H P, the full SVD factors of G^H H P and the
+    # composite beams; its SVD and the effective channels hold about three
+    # copies of each at once
+    digital = max((links * n_sc * 3 * (cb.n_rf ** 2 + cb.n_ds ** 2 + cb.n_ds * (cb.n_tx + cb.n_rf + cb.n_rx)) * 16
+                   for cb in codebooks), default=0)
+    return dl + covariance + digital + records * RECORD_BYTES + tap_count * TAP_BYTES
 
 
 def check_budget(nbytes: int) -> None:

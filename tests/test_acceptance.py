@@ -102,9 +102,10 @@ def test_criterion_3_constraint_conformance_full_sweep(default_sweep):
                 assert float(np.max(dev_p)) <= MODULUS_TOL
                 assert float(np.max(dev_g)) <= MODULUS_TOL
                 eye = np.eye(codebook.n_ds)
-                for sc in range(sol.digital_precoders.shape[-3]):
-                    d = sol.digital_precoders[0, sc]
-                    c = sol.digital_combiners[0, sc]
+                # the digital stage of the channel seen through the analog stages
+                h_d = effective_channel(sol.analog_combiner[0], dl.matrices[i, j], sol.analog_precoder[0])
+                pre, comb = hybrid_digital(h_d, codebook.n_ds)
+                for d, c in zip(pre, comb):
                     assert np.linalg.norm(d.conj().T @ d - eye) < FACTOR_TOL
                     assert np.linalg.norm(c.conj().T @ c - eye) < FACTOR_TOL
                 checked += 1

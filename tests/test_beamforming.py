@@ -139,9 +139,8 @@ def test_design_link_shapes_and_units():
     (sol,) = design_link(links, (Codebook(2, 1),), np.array([0.01, 0.005, 0.01]))
     assert sol.analog_precoder.shape == (3, 2, 1)
     assert sol.analog_combiner.shape == (3, 1, 1)
-    assert sol.digital_precoders.shape == (3, 64, 1, 1)
     assert sol.effective_channels.shape == (3, 64, 1, 1)
-    assert sol.power_scale.shape == (3, 64)
+    assert sol.subcarrier_power.shape == (3, 64)
     assert sol.transmit_power().shape == (3,)
     gains = sol.effective_gain_per_subcarrier()
     assert gains.shape == (3, 64)
@@ -156,8 +155,8 @@ def test_design_link_invariants_all_codebooks():
         # constant-modulus analog entries
         assert np.all(np.abs(np.abs(sol.analog_precoder) - 1 / math.sqrt(cb.n_tx)) < 1e-12)
         assert np.all(np.abs(np.abs(sol.analog_combiner) - 1 / math.sqrt(cb.n_rx)) < 1e-12)
-        for sc in range(16):
-            d = sol.digital_precoders[0, sc]
+        pre, _ = hybrid_digital(effective_channel(sol.analog_combiner[0], ch, sol.analog_precoder[0]), cb.n_ds)
+        for d in pre:
             # semi-unitary before power scaling
             assert np.linalg.norm(d.conj().T @ d - np.eye(cb.n_ds)) < 1e-9
         # the power budget is met exactly across streams and subcarriers
@@ -187,9 +186,9 @@ def test_design_link_deterministic():
     (a,) = design_link(links, (Codebook(4, 2),), np.array([0.01]))
     (b,) = design_link(links.copy(), (Codebook(4, 2),), np.array([0.01]))
     assert np.array_equal(a.analog_precoder, b.analog_precoder)
-    assert np.array_equal(a.digital_precoders, b.digital_precoders)
+    assert np.array_equal(a.analog_combiner, b.analog_combiner)
     assert np.array_equal(a.effective_channels, b.effective_channels)
-    assert np.array_equal(a.power_scale, b.power_scale)
+    assert np.array_equal(a.subcarrier_power, b.subcarrier_power)
 
 
 def test_design_link_rejects_mismatched_shapes():

@@ -1,6 +1,7 @@
 """Config parsing, defaults, and validation."""
 
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from vrlink.config import (
 )
 from vrlink.errors import ConfigurationError
 from vrlink.linkmetrics import GainAggregation
+from vrlink.runner import run_sweep
 
 
 def test_parse_config_text_basics():
@@ -243,8 +245,8 @@ BAD_INPUTS = [
     ("r_min = nan", None, "key 'r_min': expected a finite number, got 'nan'"),
     ("n_sc = 1e9", None, "n_sc must be at most 8192, got 1000000000"),
     ("n_sc = 8", ["--esn0", "0:1e-12:20"], "esn0 grid has more than 1001 points"),
-    ("n_t = 1000000000", None, "sweep needs about 1088000012288000344192 bytes, over the 1073741824-byte budget"),
-    ("u = 100000", None, "sweep needs about 58368000128 bytes, over the 1073741824-byte budget"),
+    ("n_t = 1000000000", None, "sweep needs about 1088000016384000442496 bytes, over the 1073741824-byte budget"),
+    ("u = 100000", None, "sweep needs about 64921600128 bytes, over the 1073741824-byte budget"),
     # an AP above user 0, and one on it: the link has no azimuth
     ("ap_positions = 3,6,3 ; 7.5,13,3", None, "user 0 and AP 0 share the xy position"),
     ("ap_positions = 3,6,1.5 ; 7.5,13,3", None, "user 0 and AP 0 share the xy position"),
@@ -252,8 +254,8 @@ BAD_INPUTS = [
     ("epsilon0 = -1", None, "epsilon0 must be positive, got -1.0"),
     ("lambda = -1e-9", None, "need 0 <= lambda < mu, got mu=4e-09 lambda=-1e-09"),
     ("tap_spacing = -1e-9", None, "tap_spacing_s must be positive, got -1e-09"),
-    ("tap_count = 1000000000", None, "sweep needs about 32001200128 bytes, over the 1073741824-byte budget"),
-    ("u = 1000000", None, "sweep needs about 583680000128 bytes, over the 1073741824-byte budget"),
+    ("tap_count = 1000000000", None, "sweep needs about 32001331200 bytes, over the 1073741824-byte budget"),
+    ("u = 1000000", None, "sweep needs about 649216000128 bytes, over the 1073741824-byte budget"),
     # a derived quantity leaves the float range: the wavelength, the tap
     # spacing, the per-user compute share
     ("fc = 1e-300", None, "carrier frequency must be positive, not tiny, got 1e-300"),
@@ -296,8 +298,8 @@ BAD_INPUTS = [
     ("p_b = 1e-300\nesn0_start = 300\nesn0_stop = 300", None,
      "noise power p_b / 10^(esn0/10) leaves the positive float range on Es/N0 300..300 dB"),
     # an analog stage's (n_sc, n_t, n_t) covariance products
-    ("n_t = 9999", None, "sweep needs about 108901452992 bytes, over the 1073741824-byte budget"),
-    ("n_sc = 8", ["--codebook", "9999x1"], "sweep needs about 38402731520 bytes, over the 1073741824-byte budget"),
+    ("n_t = 9999", None, "sweep needs about 108942507200 bytes, over the 1073741824-byte budget"),
+    ("n_sc = 8", ["--codebook", "9999x1"], "sweep needs about 38412976640 bytes, over the 1073741824-byte budget"),
     ("n_sc = 8", ["--codebook", ","], "empty codebook list"),
     ("scenario = ,", None, "empty scenario list"),
     # each user 0.17 m from its AP: the UL received power p_u*|h|^2 overflows
@@ -394,30 +396,51 @@ def test_covariance_stacks_count_toward_the_budget():
     large = config_from_dict({"n_t": "64", "n_rf": "1"})
     links = 4
     dl = links * 64 * (64 - 8) * 16
-    # each sweep's one codebook keeps its (links, n_sc, n_t, n_ds = 1) composite beams
-    composite = links * 64 * (64 - 8) * 1 * 16
-    assert large.estimated_bytes - small.estimated_bytes == dl + (64 + links) * (64 * 64 - 8 * 8) * 16 + composite
+    # the digital stage's reduced channel G^H H and composite beam grow by
+    # n_t entries each, three copies of each, per link and subcarrier
+    digital = links * 64 * 3 * (64 - 8) * 16
+    assert large.estimated_bytes - small.estimated_bytes == dl + (64 + links) * (64 * 64 - 8 * 8) * 16 + digital
     # 32 links of n_t = 4 sum their products in blocks of 32 // 4 = 8 links;
     # the second term holds every link's sum and its SVD factors
     dense = config_from_dict({"u": "8", "b": "4", "n_t": "4", "n_rf": "1"})
     links = 32
-    dl, composite = links * 64 * 4 * 16, links * 64 * 4 * 1 * 16
-    rest = dl + composite + dense.expected_records * RECORD_BYTES + dense.tap_count * TAP_BYTES
+    dl, digital = links * 64 * 4 * 16, links * 64 * 3 * (1 + 1 + 4 + 1 + 1) * 16
+    rest = dl + digital + dense.expected_records * RECORD_BYTES + dense.tap_count * TAP_BYTES
     assert dense.estimated_bytes - rest == max(8 * 64 + links, 6 * links) * 4 * 4 * 16
 
 
-def test_kept_composite_beams_count_toward_the_budget():
-    # the codebooks of one (n_t, n_r, n_ds) group each keep (links, n_sc,
-    # n_t, n_ds) composite beams; the largest group's sum counts, beside
-    # the rows of the added codebooks
+def test_digital_stage_counts_toward_the_budget():
+    # the largest codebook's digital stage counts: three copies of its SVD
+    # factors (n_rf^2 + n_ds^2 entries per link and subcarrier), reduced
+    # channels and composite beams (n_ds * (n_t + n_rf + n_r)), beside the
+    # rows of the added codebooks
     links, n_sc, rows = 4, 64, 2 * 21 * 4
     one = config_from_dict({"n_t": "8", "n_rf": "2", "n_r": "2", "n_ds": "2"})
     three = config_from_dict({"n_t": "8", "n_rf": "2,3,4", "n_r": "2", "n_ds": "2"})
-    beams = links * n_sc * 8 * 2 * 16
-    assert three.estimated_bytes - one.estimated_bytes == 2 * beams + 2 * rows * RECORD_BYTES
-    # a second, smaller group adds its rows, its beams do not
+    entries = 3 * ((4 ** 2 + 2 ** 2 + 2 * (8 + 4 + 2)) - (2 ** 2 + 2 ** 2 + 2 * (8 + 2 + 2)))
+    assert three.estimated_bytes - one.estimated_bytes == links * n_sc * entries * 16 + 2 * rows * RECORD_BYTES
+    # a second, smaller group adds its rows, its digital stage does not
     two_groups = config_from_dict({"n_t": "2,8", "n_rf": "2", "n_r": "2", "n_ds": "2"})
     assert two_groups.estimated_bytes - one.estimated_bytes == rows * RECORD_BYTES
+
+
+@pytest.mark.parametrize("raw", [
+    {"u": "4", "b": "2", "n_t": "16", "n_rf": "16", "n_sc": "256", "esn0_stop": "0"},
+    {"n_t": "32", "n_rf": "32", "n_sc": "256", "esn0_stop": "0"},
+    {"n_t": "16", "n_rf": "4,8,16", "n_r": "4", "n_ds": "4", "n_sc": "256", "esn0_stop": "0"},
+    {"n_t": "32", "n_rf": "1,8,16,24,32", "n_sc": "128", "esn0_stop": "0", "scenario": "mean"},
+])
+def test_traced_sweep_peak_stays_within_the_estimate(raw):
+    # sweeps whose peak is the digital stage's SVD of many RF chains; the
+    # last one holds only if a codebook's factors go before the next SVD
+    cfg = config_from_dict(raw)
+    tracemalloc.start()
+    try:
+        run_sweep(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= cfg.estimated_bytes
 
 
 def test_size_caps_are_inclusive():

@@ -6,9 +6,13 @@ Half the drawn keys get a well-formed value instead, so that more draws
 pass the checks and reach `simulate`.
 `check-config` must exit 0, or 2 with an `error:` line; no exception may
 escape. Accepted configs small enough to run quickly also go through
-`simulate`, which must exit 0 or 2 as well. A numeric warning counts as
+`simulate`, which must exit 0 or 2 as well, and whose `results.csv` must
+keep the model's invariants when it exits 0. A numeric warning counts as
 a failure.
 """
+
+import csv
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +24,8 @@ HOSTILE = ("0", "-1", "1e300", "-1e300", "1e-300", "inf", "nan", "banana")
 
 # well-formed values for the keys whose syntax a bare number cannot meet
 SHAPED = {
+    # the paper's carrier, and two whose DL covariance sums leave the float range
+    "fc": ("60e9", "1.5e-70", "2e-70"),
     "n_t": ("2,4", "1", "8,2,8"),
     "n_rf": ("1,2", "2"),
     "scenario": ("mean", "min", "both", "min, mean"),
@@ -47,6 +53,29 @@ def small_enough(config) -> bool:
         and config.topology.n_users * config.topology.n_aps <= 9
         and config.tap_count <= 64
     )
+
+
+def invariant_violations(path) -> list:
+    """The rows of a results.csv that break a model invariant, one message
+    each: a utility outside [0, 1], a utility given exactly where the row is
+    infeasible or missing where it is feasible, and a finite transmission
+    delay above the last finite one of its (scenario, n_tx, n_rf, ap, user)
+    series at a lower Es/N0."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    bad, last = [], {}
+    for k, row in enumerate(rows, 2):
+        if (row["utility"] != "") != (row["feasible"] == "true"):
+            bad.append(f"line {k}: utility {row['utility']!r} on a row with feasible = {row['feasible']}")
+        elif row["utility"] and not 0.0 <= float(row["utility"]) <= 1.0:
+            bad.append(f"line {k}: utility {row['utility']} outside [0, 1]")
+        series = tuple(row[key] for key in ("scenario", "n_tx", "n_rf", "ap", "user"))
+        d_trans = float(row["d_trans_s"])
+        if math.isfinite(d_trans):
+            if d_trans > last.get(series, math.inf):
+                bad.append(f"line {k}: d_trans_s {d_trans:.9g} rose from {last[series]:.9g} at a lower Es/N0")
+            last[series] = d_trans
+    return bad
 
 
 def draw(rng) -> dict:
@@ -78,5 +107,7 @@ def test_fuzzed_configs_run_or_exit_2(seed, tmp_path, capsys):
             err = capsys.readouterr().err
             assert code in (0, 2), raw
             assert (code == 2) == err.startswith("error: "), (raw, err)
+            if code == 0:
+                assert invariant_violations(out / "results.csv") == [], raw
             simulated += 1
     assert simulated > 0

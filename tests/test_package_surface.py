@@ -1,5 +1,6 @@
-"""The shipped package has no public name that only tests reach, and no
-parameter that its function never reads.
+"""The shipped package has no public name that only tests reach, no
+parameter that its function never reads, and no dataclass field that no
+package code reads.
 
 The test walks src/vrlink/*.py with ast. A public module-level function or
 class counts as read when another module of the package imports it or its
@@ -12,6 +13,10 @@ loaded by path as in test_bench_hooks.py).
 A parameter counts as read when the body of its def, nested code included,
 loads its name. Allowed unread: the key of a ``config.KEYS`` parser, which
 is called as parser(key, text) whether it names the key or not.
+
+A dataclass field counts as read when package code reads an attribute of
+that name. Allowed unread: the fields in ``UNREAD_FIELDS``, each with its
+reason.
 """
 
 import ast
@@ -23,6 +28,16 @@ from test_bench_hooks import load_layers
 from vrlink import cli
 
 SRC = Path(vrlink.__file__).resolve().parent
+
+# dataclass fields that only tests read, and why each stays
+UNREAD_FIELDS = {
+    # test_vectorized holds the stacked DL SINR to the scalar oracle, bit for bit
+    "linkmetrics.LinkMetrics.sinr_dl",
+    # the one cell's chain that a planned `vrlink explain` prints
+    "linkmetrics.LinkMetrics.dl_gain",
+    # oracles.reconstruct multiplies the factors back through it
+    "numerics.SvdResult.singular_values",
+}
 
 
 def _modules() -> dict:
@@ -136,9 +151,28 @@ def unread_parameters() -> list:
     return unread
 
 
+def unread_fields() -> list:
+    """Fields of dataclasses under src/vrlink that no package code reads, as
+    "module.Class.field"."""
+    modules = _modules()
+    _, _, attributes = _reads(modules)
+    return [
+        f"{mod}.{node.name}.{item.target.id}"
+        for mod, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and item.target.id not in attributes
+    ]
+
+
 def test_every_public_name_has_a_reader_in_the_package():
     assert unread_names() == []
 
 
 def test_every_parameter_is_read_by_its_function():
     assert unread_parameters() == []
+
+
+def test_every_dataclass_field_is_read_by_the_package():
+    assert sorted(unread_fields()) == sorted(UNREAD_FIELDS)

@@ -149,7 +149,7 @@ def test_letters_of_one_record_come_in_order(monkeypatch):
     # r_min (b), and a doubled beam amplitude spends four times the budget (c)
     def loud(channels, codebooks, p_b):
         return tuple(
-            dataclasses.replace(sol, power_scale=2.0 * sol.power_scale)
+            dataclasses.replace(sol, subcarrier_power=4.0 * sol.subcarrier_power)
             for sol in design_link(channels, codebooks, p_b)
         )
 

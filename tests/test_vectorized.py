@@ -290,35 +290,33 @@ def sequential_covariance_beams(channels, n_cols, receive_side):
 
 
 def per_subcarrier_design(channels, codebook, p_b):
-    """Reference design: every subcarrier on its own, from 2-D matrices."""
+    """Reference design: every subcarrier on its own, from 2-D matrices.
+    Returns the analog stages, the effective channels and each subcarrier's
+    transmit power."""
     n_sc = channels.shape[0]
     g_a = sequential_covariance_beams(channels, codebook.n_ds, receive_side=True)
     p_a = sequential_covariance_beams(channels, codebook.n_rf, receive_side=False)
-    pre, comb, eff, scale = [], [], [], []
+    eff, power = [], []
     for h in channels:
         h_d = g_a.conj().T @ h @ p_a
         res = svd(h_d)
-        d_pre = res.right[:, : codebook.n_ds]
-        d_comb = res.left[:, : codebook.n_ds]
-        f = p_a @ d_pre
-        w = g_a @ d_comb
+        f = p_a @ res.right[:, : codebook.n_ds]
+        w = g_a @ res.left[:, : codebook.n_ds]
         f_norm = np.linalg.norm(f)
         w_norm = np.linalg.norm(w)
-        pre.append(d_pre)
-        comb.append(d_comb)
         eff.append((w / w_norm).conj().T @ h @ (f / f_norm))
-        scale.append(math.sqrt(p_b / n_sc) / f_norm)
-    return p_a, g_a, np.array(pre), np.array(comb), np.array(eff), np.array(scale)
+        power.append(float(np.sum(np.abs(math.sqrt(p_b / n_sc) / f_norm * f) ** 2)))
+    return p_a, g_a, np.array(eff), np.array(power)
 
 
-def per_subcarrier_power_and_gain(p_a, pre, eff, scale):
-    """Reference transmit power and effective gains, one subcarrier at a time."""
-    power = 0.0
+def per_subcarrier_power_and_gain(power, eff):
+    """Reference total transmit power and effective gains, one subcarrier at a time."""
+    total = 0.0
     gains = []
-    for sc in range(len(scale)):
-        power += float(np.sum(np.abs(scale[sc] * (p_a @ pre[sc])) ** 2))
+    for sc in range(len(power)):
+        total += power[sc]
         gains.append(np.linalg.svd(eff[sc], compute_uv=False)[0])
-    return power, np.array(gains)
+    return total, np.array(gains)
 
 
 def test_design_link_matches_per_subcarrier_reference():
@@ -333,19 +331,13 @@ def test_design_link_matches_per_subcarrier_reference():
         channels = random_complex(rng, (n_sc, n_rx, n_tx)) * 1e-5
         p_b = float(rng.uniform(1e-3, 1e-1))
         (sol,) = design_link(channels[None], (codebook,), np.array([p_b]))
-        p_a, g_a, pre, comb, eff, scale = per_subcarrier_design(channels, codebook, p_b)
+        p_a, g_a, eff, power = per_subcarrier_design(channels, codebook, p_b)
         assert np.array_equal(sol.analog_precoder[0], p_a)
         assert np.array_equal(sol.analog_combiner[0], g_a)
-        assert np.array_equal(sol.digital_precoders[0], pre)
-        assert np.array_equal(sol.digital_combiners[0], comb)
         assert np.array_equal(sol.effective_channels[0], eff)
-        assert np.array_equal(sol.power_scale[0], scale)
-        # the kept composite beams are, bit for bit, the product of the kept
-        # stages that transmit_power formed before it read them
-        composite = sol.analog_precoder[..., None, :, :] @ sol.digital_precoders
-        assert sol.composite_precoders.tobytes() == composite.tobytes()
-        power, gains = per_subcarrier_power_and_gain(p_a, pre, eff, scale)
-        assert sol.transmit_power()[0] == power
+        assert np.array_equal(sol.subcarrier_power[0], power)
+        total, gains = per_subcarrier_power_and_gain(power, eff)
+        assert sol.transmit_power()[0] == total
         assert np.array_equal(sol.effective_gain_per_subcarrier()[0], gains)
 
 

@@ -13,8 +13,10 @@ sides. ``draw`` and ``small_enough`` are read from the change's tests.
 
 The exit code, stdout and stderr of every command must be equal byte for
 byte; an exception that escapes ``main`` counts as exit code ``raised``
-with its type and message as stderr. Each difference is printed, and the
-exit status is 1 if there is any.
+with its type and message as stderr. A ``simulate`` that exits 0 must also
+write a ``results.csv`` that keeps the model's invariants
+(``tests/test_fuzz.invariant_violations``). Each difference and each broken
+invariant is printed, and the exit status is 1 if there is any.
 """
 
 import argparse
@@ -64,10 +66,12 @@ def worker(src: Path, tests: Path) -> int:
     for line in sys.stdin:
         Path("fuzz.conf").write_text("".join(f"{k} = {v}\n" for k, v in json.loads(line).items()))
         check = run_cli(fuzz.main, ["check-config", "--config", "fuzz.conf"])
-        simulate = None
+        simulate, broken = None, []
         if check[0] == 0 and fuzz.small_enough(fuzz.load_config("fuzz.conf")):
             simulate = run_cli(fuzz.main, ["simulate", "--config", "fuzz.conf", "--out", "out"])
-        reply.write(json.dumps({"check-config": check, "simulate": simulate}) + "\n")
+            if simulate[0] == 0:
+                broken = fuzz.invariant_violations("out/results.csv")
+        reply.write(json.dumps({"check-config": check, "simulate": simulate, "broken": broken}) + "\n")
         reply.flush()
     return 0
 
@@ -94,7 +98,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(sides["change"] / "src"))
     fuzz = load_fuzz(tests)
 
-    counts = {"draws": 0, "accepted": 0, "simulated": 0, "ran": 0, "differences": 0}
+    counts = {"draws": 0, "accepted": 0, "simulated": 0, "ran": 0, "differences": 0, "broken": 0}
     with contextlib.ExitStack() as stack:
         workers = {}
         for side, checkout in sides.items():
@@ -118,15 +122,16 @@ def main(argv=None) -> int:
                 counts["accepted"] += answers["change"]["check-config"][0] == 0
                 counts["simulated"] += simulate is not None
                 counts["ran"] += simulate is not None and simulate[0] == 0
-                if answers["parent"] != answers["change"]:
-                    counts["differences"] += 1
+                counts["broken"] += bool(answers["change"]["broken"])
+                if answers["parent"] != answers["change"] or answers["change"]["broken"]:
+                    counts["differences"] += answers["parent"] != answers["change"]
                     print(f"seed {seed} draw {k}: {raw}")
                     for side, answer in answers.items():
                         print(f"  {side}: {json.dumps(answer)}")
         for proc in workers.values():
             proc.stdin.close()
     print(" ".join(f"{name}={value}" for name, value in counts.items()))
-    return 1 if counts["differences"] else 0
+    return 1 if counts["differences"] or counts["broken"] else 0
 
 
 if __name__ == "__main__":
