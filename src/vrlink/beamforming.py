@@ -9,10 +9,18 @@ that differ only in n_rf share one pair of analog stages. The only loop sums
 the covariances over blocks of ``max(1, L // n)`` links, so that the
 ``(n_sc, n, n)`` products held at once are no larger than the channel stack
 or one link's products; each sum reads them once, in subcarrier order, as a
-one-link loop would, and keeps no running sums where n >= 2. A solution
+one-link loop would, and keeps no running sums where n >= 2. A 1x1
+covariance (one user antenna, or one AP antenna) has the constant beam 1.
+Each SVD forms only the singular vectors the stage keeps. A solution
 keeps what the sweep reads: the analog stages, the effective channels and
 the transmit power of each subcarrier, summed from the composite beam
 ``analog @ digital`` while the design holds it.
+
+What the design holds at once, beside the links and the analog stages: the
+covariance products of one block of links, then every codebook's reduced
+channel ``G^H H P`` (``G^H H`` goes once they are formed), then one
+codebook at a time its digital SVD, its composite beams (the digital
+factors go once these exist) and its effective channels.
 """
 
 import math
@@ -99,7 +107,9 @@ def _covariance_beams(channels: np.ndarray, n_cols: int, receive_side: bool) -> 
     bad = ~np.isfinite(cov).all(axis=(-2, -1))
     if bad.any():
         raise LinkError(int(np.argmax(bad)), "DL channel covariance sum leaves the float range")
-    beams = unit_modulus_normalize(svd(cov).left[..., :n_cols], 1.0 / math.sqrt(size))
+    if size == 1:  # the normalized leading vector of a 1x1 sum is exactly 1 (numerics docstring)
+        return np.ones(channels.shape[:-3] + (1, 1), dtype=np.complex128)
+    beams = unit_modulus_normalize(svd(cov, n_cols).left, 1.0 / math.sqrt(size))
     return beams.reshape(channels.shape[:-3] + beams.shape[-2:])
 
 
@@ -121,8 +131,8 @@ def hybrid_digital(h_d: np.ndarray, n_ds: int) -> tuple:
     subcarriers. Returns semi-unitary precoder (n_rf x n_ds) and combiner
     (rows x n_ds), stacked like h_d.
     """
-    res = svd(h_d)
-    return res.right[..., :n_ds], res.left[..., :n_ds]
+    res = svd(h_d, n_ds)
+    return res.right, res.left
 
 
 def effective_channel(g: np.ndarray, h: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -191,27 +201,30 @@ def design_link(links: np.ndarray, codebooks: tuple, p_b: np.ndarray) -> tuple:
 
     g_a = analog_combiner(links, codebooks[0].n_ds)
     p_widest = analog_precoder(links, max(cb.n_rf for cb in codebooks))
-    # G^H @ H, the left product of every codebook's reduced channel G^H @ H @ P
+    # a contiguous slice: stacked @ on a strided operand may round differently
+    p_as = [np.ascontiguousarray(p_widest[..., :cb.n_rf]) for cb in codebooks]
+    # every codebook's reduced channel G^H @ H @ P from one G^H @ H, which
+    # then goes: it is as large as the DL stack when n_ds = n_rx
     g_h = np.conj(g_a[:, None]).swapaxes(-1, -2) @ links
+    h_ds = [g_h @ p_a[:, None] for p_a in p_as]
+    del g_h
     solutions = []
-    for cb in codebooks:
-        # a contiguous slice: stacked @ on a strided operand may round differently
-        p_a = np.ascontiguousarray(p_widest[..., :cb.n_rf])
-        h_d = g_h @ p_a[:, None]
-        d_pre, d_comb = hybrid_digital(h_d, cb.n_ds)
-
+    for cb, p_a in zip(codebooks, p_as):
+        d_pre, d_comb = hybrid_digital(h_ds.pop(0), cb.n_ds)  # popped: it goes after its SVD
         # composite beams, unit Frobenius norm, so the effective gain is the
         # channel response to a unit-power beam and can never exceed the
         # leading singular value of the raw channel
         f = p_a[:, None] @ d_pre
         w = g_a[:, None] @ d_comb
+        del d_pre, d_comb  # the digital factors go once the composite beams exist
         f_norm = frobenius_norms(f)
         w_norm = frobenius_norms(w)
         if np.any(f_norm == 0.0) or np.any(w_norm == 0.0):
             raise InvalidInputError("degenerate composite beam with zero norm")
-        effective = effective_channel(w / w_norm[..., None, None], links, f / f_norm[..., None, None])
         scale = np.sqrt(budgets / n_sc)[:, None] / f_norm  # equal split of the budget
         power = np.sum(np.abs(scale[..., None, None] * f) ** 2, axis=(-2, -1))
-        solutions.append(BeamformingSolution(cb, p_a, g_a, effective, power))
-        del h_d, d_pre, d_comb, f, w  # this codebook's SVD factors go before the next SVD
+        f /= f_norm[..., None, None]
+        w /= w_norm[..., None, None]
+        solutions.append(BeamformingSolution(cb, p_a, g_a, effective_channel(w, links, f), power))
+        del f, w  # before the next codebook's SVD
     return tuple(solutions)

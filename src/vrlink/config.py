@@ -29,12 +29,18 @@ QUEUE_UNIT_PRESETS = {
 MAX_N_SC = 8192
 MAX_ESN0_POINTS = 1001
 # allocation budget: the largest DL channel stack, plus the analog stages'
-# covariance stacks, plus one codebook's digital stage, plus the rows, at
-# RECORD_BYTES each (a row at the sweep's peak), plus one link's delay taps
-# at TAP_BYTES each (a tap and its temporaries)
+# covariance stacks, plus one codebook's digital stage, plus one evaluation
+# block's cells at CELL_BYTES each (a cell's UL SINR, rate, delays and
+# utilities with their temporaries), plus the rows, at RECORD_BYTES each (a
+# row at the sweep's peak), plus one link's delay taps at TAP_BYTES each (a
+# tap and its temporaries)
 MAX_SWEEP_BYTES = 1 << 30
+CELL_BYTES = 128
 RECORD_BYTES = 1024
 TAP_BYTES = 32
+# Es/N0 points per evaluation block: as many as keep the block's UL arrays
+# under this many (point, user, AP, subcarrier) cells, at least one
+BLOCK_CELLS = 1 << 18
 
 DEFAULT_AP_POSITIONS = (Position3D(2.5, 4.0, 3.0), Position3D(7.5, 13.0, 3.0))
 DEFAULT_USER_POSITIONS = (Position3D(3.0, 6.0, 1.5), Position3D(6.5, 11.0, 1.5))
@@ -138,9 +144,10 @@ def parse_esn0_range(text: str) -> tuple:
     return tuple(_number("esn0", p) for p in parts)
 
 
-def sweep_bytes(links: int, n_sc: int, codebooks, records: int, tap_count: int) -> int:
+def sweep_bytes(links: int, n_sc: int, codebooks, scenarios: int, points: int, tap_count: int) -> int:
     """The largest complex DL channel stack, covariance stacks and digital
-    stage over the codebooks, the rows and one link's delay taps."""
+    stage over the codebooks, one evaluation block of ``points`` Es/N0
+    points, the rows and one link's delay taps."""
     dl = max((links * n_sc * cb.n_rx * cb.n_tx * 16 for cb in codebooks), default=0)
     # an analog stage of n antennas holds the (n_sc, n, n) products of a
     # block of max(1, links // n) links and every link's (n, n) sum, then
@@ -149,12 +156,16 @@ def sweep_bytes(links: int, n_sc: int, codebooks, records: int, tap_count: int) 
     block = max(1, links // max(n, 1))
     covariance = max(block * n_sc + links, 6 * links) * n * n * 16
     # a codebook's digital stage forms, per link and subcarrier, the reduced
-    # channels G^H H and G^H H P, the full SVD factors of G^H H P and the
+    # channels G^H H and G^H H P, the SVD factors of G^H H P and the
     # composite beams; its SVD and the effective channels hold about three
-    # copies of each at once
-    digital = max((links * n_sc * 3 * (cb.n_rf ** 2 + cb.n_ds ** 2 + cb.n_ds * (cb.n_tx + cb.n_rf + cb.n_rx)) * 16
+    # copies of each at once. A one-row G^H H P (n_ds = 1) has no n_rf x n_rf
+    # factor: its SVD is the reduced one
+    digital = max((links * n_sc * 3 * (cb.n_rf ** 2 * (cb.n_ds > 1) + cb.n_ds ** 2
+                                       + cb.n_ds * (cb.n_tx + cb.n_rf + cb.n_rx)) * 16
                    for cb in codebooks), default=0)
-    return dl + covariance + digital + records * RECORD_BYTES + tap_count * TAP_BYTES
+    cells = min(points, max(1, BLOCK_CELLS // (links * n_sc))) * links * n_sc
+    records = scenarios * len(codebooks) * points * links
+    return dl + covariance + digital + cells * CELL_BYTES + records * RECORD_BYTES + tap_count * TAP_BYTES
 
 
 def check_budget(nbytes: int) -> None:
@@ -246,7 +257,8 @@ class SweepConfig:
     def estimated_bytes(self) -> int:
         """``sweep_bytes`` of this sweep."""
         links = self.topology.n_users * self.topology.n_aps
-        return sweep_bytes(links, self.grid.n_sc, self.codebooks, self.expected_records, self.tap_count)
+        return sweep_bytes(links, self.grid.n_sc, self.codebooks, len(self.scenarios), len(self.esn0_db),
+                           self.tap_count)
 
     @property
     def base_cells(self) -> tuple:
@@ -332,8 +344,7 @@ def config_from_dict(raw: dict) -> SweepConfig:
     check_seed(c["seed"])  # the position draws below read it
     esn0 = esn0_grid(c["esn0_start"], c["esn0_step"], c["esn0_stop"])
     # before any per-node work: the sizes alone can exceed the budget
-    records = len(set(c["scenario"])) * len(codebooks) * len(esn0) * u * b
-    check_budget(sweep_bytes(u * b, c["n_sc"], codebooks, records, c["tap_count"]))
+    check_budget(sweep_bytes(u * b, c["n_sc"], codebooks, len(set(c["scenario"])), len(esn0), c["tap_count"]))
 
     # positions not given are fixed for a count of 2, else drawn from the seed
     for key, count, fixed, stream in (

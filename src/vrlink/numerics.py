@@ -5,9 +5,12 @@ The factorization is LAPACK's zgesdd via numpy, or for one-row matrices of
 one or two columns a numpy closed form of it (for 1x1 matrices also its
 singular values alone); this module pins down the
 conventions the beamforming stages rely on (descending singular values,
-reproducible singular-vector phases, tolerance policy). ``svd`` takes a single
-matrix or a stack ``(..., m, n)``; a single matrix is a stack of one, so both
-go through the same convention. ``svd``, ``singular_values`` and
+reproducible singular-vector phases, tolerance policy). ``svd(m, k)`` takes a
+single matrix or a stack ``(..., m, n)`` and returns only the k leading
+singular triplets, the only ones the design reads; a single matrix is a stack
+of one, so both go through the same convention. Right singular vectors
+without a left partner (n > m) are never formed, so they have no convention.
+``svd``, ``singular_values`` and
 ``unit_modulus_normalize`` only convert the package's arrays to complex128;
 ``ensure_complex_stack`` checks a stack from outside (``design_link``'s).
 
@@ -31,11 +34,26 @@ x86-64 these hold:
   it does not rescale: dznrm2 sums and roots in long double, OpenBLAS's zscal
   takes plain products, zlarf's update numpy's fused one, and the zgemm that
   multiplies Q's first row by 1 maps q to ``(q.re - 0*q.im, q.im + 0)``.
+- the reduced ``np.linalg.svd(m, full_matrices=False)`` of a one-row stack
+  equals the leading pair of the full one, for 1 x 1 up to 1 x 64, inside
+  and outside the scaling window. With two or more rows it may not (2 x 8,
+  3 x 4, 3 x 16, 2 x 64 differ), so those stacks take the full factors and
+  slice their leading columns.
+- the stacked product ``h @ h^H`` of a one-row ``h``, or ``h^H @ h`` of a
+  one-column one, is a zdotu of ``h`` with its conjugate, whose two
+  imaginary accumulators are exact negatives of each other: every such
+  1 x 1 covariance term, and so their sum, has an imaginary part of +0.
+  zgesdd's left vector of a real 1 x 1 sum is exactly 1 (0 and the sums
+  outside the scaling window included), and so is its normalized beam;
+  the analog stage returns that constant without the SVD.
 - stacked ``np.linalg.svd`` and stacked ``@`` equal their per-matrix calls,
   and so does ``np.sum`` over the two matrix axes of a contiguous stack;
   a strided operand in stacked ``@`` (a column slice) may round differently
   from a contiguous copy of it, so slices are made contiguous first;
   ``np.sqrt`` and real ``+ - * /`` are exact IEEE operations.
+- ``f /= r[..., None, None]`` of a complex ``f`` by a real ``r`` rounds as
+  ``f / r[..., None, None]``: both take the complex division loop on the
+  real divisor promoted to complex, one writing in place.
 - ``np.cumsum(x, axis=0)[-1]`` adds in index order, like a Python loop
   ``total += x[k]`` that starts from zero, except that the loop turns a
   ``-0.0`` first term into ``+0.0``; adding ``0.0`` to the result does the
@@ -70,6 +88,7 @@ x86-64 these hold:
   column is its second entry only where that one is strictly larger.
 """
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -102,11 +121,12 @@ def ensure_complex_stack(m, name: str = "matrix") -> np.ndarray:
 
 @dataclass(frozen=True)
 class SvdResult:
-    """Full SVD ``M = left @ diag(singular_values) @ right.conj().T``.
+    """The k leading singular triplets of an m x n matrix.
 
-    ``left`` is m x m unitary, ``right`` is n x n unitary, and
-    ``singular_values`` holds min(m, n) non-negative reals, descending. For a
-    stacked input every field carries the same leading axes. The tests
+    ``left`` is m x k and ``right`` n x k, each with orthonormal columns, and
+    ``singular_values`` holds k non-negative reals, descending; with
+    k = min(m, n), ``M = left @ diag(singular_values) @ right.conj().T``. For
+    a stacked input every field carries the same leading axes. The tests
     multiply the factors back with ``reconstruct`` (tests/oracles.py).
     """
 
@@ -183,7 +203,8 @@ def _svd_1x1(h: np.ndarray) -> tuple:
 
 
 def _svd_1x2(h: np.ndarray) -> tuple:
-    """zgesdd of 1x2 matrices (S, 2): zgelqf's reflector of the conjugate row, zunglq's Q."""
+    """zgesdd of 1x2 matrices (S, 2), leading pair only: zgelqf's reflector of
+    the conjugate row, the first row of zunglq's Q."""
     x1, x2 = np.conj(h[:, 0]), np.conj(h[:, 1])
     ar, ai = x1.real, x1.imag
     xnorm = np.sqrt(x2.real.astype(np.longdouble) ** 2 + x2.imag.astype(np.longdouble) ** 2).astype(np.float64)
@@ -197,11 +218,7 @@ def _svd_1x2(h: np.ndarray) -> tuple:
     t = 1.0 / (cr + ci * r)
     v2 = _zscal(_complex(t, np.where(r != 0, -r * t, (0.0 + ci * (-1.0 / cr)) * t)), x2)
     q = np.stack((1 - np.conj(tau), np.conj(_zscal(-tau, v2))), axis=-1)
-    vh = np.empty(h.shape + (2,), dtype=np.complex128)
-    vh[:, 0] = _complex(q.real - 0.0 * q.imag, q.imag + 0.0)
-    alpha = -np.conj(tau)  # zlarf's update of the row (0, 1)
-    vh[:, 1, 0] = 0 + np.multiply(alpha, v2)
-    vh[:, 1, 1] = 1 + np.multiply(np.multiply(alpha, np.conj(v2)), v2)
+    vh = _complex(q.real - 0.0 * q.imag, q.imag + 0.0)[:, None, :]
     return _complex(np.copysign(1.0, beta), 0.0)[:, None, None], s[:, None], vh
 
 
@@ -221,38 +238,37 @@ def _closed_form_or_lapack(rows: np.ndarray, closed, lapack) -> tuple:
     return out
 
 
-def _lapack_svd(stack: np.ndarray) -> tuple:
-    """``np.linalg.svd(stack, full_matrices=True)`` of a stack ``(S, m, n)``, bit for bit:
-    one-row matrices of one or two columns inside the scaling window in closed form."""
+def _leading_factors(stack: np.ndarray, k: int) -> tuple:
+    """The ``k`` leading columns of ``np.linalg.svd(stack, full_matrices=True)``'s
+    factors of a stack ``(S, m, n)``, bit for bit: ``u`` (S, m, k), ``s`` (S, k)
+    and ``vh`` (S, k, n). One-row matrices take the reduced zgesdd, or inside
+    the scaling window, for one or two columns, its closed form."""
     rows, cols = stack.shape[-2:]
-    if rows != 1 or cols > 2:
-        return np.linalg.svd(stack, full_matrices=True)
-    return _closed_form_or_lapack(
-        stack[:, 0], _svd_1x1 if cols == 1 else _svd_1x2, lambda m: np.linalg.svd(m, full_matrices=True)
-    )
+    if rows > 1:
+        u, s, vh = np.linalg.svd(stack, full_matrices=True)
+        return u[..., :k], s[..., :k], vh[..., :k, :]
+    reduced = functools.partial(np.linalg.svd, full_matrices=False)
+    if cols > 2:
+        return reduced(stack)
+    return _closed_form_or_lapack(stack[:, 0], _svd_1x1 if cols == 1 else _svd_1x2, reduced)
 
 
-def svd(m) -> SvdResult:
-    """Singular value decomposition with a reproducible sign/phase convention.
+def svd(m, k: int) -> SvdResult:
+    """The ``k`` leading singular triplets, with a reproducible phase convention.
 
     ``m`` is one matrix or a stack ``(..., m, n)``; the factors keep its
     leading axes. Each left singular vector is rotated so its
     largest-magnitude entry is real and non-negative; the paired right vector
-    absorbs the same rotation so the product is unchanged. Unpaired right
-    columns (n > m) get the same convention applied independently since they
-    never touch the reconstruction.
+    absorbs the same rotation so the product is unchanged.
     """
     a = np.asarray(m, dtype=np.complex128)
     lead, (rows, cols) = a.shape[:-2], a.shape[-2:]
-    u, s, vh = _lapack_svd(a.reshape((-1, rows, cols)))
-    v = np.conj(vh).swapaxes(-1, -2)
-    k = min(rows, cols)
-    phase_u = _conj_pivot_phase(u)
-    phase_v = np.concatenate((phase_u[:, :k], _conj_pivot_phase(v[:, :, k:])), axis=1)
+    u, s, vh = _leading_factors(a.reshape((-1, rows, cols)), k)
+    phase = _conj_pivot_phase(u)
     return SvdResult(
-        left=_rotate_columns(u, phase_u).reshape(lead + (rows, rows)),
+        left=_rotate_columns(u, phase).reshape(lead + (rows, k)),
         singular_values=s.reshape(lead + (k,)),
-        right=_rotate_columns(v, phase_v).reshape(lead + (cols, cols)),
+        right=_rotate_columns(np.conj(vh).swapaxes(-1, -2), phase).reshape(lead + (cols, k)),
     )
 
 

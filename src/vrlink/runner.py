@@ -16,15 +16,11 @@ import numpy as np
 
 from .beamforming import design_link
 from .channel import synthesize_dl, synthesize_ul
-from .config import SweepConfig
+from .config import BLOCK_CELLS, SweepConfig
 from .errors import InvalidInputError, LinkError
 from .linkmetrics import compute_metrics
 from .numerics import FACTOR_TOL, MODULUS_TOL
 from .qos import link_utilities, processing_delay, queue_delay, tracking_factors, transmission_delay
-
-# Es/N0 points per evaluation block: as many as keep the block's UL arrays
-# under this many (point, user, AP, subcarrier) cells, at least one
-BLOCK_CELLS = 1 << 18
 
 CSV_HEADER = (
     "scenario,n_tx,n_rf,esn0_db,ap,user,rate_dl_bps,rate_ul_bps,"
@@ -73,14 +69,21 @@ def check_constraints(n_users_on_ap, ap_power_used_w, solution, v_j: int, p_b: f
     return np.stack(np.broadcast_arrays(*checks), axis=-1)
 
 
+def _draws(config: SweepConfig, stream: int):
+    """The generator of one stream of Gaussian gains; None for deterministic
+    gains, which draw nothing, so such a sweep never loads numpy.random."""
+    return np.random.default_rng([config.seed, stream]) if config.gain_mode == "gaussian" else None
+
+
 def _design_group(config: SweepConfig, group: tuple, amplitude, n_served, budget) -> list:
     """Every link's design for codebooks that share (n_tx, n_rx, n_ds), from
     one DL draw, reduced per codebook to what the sweep reads: the squared
     effective gains (U, B, n_sc) and the violation bits of the
     Es/N0-independent checks (U, B). n_served and budget hold one value per
     link, user-major like the DL stack."""
-    rng = np.random.default_rng([config.seed, 1])
-    dl = synthesize_dl(config.topology, amplitude, config.grid.n_sc, group[0].n_tx, group[0].n_rx, config.gain_mode, rng)
+    dl = synthesize_dl(
+        config.topology, amplitude, config.grid.n_sc, group[0].n_tx, group[0].n_rx, config.gain_mode, _draws(config, 1)
+    )
     try:  # every link and every codebook of the group in one design
         solutions = design_link(dl.matrices.reshape((n_served.size,) + dl.matrices.shape[2:]), group, budget)
     except LinkError as e:  # links are user-major
@@ -144,7 +147,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     """
     traffic = config.traffic
     ul_gain, amplitude = np.array(config.ul_gain), np.array(config.dl_amplitude)
-    ul = synthesize_ul(ul_gain, config.grid.n_sc, config.gain_mode, np.random.default_rng([config.seed, 0]))
+    ul = synthesize_ul(ul_gain, config.grid.n_sc, config.gain_mode, _draws(config, 0))
     # users on AP j while user i is re-homed to it: j's home users, plus i
     # unless j is already i's home; one per link, user-major
     home = np.array(config.base_cells)[:, None] == np.arange(config.topology.n_aps)

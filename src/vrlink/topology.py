@@ -40,7 +40,7 @@ class IndoorArea:
             and self.z_range[0] <= p.z <= self.z_range[1]
         )
 
-    def sample(self, rng: np.random.Generator) -> Position3D:
+    def sample(self, rng: "np.random.Generator") -> Position3D:
         """Uniform-random position inside the room."""
         return Position3D(
             rng.uniform(*self.x_range),

@@ -13,7 +13,8 @@ the tests compare the array path with them by ``==``:
   ``tracking_utility``, ``total_utility``);
 - one link's subcarrier gains (``link_gains``), one UL coefficient
   (``ul_channel``), one steering vector (``link_steering``), one link's DL
-  matrices (``dl_link_channels``) and the product of SVD factors
+  matrices (``dl_link_channels``), one matrix's full SVD factors under the
+  phase convention (``full_svd``) and the product of SVD factors
   (``reconstruct``);
 - the CSV writer that formats and assembles each row on its own
   (``write_results_csv``).
@@ -31,7 +32,7 @@ import numpy as np
 from vrlink.errors import ConfigurationError, DegenerateGeometryError, InvalidInputError
 from vrlink.linkmetrics import _AGGREGATE, LN2, GainAggregation
 from vrlink.linkmetrics import sinr_ul  # noqa: F401 (re-exported, see above)
-from vrlink.numerics import SvdResult
+from vrlink.numerics import ZERO_MODULUS, SvdResult
 from vrlink.runner import CSV_HEADER, VIOLATIONS, SweepResult
 from vrlink.topology import Position3D, departure_arrival_angles
 
@@ -196,6 +197,32 @@ def dl_link_channels(tx: Position3D, rx: Position3D, amp: float, gains: np.ndarr
     a_tx = link_steering(n_tx, aod_az)
     a_rx = link_steering(n_rx, aoa_az)
     return (amp * np.asarray(gains))[:, None, None] * np.outer(a_rx, a_tx.conj())
+
+
+def full_svd(matrix) -> tuple:
+    """One matrix's full factors ``(u, s, v)`` under ``svd``'s convention:
+    LAPACK's full factors, each left column rotated in place by the conjugate
+    phase of its first largest-magnitude entry and each right column with a
+    left partner by the same phase; right columns without one stay as LAPACK
+    gives them. ``svd(m, k)`` returns the first k columns of ``u`` and ``v``
+    and values of ``s``."""
+    u, s, vh = np.linalg.svd(matrix, full_matrices=True)
+    v = np.conj(vh).T
+
+    def conj_pivot_phase(column):
+        pivot = column[np.argmax(np.abs(column))]
+        mag = np.hypot(pivot.real, pivot.imag)
+        if not mag > ZERO_MODULUS:
+            return complex(1.0, -0.0)
+        scale = 1.0 / mag
+        return complex((pivot.real + pivot.imag * 0.0) * scale, -((pivot.imag - pivot.real * 0.0) * scale))
+
+    for c in range(u.shape[1]):
+        phase = conj_pivot_phase(u[:, c])
+        u[:, c] *= phase
+        if c < len(s):
+            v[:, c] *= phase
+    return u, s, v
 
 
 def reconstruct(res: SvdResult) -> np.ndarray:

@@ -89,7 +89,7 @@ def test_analog_precoder_aligns_with_dominant_direction():
     cov = np.zeros((4, 4), dtype=complex)
     for h in ch:
         cov += h.conj().T @ h
-    top = svd(cov).left[:, 0]
+    top = svd(cov, 1).left[:, 0]
     p = analog_precoder(ch, 1)
     assert np.allclose(np.angle(p[:, 0]), np.angle(top), atol=1e-9)
 
@@ -98,7 +98,7 @@ def test_hybrid_digital_square_selection():
     rng = np.random.default_rng(41)
     h_d = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     pre, comb = hybrid_digital(h_d, 2)
-    res = svd(h_d)
+    res = svd(h_d, 2)
     assert np.allclose(pre, res.right)
     assert np.allclose(comb, res.left)
 
@@ -128,7 +128,7 @@ def test_effective_channel_identity_sandwich():
 
 def test_effective_channel_recomposes_diagonal():
     h = np.diag([3.0, 1.0]).astype(complex)
-    res = svd(h)
+    res = svd(h, 2)
     pre, comb = res.right, res.left
     assert np.allclose(effective_channel(comb, h, pre), h, atol=1e-12)
 
@@ -172,7 +172,7 @@ def test_design_link_single_subcarrier_matches_single_covariance():
     ch = random_channels(rng, 1, 1, 4)
     (sol,) = design_link(ch[None], (Codebook(4, 2),), np.array([0.005]))
     cov = ch[0].conj().T @ ch[0]
-    top2 = svd(cov).left[:, :2]
+    top2 = svd(cov, 2).left
     expected_phases = np.angle(top2[np.abs(top2) > 1e-15])
     got_phases = np.angle(sol.analog_precoder[0][np.abs(top2) > 1e-15])
     assert np.allclose(

@@ -14,6 +14,8 @@ from vrlink.config import (
     MAX_ESN0_POINTS,
     MAX_N_SC,
     MAX_SWEEP_BYTES,
+    BLOCK_CELLS,
+    CELL_BYTES,
     RECORD_BYTES,
     TAP_BYTES,
     SweepConfig,
@@ -245,8 +247,8 @@ BAD_INPUTS = [
     ("r_min = nan", None, "key 'r_min': expected a finite number, got 'nan'"),
     ("n_sc = 1e9", None, "n_sc must be at most 8192, got 1000000000"),
     ("n_sc = 8", ["--esn0", "0:1e-12:20"], "esn0 grid has more than 1001 points"),
-    ("n_t = 1000000000", None, "sweep needs about 1088000016384000442496 bytes, over the 1073741824-byte budget"),
-    ("u = 100000", None, "sweep needs about 64921600128 bytes, over the 1073741824-byte budget"),
+    ("n_t = 1000000000", None, "sweep needs about 1088000016384001081472 bytes, over the 1073741824-byte budget"),
+    ("u = 100000", None, "sweep needs about 64102400128 bytes, over the 1073741824-byte budget"),
     # an AP above user 0, and one on it: the link has no azimuth
     ("ap_positions = 3,6,3 ; 7.5,13,3", None, "user 0 and AP 0 share the xy position"),
     ("ap_positions = 3,6,1.5 ; 7.5,13,3", None, "user 0 and AP 0 share the xy position"),
@@ -254,8 +256,8 @@ BAD_INPUTS = [
     ("epsilon0 = -1", None, "epsilon0 must be positive, got -1.0"),
     ("lambda = -1e-9", None, "need 0 <= lambda < mu, got mu=4e-09 lambda=-1e-09"),
     ("tap_spacing = -1e-9", None, "tap_spacing_s must be positive, got -1e-09"),
-    ("tap_count = 1000000000", None, "sweep needs about 32001331200 bytes, over the 1073741824-byte budget"),
-    ("u = 1000000", None, "sweep needs about 649216000128 bytes, over the 1073741824-byte budget"),
+    ("tap_count = 1000000000", None, "sweep needs about 32001970176 bytes, over the 1073741824-byte budget"),
+    ("u = 1000000", None, "sweep needs about 641024000128 bytes, over the 1073741824-byte budget"),
     # a derived quantity leaves the float range: the wavelength, the tap
     # spacing, the per-user compute share
     ("fc = 1e-300", None, "carrier frequency must be positive, not tiny, got 1e-300"),
@@ -298,8 +300,8 @@ BAD_INPUTS = [
     ("p_b = 1e-300\nesn0_start = 300\nesn0_stop = 300", None,
      "noise power p_b / 10^(esn0/10) leaves the positive float range on Es/N0 300..300 dB"),
     # an analog stage's (n_sc, n_t, n_t) covariance products
-    ("n_t = 9999", None, "sweep needs about 108942507200 bytes, over the 1073741824-byte budget"),
-    ("n_sc = 8", ["--codebook", "9999x1"], "sweep needs about 38412976640 bytes, over the 1073741824-byte budget"),
+    ("n_t = 9999", None, "sweep needs about 108943146176 bytes, over the 1073741824-byte budget"),
+    ("n_sc = 8", ["--codebook", "9999x1"], "sweep needs about 38413061120 bytes, over the 1073741824-byte budget"),
     ("n_sc = 8", ["--codebook", ","], "empty codebook list"),
     ("scenario = ,", None, "empty scenario list"),
     # each user 0.17 m from its AP: the UL received power p_u*|h|^2 overflows
@@ -404,8 +406,10 @@ def test_covariance_stacks_count_toward_the_budget():
     # the second term holds every link's sum and its SVD factors
     dense = config_from_dict({"u": "8", "b": "4", "n_t": "4", "n_rf": "1"})
     links = 32
-    dl, digital = links * 64 * 4 * 16, links * 64 * 3 * (1 + 1 + 4 + 1 + 1) * 16
-    rest = dl + digital + dense.expected_records * RECORD_BYTES + dense.tap_count * TAP_BYTES
+    dl, digital = links * 64 * 4 * 16, links * 64 * 3 * (1 + 4 + 1 + 1) * 16
+    # all 21 Es/N0 points of 32 x 64 cells fit in one evaluation block
+    cells = 21 * links * 64 * CELL_BYTES
+    rest = dl + digital + cells + dense.expected_records * RECORD_BYTES + dense.tap_count * TAP_BYTES
     assert dense.estimated_bytes - rest == max(8 * 64 + links, 6 * links) * 4 * 4 * 16
 
 
@@ -422,6 +426,26 @@ def test_digital_stage_counts_toward_the_budget():
     # a second, smaller group adds its rows, its digital stage does not
     two_groups = config_from_dict({"n_t": "2,8", "n_rf": "2", "n_r": "2", "n_ds": "2"})
     assert two_groups.estimated_bytes - one.estimated_bytes == rows * RECORD_BYTES
+    # one stream: G^H H P is one row and its SVD the reduced one, with no
+    # n_rf x n_rf factor; n_rf counts once, in the reduced channel
+    single = config_from_dict({"n_t": "8", "n_rf": "2"})
+    wider = config_from_dict({"n_t": "8", "n_rf": "4"})
+    assert wider.estimated_bytes - single.estimated_bytes == links * n_sc * 3 * (4 - 2) * 16
+
+
+def test_evaluation_block_counts_toward_the_budget():
+    # 4 links x 1024 subcarriers: all 21 Es/N0 points fit in one block of at
+    # most BLOCK_CELLS cells, and so do 41
+    base = config_from_dict({"n_sc": "1024"})
+    more = config_from_dict({"n_sc": "1024", "esn0_stop": "40"})
+    rows = 2 * 6 * 20 * 4
+    assert 41 * 4 * 1024 <= BLOCK_CELLS
+    assert more.estimated_bytes - base.estimated_bytes == 20 * 4 * 1024 * CELL_BYTES + rows * RECORD_BYTES
+    # 4 links x 8192 subcarriers: a block holds BLOCK_CELLS // 32768 = 8
+    # points, so further points add only their rows
+    base = config_from_dict({"n_sc": "8192"})
+    more = config_from_dict({"n_sc": "8192", "esn0_stop": "40"})
+    assert more.estimated_bytes - base.estimated_bytes == rows * RECORD_BYTES
 
 
 @pytest.mark.parametrize("raw", [
@@ -429,10 +453,13 @@ def test_digital_stage_counts_toward_the_budget():
     {"n_t": "32", "n_rf": "32", "n_sc": "256", "esn0_stop": "0"},
     {"n_t": "16", "n_rf": "4,8,16", "n_r": "4", "n_ds": "4", "n_sc": "256", "esn0_stop": "0"},
     {"n_t": "32", "n_rf": "1,8,16,24,32", "n_sc": "128", "esn0_stop": "0", "scenario": "mean"},
+    {"n_t": "2", "n_rf": "2", "u": "2", "b": "3", "n_sc": "1024", "scenario": "min"},
+    {"n_sc": "1024"},
 ])
 def test_traced_sweep_peak_stays_within_the_estimate(raw):
-    # sweeps whose peak is the digital stage's SVD of many RF chains; the
-    # last one holds only if a codebook's factors go before the next SVD
+    # sweeps whose peak is the digital stage's SVD of many RF chains, the
+    # fourth only if a codebook's factors go before the next SVD; then two
+    # whose peak is the evaluation block of 21 Es/N0 points
     cfg = config_from_dict(raw)
     tracemalloc.start()
     try:
@@ -441,6 +468,22 @@ def test_traced_sweep_peak_stays_within_the_estimate(raw):
     finally:
         tracemalloc.stop()
     assert peak <= cfg.estimated_bytes
+
+
+def test_wideband_point_sweep_peak_stays_under_2_6_mb():
+    # the benchmark's wideband_point config, where the design sets the peak:
+    # 3.68 MB traced while the design took full SVD factors and kept its
+    # temporaries across codebooks, 2.34 MB with the leading factors only
+    # (numpy 2.4.6)
+    path = Path(__file__).resolve().parents[1] / "configs" / "indoor_default.conf"
+    cfg = load_config(str(path), {"n_sc": 1024, "esn0_start": 10, "esn0_stop": 10})
+    tracemalloc.start()
+    try:
+        run_sweep(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6e6
 
 
 def test_size_caps_are_inclusive():

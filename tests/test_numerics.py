@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import reconstruct
-from vrlink.beamforming import _subcarrier_sum
+from oracles import full_svd, reconstruct
+from vrlink.beamforming import _covariance_beams, _subcarrier_sum
 from vrlink.errors import InvalidInputError
 from vrlink.numerics import (
     FACTOR_TOL,
@@ -15,7 +15,7 @@ from vrlink.numerics import (
     SvdResult,
     _BIGNUM,
     _SMLNUM,
-    _lapack_svd,
+    _leading_factors,
     _zscal,
     ensure_complex_stack,
     frobenius_norms,
@@ -30,13 +30,13 @@ def random_complex(rng, rows, cols):
 
 
 def test_reconstruct_identity():
-    res = svd(np.eye(3))
+    res = svd(np.eye(3), 3)
     assert np.allclose(reconstruct(res), np.eye(3), atol=1e-12)
     assert np.allclose(res.singular_values, np.ones(3))
 
 
 def test_diagonal_matrix_orders_singular_values():
-    res = svd(np.diag([1.0, 5.0, 3.0]).astype(complex))
+    res = svd(np.diag([1.0, 5.0, 3.0]).astype(complex), 3)
     assert np.allclose(res.singular_values, [5.0, 3.0, 1.0])
 
 
@@ -46,12 +46,13 @@ def test_reconstruction_random_shapes():
         rows = int(rng.integers(1, 9))
         cols = int(rng.integers(1, 9))
         m = random_complex(rng, rows, cols)
-        res = svd(m)
+        k = min(rows, cols)
+        res = svd(m, k)
         err = np.linalg.norm(reconstruct(res) - m) / max(np.linalg.norm(m), 1e-300)
         assert err < FACTOR_TOL
-        # factors unitary
-        assert np.linalg.norm(res.left.conj().T @ res.left - np.eye(rows)) < FACTOR_TOL
-        assert np.linalg.norm(res.right.conj().T @ res.right - np.eye(cols)) < FACTOR_TOL
+        # orthonormal columns
+        assert np.linalg.norm(res.left.conj().T @ res.left - np.eye(k)) < FACTOR_TOL
+        assert np.linalg.norm(res.right.conj().T @ res.right - np.eye(k)) < FACTOR_TOL
         # descending, non-negative
         s = res.singular_values
         assert np.all(s >= 0)
@@ -62,45 +63,42 @@ def test_phase_convention_pivot_real_nonnegative():
     rng = np.random.default_rng(11)
     for _ in range(100):
         m = random_complex(rng, int(rng.integers(1, 7)), int(rng.integers(1, 7)))
-        res = svd(m)
+        res = svd(m, min(m.shape))
         for col in range(res.left.shape[1]):
             pivot = res.left[np.argmax(np.abs(res.left[:, col])), col]
             assert abs(pivot.imag) < 1e-12
             assert pivot.real >= -1e-12
-        # unpaired right columns (beyond the rank budget) carry their own pivot
-        k = min(m.shape)
-        for col in range(k, res.right.shape[1]):
-            pivot = res.right[np.argmax(np.abs(res.right[:, col])), col]
-            assert abs(pivot.imag) < 1e-12
-            assert pivot.real >= -1e-12
+        # each right column takes its left partner's rotation: u^H M v is real
+        assert np.all(np.abs((res.left.conj().T @ m @ res.right).diagonal().imag) < 1e-12)
 
 
 def test_svd_deterministic_bit_identical():
     rng = np.random.default_rng(3)
     m = random_complex(rng, 4, 6)
-    a = svd(m)
-    b = svd(m.copy())
+    a = svd(m, 4)
+    b = svd(m.copy(), 4)
     assert np.array_equal(a.left, b.left)
     assert np.array_equal(a.singular_values, b.singular_values)
     assert np.array_equal(a.right, b.right)
 
 
-def test_svd_wide_and_tall_full_matrices():
+def test_svd_wide_and_tall_leading_factors():
     rng = np.random.default_rng(5)
-    wide = svd(random_complex(rng, 1, 4))
+    wide = svd(random_complex(rng, 1, 4), 1)
     assert wide.left.shape == (1, 1)
-    assert wide.right.shape == (4, 4)
+    assert wide.right.shape == (4, 1)
     assert wide.singular_values.shape == (1,)
-    tall = svd(random_complex(rng, 5, 2))
-    assert tall.left.shape == (5, 5)
+    tall = svd(random_complex(rng, 5, 2), 2)
+    assert tall.left.shape == (5, 2)
     assert tall.right.shape == (2, 2)
+    assert svd(random_complex(rng, 3, 4)[None], 2).right.shape == (1, 4, 2)
 
 
 def test_svd_rank_one_outer_product():
     a = np.array([1.0, 1j]) / np.sqrt(2)
     b = np.array([1.0, -1j, 1.0]) / np.sqrt(3)
     m = 2.5 * np.outer(a, b.conj())
-    res = svd(m)
+    res = svd(m, 2)
     assert res.singular_values[0] == pytest.approx(2.5, rel=1e-12)
     assert np.all(res.singular_values[1:] < 1e-12)
 
@@ -288,10 +286,11 @@ def assert_same_bits(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def assert_factors_equal_lapack(stack):
-    got = _lapack_svd(stack)
-    for g, w in zip(got, np.linalg.svd(stack, full_matrices=True)):
-        assert_same_bits(g, w)
+def assert_factors_equal_lapack(stack, k=1):
+    # the k leading columns of LAPACK's full factors; one-row stacks have k = 1
+    u, s, vh = np.linalg.svd(stack, full_matrices=True)
+    for got, want in zip(_leading_factors(stack, k), (u[..., :k], s[..., :k], vh[..., :k, :])):
+        assert_same_bits(got, want)
 
 
 @pytest.mark.parametrize("cols", [1, 2])
@@ -363,35 +362,10 @@ def test_three_column_rows_stay_on_lapack():
         assert_factors_equal_lapack(random_complex(rng, 1, 3)[None] * 10.0 ** rng.uniform(-100, 100))
 
 
-def reference_svd(matrix):
-    """One matrix's ``svd``, as the convention states it: LAPACK's factors,
-    each left column rotated in place by the conjugate phase of its first
-    largest-magnitude entry, each right column by its left partner's phase,
-    or by its own pivot's when it has none."""
-    u, s, vh = np.linalg.svd(matrix, full_matrices=True)
-    v = np.conj(vh).T
-
-    def conj_pivot_phase(column):
-        pivot = column[np.argmax(np.abs(column))]
-        mag = np.hypot(pivot.real, pivot.imag)
-        if not mag > ZERO_MODULUS:
-            return complex(1.0, -0.0)
-        scale = 1.0 / mag
-        return complex((pivot.real + pivot.imag * 0.0) * scale, -((pivot.imag - pivot.real * 0.0) * scale))
-
-    phases = [conj_pivot_phase(u[:, c]) for c in range(u.shape[1])]
-    phases += [conj_pivot_phase(v[:, c]) for c in range(len(s), v.shape[1])]
-    for c in range(u.shape[1]):
-        u[:, c] *= phases[c]
-    for c in range(v.shape[1]):
-        v[:, c] *= phases[c] if c < len(s) else phases[u.shape[1] + c - len(s)]
-    return u, s, v
-
-
 def test_svd_of_tied_pivots_takes_the_first_entry():
     # columns whose two entries have equal magnitude: the pivot is the first
     rng = np.random.default_rng(48)
-    a, b = (rng.standard_normal(300) + 1j * rng.standard_normal(300) for _ in range(2))
+    a, b = (rng.standard_normal(400) + 1j * rng.standard_normal(400) for _ in range(2))
     stacks = [
         np.stack([a, a], -1)[:, None, :],
         np.stack([a, np.conj(a)], -1)[:, None, :],
@@ -402,14 +376,87 @@ def test_svd_of_tied_pivots_takes_the_first_entry():
     ]
     ties = 0
     for stack in stacks:
-        res = svd(stack)
-        for k, matrix in enumerate(stack):
-            u, s, v = reference_svd(matrix)
-            ties += sum(int(np.abs(x[0, c]) == np.abs(x[1, c])) for x in (u, v) if len(x) == 2 for c in range(2))
-            assert_same_bits(res.left[k], u)
-            assert_same_bits(res.singular_values[k], s)
-            assert_same_bits(res.right[k], v)
+        k = min(stack.shape[-2:])
+        res = svd(stack, k)
+        for i, matrix in enumerate(stack):
+            u, s, v = (x[..., :k] for x in full_svd(matrix))
+            ties += sum(int(np.abs(x[0, c]) == np.abs(x[1, c])) for x in (u, v) if len(x) == 2 for c in range(k))
+            assert_same_bits(res.left[i], u)
+            assert_same_bits(res.singular_values[i], s)
+            assert_same_bits(res.right[i], v)
     assert ties > 1000
+
+
+def test_leading_factors_of_one_row_stacks_take_the_reduced_zgesdd():
+    # the reduced zgesdd's one row equals the full one's first row for every
+    # width the design meets, inside and outside the scaling window
+    rng = np.random.default_rng(50)
+    for cols in range(1, 65):
+        for scale in (0.0, 1e-320, 1e-300, 1e-150, 1.0, 1e150, 1e300):
+            assert_factors_equal_lapack((random_complex(rng, 20, cols) * scale)[:, None, :])
+
+
+def test_leading_factors_of_multi_row_stacks_slice_the_full_ones():
+    # the reduced zgesdd rounds differently from the full one on some of
+    # these shapes (2x8, 3x4, 3x16, 2x64), so the full factors are sliced
+    rng = np.random.default_rng(51)
+    for rows in range(2, 9):
+        for cols in (*range(1, 17), 32, 64):
+            stack = (rng.standard_normal((20, rows, cols)) + 1j * rng.standard_normal((20, rows, cols)))
+            for k in range(1, min(rows, cols) + 1):
+                assert_factors_equal_lapack(stack, k)
+
+
+def assert_svd_equals_full_reference(stack, k):
+    res = svd(stack, k)
+    for i, matrix in enumerate(stack):
+        u, s, v = full_svd(matrix)
+        assert_same_bits(res.left[i], u[:, :k])
+        assert_same_bits(res.singular_values[i], s[:k])
+        assert_same_bits(res.right[i], v[:, :k])
+
+
+@pytest.mark.parametrize("cols", [1, 2])
+def test_svd_of_one_and_two_column_rows_equals_full_reference(cols):
+    # the closed forms and their fallback, inside and outside the scaling window
+    rng = np.random.default_rng(52 + cols)
+    for exponent in (-320, -300, -160, -139, -100, 0, 100, 139, 160, 300):
+        scale = 10.0 ** (exponent + rng.uniform(-1, 1, (60, 1, cols)))
+        stack = (rng.standard_normal((60, 1, cols)) + 1j * rng.standard_normal((60, 1, cols))) * scale
+        stack[:5] = 0.0
+        assert_svd_equals_full_reference(stack, 1)
+
+
+def test_svd_of_wide_rows_and_multi_row_stacks_equals_full_reference():
+    # wider than test_vectorized's random shapes up to 8 x 8
+    rng = np.random.default_rng(54)
+    for cols in range(3, 65):
+        assert_svd_equals_full_reference(random_complex(rng, 8, cols)[:, None, :], 1)
+    for rows in range(2, 9):
+        for cols in (16, 64):
+            stack = (rng.standard_normal((8, rows, cols)) + 1j * rng.standard_normal((8, rows, cols)))
+            for k in range(1, min(rows, cols) + 1):
+                assert_svd_equals_full_reference(stack, k)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-320, 1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e100, 1e150])
+def test_one_by_one_covariance_beam_equals_the_svd_path(scale):
+    # n_r = 1 combiners and n_t = 1 precoders: the analog stage's 1x1
+    # covariance sum, through the SVD and normalization, is exactly 1
+    rng = np.random.default_rng(55)
+    root = math.sqrt(scale)
+    for n_other in (1, 2, 3, 4, 8, 16):
+        for receive_side, shape in ((True, (1, n_other)), (False, (n_other, 1))):
+            channels = random_complex(rng, 6 * 9, shape[0] * shape[1]).reshape((6, 9) + shape)
+            channels *= root * 10.0 ** rng.uniform(-2, 2, (6, 9, 1, 1))
+            if scale != 0.0 and scale < 1e-300:  # most such products underflow; keep one entry at the scale
+                channels[:, :, 0, 0] = root
+            want = []
+            for link in channels:
+                h_h = np.conj(link).swapaxes(-1, -2)
+                cov = np.cumsum(link @ h_h if receive_side else h_h @ link, axis=0)[-1] + 0.0
+                want.append(unit_modulus_normalize(full_svd(cov)[0][:, :1], 1.0))
+            assert_same_bits(_covariance_beams(channels, 1, receive_side), np.array(want))
 
 
 def zscal_nested(alpha, x):

@@ -3,7 +3,10 @@
 import csv
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -647,3 +650,25 @@ def test_cli_stats_field_past_the_csv_field_limit(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and str(p) in captured.err
     assert captured.out == ""
+
+
+# runs `vrlink simulate` with the arguments after -c's code, then reports
+# its exit code and whether numpy.random was ever imported
+SIMULATE_PROBE = (
+    "import sys; from vrlink.cli import main; code = main(sys.argv[1:]); "
+    "sys.stderr.write(f'{code} {\"numpy.random\" in sys.modules}')"
+)
+
+
+@pytest.mark.parametrize("gain_mode, loaded", [("deterministic", False), ("gaussian", True)])
+def test_numpy_random_is_loaded_only_for_gaussian_gains(tmp_path, gain_mode, loaded):
+    # the shipped config fixes every position and draws no gain, so its
+    # sweep never imports numpy.random (and with it secrets, hmac, _hashlib)
+    root = Path(__file__).resolve().parents[1]
+    conf = (root / "configs" / "indoor_default.conf").read_text()
+    p = tmp_path / "run.conf"
+    p.write_text(re.sub(r"(?m)^gain_mode = \S+", f"gain_mode = {gain_mode}", conf))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    argv = [sys.executable, "-c", SIMULATE_PROBE, "simulate", "--config", str(p), "--out", str(tmp_path)]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, check=False)
+    assert done.stderr == f"0 {loaded}"

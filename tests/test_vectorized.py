@@ -19,6 +19,7 @@ from oracles import (
     aggregate_gain,
     conditional_utility,
     evaluation_cells,
+    full_svd,
     rate,
     sinr_dl,
     sinr_ul,
@@ -38,7 +39,7 @@ from vrlink.channel import (
 )
 from vrlink.config import config_from_dict
 from vrlink.linkmetrics import GainAggregation, compute_metrics
-from vrlink.numerics import ZERO_MODULUS, svd, unit_modulus_normalize
+from vrlink.numerics import svd, unit_modulus_normalize
 from vrlink.qos import link_utilities, tracking_factors, transmission_delay
 from vrlink.runner import check_constraints, run_sweep, write_results_csv
 from vrlink.topology import departure_arrival_angles, distance
@@ -211,48 +212,23 @@ def test_transmission_delay_array_matches_scalar_calls():
         assert np.all(np.isfinite(got[0])) and np.all(got[1] == math.inf)
 
 
-def column_svd(m):
-    """Reference phase convention, one column at a time."""
-
-    def pivot_phase(column):
-        idx = int(np.argmax(np.abs(column)))
-        pivot = column[idx]
-        mag = abs(pivot)
-        if mag <= ZERO_MODULUS:
-            return 1.0 + 0.0j
-        return pivot / mag
-
-    a = np.asarray(m, dtype=np.complex128)
-    u, s, vh = np.linalg.svd(a, full_matrices=True)
-    v = vh.conj().T.copy()
-    u = u.copy()
-    k = min(a.shape)
-    for col in range(u.shape[1]):
-        phase = np.conj(pivot_phase(u[:, col]))
-        u[:, col] *= phase
-        if col < k:
-            v[:, col] *= phase
-    for col in range(k, v.shape[1]):
-        v[:, col] *= np.conj(pivot_phase(v[:, col]))
-    return u, s, v
-
-
-def assert_svd_equal(res, ref):
+def assert_svd_equal(res, ref, k):
+    """``res`` holds the k leading columns of the full reference ``ref``, bit for bit."""
     u, s, v = ref
-    assert np.array_equal(res.left, u)
-    assert np.array_equal(res.singular_values, s)
-    assert np.array_equal(res.right, v)
+    assert np.array_equal(res.left, u[:, :k])
+    assert np.array_equal(res.singular_values, s[:k])
+    assert np.array_equal(res.right, v[:, :k])
 
 
 def test_svd_single_matrix_matches_column_loop():
-    # criterion 1's shapes: every m x n up to 8 x 8, wide ones with unpaired
-    # right columns included
+    # criterion 1's shapes: every m x n up to 8 x 8, and every k
     rng = np.random.default_rng(2024)
     for _ in range(1000):
         m = int(rng.integers(1, 9))
         n = int(rng.integers(1, 9))
+        k = int(rng.integers(1, min(m, n) + 1))
         a = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-        assert_svd_equal(svd(a), column_svd(a))
+        assert_svd_equal(svd(a, k), full_svd(a), k)
 
 
 def test_svd_stack_matches_column_loop_per_matrix():
@@ -261,6 +237,7 @@ def test_svd_stack_matches_column_loop_per_matrix():
         stack = int(rng.integers(1, 9))
         m = int(rng.integers(1, 9))
         n = int(rng.integers(1, 9))
+        k = int(rng.integers(1, min(m, n) + 1))
         if trial % 2:
             a = random_complex(rng, (stack, m, n))
         else:
@@ -268,14 +245,14 @@ def test_svd_stack_matches_column_loop_per_matrix():
             x = np.exp(1j * rng.uniform(0, 2 * np.pi, (stack, m, 1))) / math.sqrt(m)
             y = np.exp(1j * rng.uniform(0, 2 * np.pi, (stack, n, 1))) / math.sqrt(n)
             a = x @ np.conj(y).swapaxes(-1, -2)
-        res = svd(a)
-        assert res.left.shape == (stack, m, m)
-        assert res.right.shape == (stack, n, n)
+        res = svd(a, k)
+        assert res.left.shape == (stack, m, k)
+        assert res.right.shape == (stack, n, k)
         for i in range(stack):
             one = dataclasses.replace(
                 res, left=res.left[i], singular_values=res.singular_values[i], right=res.right[i]
             )
-            assert_svd_equal(one, column_svd(a[i]))
+            assert_svd_equal(one, full_svd(a[i]), k)
 
 
 def sequential_covariance_beams(channels, n_cols, receive_side):
@@ -285,7 +262,7 @@ def sequential_covariance_beams(channels, n_cols, receive_side):
     cov = np.zeros((size, size), dtype=complex)
     for h in channels:
         cov += h @ h.conj().T if receive_side else h.conj().T @ h
-    beams = svd(cov).left[:, :n_cols]
+    beams = full_svd(cov)[0][:, :n_cols]
     return unit_modulus_normalize(beams, 1.0 / math.sqrt(size))
 
 
@@ -299,9 +276,9 @@ def per_subcarrier_design(channels, codebook, p_b):
     eff, power = [], []
     for h in channels:
         h_d = g_a.conj().T @ h @ p_a
-        res = svd(h_d)
-        f = p_a @ res.right[:, : codebook.n_ds]
-        w = g_a @ res.left[:, : codebook.n_ds]
+        u, _, v = full_svd(h_d)
+        f = p_a @ v[:, : codebook.n_ds]
+        w = g_a @ u[:, : codebook.n_ds]
         f_norm = np.linalg.norm(f)
         w_norm = np.linalg.norm(w)
         eff.append((w / w_norm).conj().T @ h @ (f / f_norm))

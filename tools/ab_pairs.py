@@ -1,18 +1,20 @@
 """Alternating A/B pairs of the sweep benchmark on two checkouts.
 
     python3 tools/ab_pairs.py --parent ../parent --change . --workload paper_sweep \
-        --pairs 10 --seconds 30 --seed-base 18001 --out ab.json
+        --workload wideband_point --pairs 10 --seconds 30 --seed-base 18001 --out ab.json
 
-Pair k runs ``perfbench/run.py --workload W --seed <seed-base + k> --seconds S
---trace 0`` once in each checkout, one after the other; the parent runs first
-in even pairs and the change first in odd ones, so a slow spell on the host
-does not always land on one side. Each checkout runs its own perfbench and
-src, so both must hold the workload.
+For each workload W, in the order given, pair k runs ``perfbench/run.py
+--workload W --seed <seed-base + k> --seconds S --trace 0`` once in each
+checkout, one after the other; the parent runs first in even pairs and the
+change first in odd ones, so a slow spell on the host does not always land
+on one side. Each checkout runs its own perfbench and src, so both must hold
+the workload.
 
 For every end-to-end metric that BENCHMARK.json declares (read from the
 change's checkout) it prints each pair, both sides' medians, the parent's
 interquartile range and the number of pairs the change wins (ties count for
-neither side). The JSON file holds, per pair, both runs' result files as
+neither side). The JSON file is keyed by workload, the layout of a
+``BENCH_<n>.json``; each workload holds, per pair, both runs' result files as
 perfbench wrote them to .bench_out/, and that summary. The exit status is 1
 if any sweep of any run failed (raised, or wrote a wrong results.csv).
 """
@@ -65,7 +67,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", required=True, help="repeat for more workloads")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=int, required=True)
     parser.add_argument("--seed-base", type=int, required=True)
@@ -76,32 +78,31 @@ def main(argv=None) -> int:
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     declared = json.loads((sides["change"] / "BENCHMARK.json").read_text())["end_to_end"]
 
-    pairs, ok = {}, True
-    for k in range(args.pairs):
-        seed = args.seed_base + k
-        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        pair = {side: run(sides[side], args.workload, seed, args.seconds) for side in order}
-        pairs[str(seed)] = {"first": order[0], **pair}
-        ok &= all(report["failed"] == 0 for report in pair.values())
-        line = "  ".join(
-            f"{m['name']} {pair['parent']['metrics'][m['name']]['value']:.6g} -> "
-            f"{pair['change']['metrics'][m['name']]['value']:.6g}"
-            for m in declared
-        )
-        print(f"seed {seed} ({order[0]} first): {line}", flush=True)
+    record, ok = {}, True
+    for workload in args.workload:
+        pairs = {}
+        for k in range(args.pairs):
+            seed = args.seed_base + k
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            pair = {side: run(sides[side], workload, seed, args.seconds) for side in order}
+            pairs[str(seed)] = {"first": order[0], **pair}
+            ok &= all(report["failed"] == 0 for report in pair.values())
+            line = "  ".join(
+                f"{m['name']} {pair['parent']['metrics'][m['name']]['value']:.6g} -> "
+                f"{pair['change']['metrics'][m['name']]['value']:.6g}"
+                for m in declared
+            )
+            print(f"{workload} seed {seed} ({order[0]} first): {line}", flush=True)
 
-    summary = summarize(pairs, declared)
-    for name, s in summary.items():
-        print(
-            f"{name}: median {s['parent_quartiles'][1]:.6g} -> {s['change_quartiles'][1]:.6g} {s['unit']}"
-            f" (gap {s['median_gap']:+.6g}, parent IQR {s['parent_iqr']:.6g}),"
-            f" change better in {s['wins']}/{s['pairs']} pairs ({s['better']} is better)"
-        )
+        summary = summarize(pairs, declared)
+        for name, s in summary.items():
+            print(
+                f"{workload} {name}: median {s['parent_quartiles'][1]:.6g} -> {s['change_quartiles'][1]:.6g}"
+                f" {s['unit']} (gap {s['median_gap']:+.6g}, parent IQR {s['parent_iqr']:.6g}),"
+                f" change better in {s['wins']}/{s['pairs']} pairs ({s['better']} is better)"
+            )
+        record[workload] = {"seconds": args.seconds, "seed_base": args.seed_base, "pairs": pairs, "summary": summary}
     if args.out is not None:
-        record = {
-            "workload": args.workload, "seconds": args.seconds, "seed_base": args.seed_base,
-            "pairs": pairs, "summary": summary,
-        }
         args.out.write_text(json.dumps(record, indent=1, default=repr))
     if not ok:
         print("a sweep failed; see the failures in the result files", file=sys.stderr)
