@@ -10,11 +10,22 @@ the covariances over blocks of ``max(1, L // n)`` links, so that the
 ``(n_sc, n, n)`` products held at once are no larger than the channel stack
 or one link's products; each sum reads them once, in subcarrier order, as a
 one-link loop would, and keeps no running sums where n >= 2. A 1x1
-covariance (one user antenna, or one AP antenna) has the constant beam 1.
-Each SVD forms only the singular vectors the stage keeps. A solution
-keeps what the sweep reads: the analog stages, the effective channels and
-the transmit power of each subcarrier, summed from the composite beam
-``analog @ digital`` while the design holds it.
+covariance (one user antenna, or one AP antenna) has the constant beam 1;
+where no term of it can leave the float range (see the numerics
+docstring) the stage forms no sum at all. Each SVD forms only the
+singular vectors the stage keeps. A solution keeps what the sweep reads:
+the analog stages, the effective channels and the transmit power of each
+subcarrier, summed from the composite beam ``analog @ digital`` while the
+design holds it.
+
+A single-antenna user (n_rx = 1) has the analog combiner G = 1, so the
+design skips every product by it: ``G^H H`` is ``H + 0.0`` and ``G d`` is
+``d + 0.0``, which round as the products do. With n_rf >= 2 the digital
+SVD is one-row, its left vector is exactly 1, and so is the composite
+combiner ``w``: its norm and divide are skipped and the effective channel
+is ``(H + 0.0) @ f``. The products that carry arithmetic, ``H P``, ``P d``,
+``H f``, the n_tx x n_tx covariances and the norms of ``f``, are formed as
+for any codebook, and every output keeps its bits.
 
 What the design holds at once, beside the links and the analog stages: the
 covariance products of one block of links, then every codebook's reduced
@@ -30,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, LinkError, ShapeError
-from .numerics import ensure_complex_stack, frobenius_norms, singular_values
+from .numerics import ensure_complex_stack, frobenius_norms, row_sums, singular_values
 from .numerics import svd, unit_modulus_normalize
 
 _CODEBOOK_RE = re.compile(r"^(\d+)\s*[xA]\s*(\d+)R?$", re.IGNORECASE)
@@ -84,6 +95,16 @@ def _subcarrier_sum(products: np.ndarray) -> np.ndarray:
     return np.cumsum(products, axis=-3, out=products)[..., -1, :, :] + 0.0
 
 
+def _sums_stay_finite(channels: np.ndarray) -> bool:
+    """True when no 1x1 covariance term or sum of the stack can leave the
+    float range: with peak the largest |re| or |im|, each product h conj(h)
+    has parts of at most 2 peak^2, so every partial sum over the n_sc
+    subcarriers of n_rx * n_tx products stays below 4 peak^2 n_sc n_rx n_tx."""
+    parts = np.ravel(channels).view(np.float64)
+    peak = max(float(np.max(parts)), -float(np.min(parts)))
+    return peak * peak * 4.0 * math.prod(channels.shape[-3:]) < 1e300
+
+
 def _covariance_beams(channels: np.ndarray, n_cols: int, receive_side: bool) -> np.ndarray:
     """Shared analog stage: SVD of a covariance sum, constant-modulus entries.
 
@@ -93,6 +114,8 @@ def _covariance_beams(channels: np.ndarray, n_cols: int, receive_side: bool) -> 
     in the C order of the leading axes.
     """
     size = channels.shape[-2] if receive_side else channels.shape[-1]
+    if size == 1 and _sums_stay_finite(channels):
+        return np.ones(channels.shape[:-3] + (1, 1), dtype=np.complex128)
     links = channels.reshape((-1,) + channels.shape[-3:])
     cov = np.empty((len(links), size, size), dtype=np.complex128)
     # blocks of links whose (n_sc, size, size) products together take no
@@ -204,8 +227,9 @@ def design_link(links: np.ndarray, codebooks: tuple, p_b: np.ndarray) -> tuple:
     # a contiguous slice: stacked @ on a strided operand may round differently
     p_as = [np.ascontiguousarray(p_widest[..., :cb.n_rf]) for cb in codebooks]
     # every codebook's reduced channel G^H @ H @ P from one G^H @ H, which
-    # then goes: it is as large as the DL stack when n_ds = n_rx
-    g_h = np.conj(g_a[:, None]).swapaxes(-1, -2) @ links
+    # then goes: it is as large as the DL stack when n_ds = n_rx. One user
+    # antenna has G = 1, and G^H H = (1 - 0j) H rounds as H + 0.0
+    g_h = links + 0.0 if n_rx == 1 else np.conj(g_a[:, None]).swapaxes(-1, -2) @ links
     h_ds = [g_h @ p_a[:, None] for p_a in p_as]
     del g_h
     solutions = []
@@ -215,16 +239,29 @@ def design_link(links: np.ndarray, codebooks: tuple, p_b: np.ndarray) -> tuple:
         # channel response to a unit-power beam and can never exceed the
         # leading singular value of the raw channel
         f = p_a[:, None] @ d_pre
-        w = g_a[:, None] @ d_comb
+        # one user antenna: G d = (1 + 0j) d rounds as d + 0.0, and w = 1
+        # where the digital SVD is one-row (n_rf >= 2): its left vector is 1
+        unit_w = n_rx == 1 < cb.n_rf
+        if unit_w:
+            w = None
+        elif n_rx == 1:
+            w = d_comb + 0.0
+        else:
+            w = g_a[:, None] @ d_comb
         del d_pre, d_comb  # the digital factors go once the composite beams exist
         f_norm = frobenius_norms(f)
-        w_norm = frobenius_norms(w)
+        w_norm = 1.0 if unit_w else frobenius_norms(w)
         if np.any(f_norm == 0.0) or np.any(w_norm == 0.0):
             raise InvalidInputError("degenerate composite beam with zero norm")
         scale = np.sqrt(budgets / n_sc)[:, None] / f_norm  # equal split of the budget
-        power = np.sum(np.abs(scale[..., None, None] * f) ** 2, axis=(-2, -1))
+        power = np.abs(scale[..., None, None] * f).reshape(f.shape[:-2] + (-1,))
+        power = row_sums(np.multiply(power, power, out=power))
         f /= f_norm[..., None, None]
-        w /= w_norm[..., None, None]
-        solutions.append(BeamformingSolution(cb, p_a, g_a, effective_channel(w, links, f), power))
-        del f, w  # before the next codebook's SVD
+        if unit_w:  # w^H H = G^H H = H + 0.0, formed again: held, it raises the peak
+            eff = (links + 0.0) @ f
+        else:
+            w /= w_norm[..., None, None]
+            eff = effective_channel(w, links, f)
+        solutions.append(BeamformingSolution(cb, p_a, g_a, eff, power))
+        del f, w, eff  # before the next codebook's SVD
     return tuple(solutions)

@@ -3,7 +3,8 @@ element-wise modulus normalization.
 
 The factorization is LAPACK's zgesdd via numpy, or for one-row matrices of
 one or two columns a numpy closed form of it (for 1x1 matrices also its
-singular values alone); this module pins down the
+singular values alone, and for every one-row matrix of two or more
+columns the constant left vector 1); this module pins down the
 conventions the beamforming stages rely on (descending singular values,
 reproducible singular-vector phases, tolerance policy). ``svd(m, k)`` takes a
 single matrix or a stack ``(..., m, n)`` and returns only the k leading
@@ -45,7 +46,20 @@ x86-64 these hold:
   1 x 1 covariance term, and so their sum, has an imaginary part of +0.
   zgesdd's left vector of a real 1 x 1 sum is exactly 1 (0 and the sums
   outside the scaling window included), and so is its normalized beam;
-  the analog stage returns that constant without the SVD.
+  the analog stage returns that constant without the SVD. Each part of a
+  term's products is at most ``peak^2``, with ``peak`` the largest
+  ``|re|`` or ``|im|`` of the block, so where
+  ``4 peak^2 n_sc n_rx n_tx < 1e300`` no term or partial sum can leave the
+  float range and the stage skips the sums and their range check too.
+- zgesdd's left vector of a one-row matrix with two or more columns is
+  exactly ``+-1 + 0j`` (1 x 2 to 1 x 64, at every scale, on zero rows, from
+  the closed form and from LAPACK): its conjugate pivot phase is
+  ``+-1 - 0j`` and it rotates to exactly ``1 + 0j``, so ``svd`` returns 1
+  without the rotation or the pivot search. A stacked ``@`` by such a
+  unit factor, ``conj(1 + 0j) @ h`` or ``(1 + 0j) @ d``, rounds as
+  ``h + 0.0``: the product turns a ``-0.0`` part into ``+0.0``, which a
+  bare ``h`` would keep. With one user antenna the design takes the
+  combiner products, and for a one-row digital SVD all of ``w``, that way.
 - stacked ``np.linalg.svd`` and stacked ``@`` equal their per-matrix calls,
   and so does ``np.sum`` over the two matrix axes of a contiguous stack;
   a strided operand in stacked ``@`` (a column slice) may round differently
@@ -75,7 +89,19 @@ x86-64 these hold:
   BLAS dots on the strided ``.real``/``.imag`` views of the flattened
   matrix. Stacked ``@`` row products on the same strided views of a
   flattened stack take the same dot, so ``frobenius_norms`` equals the
-  per-matrix norm; contiguous copies of the views round differently.
+  per-matrix norm; contiguous copies of the views round differently. A
+  dot of length one is a single product, so a one-element matrix's norm
+  is ``sqrt(re * re + im * im)``.
+- zgesdd's singular value of a 1 x 1 matrix inside the scaling window is
+  dlapy3 of ``(re, im, 0)``: with ``w = max(|re|, |im|)``, the maximum the
+  window test reads, that is ``w * sqrt((|re|/w)^2 + (|im|/w)^2)``, since
+  adding the ``z = 0`` term's ``+0`` to a sum of squares changes no bit.
+- ``np.sum(x, axis=-1)`` of a real stack adds each row from 0: fewer than
+  8 entries one by one, and up to 128 in eight running sums (entry ``j``
+  and every eighth after it) added as ``((r0 + r1) + (r2 + r3)) + ((r4 +
+  r5) + (r6 + r7))``, then the rest one by one. ``row_sums`` does those
+  adds a column at a time over every row at once, and leaves longer rows
+  to ``np.sum``.
 - ``np.log1p`` is not per-element equal to ``math.log1p``; keep that scalar.
 - ``Generator.standard_normal`` gives one stream however it is split: one
   ``(links, 2, n)`` draw holds, in C order, what ``2 * links`` draws of
@@ -230,9 +256,10 @@ def _closed_form_or_lapack(rows: np.ndarray, closed, lapack) -> tuple:
     parts = np.maximum(np.abs(rows.real), np.abs(rows.imag))
     peak = parts[:, 0] if rows.shape[-1] == 1 else np.maximum(parts[:, 0], parts[:, 1])
     inside = (peak >= 2.0 * _SMLNUM) & (peak <= _BIGNUM / 2.0)
+    everywhere = inside.all()
     with np.errstate(under="ignore"):
-        out = closed(np.where(inside[:, None], rows, 1.0))
-    if not inside.all():
+        out = closed(rows if everywhere else np.where(inside[:, None], rows, 1.0))
+    if not everywhere:
         for part, fallback in zip(out, lapack(rows[~inside, None, :])):
             part[~inside] = fallback
     return out
@@ -264,9 +291,15 @@ def svd(m, k: int) -> SvdResult:
     a = np.asarray(m, dtype=np.complex128)
     lead, (rows, cols) = a.shape[:-2], a.shape[-2:]
     u, s, vh = _leading_factors(a.reshape((-1, rows, cols)), k)
-    phase = _conj_pivot_phase(u)
+    if rows == 1 < cols:
+        # such a left vector is exactly +-1 + 0j: its pivot phase is
+        # +-1 - 0j, and it rotates to exactly 1
+        phase, left = _complex(u[:, 0, :].real, -0.0), np.ones(u.shape, dtype=np.complex128)
+    else:
+        phase = _conj_pivot_phase(u)
+        left = _rotate_columns(u, phase)
     return SvdResult(
-        left=_rotate_columns(u, phase).reshape(lead + (rows, k)),
+        left=left.reshape(lead + (rows, k)),
         singular_values=s.reshape(lead + (k,)),
         right=_rotate_columns(np.conj(vh).swapaxes(-1, -2), phase).reshape(lead + (cols, k)),
     )
@@ -278,11 +311,14 @@ def singular_values(m) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
     if a.shape[-2:] != (1, 1):
         return np.linalg.svd(a, compute_uv=False)
-    (s,) = _closed_form_or_lapack(
-        a.reshape(-1, 1),
-        lambda h: (_dlapy3(h.real, h.imag, 0.0),),
-        lambda m: (np.linalg.svd(m, compute_uv=False),),
-    )
+    h = a.reshape(-1)
+    x, y = np.abs(h.real), np.abs(h.imag)
+    peak = np.maximum(x, y)
+    with np.errstate(all="ignore"):  # values outside the window are replaced below
+        s = peak * np.sqrt((x / peak) ** 2 + (y / peak) ** 2)  # _dlapy3(x, y, 0)
+    outside = ~((peak >= 2.0 * _SMLNUM) & (peak <= _BIGNUM / 2.0))
+    if outside.any():
+        s[outside] = np.linalg.svd(h[outside, None, None], compute_uv=False)[:, 0]
     return s.reshape(a.shape[:-2] + (1,))
 
 
@@ -291,8 +327,33 @@ def frobenius_norms(stack: np.ndarray) -> np.ndarray:
     equal to ``np.linalg.norm`` of each matrix (see the module docstring)."""
     flat = stack.reshape(-1, stack.shape[-2] * stack.shape[-1])
     re, im = flat.real, flat.imag
+    if flat.shape[-1] == 1:  # a length-one dot is one product
+        return np.sqrt(re * re + im * im).reshape(stack.shape[:-2])
     squares = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
     return np.sqrt(squares[:, 0, 0]).reshape(stack.shape[:-2])
+
+
+def row_sums(x: np.ndarray) -> np.ndarray:
+    """``np.sum(x, axis=-1)`` of a real stack, bit for bit, one column add at
+    a time for rows of up to 128 entries (see the module docstring)."""
+    n = x.shape[-1]
+    if n > 128:
+        return np.sum(x, axis=-1)
+    cols = [x[..., k] for k in range(n)]
+    if n < 8:
+        total = cols[0] + 0.0
+        for col in cols[1:]:
+            total += col
+        return total
+    blocks = n - n % 8
+    acc = [col + 0.0 for col in cols[:8]]
+    for start in range(8, blocks, 8):
+        for j in range(8):
+            acc[j] += cols[start + j]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for col in cols[blocks:]:
+        total += col
+    return total
 
 
 def unit_modulus_normalize(m, target_modulus: float) -> np.ndarray:

@@ -10,7 +10,6 @@ flattening is the CSV row order; the summary and the CSV are read from it.
 import dataclasses
 import itertools
 import math
-from collections import Counter
 
 import numpy as np
 
@@ -119,8 +118,15 @@ def mode_statistic(values, bin_width: float) -> float:
     # narrower than the float spacing there, so each delay is its own
     # bin's lower edge, and it lies above every finite bin
     far = np.where(np.isinf(bins), arr, 0.0)
-    counts = Counter(zip(bins.tolist(), far.tolist()))
-    (index, edge), _ = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    # runs of equal (bin, far) pairs in ascending order: the first longest
+    # run is the smallest of the most populated pairs
+    order = np.lexsort((far, bins))
+    bins, far = bins[order], far[order]
+    bounds = np.ones(arr.size + 1, dtype=bool)  # where a run starts, and the end
+    bounds[1:-1] = (bins[1:] != bins[:-1]) | (far[1:] != far[:-1])
+    starts = bounds.nonzero()[0]
+    first = starts[(starts[1:] - starts[:-1]).argmax()]
+    index, edge = float(bins[first]), float(far[first])
     return edge if math.isinf(index) else index * bin_width
 
 
@@ -129,12 +135,15 @@ def select_best_codebook(codebooks, utility):
     feasible. utility holds one row of links per codebook, NaN where a link
     is infeasible; codebooks are in (n_tx, n_rf) order, so a tie goes to
     fewer antennas, then fewer RF chains. Returns None when no codebook is
-    feasible.
+    feasible. A stack (E, C, links) of such tables returns a list of E picks.
     """
     # adds left to right; a NaN marks a codebook with an infeasible link
-    sums = np.cumsum(utility, axis=-1)[:, -1]
+    sums = np.cumsum(utility, axis=-1)[..., -1]
     feasible = ~np.isnan(sums)
-    return codebooks[int(np.argmax(np.where(feasible, sums, -np.inf)))] if feasible.any() else None
+    # argmax needs a codebook; with none, every pick is None
+    best = np.argmax(np.where(feasible, sums, -np.inf), axis=-1) if codebooks else np.zeros(sums.shape[:-1], int)
+    picks = [codebooks[i] if ok else None for i, ok in zip(np.ravel(best).tolist(), np.ravel(feasible.any(axis=-1)))]
+    return picks if utility.ndim > 2 else picks[0]
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -209,12 +218,10 @@ def _summarize(config: SweepConfig, table: SweepResult) -> dict:
             "d_trans_min_s": min_statistic(d_trans) if d_trans.size else math.nan,
             "d_trans_mode_s": mode_statistic(d_trans, config.mode_bin_s) if d_trans.size else math.nan,
         }
-    best = {}
-    for e, esn0 in enumerate(table.esn0_db.tolist()):
-        # one row per codebook: its links of every scenario, in row order
-        per_link = np.moveaxis(table.utility[:, :, e], 1, 0).reshape(len(table.codebooks), -1)
-        choice = select_best_codebook(table.codebooks, per_link)
-        best[esn0] = None if choice is None else choice.label
+    # per Es/N0 point one row per codebook: its links of every scenario, in row order
+    per_link = table.utility.transpose(2, 1, 0, 3, 4).reshape(len(table.esn0_db), len(table.codebooks), -1)
+    picks = select_best_codebook(table.codebooks, per_link)
+    best = {esn0: None if pick is None else pick.label for esn0, pick in zip(table.esn0_db.tolist(), picks)}
     return {"per_codebook": per_codebook, "best_codebook": best}
 
 

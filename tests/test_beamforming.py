@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from vrlink import beamforming
 from vrlink.beamforming import (
     Codebook,
+    _covariance_beams,
     analog_combiner,
     analog_precoder,
     design_link,
@@ -220,6 +222,36 @@ def test_design_link_names_an_overflowing_covariance_by_stack_index():
         design_link(links, (Codebook(2, 1),), np.full(4, 0.01))
     assert raised.value.link == 3
     assert str(raised.value) == "link 3: DL channel covariance sum leaves the float range"
+
+
+def peak_block(rng, shape, peak):
+    """Random channels whose largest |re| or |im| is exactly ``peak``."""
+    channels = (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)) * (peak / 2)
+    channels.flat[3] = complex(0.5 * peak, -peak)
+    return channels
+
+
+@pytest.mark.parametrize("receive_side, shape", [(True, (3, 5, 1, 4)), (False, (2, 6, 3, 1))])
+def test_one_by_one_covariance_bound(receive_side, shape, monkeypatch):
+    # below 4 peak^2 n_sc n_rx n_tx < 1e300 no 1x1 term or sum can leave the
+    # float range, so the constant beam comes without the sums; past it the
+    # exact path sums and checks, and its constant beam is the same (at
+    # scale 1e300 test_numerics holds it equal to the SVD path)
+    summed = []
+    monkeypatch.setattr(beamforming, "_subcarrier_sum", lambda p: summed.append(p.shape) or p.sum(axis=-3))
+    rng = np.random.default_rng(83)
+    bound = math.sqrt(1e300 / (4 * math.prod(shape[1:])))
+    ones = np.ones(shape[:1] + (1, 1), dtype=np.complex128)
+    inside = peak_block(rng, shape, np.nextafter(bound, 0))
+    assert np.array_equal(_covariance_beams(inside, 1, receive_side), ones) and summed == []
+    past = peak_block(rng, shape, np.nextafter(bound, np.inf))
+    assert np.array_equal(_covariance_beams(past, 1, receive_side), ones) and summed != []
+    # a sum past the float range names its link, the first in stack order
+    over = peak_block(rng, shape, 1.0)
+    over[1, 0, 0, 0] = 1e155j
+    with pytest.raises(LinkError) as raised:
+        _covariance_beams(over, 1, receive_side)
+    assert str(raised.value) == "link 1: DL channel covariance sum leaves the float range"
 
 
 def test_grouped_design_equals_each_codebook_alone():

@@ -7,11 +7,14 @@ pass the checks and reach `simulate`.
 `check-config` must exit 0, or 2 with an `error:` line; no exception may
 escape. Accepted configs small enough to run quickly also go through
 `simulate`, which must exit 0 or 2 as well, and whose `results.csv` must
-keep the model's invariants when it exits 0. A numeric warning counts as
-a failure.
+keep the model's invariants when it exits 0, and whose printed summary
+must agree with `stats --metric min` on that file. A numeric warning
+counts as a failure.
 """
 
+import contextlib
 import csv
+import io
 import math
 
 import numpy as np
@@ -78,6 +81,31 @@ def invariant_violations(path) -> list:
     return bad
 
 
+def summary_violations(path, stdout: str) -> list:
+    """The mismatches, one message each, between the d_trans_min_s column
+    of the summary that ``simulate`` printed to stdout and what ``vrlink
+    stats --metric min`` prints for its results.csv at path: the same
+    number, formatted alike, for every codebook with a finite minimum, and
+    no row for any other (an exit 2 when no minimum is finite)."""
+    want = {}
+    for line in stdout.splitlines()[2:]:
+        scenario, label, _, d_min, _ = line.split(",")
+        if d_min != "nan":
+            n_tx, n_rf = label.rstrip("R").split("A")
+            want[f"{scenario},{n_tx},{n_rf}"] = d_min
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["stats", "--in", str(path), "--metric", "min"])
+    if code != (0 if want else 2):
+        return [f"stats --metric min exited {code}: {err.getvalue().strip()}"]
+    got = dict(line.rsplit(",", 1) for line in out.getvalue().splitlines()[1:])
+    return [
+        f"{key}: summary d_trans_min_s {want.get(key)}, stats --metric min {got.get(key)}"
+        for key in sorted(want.keys() | got.keys())
+        if want.get(key) != got.get(key)
+    ]
+
+
 def draw(rng) -> dict:
     names = sorted(KEYS)
     keys = [names[k] for k in rng.choice(len(names), size=int(rng.integers(1, 6)), replace=False)]
@@ -104,10 +132,11 @@ def test_fuzzed_configs_run_or_exit_2(seed, tmp_path, capsys):
         if code == 0 and small_enough(load_config(str(path))):
             out = tmp_path / "out"
             code = main(["simulate", "--config", str(path), "--out", str(out)])
-            err = capsys.readouterr().err
+            printed = capsys.readouterr()
             assert code in (0, 2), raw
-            assert (code == 2) == err.startswith("error: "), (raw, err)
+            assert (code == 2) == printed.err.startswith("error: "), (raw, printed.err)
             if code == 0:
                 assert invariant_violations(out / "results.csv") == [], raw
+                assert summary_violations(out / "results.csv", printed.out) == [], raw
             simulated += 1
     assert simulated > 0

@@ -19,6 +19,7 @@ from vrlink.numerics import (
     _zscal,
     ensure_complex_stack,
     frobenius_norms,
+    row_sums,
     singular_values,
     svd,
     unit_modulus_normalize,
@@ -170,9 +171,14 @@ def test_frobenius_norms_equal_per_matrix_norm(n_tx, n_ds):
     shape = (3, 500, n_tx, n_ds)
     scale = 10.0 ** rng.uniform(-8, 2, shape[:2] + (1, 1))
     stack = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+    # zero, subnormal and large parts, each zero of either sign; a
+    # one-element matrix's length-one dot is a single product
+    special = rng.choice([0.0, -0.0, 5e-324, -3e-310, 1e-200, 1.5, -2.5, 1e150], (2,) + shape[1:])
+    stack[0] = special[0] + 1j * special[1]
+    stack.imag[0][rng.uniform(size=shape[1:]) < 0.3] = -0.0
     norms = frobenius_norms(stack)
     assert norms.shape == shape[:2]
-    assert np.array_equal(norms, [[np.linalg.norm(m) for m in link] for link in stack])
+    assert_same_bits(norms, np.array([[np.linalg.norm(m) for m in link] for link in stack]))
 
 
 
@@ -339,11 +345,15 @@ def test_closed_form_svd_mixed_stack():
 
 
 def test_singular_values_of_1x1_stacks_equal_lapack():
+    # max(|re|, |im|) picks the closed form, dlapy3 without its z = 0 term,
+    # inside the scaling window and zgesdd outside it; subnormal to 1e300
     rng = np.random.default_rng(46)
-    scale = 10.0 ** rng.uniform(-170, 170, (4, 500, 1, 1))
+    scale = 10.0 ** rng.uniform(-320, 300, (4, 500, 1, 1))
     stack = (rng.standard_normal((4, 500, 1, 1)) + 1j * rng.standard_normal((4, 500, 1, 1))) * scale
     stack[0, :50] = 0.0
     stack[1, :50] = stack[1, :50].real
+    stack[2, :50] = 1j * stack[2, :50].imag
+    stack.real[3, :50] = -0.0
     assert_same_bits(singular_values(stack), np.linalg.svd(stack, compute_uv=False))
     # both sides of each edge of the scaling window, on the real or the imaginary part
     edges = [2 * _SMLNUM, np.nextafter(2 * _SMLNUM, 0), _BIGNUM / 2, np.nextafter(_BIGNUM / 2, np.inf)]
@@ -439,10 +449,11 @@ def test_svd_of_wide_rows_and_multi_row_stacks_equals_full_reference():
                 assert_svd_equals_full_reference(stack, k)
 
 
-@pytest.mark.parametrize("scale", [0.0, 1e-320, 1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e100, 1e150])
+@pytest.mark.parametrize("scale", [0.0, 1e-320, 1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e100, 1e150, 1e300])
 def test_one_by_one_covariance_beam_equals_the_svd_path(scale):
     # n_r = 1 combiners and n_t = 1 precoders: the analog stage's 1x1
-    # covariance sum, through the SVD and normalization, is exactly 1
+    # covariance sum, through the SVD and normalization, is exactly 1; at
+    # 1e300 the sums pass the bound below which the stage skips them
     rng = np.random.default_rng(55)
     root = math.sqrt(scale)
     for n_other in (1, 2, 3, 4, 8, 16):
@@ -486,3 +497,67 @@ def test_zscal_skips_a_zero_part_of_alpha():
         # every lane of one kind, then a stack that mixes them with general lanes
         for lanes in (alpha, np.where(rng.uniform(size=400) < 0.3, alpha, complex_of(*parts))):
             assert_same_bits(_zscal(lanes, x), zscal_nested(lanes, x))
+
+
+def signed_zero_rows(rng, rows, cols):
+    """Random one-row stack (rows, 1, cols) with zero rows, real, imaginary and
+    sign-flipped rows, and zero parts of either sign."""
+    stack = random_complex(rng, rows, cols)[:, None, :]
+    stack[:4] = 0.0
+    stack[4:8] = stack[4:8].real
+    stack[8:12] = 1j * stack[8:12].imag
+    stack[12:16] *= -1.0
+    stack.real[16:20] = -0.0
+    stack.imag[20:24] = -0.0
+    return stack
+
+
+@pytest.mark.parametrize("cols", [*range(2, 17), 32, 64])
+def test_one_row_left_vector_is_exactly_one(cols):
+    # zgesdd's left vector of a one-row matrix with two or more columns is
+    # +-1 + 0j; rotated by its conjugate pivot phase +-1 - 0j it is exactly
+    # 1 + 0j, which svd returns without the rotation. Scales inside and
+    # outside the scaling window reach the closed form (1 x 2) and the
+    # reduced zgesdd, which is also the closed form's fallback.
+    rng = np.random.default_rng(60 + cols)
+    for scale in (0.0, 1e-320, 1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e150, 1e300):
+        stack = signed_zero_rows(rng, 40, cols) * scale
+        u, _, _ = np.linalg.svd(stack, full_matrices=False)
+        assert np.all(np.abs(u.real) == 1.0)
+        assert_same_bits(u.imag, np.zeros(u.shape))
+        res = svd(stack, 1)
+        assert_same_bits(res.left, np.ones((40, 1, 1), dtype=np.complex128))
+        for matrix, left, right in zip(stack, res.left, res.right):
+            want_u, _, want_v = full_svd(matrix)
+            assert_same_bits(left, want_u[:, :1])
+            assert_same_bits(right, want_v[:, :1])
+
+
+def test_a_unit_factor_in_stacked_matmul_rounds_as_adding_zero():
+    # one user antenna: G = 1 and, for n_rf >= 2, w = 1, so the design takes
+    # G^H H, G d and w^H H as H + 0.0 and d + 0.0; a bare H or d would keep
+    # the -0.0 parts that the product turns into +0.0
+    rng = np.random.default_rng(77)
+    for n_tx in (1, 2, 3, 4, 8, 16):
+        links = signed_zero_rows(rng, 3 * 40, n_tx).reshape(3, 40, 1, n_tx)
+        g = np.ones((3, 1, 1), dtype=np.complex128)
+        w = np.ones((3, 40, 1, 1), dtype=np.complex128)
+        d = np.ascontiguousarray(links[..., :1])
+        assert_same_bits(np.conj(g[:, None]).swapaxes(-1, -2) @ links, links + 0.0)
+        assert_same_bits(np.conj(w).swapaxes(-1, -2) @ links, links + 0.0)
+        assert_same_bits(g[:, None] @ d, d + 0.0)
+        assert links.tobytes() != (links + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("cols", [*range(1, 34), 63, 64, 65, 127, 128, 129, 200])
+def test_row_sums_equal_numpy_sum(cols):
+    # numpy adds fewer than 8 entries one by one from 0, and up to 128 in
+    # eight running sums added as a tree, then the rest one by one
+    rng = np.random.default_rng(cols)
+    x = rng.standard_normal((3, 50, cols)) * 10.0 ** rng.uniform(-300, 300, (3, 50, cols))
+    x[0] = -0.0
+    x[1, :25] = rng.choice([0.0, -0.0, 5e-324], (25, cols))
+    with np.errstate(over="ignore"):
+        squares = np.abs(x * 1e10) ** 2
+        for stack in (x, squares, x.reshape(150, cols)):
+            assert_same_bits(row_sums(stack), np.sum(stack, axis=-1))

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -258,6 +259,40 @@ def test_mode_statistic_bin_index_past_float_range():
         assert mode_statistic([2e300, 1e300, 3.0, 3.0], 1e-10) == pytest.approx(3.0)
         # a tie goes to the finite, smaller bin
         assert mode_statistic([2e300, 3.0], 1e-10) == pytest.approx(3.0)
+
+
+def counted_mode(values, bin_width):
+    """mode_statistic one pair at a time: count every (bin, far) pair, then
+    take the most populated, the smallest pair among equals."""
+    with np.errstate(over="ignore"):
+        bins = np.floor(np.asarray(values) / bin_width).tolist()
+    pairs = [(b, v if math.isinf(b) else 0.0) for b, v in zip(bins, values)]
+    (index, edge), _ = min(Counter(pairs).items(), key=lambda kv: (-kv[1], kv[0]))
+    return edge if math.isinf(index) else index * bin_width
+
+
+def test_mode_statistic_equals_the_counted_mode():
+    # sorted runs of (bin, far) pairs: ties, far bins, both zeros
+    rng = np.random.default_rng(91)
+    for _ in range(3000):
+        pool = np.concatenate([
+            rng.choice([0.0, -0.0, 3.0, 1e14, 1e20, 1e300, 2e300], 4), rng.uniform(0, 5, 4), 10.0 ** rng.uniform(-3, 300, 4),
+        ])
+        values = rng.choice(pool, int(rng.integers(1, 40)))
+        bin_width = float(rng.choice([1e-10, 1e-6, 0.5, 1.0, 7.0]))
+        got, want = mode_statistic(values, bin_width), counted_mode(values.tolist(), bin_width)
+        assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes(), (values, bin_width)
+
+
+def test_select_best_codebook_of_a_stack_equals_one_table_at_a_time():
+    rng = np.random.default_rng(92)
+    books = tuple(Codebook(n_tx, n_rf) for n_tx in (2, 4) for n_rf in (1, 2))
+    tables = rng.choice([0.0, 0.25, 0.5, math.nan], (9, len(books), 3))
+    tables[0] = math.nan
+    tables[1] = 0.5
+    picks = select_best_codebook(books, tables)
+    assert picks == [select_best_codebook(books, table) for table in tables]
+    assert picks[0] is None and picks[1] is books[0]
 
 
 def test_evaluate_sweep_point_utilities_and_delays(small_result):

@@ -306,13 +306,18 @@ def test_design_link_matches_per_subcarrier_reference():
         n_sc = int(rng.integers(1, 70))
         codebook = Codebook(n_tx, n_rf, n_rx, n_ds)
         channels = random_complex(rng, (n_sc, n_rx, n_tx)) * 1e-5
+        # zero subcarriers and zero parts of either sign
+        picked = rng.uniform(size=n_sc) < 0.2
+        channels[picked] = rng.choice([0.0, -0.0], (picked.sum(), n_rx, n_tx))
+        channels.real[rng.uniform(size=channels.shape) < 0.1] = -0.0
+        channels.imag[rng.uniform(size=channels.shape) < 0.1] = -0.0
         p_b = float(rng.uniform(1e-3, 1e-1))
         (sol,) = design_link(channels[None], (codebook,), np.array([p_b]))
         p_a, g_a, eff, power = per_subcarrier_design(channels, codebook, p_b)
-        assert np.array_equal(sol.analog_precoder[0], p_a)
-        assert np.array_equal(sol.analog_combiner[0], g_a)
-        assert np.array_equal(sol.effective_channels[0], eff)
-        assert np.array_equal(sol.subcarrier_power[0], power)
+        assert sol.analog_precoder[0].tobytes() == p_a.tobytes()
+        assert sol.analog_combiner[0].tobytes() == g_a.tobytes()
+        assert sol.effective_channels[0].tobytes() == eff.tobytes()
+        assert sol.subcarrier_power[0].tobytes() == power.tobytes()
         total, gains = per_subcarrier_power_and_gain(power, eff)
         assert sol.transmit_power()[0] == total
         assert np.array_equal(sol.effective_gain_per_subcarrier()[0], gains)

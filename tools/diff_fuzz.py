@@ -15,8 +15,10 @@ The exit code, stdout and stderr of every command must be equal byte for
 byte; an exception that escapes ``main`` counts as exit code ``raised``
 with its type and message as stderr. A ``simulate`` that exits 0 must also
 write a ``results.csv`` that keeps the model's invariants
-(``tests/test_fuzz.invariant_violations``). Each difference and each broken
-invariant is printed, and the exit status is 1 if there is any.
+(``tests/test_fuzz.invariant_violations``) and print a summary whose
+minimum transmission delays ``vrlink stats --metric min`` reads back from
+that file (``tests/test_fuzz.summary_violations``). Each difference and
+each broken invariant is printed, and the exit status is 1 if there is any.
 """
 
 import argparse
@@ -71,6 +73,7 @@ def worker(src: Path, tests: Path) -> int:
             simulate = run_cli(fuzz.main, ["simulate", "--config", "fuzz.conf", "--out", "out"])
             if simulate[0] == 0:
                 broken = fuzz.invariant_violations("out/results.csv")
+                broken += fuzz.summary_violations("out/results.csv", simulate[1])
         reply.write(json.dumps({"check-config": check, "simulate": simulate, "broken": broken}) + "\n")
         reply.flush()
     return 0
