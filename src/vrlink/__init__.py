@@ -11,12 +11,7 @@ its CSV, or design one link. Everything else lives in the submodules.
 
 from .beamforming import Codebook, design_link
 from .config import SweepConfig, config_from_dict, load_config
-from .errors import (
-    ConfigurationError,
-    DegenerateGeometryError,
-    InvalidInputError,
-    ShapeError,
-)
+from .errors import ConfigurationError, InvalidInputError, ShapeError
 from .runner import SweepResult, run_sweep, write_results_csv
 
 __version__ = "0.1.0"

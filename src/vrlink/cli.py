@@ -145,16 +145,13 @@ def main(argv=None) -> int:
             return _cmd_simulate(args)
         if args.command == "stats":
             return _cmd_stats(args)
-        if args.command == "check-config":
-            return _cmd_check_config(args)
-        parser.error(f"unknown command {args.command!r}")
+        return _cmd_check_config(args)
     except (ConfigurationError, InvalidInputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
-    return EXIT_OK
 
 
 if __name__ == "__main__":

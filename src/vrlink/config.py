@@ -15,6 +15,7 @@ from .beamforming import Codebook
 from .channel import GAIN_MODES, SubcarrierGrid, path_gains
 from .errors import ConfigurationError
 from .linkmetrics import GainAggregation, noise_power
+from .numerics import FACTOR_TOL
 from .qos import TrafficModel
 from .topology import IndoorArea, NetworkTopology, Position3D
 
@@ -235,6 +236,13 @@ class SweepConfig:
         for name in ("tap_spacing_s", "epsilon0", "p_b", "p_u", "gamma_d"):
             if not getattr(self, name) > 0:
                 raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
+        # the power check scales p_b by 1 + FACTOR_TOL; a rate is at most
+        # bw * log2(1 + SINR) <= bw * 1024 for a finite SINR, and twice that
+        # leaves room for a sum of rates over the subcarriers to round up
+        if not math.isfinite(self.p_b * (1.0 + FACTOR_TOL)):
+            raise ConfigurationError(f"p_b leaves the float range with the power check's tolerance, got {self.p_b}")
+        if not math.isfinite(self.grid.total_bandwidth * 2048.0):
+            raise ConfigurationError(f"bw_total gives rates past the float range, got {self.grid.total_bandwidth}")
         try:  # the sweep's noise power at every grid point
             noise = [noise_power(e, self.p_b) for e in self.esn0_db.tolist()]
         except ArithmeticError:  # 10^(esn0/10) overflows, or underflows to 0

@@ -13,10 +13,6 @@ class LinkError(InvalidInputError):
         self.link, self.problem = link, problem
 
 
-class DegenerateGeometryError(ValueError):
-    """Geometry the channel model cannot handle (zero distance, stacked nodes)."""
-
-
 class ShapeError(ValueError):
     """Matrix dimensions do not conform."""
 

@@ -11,9 +11,9 @@ the same masks for both directions. The scalar statement of the model, one
 cell at a time, lives in the tests (tests/oracles.py), which hold this path
 to it bit for bit. ``sinr_ul`` stays here only as the target of the
 benchmark's ``linkmetrics.sinr_ul`` layer hook; nothing in the package calls
-it. ``compute_metrics`` takes the sweep's own arrays, positive noise powers
-from ``SweepConfig`` and squared gains from the design, and checks only
-what they can still produce: powers, sums and SINRs past the float range.
+it. Both take positive noise powers from ``SweepConfig`` unchecked, and
+``compute_metrics`` checks only what the sweep's arrays can still produce:
+powers, sums and SINRs past the float range.
 """
 
 import math
@@ -55,10 +55,8 @@ def sinr_ul(
 
     Intra-cell interference sums the other users homed to AP j through their
     own channels to j; inter-cell interference sums users of every other AP b
-    through their channels to b.
+    through their channels to b. sigma_sq must be positive; it is not checked.
     """
-    if not sigma_sq > 0:
-        raise InvalidInputError(f"noise power must be positive, got {sigma_sq}")
     gain = np.abs(coeffs[:, :, n]) ** 2
     signal = user_powers[i] * gain[i, j]
     intra = 0.0

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidInputError
+from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,6 @@ def processing_delay(v_bits: float, m_capacity: float, n_share: float) -> float:
         raise ConfigurationError(f"processing capacity must be positive, got {m_capacity}")
     if not n_share > 0:
         raise ConfigurationError(f"processing share must be positive, got {n_share}")
-    if v_bits < 0:
-        raise InvalidInputError(f"workload must be non-negative, got {v_bits}")
     share = m_capacity / n_share
     if not share > 0:
         raise ConfigurationError(f"compute share m_capacity/n_share underflows to 0, got {m_capacity}/{n_share}")

@@ -98,17 +98,12 @@ def _design_group(config: SweepConfig, group: tuple, amplitude, n_served, budget
 
 def min_statistic(values) -> float:
     """Smallest value of a non-empty vector."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise InvalidInputError("min statistic of an empty vector")
-    return float(np.min(arr))
+    return float(np.min(np.asarray(values, dtype=float)))
 
 
 def mode_statistic(values, bin_width: float) -> float:
-    """Lower edge of the most populated bin; ties go to the smaller bin."""
+    """Lower edge of the most populated bin of a non-empty vector; ties go to the smaller bin."""
     arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise InvalidInputError("mode statistic of an empty vector")
     if not 0 < bin_width < math.inf:
         raise InvalidInputError(f"bin width must be finite and positive, got {bin_width}")
     # float bins: an int64 cast wraps for delays above 2^63 bins
@@ -130,20 +125,19 @@ def mode_statistic(values, bin_width: float) -> float:
     return edge if math.isinf(index) else index * bin_width
 
 
-def select_best_codebook(codebooks, utility):
-    """Codebook with the largest utility sum among those whose links are all
-    feasible. utility holds one row of links per codebook, NaN where a link
-    is infeasible; codebooks are in (n_tx, n_rf) order, so a tie goes to
-    fewer antennas, then fewer RF chains. Returns None when no codebook is
-    feasible. A stack (E, C, links) of such tables returns a list of E picks.
+def select_best_codebook(codebooks, utility) -> list:
+    """Per Es/N0 point, the codebook with the largest utility sum among those
+    whose links are all feasible. utility is one (E, C, links) stack: per
+    point, one row of links per codebook, NaN where a link is infeasible.
+    codebooks are in (n_tx, n_rf) order, so a tie goes to fewer antennas,
+    then fewer RF chains. Returns a list of E picks, None at a point where
+    no codebook is feasible.
     """
     # adds left to right; a NaN marks a codebook with an infeasible link
     sums = np.cumsum(utility, axis=-1)[..., -1]
     feasible = ~np.isnan(sums)
-    # argmax needs a codebook; with none, every pick is None
-    best = np.argmax(np.where(feasible, sums, -np.inf), axis=-1) if codebooks else np.zeros(sums.shape[:-1], int)
-    picks = [codebooks[i] if ok else None for i, ok in zip(np.ravel(best).tolist(), np.ravel(feasible.any(axis=-1)))]
-    return picks if utility.ndim > 2 else picks[0]
+    best = np.argmax(np.where(feasible, sums, -np.inf), axis=-1)
+    return [codebooks[i] if ok else None for i, ok in zip(best.tolist(), feasible.any(axis=-1).tolist())]
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:

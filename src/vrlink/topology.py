@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateGeometryError, InvalidInputError
+from .errors import ConfigurationError, InvalidInputError
 
 
 @dataclass(frozen=True)
@@ -91,13 +91,10 @@ def departure_arrival_angles(tx: Position3D, rx: Position3D) -> tuple:
     Departure direction is rx - tx; arrival is its negation, so the arrival
     azimuth is exactly the departure azimuth rotated by 180 degrees. The
     two-argument arctangent keeps the quadrant, which a plain ratio loses.
+    tx and rx must differ in the xy plane, as ``NetworkTopology`` checks.
     """
     dx = rx.x - tx.x
     dy = rx.y - tx.y
-    if dx == 0.0 and dy == 0.0:
-        raise DegenerateGeometryError(
-            f"tx {(tx.x, tx.y)} and rx {(rx.x, rx.y)} coincide in the xy plane"
-        )
     aod_az = math.degrees(math.atan2(dy, dx)) % 360.0
     aoa_az = (aod_az + 180.0) % 360.0
     return aod_az, aoa_az

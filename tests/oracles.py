@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from vrlink.errors import ConfigurationError, DegenerateGeometryError, InvalidInputError
+from vrlink.errors import ConfigurationError, InvalidInputError
 from vrlink.linkmetrics import _AGGREGATE, LN2, GainAggregation
 from vrlink.linkmetrics import sinr_ul  # noqa: F401 (re-exported, see above)
 from vrlink.numerics import ZERO_MODULUS, SvdResult
@@ -161,7 +161,7 @@ def total_utility(conditional: float, tracking: float) -> float:
 def ul_channel(d: float, w: float, ramp_n: complex) -> complex:
     """Single-subcarrier UL coefficient: per-subcarrier factor times d^-w."""
     if not d > 0:
-        raise DegenerateGeometryError(f"distance must be positive, got {d}")
+        raise InvalidInputError(f"distance must be positive, got {d}")
     if not w > 0:
         raise InvalidInputError(f"path-loss exponent must be positive, got {w}")
     return ramp_n * d ** (-w)

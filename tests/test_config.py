@@ -319,6 +319,28 @@ BAD_INPUTS = [
     (f"{NEAR_PAIR}\ngain_mode = gaussian", [], "user 0 / AP 0: UL interference or SINR leaves the float range"),
     (f"{HUGE_DL}\ngain_mode = gaussian", [], "user 0 / AP 0: DL interference or SINR leaves the float range"),
     *((text, [], "user 0 / AP 0: DL channel covariance sum leaves the float range") for text in HUGE_COVARIANCE),
+    # the float maximum: the power check's p_b * (1 + tolerance) and the
+    # rates bw_total * log2(1 + SINR) would leave the float range
+    ("n_sc = 4\nesn0_stop = 2\np_b = 1.7976931348623157e308", [],
+     "p_b leaves the float range with the power check's tolerance, got 1.7976931348623157e+308"),
+    ("n_sc = 4\nesn0_stop = 2\nbw_total = 1.7976931348623157e308\nw = 1\np_u = 1", [],
+     "bw_total gives rates past the float range, got 1.7976931348623157e+308"),
+    # simulate's own flags
+    ("n_sc = 8", ["--codebook", "abc"], "cannot parse codebook 'abc', expected NTxNRF"),
+    ("n_sc = 8", ["--codebook", "2x3"], "need 1 <= n_ds <= n_rf <= n_tx, got ds=1 rf=3 tx=2"),
+    ("n_sc = 8", ["--esn0", "0:20"], "expected start:step:stop, got '0:20'"),
+]
+
+# (results CSV text, the message `vrlink stats` prints after "error: ", with
+# PATH for the file's path)
+BAD_STATS = [
+    ("scenario,n_tx,n_rf,d_trans_s\nmean,2,1,abc",
+     "malformed row in PATH: {'scenario': 'mean', 'n_tx': '2', 'n_rf': '1', 'd_trans_s': 'abc'}"),
+    ("scenario,n_tx,n_rf,d_trans_s\nmean,2.5,1,1e-3",
+     "malformed row in PATH: {'scenario': 'mean', 'n_tx': '2.5', 'n_rf': '1', 'd_trans_s': '1e-3'}"),
+    ("scenario,n_tx,n_rf,d_trans_s\nmean,2",
+     "malformed row in PATH: {'scenario': 'mean', 'n_tx': '2', 'n_rf': None, 'd_trans_s': None}"),
+    ("scenario,n_tx,n_rf,d_trans_s\nmean,2,1,inf", "no finite transmission delays found in PATH"),
 ]
 
 
@@ -333,6 +355,16 @@ def test_bad_input_exits_2_with_message(text, simulate_args, message, tmp_path, 
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize("text, message", BAD_STATS)
+def test_bad_results_csv_exits_2_with_message(text, message, tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text(text + "\n")
+    assert main(["stats", "--in", str(path), "--metric", "min"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message.replace('PATH', str(path))}\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("mode", ["deterministic", "gaussian"])
@@ -376,6 +408,17 @@ def test_negative_seed_is_rejected_on_every_path():
         config_from_dict({"seed": "-1"})
     with pytest.raises(ConfigurationError, match=message):
         dataclasses.replace(config_from_dict({}), seed=-1)
+
+
+def test_esn0_grid_is_checked_on_the_replace_path():
+    # esn0_grid builds only non-empty, increasing grids; a replaced grid is
+    # checked by SweepConfig
+    cfg = config_from_dict({"n_sc": "4"})
+    with pytest.raises(ConfigurationError, match="^empty Es/N0 grid$"):
+        dataclasses.replace(cfg, esn0_db=np.array([]))
+    for grid in ([0.0, 0.0], [1.0, 0.0], [0.0, 2.0, 1.0]):
+        with pytest.raises(ConfigurationError, match="^Es/N0 grid must be strictly increasing$"):
+            dataclasses.replace(cfg, esn0_db=np.array(grid))
 
 
 def test_config_holds_the_row_order_on_every_path():

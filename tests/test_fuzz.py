@@ -1,15 +1,16 @@
 """Seeded fuzz of the config parser and the CLI, in plain loops.
 
 Random subsets of the known keys get hostile values: 0, -1, +-1e300,
-1e-300, inf, nan, text, and positions that put an AP on a user's xy spot.
-Half the drawn keys get a well-formed value instead, so that more draws
-pass the checks and reach `simulate`.
+1e-300, the float maximum, inf, nan, text, and positions that put an AP on
+a user's xy spot. Half the drawn keys get a well-formed value instead, so
+that more draws pass the checks and reach `simulate`.
 `check-config` must exit 0, or 2 with an `error:` line; no exception may
 escape. Accepted configs small enough to run quickly also go through
-`simulate`, which must exit 0 or 2 as well, and whose `results.csv` must
-keep the model's invariants when it exits 0, and whose printed summary
-must agree with `stats --metric min` on that file. A numeric warning
-counts as a failure.
+`simulate` with a random subset of its override flags (`--esn0`,
+`--codebook`, `--seed`, `--scenario`, `--queue-units`), well-formed or
+not. It must exit 0 or 2 as well; when it exits 0, its `results.csv` must
+keep the model's invariants and its printed summary must agree with
+`stats --metric min` on that file. A numeric warning counts as a failure.
 """
 
 import contextlib
@@ -23,7 +24,7 @@ import pytest
 from vrlink.cli import main
 from vrlink.config import KEYS, load_config
 
-HOSTILE = ("0", "-1", "1e300", "-1e300", "1e-300", "inf", "nan", "banana")
+HOSTILE = ("0", "-1", "1e300", "-1e300", "1e-300", "1.7976931348623157e308", "inf", "nan", "banana")
 
 # well-formed values for the keys whose syntax a bare number cannot meet
 SHAPED = {
@@ -47,6 +48,18 @@ MILD = ("1", "2", "3")
 
 # the keys a fuzz draw leaves alone keep the sweep small
 BASE = {"n_sc": "4", "esn0_stop": "2"}
+
+# simulate's override flags, each with values that run and values the
+# package rejects; a grid has at most three points, so a small sweep stays
+# small. argparse's own choices and int type are not drawn against.
+FLAGS = {
+    "--esn0": ("0:1:2", "5:5:10", "-3:0.5:-2", "0:20", "2:1:0", "0:0:1", "0:1e-300:1", "nan:1:2",
+               "-1e300:1e300:1e300", "abc"),
+    "--codebook": ("2x1", "4x2,2x1", "1x1", "8x2,8x1,8x1", "16A1R", "abc", "2x3", "0x1", ",", "2x1,,4x1"),
+    "--seed": ("0", "3", "-1", "99999999999999999999"),
+    "--scenario": ("mean", "min", "both"),
+    "--queue-units": ("paper", "reciprocal"),
+}
 
 
 def small_enough(config) -> bool:
@@ -116,6 +129,12 @@ def draw(rng) -> dict:
     return raw
 
 
+def draw_flags(rng) -> list:
+    """simulate's override flags: each of FLAGS with probability 0.3, as
+    --flag=value, so that a value may start with a minus sign."""
+    return [f"{flag}={values[int(rng.integers(len(values)))]}" for flag, values in FLAGS.items() if rng.random() < 0.3]
+
+
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_fuzzed_configs_run_or_exit_2(seed, tmp_path, capsys):
@@ -123,7 +142,7 @@ def test_fuzzed_configs_run_or_exit_2(seed, tmp_path, capsys):
     path = tmp_path / "fuzz.conf"
     simulated = 0
     for _ in range(60):
-        raw = draw(rng)
+        raw, flags = draw(rng), draw_flags(rng)
         path.write_text("".join(f"{k} = {v}\n" for k, v in raw.items()))
         code = main(["check-config", "--config", str(path)])
         err = capsys.readouterr().err
@@ -131,12 +150,12 @@ def test_fuzzed_configs_run_or_exit_2(seed, tmp_path, capsys):
         assert (code == 2) == err.startswith("error: "), (raw, err)
         if code == 0 and small_enough(load_config(str(path))):
             out = tmp_path / "out"
-            code = main(["simulate", "--config", str(path), "--out", str(out)])
+            code = main(["simulate", "--config", str(path), "--out", str(out), *flags])
             printed = capsys.readouterr()
-            assert code in (0, 2), raw
-            assert (code == 2) == printed.err.startswith("error: "), (raw, printed.err)
+            assert code in (0, 2), (raw, flags)
+            assert (code == 2) == printed.err.startswith("error: "), (raw, flags, printed.err)
             if code == 0:
-                assert invariant_violations(out / "results.csv") == [], raw
-                assert summary_violations(out / "results.csv", printed.out) == [], raw
+                assert invariant_violations(out / "results.csv") == [], (raw, flags)
+                assert summary_violations(out / "results.csv", printed.out) == [], (raw, flags)
             simulated += 1
     assert simulated > 0

@@ -17,6 +17,10 @@ is called as parser(key, text) whether it names the key or not.
 A dataclass field counts as read when package code reads an attribute of
 that name. Allowed unread: the fields in ``UNREAD_FIELDS``, each with its
 reason.
+
+An error class of ``vrlink.errors`` counts as used when a ``raise`` in
+package code names it; a class that nothing raises is API the model does
+not use, even when the package root exports it.
 """
 
 import ast
@@ -166,6 +170,19 @@ def unread_fields() -> list:
     ]
 
 
+def unraised_errors() -> list:
+    """Classes defined in vrlink.errors that no ``raise`` under src/vrlink names."""
+    modules = _modules()
+    raised = set()
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    return [node.name for node in modules["errors"].body if isinstance(node, ast.ClassDef) and node.name not in raised]
+
+
 def test_every_public_name_has_a_reader_in_the_package():
     assert unread_names() == []
 
@@ -176,3 +193,7 @@ def test_every_parameter_is_read_by_its_function():
 
 def test_every_dataclass_field_is_read_by_the_package():
     assert sorted(unread_fields()) == sorted(UNREAD_FIELDS)
+
+
+def test_every_error_class_is_raised_by_the_package():
+    assert unraised_errors() == []

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from vrlink.errors import ConfigurationError, DegenerateGeometryError, InvalidInputError
+from vrlink.errors import ConfigurationError, InvalidInputError
 from vrlink.topology import IndoorArea, NetworkTopology, Position3D, departure_arrival_angles, distance
 
 
@@ -59,12 +59,6 @@ def test_angles_quadrant_and_range():
         assert 0.0 <= aod < 360.0
         assert 0.0 <= aoa < 360.0
         assert aoa == pytest.approx((aod + 180.0) % 360.0, abs=1e-9)
-
-
-def test_angles_vertical_offset_only_is_degenerate():
-    # same xy column, different height: azimuth undefined
-    with pytest.raises(DegenerateGeometryError):
-        departure_arrival_angles(Position3D(1, 1, 0), Position3D(1, 1, 2))
 
 
 def test_area_contains_and_sample():

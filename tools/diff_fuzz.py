@@ -2,14 +2,16 @@
 
     python3 tools/diff_fuzz.py --parent ../parent --change . --seeds 200 --draws 60
 
-Seed k draws ``--draws`` config dicts with ``tests/test_fuzz.draw`` from
-``np.random.default_rng([k, 8])``, the stream tier-1's fuzz test uses for
-seeds 0-3. Every draw goes through ``vrlink check-config``; an accepted one
-that ``small_enough`` passes also goes through ``vrlink simulate``. Each
-checkout runs all of its draws in one worker process with its own ``src``
-first on the path, RuntimeWarning as an error, and the same relative file
-names, so a message that names the config file reads the same on both
-sides. ``draw`` and ``small_enough`` are read from the change's tests.
+Seed k draws ``--draws`` config dicts with ``tests/test_fuzz.draw``, each
+followed by ``simulate`` override flags from ``tests/test_fuzz.draw_flags``,
+from ``np.random.default_rng([k, 8])``, the stream tier-1's fuzz test uses
+for seeds 0-3. Every config goes through ``vrlink check-config``; an
+accepted one that ``small_enough`` passes also goes through ``vrlink
+simulate`` with its flags. Each checkout runs all of its draws in one
+worker process with its own ``src`` first on the path, RuntimeWarning as
+an error, and the same relative file names, so a message that names the
+config file reads the same on both sides. ``draw``, ``draw_flags`` and
+``small_enough`` are read from the change's tests.
 
 The exit code, stdout and stderr of every command must be equal byte for
 byte; an exception that escapes ``main`` counts as exit code ``raised``
@@ -56,7 +58,7 @@ def run_cli(main, argv: list) -> list:
 
 
 def worker(src: Path, tests: Path) -> int:
-    """Answer one JSON line per config dict read from stdin."""
+    """Answer one JSON line per [config dict, simulate flags] pair read from stdin."""
     sys.path.insert(0, str(src))
     warnings.simplefilter("error", RuntimeWarning)
     fuzz = load_fuzz(tests)
@@ -66,11 +68,12 @@ def worker(src: Path, tests: Path) -> int:
         raise SystemExit(f"worker imported {vrlink.__file__}, not the checkout's {src}")
     reply = sys.stdout
     for line in sys.stdin:
-        Path("fuzz.conf").write_text("".join(f"{k} = {v}\n" for k, v in json.loads(line).items()))
+        raw, flags = json.loads(line)
+        Path("fuzz.conf").write_text("".join(f"{k} = {v}\n" for k, v in raw.items()))
         check = run_cli(fuzz.main, ["check-config", "--config", "fuzz.conf"])
         simulate, broken = None, []
         if check[0] == 0 and fuzz.small_enough(fuzz.load_config("fuzz.conf")):
-            simulate = run_cli(fuzz.main, ["simulate", "--config", "fuzz.conf", "--out", "out"])
+            simulate = run_cli(fuzz.main, ["simulate", "--config", "fuzz.conf", "--out", "out", *flags])
             if simulate[0] == 0:
                 broken = fuzz.invariant_violations("out/results.csv")
                 broken += fuzz.summary_violations("out/results.csv", simulate[1])
@@ -101,7 +104,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(sides["change"] / "src"))
     fuzz = load_fuzz(tests)
 
-    counts = {"draws": 0, "accepted": 0, "simulated": 0, "ran": 0, "differences": 0, "broken": 0}
+    counts = {"draws": 0, "accepted": 0, "simulated": 0, "flagged": 0, "ran": 0, "differences": 0, "broken": 0}
     with contextlib.ExitStack() as stack:
         workers = {}
         for side, checkout in sides.items():
@@ -110,9 +113,9 @@ def main(argv=None) -> int:
         for seed in range(args.seeds):
             rng = np.random.default_rng([seed, 8])
             for k in range(args.draws):
-                raw = fuzz.draw(rng)
+                raw, flags = fuzz.draw(rng), fuzz.draw_flags(rng)
                 for proc in workers.values():
-                    proc.stdin.write(json.dumps(raw) + "\n")
+                    proc.stdin.write(json.dumps([raw, flags]) + "\n")
                     proc.stdin.flush()
                 answers = {}
                 for side, proc in workers.items():
@@ -124,11 +127,12 @@ def main(argv=None) -> int:
                 counts["draws"] += 1
                 counts["accepted"] += answers["change"]["check-config"][0] == 0
                 counts["simulated"] += simulate is not None
+                counts["flagged"] += simulate is not None and bool(flags)
                 counts["ran"] += simulate is not None and simulate[0] == 0
                 counts["broken"] += bool(answers["change"]["broken"])
                 if answers["parent"] != answers["change"] or answers["change"]["broken"]:
                     counts["differences"] += answers["parent"] != answers["change"]
-                    print(f"seed {seed} draw {k}: {raw}")
+                    print(f"seed {seed} draw {k}: {raw} {' '.join(flags)}")
                     for side, answer in answers.items():
                         print(f"  {side}: {json.dumps(answer)}")
         for proc in workers.values():
