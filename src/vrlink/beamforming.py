@@ -3,20 +3,20 @@
 The analog stages are shared across subcarriers and come from the SVD of
 covariance sums, element-wise normalized to constant modulus. The digital
 stages are per-subcarrier SVDs of the analog-reduced channel. Every link of a
-group of codebooks is designed at once, on stacked ``(links, n_sc, rows,
-cols)`` matrices with stacked ``@`` and one stacked SVD per stage. Codebooks
-that differ only in n_rf share one pair of analog stages. The only loop sums
-the covariances over blocks of ``max(1, L // n)`` links, so that the
-``(n_sc, n, n)`` products held at once are no larger than the channel stack
-or one link's products; each sum reads them once, in subcarrier order, as a
-one-link loop would, and keeps no running sums where n >= 2. A 1x1
-covariance (one user antenna, or one AP antenna) has the constant beam 1;
-where no term of it can leave the float range (see the numerics
-docstring) the stage forms no sum at all. Each SVD forms only the
-singular vectors the stage keeps. A solution keeps what the sweep reads:
-the analog stages, the effective channels and the transmit power of each
-subcarrier, summed from the composite beam ``analog @ digital`` while the
-design holds it.
+block of codebook groups is designed at once, on stacked
+``(links, n_sc, rows, cols)`` matrices with stacked ``@``: the codebooks of a
+group differ only in n_rf and share one pair of analog stages, and each
+reduced-channel shape takes one stacked digital SVD. The covariances are
+summed over blocks of ``max(1, L // n)`` links, so that the ``(n_sc, n, n)``
+products held at once are no larger than the channel stack or one link's
+products; each sum reads them once, in subcarrier order, as a one-link loop
+would, and keeps no running sums where n >= 2. A 1x1 covariance (one user
+antenna, or one AP antenna) has the constant beam 1; where no term of it can
+leave the float range (see the numerics docstring) the stage forms no sum at
+all. Each SVD forms only the singular vectors the stage keeps. A solution
+keeps what the sweep reads: the analog stages, the effective channels and the
+transmit power of each subcarrier, summed from the composite beam
+``analog @ digital`` while the design holds it.
 
 A single-antenna user (n_rx = 1) has the analog combiner G = 1, so the
 design skips every product by it: ``G^H H`` is ``H + 0.0`` and ``G d`` is
@@ -29,9 +29,9 @@ for any codebook, and every output keeps its bits.
 
 What the design holds at once, beside the links and the analog stages: the
 covariance products of one block of links, then every codebook's reduced
-channel ``G^H H P`` (``G^H H`` goes once they are formed), then one
-codebook at a time its digital SVD, its composite beams (the digital
-factors go once these exist) and its effective channels.
+channel ``G^H H P`` (``G^H H`` goes once they are formed), then one shape at
+a time its stacked digital SVD, and one codebook at a time its composite
+beams (its digital factors go once these exist) and effective channels.
 """
 
 import math
@@ -194,74 +194,93 @@ class BeamformingSolution:
         return singular_values(self.effective_channels)[..., 0]
 
 
-def design_link(links: np.ndarray, codebooks: tuple, p_b: np.ndarray) -> tuple:
-    """One-shot hybrid design for a stack of (user, AP) links.
+def _solution(cb, links, g_a, p_a, cuts: list, budgets) -> BeamformingSolution:
+    """A codebook's solution from its analog stages and the digital factors it
+    pops off cuts, flat over (link, subcarrier), so that they go with its beams."""
+    d_pre, d_comb = (d.reshape(links.shape[:2] + d.shape[-2:]) for d in cuts.pop(0))
+    # composite beams, unit Frobenius norm, so the effective gain is the
+    # channel response to a unit-power beam and can never exceed the
+    # leading singular value of the raw channel
+    f = p_a[:, None] @ d_pre
+    # one user antenna: G d = (1 + 0j) d rounds as d + 0.0, and w = 1
+    # where the digital SVD is one-row (n_rf >= 2): its left vector is 1
+    unit_w = links.shape[2] == 1 < cb.n_rf
+    if unit_w:
+        w = None
+    elif links.shape[2] == 1:
+        w = d_comb + 0.0
+    else:
+        w = g_a[:, None] @ d_comb
+    del d_pre, d_comb
+    f_norm = frobenius_norms(f)
+    w_norm = 1.0 if unit_w else frobenius_norms(w)
+    if np.any(f_norm == 0.0) or np.any(w_norm == 0.0):
+        raise InvalidInputError("degenerate composite beam with zero norm")
+    scale = np.sqrt(budgets / links.shape[1])[:, None] / f_norm  # equal split of the budget
+    power = np.abs(scale[..., None, None] * f).reshape(f.shape[:-2] + (-1,))
+    power = row_sums(np.multiply(power, power, out=power))
+    f /= f_norm[..., None, None]
+    if unit_w:  # w^H H = G^H H = H + 0.0, formed again: held, it raises the peak
+        eff = (links + 0.0) @ f
+    else:
+        w /= w_norm[..., None, None]
+        eff = effective_channel(w, links, f)
+    return BeamformingSolution(cb, p_a, g_a, eff, power)
 
-    links: (L, n_sc, n_rx, n_tx), one channel stack per link. p_b: (L,), one
-    transmit power budget per link, split equally across its subcarriers.
-    codebooks: a tuple of codebooks that share (n_tx, n_rx, n_ds); returns
-    one stacked solution per codebook, in tuple order. Neither covariance
-    depends on n_rf, so the analog stages and the combiner side of the
-    reduced channel are taken once, the precoder at the largest n_rf, and
-    only the digital stage runs per codebook. Links enter here and are
-    checked once: finite, shaped for the codebooks, one positive budget each;
-    the stages below check only for covariance sums past the float range.
+
+def design_link(groups: tuple, p_b: np.ndarray) -> tuple:
+    """One-shot hybrid design for a block of groups of (user, AP) links.
+
+    groups: a tuple of (links, codebooks) pairs, each an (L, n_sc, n_rx,
+    n_tx) stack of the same L links and a tuple of codebooks that share
+    (n_tx, n_rx, n_ds). p_b: (L,), one power budget per link, split equally
+    across its subcarriers. Returns one stacked solution per codebook, in
+    group and then tuple order, each byte for byte its design alone: a
+    group's analog stages are taken once, the precoder at its largest n_rf,
+    and the reduced channels of one (n_ds, n_rf) shape from every group take
+    one digital SVD, which works matrix by matrix. Links enter here and are
+    checked once: finite, shaped for their codebooks, one positive budget
+    each; the stages below check only for covariance sums past the float range.
     """
-    if not isinstance(codebooks, tuple) or len({(cb.n_tx, cb.n_rx, cb.n_ds) for cb in codebooks}) != 1:
-        raise ShapeError(f"need a tuple of codebooks that share one (n_tx, n_rx, n_ds), got {codebooks!r}")
-    links, budgets = ensure_complex_stack(links, "links"), np.asarray(p_b, dtype=float)
-    if links.ndim != 4:
-        raise ShapeError(f"expected (L, n_sc, n_rx, n_tx) stack, got shape {links.shape}")
-    n_links, n_sc, n_rx, n_tx = links.shape
-    if (n_rx, n_tx) != (codebooks[0].n_rx, codebooks[0].n_tx):
-        raise ShapeError(
-            f"channel shape {(n_rx, n_tx)} does not match codebook ({codebooks[0].n_rx}, {codebooks[0].n_tx})"
-        )
-    if budgets.shape != (n_links,):
-        raise ShapeError(f"need one power budget per link, got shape {budgets.shape}")
+    if not isinstance(groups, tuple) or not groups or not all(isinstance(g, tuple) and len(g) == 2 for g in groups):
+        raise ShapeError(f"need a non-empty tuple of (links, codebooks) pairs, got {type(groups).__name__}")
+    budgets, checked = np.asarray(p_b, dtype=float), []
+    for links, codebooks in groups:
+        if not isinstance(codebooks, tuple) or len({(cb.n_tx, cb.n_rx, cb.n_ds) for cb in codebooks}) != 1:
+            raise ShapeError(f"need a tuple of codebooks that share one (n_tx, n_rx, n_ds), got {codebooks!r}")
+        links, (n_rx, n_tx) = ensure_complex_stack(links, "links"), (codebooks[0].n_rx, codebooks[0].n_tx)
+        if links.ndim != 4 or links.shape[2:] != (n_rx, n_tx):
+            raise ShapeError(f"expected an (L, n_sc, {n_rx}, {n_tx}) stack of links, got shape {links.shape}")
+        if budgets.shape != links.shape[:1]:
+            raise ShapeError(f"need one power budget per link, got shape {budgets.shape}")
+        checked.append((links, codebooks))
     if not np.all(budgets > 0):
         raise InvalidInputError(f"power budget must be positive, got {p_b}")
 
-    g_a = analog_combiner(links, codebooks[0].n_ds)
-    p_widest = analog_precoder(links, max(cb.n_rf for cb in codebooks))
-    # a contiguous slice: stacked @ on a strided operand may round differently
-    p_as = [np.ascontiguousarray(p_widest[..., :cb.n_rf]) for cb in codebooks]
-    # every codebook's reduced channel G^H @ H @ P from one G^H @ H, which
-    # then goes: it is as large as the DL stack when n_ds = n_rx. One user
-    # antenna has G = 1, and G^H H = (1 - 0j) H rounds as H + 0.0
-    g_h = links + 0.0 if n_rx == 1 else np.conj(g_a[:, None]).swapaxes(-1, -2) @ links
-    h_ds = [g_h @ p_a[:, None] for p_a in p_as]
-    del g_h
-    solutions = []
-    for cb, p_a in zip(codebooks, p_as):
-        d_pre, d_comb = hybrid_digital(h_ds.pop(0), cb.n_ds)  # popped: it goes after its SVD
-        # composite beams, unit Frobenius norm, so the effective gain is the
-        # channel response to a unit-power beam and can never exceed the
-        # leading singular value of the raw channel
-        f = p_a[:, None] @ d_pre
-        # one user antenna: G d = (1 + 0j) d rounds as d + 0.0, and w = 1
-        # where the digital SVD is one-row (n_rf >= 2): its left vector is 1
-        unit_w = n_rx == 1 < cb.n_rf
-        if unit_w:
-            w = None
-        elif n_rx == 1:
-            w = d_comb + 0.0
-        else:
-            w = g_a[:, None] @ d_comb
-        del d_pre, d_comb  # the digital factors go once the composite beams exist
-        f_norm = frobenius_norms(f)
-        w_norm = 1.0 if unit_w else frobenius_norms(w)
-        if np.any(f_norm == 0.0) or np.any(w_norm == 0.0):
-            raise InvalidInputError("degenerate composite beam with zero norm")
-        scale = np.sqrt(budgets / n_sc)[:, None] / f_norm  # equal split of the budget
-        power = np.abs(scale[..., None, None] * f).reshape(f.shape[:-2] + (-1,))
-        power = row_sums(np.multiply(power, power, out=power))
-        f /= f_norm[..., None, None]
-        if unit_w:  # w^H H = G^H H = H + 0.0, formed again: held, it raises the peak
-            eff = (links + 0.0) @ f
-        else:
-            w /= w_norm[..., None, None]
-            eff = effective_channel(w, links, f)
-        solutions.append(BeamformingSolution(cb, p_a, g_a, eff, power))
-        del f, w, eff  # before the next codebook's SVD
+    # per codebook [codebook, links, combiner, precoder, reduced channel], and
+    # the codebooks of each reduced-channel shape (n_ds, n_rf)
+    parts, stacks = [], {}
+    for links, codebooks in checked:
+        g_a = analog_combiner(links, codebooks[0].n_ds)
+        p_widest = analog_precoder(links, max(cb.n_rf for cb in codebooks))
+        # every codebook's reduced channel G^H @ H @ P from one G^H @ H, which
+        # then goes: it is as large as the DL stack when n_ds = n_rx. One user
+        # antenna has G = 1, and G^H H = (1 - 0j) H rounds as H + 0.0
+        g_h = links + 0.0 if links.shape[2] == 1 else np.conj(g_a[:, None]).swapaxes(-1, -2) @ links
+        for cb in codebooks:
+            # a contiguous slice: stacked @ on a strided operand may round differently
+            p_a = np.ascontiguousarray(p_widest[..., :cb.n_rf])
+            stacks.setdefault((cb.n_ds, cb.n_rf), []).append(len(parts))
+            parts.append([cb, links, g_a, p_a, g_h @ p_a[:, None]])
+        del g_h
+    solutions = [None] * len(parts)
+    for shape, members in stacks.items():
+        # popped: each reduced channel goes once it is in the stack
+        stack = np.concatenate([parts[k].pop().reshape((-1,) + shape) for k in members])
+        d_pre, d_comb = hybrid_digital(stack, shape[0])
+        sizes = [parts[k][1].shape[0] * parts[k][1].shape[1] for k in members]
+        cuts = [(d_pre[a:a + n], d_comb[a:a + n]) for a, n in zip(np.cumsum([0] + sizes).tolist(), sizes)]
+        del stack, d_pre, d_comb  # the cuts alone hold the factors
+        for k in members:
+            solutions[k] = _solution(*parts[k], cuts, budgets)
     return tuple(solutions)

@@ -29,8 +29,8 @@ QUEUE_UNIT_PRESETS = {
 # size caps: the sweep allocates arrays in proportion to both
 MAX_N_SC = 8192
 MAX_ESN0_POINTS = 1001
-# allocation budget: the largest DL channel stack, plus the analog stages'
-# covariance stacks, plus one codebook's digital stage, plus one evaluation
+# allocation budget: one design block's DL channel stacks and stacked
+# digital stage, plus the analog stages' covariance stacks, plus one evaluation
 # block's cells at CELL_BYTES each (a cell's UL SINR, rate, delays and
 # utilities with their temporaries), plus the rows, at RECORD_BYTES each (a
 # row at the sweep's peak), plus one link's delay taps at TAP_BYTES each (a
@@ -42,6 +42,9 @@ TAP_BYTES = 32
 # Es/N0 points per evaluation block: as many as keep the block's UL arrays
 # under this many (point, user, AP, subcarrier) cells, at least one
 BLOCK_CELLS = 1 << 18
+# codebook groups per design block: as many consecutive groups as keep the
+# block's (group, link, subcarrier) cells at or under this many, at least one
+DESIGN_CELLS = 1 << 12
 
 DEFAULT_AP_POSITIONS = (Position3D(2.5, 4.0, 3.0), Position3D(7.5, 13.0, 3.0))
 DEFAULT_USER_POSITIONS = (Position3D(3.0, 6.0, 1.5), Position3D(6.5, 11.0, 1.5))
@@ -146,24 +149,25 @@ def parse_esn0_range(text: str) -> tuple:
 
 
 def sweep_bytes(links: int, n_sc: int, codebooks, scenarios: int, points: int, tap_count: int) -> int:
-    """The largest complex DL channel stack, covariance stacks and digital
-    stage over the codebooks, one evaluation block of ``points`` Es/N0
+    """One design block's DL channel stacks and stacked digital stage, the
+    largest covariance stacks, one evaluation block of ``points`` Es/N0
     points, the rows and one link's delay taps."""
-    dl = max((links * n_sc * cb.n_rx * cb.n_tx * 16 for cb in codebooks), default=0)
+    k = min(len({(cb.n_tx, cb.n_rx, cb.n_ds) for cb in codebooks}), max(1, DESIGN_CELLS // (links * n_sc)))
+    dl = k * max((links * n_sc * cb.n_rx * cb.n_tx * 16 for cb in codebooks), default=0)
     # an analog stage of n antennas holds the (n_sc, n, n) products of a
     # block of max(1, links // n) links and every link's (n, n) sum, then
     # the sums and five factor stacks of the same shape in their SVD
     n = max((max(cb.n_tx, cb.n_rx) for cb in codebooks), default=0)
     block = max(1, links // max(n, 1))
     covariance = max(block * n_sc + links, 6 * links) * n * n * 16
-    # a codebook's digital stage forms, per link and subcarrier, the reduced
-    # channels G^H H and G^H H P, the SVD factors of G^H H P and the
-    # composite beams; its SVD and the effective channels hold about three
-    # copies of each at once. A one-row G^H H P (n_ds = 1) has no n_rf x n_rf
-    # factor: its SVD is the reduced one
-    digital = max((links * n_sc * 3 * (cb.n_rf ** 2 * (cb.n_ds > 1) + cb.n_ds ** 2
-                                       + cb.n_ds * (cb.n_tx + cb.n_rf + cb.n_rx)) * 16
-                   for cb in codebooks), default=0)
+    # the digital stage forms, per link and subcarrier of each of the k
+    # groups, the reduced channels G^H H and G^H H P, the SVD factors of
+    # G^H H P (one stack per shape) and the composite beams; its SVD and the
+    # effective channels hold about three copies of each at once. A one-row
+    # G^H H P (n_ds = 1) has no n_rf x n_rf factor: its SVD is the reduced one
+    digital = k * max((links * n_sc * 3 * (cb.n_rf ** 2 * (cb.n_ds > 1) + cb.n_ds ** 2
+                                           + cb.n_ds * (cb.n_tx + cb.n_rf + cb.n_rx)) * 16
+                       for cb in codebooks), default=0)
     cells = min(points, max(1, BLOCK_CELLS // (links * n_sc))) * links * n_sc
     records = scenarios * len(codebooks) * points * links
     return dl + covariance + digital + cells * CELL_BYTES + records * RECORD_BYTES + tap_count * TAP_BYTES

@@ -35,6 +35,8 @@ x86-64 these hold:
   it does not rescale: dznrm2 sums and roots in long double, OpenBLAS's zscal
   takes plain products, zlarf's update numpy's fused one, and the zgemm that
   multiplies Q's first row by 1 maps q to ``(q.re - 0*q.im, q.im + 0)``.
+  The window test is per matrix, so a stack that mixes matrices, or the
+  reduced channels of several codebook groups, keeps each matrix's bits.
 - the reduced ``np.linalg.svd(m, full_matrices=False)`` of a one-row stack
   equals the leading pair of the full one, for 1 x 1 up to 1 x 64, inside
   and outside the scaling window. With two or more rows it may not (2 x 8,
@@ -51,6 +53,10 @@ x86-64 these hold:
   ``|re|`` or ``|im|`` of the block, so where
   ``4 peak^2 n_sc n_rx n_tx < 1e300`` no term or partial sum can leave the
   float range and the stage skips the sums and their range check too.
+- the stacked ``h^H @ h`` of a one-row ``h`` runs numpy's own non-BLAS
+  loop: it equals the unfused ``(ar*br - ai*bi) + 0.0`` per part, signed
+  zeros included, which took 4 to 12 times as long elementwise on
+  ``(4, 1024, 1, n_tx)`` stacks, n_tx = 2..8, so the precoder keeps ``@``.
 - zgesdd's left vector of a one-row matrix with two or more columns is
   exactly ``+-1 + 0j`` (1 x 2 to 1 x 64, at every scale, on zero rows, from
   the closed form and from LAPACK): its conjugate pivot phase is
@@ -237,14 +243,23 @@ def _svd_1x2(h: np.ndarray) -> tuple:
     keep = (xnorm == 0) & (ai == 0)  # zlarfg leaves alpha and x as they are
     s = _dlapy3(ar, ai, xnorm)
     beta = np.where(keep, ar, -np.copysign(s, ar))
-    tau = _complex((beta - ar) / beta, -ai / beta)
     # dladiv's 1 / (alpha - beta), whose |imag| <= |real|
     cr, ci = np.where(keep, 1.0, ar - beta), np.where(keep, 0.0, ai)
+    del xnorm, keep
     r = ci / cr
     t = 1.0 / (cr + ci * r)
-    v2 = _zscal(_complex(t, np.where(r != 0, -r * t, (0.0 + ci * (-1.0 / cr)) * t)), x2)
-    q = np.stack((1 - np.conj(tau), np.conj(_zscal(-tau, v2))), axis=-1)
-    vh = _complex(q.real - 0.0 * q.imag, q.imag + 0.0)[:, None, :]
+    alpha = _complex(t, np.where(r != 0, -r * t, (0.0 + ci * (-1.0 / cr)) * t))
+    del cr, ci, r, t
+    v2 = _zscal(alpha, x2)
+    del alpha, x2
+    tau = _complex((beta - ar) / beta, -ai / beta)
+    del x1, ar, ai
+    z = np.conj(_zscal(-tau, v2), out=v2)
+    q0 = np.subtract(1, np.conj(tau, out=tau), out=tau)
+    vh = np.empty((len(h), 1, 2), dtype=np.complex128)
+    for col, q in enumerate((q0, z)):
+        vh.real[:, 0, col], vh.imag[:, 0, col] = q.real - 0.0 * q.imag, q.imag + 0.0
+    del z, q0, q, tau, v2
     return _complex(np.copysign(1.0, beta), 0.0)[:, None, None], s[:, None], vh
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .beamforming import design_link
 from .channel import synthesize_dl, synthesize_ul
-from .config import BLOCK_CELLS, SweepConfig
+from .config import BLOCK_CELLS, DESIGN_CELLS, SweepConfig
 from .errors import InvalidInputError, LinkError
 from .linkmetrics import compute_metrics
 from .numerics import FACTOR_TOL, MODULUS_TOL
@@ -74,17 +74,16 @@ def _draws(config: SweepConfig, stream: int):
     return np.random.default_rng([config.seed, stream]) if config.gain_mode == "gaussian" else None
 
 
-def _design_group(config: SweepConfig, group: tuple, amplitude, n_served, budget) -> list:
-    """Every link's design for codebooks that share (n_tx, n_rx, n_ds), from
-    one DL draw, reduced per codebook to what the sweep reads: the squared
-    effective gains (U, B, n_sc) and the violation bits of the
-    Es/N0-independent checks (U, B). n_served and budget hold one value per
-    link, user-major like the DL stack."""
-    dl = synthesize_dl(
-        config.topology, amplitude, config.grid.n_sc, group[0].n_tx, group[0].n_rx, config.gain_mode, _draws(config, 1)
-    )
-    try:  # every link and every codebook of the group in one design
-        solutions = design_link(dl.matrices.reshape((n_served.size,) + dl.matrices.shape[2:]), group, budget)
+def _design_block(config: SweepConfig, groups: list, amplitude, n_served, budget) -> list:
+    """Every link's design for a block of codebook groups, each the codebooks
+    that share (n_tx, n_rx, n_ds) with one DL draw, reduced per codebook to
+    what the sweep reads: the squared effective gains (U, B, n_sc) and the
+    violation bits of the Es/N0-independent checks (U, B). n_served and
+    budget hold one value per link, user-major like the DL stacks."""
+    dl = [synthesize_dl(config.topology, amplitude, config.grid.n_sc, g[0].n_tx, g[0].n_rx, config.gain_mode,
+                        _draws(config, 1)).matrices for g in groups]
+    try:  # every link and every codebook of the block in one design
+        solutions = design_link(tuple((d.reshape((-1,) + d.shape[2:]), g) for d, g in zip(dl, groups)), budget)
     except LinkError as e:  # links are user-major
         user, ap = divmod(e.link, amplitude.shape[1])
         raise InvalidInputError(f"user {user} / AP {ap}: {e.problem}") from e
@@ -143,10 +142,10 @@ def select_best_codebook(codebooks, utility) -> list:
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Evaluate the full scenario x codebook x Es/N0 product into one table.
 
-    The UL channels are drawn once. The DL channels and the analog stages
-    are built once per (n_tx, n_rx, n_ds) group of codebooks, and only each
-    codebook's digital stage on its own; SINR, rate, delay and utility are
-    then evaluated on whole arrays, one block of Es/N0 points at a time.
+    The UL channels are drawn once, the DL channels and the analog stages
+    once per (n_tx, n_rx, n_ds) group of codebooks, the digital stage once
+    per shape for each block of DESIGN_CELLS; SINR, rate, delay and utility
+    are then evaluated on whole arrays, one block of Es/N0 points at a time.
     """
     traffic = config.traffic
     ul_gain, amplitude = np.array(config.ul_gain), np.array(config.dl_amplitude)
@@ -156,8 +155,10 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     home = np.array(config.base_cells)[:, None] == np.arange(config.topology.n_aps)
     n_served = (home.sum(axis=0) - home + 1).reshape(-1)
     budget = config.p_b / n_served
-    groups = itertools.groupby(config.codebooks, key=lambda cb: (cb.n_tx, cb.n_rx, cb.n_ds))
-    designs = [d for _, group in groups for d in _design_group(config, tuple(group), amplitude, n_served, budget)]
+    groups = [tuple(g) for _, g in itertools.groupby(config.codebooks, key=lambda cb: (cb.n_tx, cb.n_rx, cb.n_ds))]
+    per_block = max(1, DESIGN_CELLS // (n_served.size * config.grid.n_sc))
+    designs = [d for k in range(0, len(groups), per_block)
+               for d in _design_block(config, groups[k:k + per_block], amplitude, n_served, budget)]
     gains, checks = map(np.stack, zip(*designs))
     d_proc = processing_delay(traffic.v_bits, traffic.m_capacity, traffic.n_share)
     d_queue = queue_delay(traffic.mu, traffic.lam)

@@ -17,7 +17,10 @@ the tests compare the array path with them by ``==``:
   phase convention (``full_svd``) and the product of SVD factors
   (``reconstruct``);
 - the CSV writer that formats and assembles each row on its own
-  (``write_results_csv``).
+  (``write_results_csv``);
+- the whole sweep, one row at a time (``sweep_table``), composed of the
+  pieces above and of ``design_link`` on one link and one codebook at a
+  time, which the tests hold to the per-subcarrier design.
 
 ``sinr_ul`` is re-exported from ``vrlink.linkmetrics``. It stays in the
 package only as the target of the benchmark's ``linkmetrics.sinr_ul`` layer
@@ -29,10 +32,12 @@ import math
 
 import numpy as np
 
+from vrlink.beamforming import design_link
+from vrlink.channel import path_gains
 from vrlink.errors import ConfigurationError, InvalidInputError
 from vrlink.linkmetrics import _AGGREGATE, LN2, GainAggregation
 from vrlink.linkmetrics import sinr_ul  # noqa: F401 (re-exported, see above)
-from vrlink.numerics import ZERO_MODULUS, SvdResult
+from vrlink.numerics import FACTOR_TOL, MODULUS_TOL, ZERO_MODULUS, SvdResult
 from vrlink.runner import CSV_HEADER, VIOLATIONS, SweepResult
 from vrlink.topology import Position3D, departure_arrival_angles
 
@@ -260,3 +265,80 @@ def write_results_csv(result: SweepResult, path: str) -> None:
                 fh.write("".join(rows))
     except OSError as e:
         raise OSError(f"cannot write results to {path}: {e}") from e
+
+
+def _over(bits: float, rate_bps: float) -> float:
+    """Time to carry bits at a rate; a zero rate never completes."""
+    return bits / rate_bps if rate_bps > 0 else math.inf
+
+
+def _link_design(config, cb, channels, n_served: int) -> tuple:
+    """One link's squared effective gain per subcarrier and the bits of the
+    checks (a), (c), (d) and (e) for one codebook."""
+    (sol,) = design_link(((channels[None], (cb,)),), np.array([config.p_b / n_served]))
+    power = float(sol.transmit_power()[0])
+    dev_p = float(np.max(np.abs(np.abs(sol.analog_precoder[0]) ** 2 - 1.0 / cb.n_tx)))
+    dev_g = float(np.max(np.abs(np.abs(sol.analog_combiner[0]) ** 2 - 1.0 / cb.n_rx)))
+    bits = ((n_served > config.v_j) | 4 * (n_served * power > config.p_b * (1.0 + FACTOR_TOL))
+            | 8 * (dev_p > MODULUS_TOL) | 16 * (dev_g > MODULUS_TOL))
+    return sol.effective_gain_per_subcarrier()[0] ** 2, bits
+
+
+def sweep_table(config) -> SweepResult:
+    """The sweep's table built one row at a time from the scalar model.
+
+    Each link's UL coefficients and DL matrices come from ``link_gains``
+    and ``dl_link_channels`` (one generator per stream, links in user-major
+    order, a fresh DL generator per codebook), its design from
+    ``design_link`` on that link and codebook alone. Each row then takes
+    ``evaluation_cells``, ``sinr_ul``, ``sinr_dl`` and ``rate`` per
+    subcarrier, ``aggregate_gain`` of the DL gains, the delays per
+    subcarrier and the utility factors, averaged over the link's
+    subcarriers. ``summary`` is None.
+    """
+    topo, grid, traffic = config.topology, config.grid, config.traffic
+    users, aps, n_sc = range(topo.n_users), range(topo.n_aps), grid.n_sc
+    gaussian = config.gain_mode == "gaussian"
+    ul_gain, amplitude = path_gains(topo, grid, config.w, config.tap_count, config.tap_spacing_s)
+    rng = np.random.default_rng([config.seed, 0]) if gaussian else None
+    ul = np.array([[link_gains(n_sc, config.gain_mode, rng) * ul_gain[i, j] for j in aps] for i in users])
+    served = {(i, j): evaluation_cells(config.base_cells, i, j).count(j) for i in users for j in aps}
+    gains, checks = {}, {}
+    for c, cb in enumerate(config.codebooks):
+        rng = np.random.default_rng([config.seed, 1]) if gaussian else None
+        for (i, user), (j, ap) in itertools.product(enumerate(topo.users), enumerate(topo.aps)):
+            channels = dl_link_channels(ap, user, amplitude[i, j], link_gains(n_sc, config.gain_mode, rng),
+                                        cb.n_tx, cb.n_rx)
+            gains[c, i, j], checks[c, i, j] = _link_design(config, cb, channels, served[i, j])
+    agg = {(s, c): np.array([[aggregate_gain(gains[c, i, j], mode) for j in aps] for i in users])
+           for s, mode in enumerate(config.scenarios) for c in range(len(config.codebooks))}
+
+    d_proc = traffic.v_bits / (traffic.m_capacity / traffic.n_share)
+    d_queue = 1.0 / (traffic.mu - traffic.lam)
+    shape = (len(config.scenarios), len(config.codebooks), len(config.noise), topo.n_aps, topo.n_users)
+    rate_dl, d_trans, d_total = np.empty(shape), np.empty(shape), np.empty(shape)
+    utility, codes = np.full(shape, np.nan), np.zeros(shape, dtype=int)
+    rate_ul = np.empty(shape[2:])
+    for (e, sigma), i, j in itertools.product(enumerate(config.noise), users, aps):
+        cells = evaluation_cells(config.base_cells, i, j)
+        sinrs = [sinr_ul(i, j, n, np.full(topo.n_users, config.p_u), ul, cells, sigma) for n in range(n_sc)]
+        rates_ul = [rate(grid.subcarrier_bandwidth, x) for x in sinrs]
+        rate_ul[e, j, i] = np.mean(rates_ul)
+        errors = np.array([tracking_error(x, config.epsilon0) for x in sinrs])
+        tracking = [tracking_utility(x, errors) for x in errors.tolist()]
+        for s, c in itertools.product(range(shape[0]), range(shape[1])):
+            row = (s, c, e, j, i)
+            rate_dl[row] = rate(grid.total_bandwidth, sinr_dl(i, j, np.full(topo.n_aps, config.p_b), agg[s, c],
+                                                               cells, sigma))
+            trans = [_over(traffic.s_bits, rate_dl[row]) + _over(traffic.a_bits, r) for r in rates_ul]
+            totals = [t + d_proc + d_queue for t in trans]
+            with np.errstate(over="ignore"):
+                d_trans[row], d_total[row] = np.mean(trans), np.mean(totals)
+            carries = math.isfinite(d_total[row])
+            codes[row] = checks[c, i, j] | 2 * (rate_dl[row] < config.r_min or not carries)
+            if codes[row] == 0:
+                d_max = max(totals)
+                utility[row] = np.mean([total_utility(conditional_utility(d, d_max, config.gamma_d), x)
+                                        for d, x in zip(totals, tracking)])
+    return SweepResult(config.scenarios, config.codebooks, config.esn0_db, rate_dl, d_trans, d_total, utility,
+                       codes, rate_ul, d_proc, d_queue, summary=None)

@@ -59,7 +59,7 @@ def test_criterion_2_hybrid_gain_never_beats_full_digital():
             ch = rng.standard_normal((n_sc, 1, codebook.n_tx)) + 1j * rng.standard_normal(
                 (n_sc, 1, codebook.n_tx)
             )
-            (sol,) = design_link(ch[None], (codebook,), np.array([0.01]))
+            (sol,) = design_link(((ch[None], (codebook,)),), np.array([0.01]))
             hybrid = sol.effective_gain_per_subcarrier()[0]
             for sc in range(n_sc):
                 full = np.linalg.svd(ch[sc], compute_uv=False)[0]
@@ -96,7 +96,7 @@ def test_criterion_3_constraint_conformance_full_sweep(default_sweep):
                 cells = evaluation_cells(base, i, j)
                 n_served = sum(1 for c in cells if c == j)
                 (sol,) = design_link(
-                    dl.matrices[i, j][None], (codebook,), np.array([cfg.p_b / n_served])
+                    ((dl.matrices[i, j][None], (codebook,)),), np.array([cfg.p_b / n_served])
                 )
                 dev_p = np.abs(np.abs(sol.analog_precoder) ** 2 - 1.0 / codebook.n_tx)
                 dev_g = np.abs(np.abs(sol.analog_combiner) ** 2 - 1.0 / codebook.n_rx)

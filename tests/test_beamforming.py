@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from vrlink import beamforming
+from vrlink import beamforming, numerics
 from vrlink.beamforming import (
     Codebook,
     _covariance_beams,
@@ -138,7 +138,7 @@ def test_effective_channel_recomposes_diagonal():
 def test_design_link_shapes_and_units():
     rng = np.random.default_rng(53)
     links = np.stack([random_channels(rng, 64, 1, 2) for _ in range(3)])
-    (sol,) = design_link(links, (Codebook(2, 1),), np.array([0.01, 0.005, 0.01]))
+    (sol,) = design_link(((links, (Codebook(2, 1),)),), np.array([0.01, 0.005, 0.01]))
     assert sol.analog_precoder.shape == (3, 2, 1)
     assert sol.analog_combiner.shape == (3, 1, 1)
     assert sol.effective_channels.shape == (3, 64, 1, 1)
@@ -153,7 +153,7 @@ def test_design_link_invariants_all_codebooks():
     rng = np.random.default_rng(59)
     for cb in config_from_dict({}).codebooks:
         ch = random_channels(rng, 16, cb.n_rx, cb.n_tx)
-        (sol,) = design_link(ch[None], (cb,), np.array([0.01]))
+        (sol,) = design_link(((ch[None], (cb,)),), np.array([0.01]))
         # constant-modulus analog entries
         assert np.all(np.abs(np.abs(sol.analog_precoder) - 1 / math.sqrt(cb.n_tx)) < 1e-12)
         assert np.all(np.abs(np.abs(sol.analog_combiner) - 1 / math.sqrt(cb.n_rx)) < 1e-12)
@@ -172,7 +172,7 @@ def test_design_link_invariants_all_codebooks():
 def test_design_link_single_subcarrier_matches_single_covariance():
     rng = np.random.default_rng(61)
     ch = random_channels(rng, 1, 1, 4)
-    (sol,) = design_link(ch[None], (Codebook(4, 2),), np.array([0.005]))
+    (sol,) = design_link(((ch[None], (Codebook(4, 2),)),), np.array([0.005]))
     cov = ch[0].conj().T @ ch[0]
     top2 = svd(cov, 2).left
     expected_phases = np.angle(top2[np.abs(top2) > 1e-15])
@@ -185,8 +185,8 @@ def test_design_link_single_subcarrier_matches_single_covariance():
 def test_design_link_deterministic():
     rng = np.random.default_rng(67)
     links = random_channels(rng, 8, 1, 4)[None]
-    (a,) = design_link(links, (Codebook(4, 2),), np.array([0.01]))
-    (b,) = design_link(links.copy(), (Codebook(4, 2),), np.array([0.01]))
+    (a,) = design_link(((links, (Codebook(4, 2),)),), np.array([0.01]))
+    (b,) = design_link(((links.copy(), (Codebook(4, 2),)),), np.array([0.01]))
     assert np.array_equal(a.analog_precoder, b.analog_precoder)
     assert np.array_equal(a.analog_combiner, b.analog_combiner)
     assert np.array_equal(a.effective_channels, b.effective_channels)
@@ -198,19 +198,28 @@ def test_design_link_rejects_mismatched_shapes():
     links = random_channels(rng, 4, 1, 2)[None]
     budget = np.array([0.01])
     with pytest.raises(ShapeError):
-        design_link(links, (Codebook(4, 2),), budget)
+        design_link(((links, (Codebook(4, 2),)),), budget)
     with pytest.raises(InvalidInputError):
-        design_link(links, (Codebook(2, 1),), np.array([0.0]))
-    # one form only: a tuple of codebooks, an (L, n_sc, n_rx, n_tx) stack
-    # and one budget per link
+        design_link(((links, (Codebook(2, 1),)),), np.array([0.0]))
+    # one form only: a non-empty tuple of (links, codebooks) pairs, each a
+    # tuple of codebooks and an (L, n_sc, n_rx, n_tx) stack, and one budget
+    # per link, the same L links in every group
     with pytest.raises(ShapeError):
-        design_link(links, Codebook(2, 1), budget)
+        design_link(((links, Codebook(2, 1)),), budget)
     with pytest.raises(ShapeError):
-        design_link(links[0], (Codebook(2, 1),), budget)
+        design_link(((links[0], (Codebook(2, 1),)),), budget)
     with pytest.raises(ShapeError):
-        design_link(links, (Codebook(2, 1),), 0.01)
+        design_link(((links, (Codebook(2, 1),)),), 0.01)
     with pytest.raises(ShapeError):
-        design_link(links, (Codebook(2, 1),), np.array([0.01, 0.01]))
+        design_link(((links, (Codebook(2, 1),)),), np.array([0.01, 0.01]))
+    with pytest.raises(ShapeError):
+        design_link((links, (Codebook(2, 1),)), budget)
+    with pytest.raises(ShapeError):
+        design_link([(links, (Codebook(2, 1),))], budget)
+    with pytest.raises(ShapeError):
+        design_link((), budget)
+    with pytest.raises(ShapeError):
+        design_link(((links, (Codebook(2, 1),)), (np.concatenate([links, links]), (Codebook(2, 1),))), budget)
 
 
 def test_design_link_names_an_overflowing_covariance_by_stack_index():
@@ -219,7 +228,7 @@ def test_design_link_names_an_overflowing_covariance_by_stack_index():
     links = np.ones((4, 3, 1, 2), dtype=complex)
     links[3] *= 1e200
     with pytest.raises(LinkError) as raised:
-        design_link(links, (Codebook(2, 1),), np.full(4, 0.01))
+        design_link(((links, (Codebook(2, 1),)),), np.full(4, 0.01))
     assert raised.value.link == 3
     assert str(raised.value) == "link 3: DL channel covariance sum leaves the float range"
 
@@ -263,19 +272,62 @@ def test_grouped_design_equals_each_codebook_alone():
     budgets = np.array([0.01, 0.005, 0.02, 0.01, 0.0025])
     group = tuple(Codebook.from_string(text) for text in ("8x8", "8x1", "8x4", "8x2"))
     for channels, p_b in ((links, budgets), (links[:1], budgets[:1])):
-        grouped = design_link(channels, group, p_b)
+        grouped = design_link(((channels, group),), p_b)
         assert isinstance(grouped, tuple) and len(grouped) == len(group)
         for cb, sol in zip(group, grouped):
-            (alone,) = design_link(channels, (cb,), p_b)
+            (alone,) = design_link(((channels, (cb,)),), p_b)
             assert sol.codebook == cb
             arrays = [field.name for field in dataclasses.fields(sol) if field.name != "codebook"]
             for name in arrays:
                 x, y = getattr(sol, name), getattr(alone, name)
                 assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), (cb.label, name)
     with pytest.raises(ShapeError):
-        design_link(links, (Codebook(8, 2), Codebook(4, 2)), budgets)
+        design_link(((links, (Codebook(8, 2), Codebook(4, 2))),), budgets)
     with pytest.raises(ShapeError):
-        design_link(links, (), budgets)
+        design_link(((links, ()),), budgets)
+
+
+def test_block_design_equals_each_group_alone(monkeypatch):
+    # one call stacks the reduced channels of one shape from every group of
+    # the block into one digital SVD; each solution must be its group's
+    # design alone, byte for byte: beside in-window groups, one whose
+    # entries lie below the closed forms' scaling window, so that the
+    # stacked 1x1 and 1x2 SVDs each take the mixed path, and a two-stream
+    # group of two user antennas (LAPACK), with zero subcarriers and -0.0
+    # parts
+    rng = np.random.default_rng(89)
+
+    def links(n_rx, n_tx, scale):
+        stack = (rng.standard_normal((3, 12, n_rx, n_tx)) + 1j * rng.standard_normal((3, 12, n_rx, n_tx))) * scale
+        stack[:, 2] = 0.0
+        stack.real[rng.uniform(size=stack.shape) < 0.1] = -0.0
+        stack.imag[rng.uniform(size=stack.shape) < 0.1] = -0.0
+        return stack
+
+    groups = (
+        (links(1, 2, 1e-5), (Codebook(2, 1), Codebook(2, 2))),
+        (links(1, 4, 1e-150), (Codebook(4, 1), Codebook(4, 2))),
+        (links(2, 4, 1e-5), (Codebook(4, 2, 2, 2), Codebook(4, 4, 2, 2))),
+        (links(1, 8, 1e-3), (Codebook(8, 2),)),
+    )
+    p_b = np.array([0.01, 0.005, 0.02])
+    rows, closed_form = [], numerics._closed_form_or_lapack
+    monkeypatch.setattr(numerics, "_closed_form_or_lapack", lambda r, *fns: rows.append(r) or closed_form(r, *fns))
+    block = design_link(groups, p_b)
+    # one stacked call per one-row shape, (1, 1) of two groups and (1, 2) of
+    # three, each with matrices on both sides of the window
+    assert [r.shape for r in rows] == [(72, 1), (108, 2)]
+    for r in rows:
+        peak = np.max(np.maximum(np.abs(r.real), np.abs(r.imag)), axis=-1)
+        inside = (peak >= 2 * numerics._SMLNUM) & (peak <= numerics._BIGNUM / 2)
+        assert inside.any() and not inside.all()
+    alone = [sol for group in groups for sol in design_link((group,), p_b)]
+    assert [sol.codebook for sol in block] == [cb for _, books in groups for cb in books]
+    for got, want in zip(block, alone):
+        for field in dataclasses.fields(got):
+            x, y = getattr(got, field.name), getattr(want, field.name)
+            if field.name != "codebook":
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), (got.codebook, field.name)
 
 
 def test_reduction_identity_analog_recovers_full_digital():

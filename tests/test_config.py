@@ -15,6 +15,7 @@ from vrlink.config import (
     MAX_N_SC,
     MAX_SWEEP_BYTES,
     BLOCK_CELLS,
+    DESIGN_CELLS,
     CELL_BYTES,
     RECORD_BYTES,
     TAP_BYTES,
@@ -256,7 +257,7 @@ BAD_INPUTS = [
     ("epsilon0 = -1", None, "epsilon0 must be positive, got -1.0"),
     ("lambda = -1e-9", None, "need 0 <= lambda < mu, got mu=4e-09 lambda=-1e-09"),
     ("tap_spacing = -1e-9", None, "tap_spacing_s must be positive, got -1e-09"),
-    ("tap_count = 1000000000", None, "sweep needs about 32001970176 bytes, over the 1073741824-byte budget"),
+    ("tap_count = 1000000000", None, "sweep needs about 32002330624 bytes, over the 1073741824-byte budget"),
     ("u = 1000000", None, "sweep needs about 641024000128 bytes, over the 1073741824-byte budget"),
     # a derived quantity leaves the float range: the wavelength, the tap
     # spacing, the per-user compute share
@@ -466,8 +467,16 @@ def test_digital_stage_counts_toward_the_budget():
     three = config_from_dict({"n_t": "8", "n_rf": "2,3,4", "n_r": "2", "n_ds": "2"})
     entries = 3 * ((4 ** 2 + 2 ** 2 + 2 * (8 + 4 + 2)) - (2 ** 2 + 2 ** 2 + 2 * (8 + 2 + 2)))
     assert three.estimated_bytes - one.estimated_bytes == links * n_sc * entries * 16 + 2 * rows * RECORD_BYTES
-    # a second, smaller group adds its rows, its digital stage does not
+    # a second, smaller group shares the design block of 2 x 4 x 64 <=
+    # DESIGN_CELLS cells: besides its rows, the block counts the largest DL
+    # stack and digital stage twice
     two_groups = config_from_dict({"n_t": "2,8", "n_rf": "2", "n_r": "2", "n_ds": "2"})
+    assert 2 * links * n_sc <= DESIGN_CELLS
+    dl, digital = links * n_sc * 2 * 8 * 16, links * n_sc * 3 * (2 ** 2 + 2 ** 2 + 2 * (8 + 2 + 2)) * 16
+    assert two_groups.estimated_bytes - one.estimated_bytes == rows * RECORD_BYTES + dl + digital
+    # past DESIGN_CELLS each group is a block of its own: it adds its rows only
+    one, two_groups = (config_from_dict({"n_t": n_t, "n_rf": "2", "n_sc": "1024"}) for n_t in ("8", "2,8"))
+    assert 2 * links * 1024 > DESIGN_CELLS
     assert two_groups.estimated_bytes - one.estimated_bytes == rows * RECORD_BYTES
     # one stream: G^H H P is one row and its SVD the reduced one, with no
     # n_rf x n_rf factor; n_rf counts once, in the reduced channel
@@ -498,11 +507,13 @@ def test_evaluation_block_counts_toward_the_budget():
     {"n_t": "32", "n_rf": "1,8,16,24,32", "n_sc": "128", "esn0_stop": "0", "scenario": "mean"},
     {"n_t": "2", "n_rf": "2", "u": "2", "b": "3", "n_sc": "1024", "scenario": "min"},
     {"n_sc": "1024"},
+    {"n_t": "2,4,8", "n_rf": "1,2", "u": "2", "b": "2", "n_sc": "341", "esn0_stop": "0"},
 ])
 def test_traced_sweep_peak_stays_within_the_estimate(raw):
     # sweeps whose peak is the digital stage's SVD of many RF chains, the
     # fourth only if a codebook's factors go before the next SVD; then two
-    # whose peak is the evaluation block of 21 Es/N0 points
+    # whose peak is the evaluation block of 21 Es/N0 points; then three
+    # groups of 4 x 341 cells, which fill one design block of DESIGN_CELLS
     cfg = config_from_dict(raw)
     tracemalloc.start()
     try:

@@ -19,9 +19,13 @@ another case (``TWINS``): ``--queue-units reciprocal`` those of the
 ``queue_units = reciprocal`` golden, and a ``--codebook`` list in row order
 those of the same codebooks given out of order with a repeat. ``stats``
 runs on the ``w = 167`` results, whose delays near 1e129 s test both
-statistics, and pins its stdout. On every case, the rates and delays each
-stage returns are non-negative and the tracking factors and utilities lie
-in [0, 1], ranges the package itself does not check at run time.
+statistics, and pins its stdout. Every case of at most 1008 rows and 2^16
+(row, subcarrier) cells, twins aside, must also write the bytes of the
+whole-sweep scalar oracle (``oracles.sweep_table``), which builds the
+table one row, one subcarrier and one link's design at a time. On every
+case, the rates and delays each stage returns are non-negative and the
+tracking factors and utilities lie in [0, 1], ranges the package itself
+does not check at run time.
 
 Every digest was taken on numpy 2.4.6 with its OpenBLAS build on x86-64,
 the build the closed-form SVDs and the goldens are checked on. A digest
@@ -223,6 +227,24 @@ def test_results_csv_equals_the_row_by_row_writer(name, tmp_path, capsys, monkey
     keys, flags = CASES[name]
     simulate(keys, flags, tmp_path, capsys)
     assert (tmp_path / "out" / "results.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+# the cases the whole-sweep scalar oracle skips: more than 1008 rows, or
+# more than 2^16 (row, subcarrier) cells, where it takes longest, and the
+# twins, whose bytes are their twin's
+ORACLE_SKIPS = {"dense_gaussian_seed3", "golden_dense_gaussian", "golden_three_users_16_subcarriers",
+                "wideband_8_16_antennas", *TWINS}
+
+
+@pytest.mark.parametrize("name", sorted(set(CASES) - ORACLE_SKIPS))
+def test_results_csv_equals_the_whole_sweep_oracle(name, tmp_path, capsys, monkeypatch):
+    configs, run_sweep = [], cli.run_sweep
+    monkeypatch.setattr(cli, "run_sweep", lambda config: configs.append(config) or run_sweep(config))
+    simulate(*CASES[name], tmp_path, capsys)
+    (config,) = configs
+    assert config.expected_records <= 1008 and config.expected_records * config.grid.n_sc <= 1 << 16
+    oracles.write_results_csv(oracles.sweep_table(config), str(tmp_path / "oracle.csv"))
+    assert (tmp_path / "out" / "results.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
 def in_unit_interval(x) -> bool:

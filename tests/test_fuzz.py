@@ -9,8 +9,10 @@ escape. Accepted configs small enough to run quickly also go through
 `simulate` with a random subset of its override flags (`--esn0`,
 `--codebook`, `--seed`, `--scenario`, `--queue-units`), well-formed or
 not. It must exit 0 or 2 as well; when it exits 0, its `results.csv` must
-keep the model's invariants and its printed summary must agree with
-`stats --metric min` on that file. A numeric warning counts as a failure.
+keep the model's invariants, equal byte for byte what the whole-sweep
+scalar oracle (`oracles.sweep_table`) writes, and its printed summary must
+agree with `stats --metric min` on that file. A numeric warning counts as a
+failure.
 """
 
 import contextlib
@@ -21,6 +23,7 @@ import math
 import numpy as np
 import pytest
 
+from vrlink import cli
 from vrlink.cli import main
 from vrlink.config import KEYS, load_config
 
@@ -137,7 +140,12 @@ def draw_flags(rng) -> list:
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_fuzzed_configs_run_or_exit_2(seed, tmp_path, capsys):
+def test_fuzzed_configs_run_or_exit_2(seed, tmp_path, capsys, monkeypatch):
+    # imported here: tools/diff_fuzz.py loads this module without tests/ on the path
+    import oracles
+
+    configs, run_sweep = [], cli.run_sweep  # the config each simulate resolved
+    monkeypatch.setattr(cli, "run_sweep", lambda config: configs.append(config) or run_sweep(config))
     rng = np.random.default_rng([seed, 8])
     path = tmp_path / "fuzz.conf"
     simulated = 0
@@ -157,5 +165,8 @@ def test_fuzzed_configs_run_or_exit_2(seed, tmp_path, capsys):
             if code == 0:
                 assert invariant_violations(out / "results.csv") == [], (raw, flags)
                 assert summary_violations(out / "results.csv", printed.out) == [], (raw, flags)
+                # the whole-sweep scalar oracle writes the same bytes
+                oracles.write_results_csv(oracles.sweep_table(configs[-1]), str(tmp_path / "oracle.csv"))
+                assert (out / "results.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes(), (raw, flags)
             simulated += 1
     assert simulated > 0

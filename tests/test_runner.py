@@ -70,7 +70,7 @@ def make_solution(codebook=Codebook(2, 1), n_sc=4, seed=0, p_b=0.01):
     ch = rng.standard_normal((1, n_sc, 1, codebook.n_tx)) + 1j * rng.standard_normal(
         (1, n_sc, 1, codebook.n_tx)
     )
-    return design_link(ch, (codebook,), np.array([p_b]))[0]
+    return design_link(((ch, (codebook,)),), np.array([p_b]))[0]
 
 
 def test_check_constraints_all_satisfied():
@@ -116,6 +116,26 @@ def test_sweep_in_es_n0_blocks_equals_one_block(raw, monkeypatch):
     assert same_result(blocked, whole)
 
 
+@pytest.mark.parametrize("raw", [
+    {"u": "3", "b": "2", "n_sc": "8", "esn0_stop": "4", "gain_mode": "gaussian"},
+    {"n_t": "4,8,16", "n_rf": "2,4", "n_r": "2", "n_ds": "2", "n_sc": "8", "esn0_stop": "4",
+     "gain_mode": "gaussian", "seed": "3"},
+])
+def test_blocked_sweep_equals_the_whole_sweep_oracle(raw, tmp_path, monkeypatch):
+    # blocks of two Es/N0 points, the last of one, and design blocks of two
+    # codebook groups, the first of which mixes two n_t
+    cfg = config_from_dict(raw)
+    cells = cfg.topology.n_users * cfg.topology.n_aps * cfg.grid.n_sc
+    monkeypatch.setattr(runner, "BLOCK_CELLS", 2 * cells)
+    monkeypatch.setattr(runner, "DESIGN_CELLS", 2 * cells)
+    blocks, design = [], runner.design_link
+    monkeypatch.setattr(runner, "design_link", lambda groups, p_b: blocks.append(len(groups)) or design(groups, p_b))
+    write_results_csv(run_sweep(cfg), str(tmp_path / "sweep.csv"))
+    assert blocks == [2, 1]
+    oracles.write_results_csv(oracles.sweep_table(cfg), str(tmp_path / "oracle.csv"))
+    assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
 def test_min_rate_is_checked_per_record():
     # (b) holds at r_min and fails below it: r_min at the smallest DL rate
     # of the sweep fails nowhere, twice the largest fails everywhere
@@ -129,32 +149,38 @@ def test_min_rate_is_checked_per_record():
 
 def test_codebooks_of_one_antenna_count_share_one_design(monkeypatch):
     # the six default codebooks are three n_t with two n_rf each: one DL
-    # draw and one design call per n_t, not per codebook
-    synth_n_tx, design_groups = [], []
+    # draw per n_t, not per codebook, and one design call per block of
+    # groups: 4 links x 64 subcarriers put all three in one block, and a
+    # block of 512 cells holds two
+    synth_n_tx, design_blocks = [], []
     synthesize_dl = runner.synthesize_dl
 
     def counted_synth(topology, amplitude, n_sc, n_tx, *args):
         synth_n_tx.append(n_tx)
         return synthesize_dl(topology, amplitude, n_sc, n_tx, *args)
 
-    def counted_design(channels, codebooks, p_b):
-        design_groups.append(tuple(cb.label for cb in codebooks))
-        return design_link(channels, codebooks, p_b)
+    def counted_design(groups, p_b):
+        design_blocks.append(tuple(tuple(cb.label for cb in codebooks) for _, codebooks in groups))
+        return design_link(groups, p_b)
 
     monkeypatch.setattr("vrlink.runner.synthesize_dl", counted_synth)
     monkeypatch.setattr("vrlink.runner.design_link", counted_design)
-    run_sweep(config_from_dict({}))
+    whole = run_sweep(config_from_dict({}))
     assert synth_n_tx == [2, 4, 8]
-    assert design_groups == [("2A1R", "2A2R"), ("4A1R", "4A2R"), ("8A1R", "8A2R")]
+    assert design_blocks == [(("2A1R", "2A2R"), ("4A1R", "4A2R"), ("8A1R", "8A2R"))]
+    design_blocks.clear()
+    monkeypatch.setattr(runner, "DESIGN_CELLS", 2 * 4 * 64)
+    assert same_result(run_sweep(config_from_dict({})), whole)
+    assert design_blocks == [(("2A1R", "2A2R"), ("4A1R", "4A2R")), (("8A1R", "8A2R"),)]
 
 
 def test_letters_of_one_record_come_in_order(monkeypatch):
     # v_j=1 overfills AP 1 when user 0 is re-homed there (a), no rate meets
     # r_min (b), and a doubled beam amplitude spends four times the budget (c)
-    def loud(channels, codebooks, p_b):
+    def loud(groups, p_b):
         return tuple(
             dataclasses.replace(sol, subcarrier_power=4.0 * sol.subcarrier_power)
-            for sol in design_link(channels, codebooks, p_b)
+            for sol in design_link(groups, p_b)
         )
 
     monkeypatch.setattr("vrlink.runner.design_link", loud)

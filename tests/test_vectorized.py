@@ -312,7 +312,7 @@ def test_design_link_matches_per_subcarrier_reference():
         channels.real[rng.uniform(size=channels.shape) < 0.1] = -0.0
         channels.imag[rng.uniform(size=channels.shape) < 0.1] = -0.0
         p_b = float(rng.uniform(1e-3, 1e-1))
-        (sol,) = design_link(channels[None], (codebook,), np.array([p_b]))
+        (sol,) = design_link(((channels[None], (codebook,)),), np.array([p_b]))
         p_a, g_a, eff, power = per_subcarrier_design(channels, codebook, p_b)
         assert sol.analog_precoder[0].tobytes() == p_a.tobytes()
         assert sol.analog_combiner[0].tobytes() == g_a.tobytes()
@@ -355,7 +355,7 @@ def test_stacked_design_equals_one_design_per_link():
         codebook, links = random_links(rng, trial)
         shapes.add((codebook.n_rx > 1, codebook.n_ds > 1))
         budgets = rng.uniform(1e-3, 1e-1, len(links))
-        (stacked,) = design_link(links, (codebook,), budgets)
+        (stacked,) = design_link(((links, (codebook,)),), budgets)
         powers = stacked.transmit_power()
         gains = stacked.effective_gain_per_subcarrier()
         assert powers.shape == (len(links),)
@@ -367,7 +367,7 @@ def test_stacked_design_equals_one_design_per_link():
         bent = dataclasses.replace(stacked, analog_precoder=stacked.analog_precoder * stretch[:, None, None])
         want = []
         for k in range(len(links)):
-            (one,) = design_link(links[k:k + 1], (codebook,), budgets[k:k + 1])
+            (one,) = design_link(((links[k:k + 1], (codebook,)),), budgets[k:k + 1])
             for field in dataclasses.fields(one):
                 if field.name != "codebook":
                     assert np.array_equal(getattr(stacked, field.name)[k], getattr(one, field.name)[0])

@@ -7,8 +7,12 @@ For each workload W, in the order given, pair k runs ``perfbench/run.py
 --workload W --seed <seed-base + k> --seconds S --trace 0`` once in each
 checkout, one after the other; the parent runs first in even pairs and the
 change first in odd ones, so a slow spell on the host does not always land
-on one side. Each checkout runs its own perfbench and src, so both must hold
-the workload.
+on one side. Each side runs its own perfbench and src, so both must hold
+the workload, from a fresh copy in a temporary directory: the checkout's
+files that git tracks, as they are in the working tree, and the untracked
+ones that .gitignore does not exclude. What a checkout's earlier builds and
+runs left there (bytecode caches, .bench_out) does not reach the runs, and
+moves neither side's peak_rss_mb. Each checkout must be a git work tree.
 
 For every end-to-end metric that BENCHMARK.json declares (read from the
 change's checkout) it prints each pair, both sides' medians, the parent's
@@ -21,10 +25,25 @@ if any sweep of any run failed (raised, or wrote a wrong results.csv).
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+
+def fresh_copy(checkout: Path, into: Path) -> Path:
+    """Copy the checkout's tracked and not-ignored untracked files into ``into``."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                            cwd=checkout, capture_output=True, text=True)
+    if listed.returncode != 0:
+        raise SystemExit(f"{checkout}: git ls-files exited {listed.returncode}\n{listed.stderr}")
+    for name in filter(None, listed.stdout.split("\0")):
+        if (checkout / name).is_file():  # a tracked file may be deleted in the work tree
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(checkout / name, into / name)
+    return into
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -75,9 +94,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("need --pairs >= 1")
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    declared = json.loads((sides["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+    with tempfile.TemporaryDirectory(prefix="ab_pairs-") as scratch:
+        sides = {side: fresh_copy(path.resolve(), Path(scratch) / side)
+                 for side, path in (("parent", args.parent), ("change", args.change))}
+        return run_pairs(args, sides)
 
+
+def run_pairs(args, sides: dict) -> int:
+    """Every workload's pairs on the two copies; prints and writes the record."""
+    declared = json.loads((sides["change"] / "BENCHMARK.json").read_text())["end_to_end"]
     record, ok = {}, True
     for workload in args.workload:
         pairs = {}
