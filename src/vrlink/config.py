@@ -1,9 +1,11 @@
 """Flat key = value config parsing and the sweep configuration object.
 
 Keys mirror the simulation parameter names (fc, w, n_sc, n_t, n_rf, ...).
-``KEYS`` names every key with its parser and default. Unknown keys are
-rejected so typos surface as configuration errors instead of silently
-running defaults.
+``KEYS`` holds one row per key: its parser, default and bound.
+``config_from_dict`` resolves every key in one pass over the rows, and
+``SweepConfig`` checks the bounds again for a config made by
+``dataclasses.replace``. Unknown keys are rejected so typos surface as
+configuration errors instead of silently running defaults.
 """
 
 import math
@@ -80,11 +82,11 @@ def _number(key: str, text: str) -> float:
 
 
 def _integer(key: str, text: str) -> int:
-    """A finite number equal to an integer, so 2.0 and 1e1 are integers."""
+    """A finite number equal to an integer, so 2.0 and 1e1 are; an integer literal keeps every digit."""
     v = _number(key, text)
     if v != int(v):
         raise ConfigurationError(f"key {key!r}: expected an integer, got {v}")
-    return int(v)
+    return int(text) if text.lstrip("+-").isdecimal() else int(v)
 
 
 def _int_list(key: str, text: str) -> tuple:
@@ -178,9 +180,9 @@ def check_budget(nbytes: int) -> None:
         raise ConfigurationError(f"sweep needs about {nbytes} bytes, over the {MAX_SWEEP_BYTES}-byte budget")
 
 
-def check_seed(seed: int) -> None:
-    if seed < 0:
-        raise ConfigurationError(f"seed must be non-negative, got {seed}")
+def check_bound(key: str, value, bound) -> None:
+    if bound is not None and not bound[0](value):
+        raise ConfigurationError(f"{key} must be {bound[1]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -198,10 +200,10 @@ class SweepConfig:
     v_j: int                       # user capacity per AP
     seed: int
     tap_count: int
-    tap_spacing_s: float           # delay-tap spacing, s
+    tap_spacing: float             # delay-tap spacing, s
     epsilon0: float                # tracking-error scale, meters
     gain_mode: str                 # deterministic | gaussian
-    mode_bin_s: float              # delay bin for the mode statistic
+    mode_bin: float                # delay bin for the mode statistic, s
     p_b: float                     # AP transmit power budget, W; also the Es/N0 anchor power
     p_u: float                     # UL transmit power per user, W
     gamma_d: float                 # delay tolerance per user, s
@@ -224,22 +226,9 @@ class SweepConfig:
             raise ConfigurationError("empty scenario list")
         if not self.codebooks:
             raise ConfigurationError("empty codebook list")
-        if self.gain_mode not in GAIN_MODES:
-            raise ConfigurationError(f"unknown gain mode {self.gain_mode!r}")
-        if not self.mode_bin_s > 0:
-            raise ConfigurationError(f"mode bin must be positive, got {self.mode_bin_s}")
-        if not self.w > 0:
-            raise ConfigurationError(f"path-loss exponent must be positive, got {self.w}")
-        if self.r_min < 0:
-            raise ConfigurationError(f"r_min must be non-negative, got {self.r_min}")
-        if self.v_j < 1:
-            raise ConfigurationError(f"v_j must be at least 1, got {self.v_j}")
-        if self.tap_count < 1:
-            raise ConfigurationError(f"tap count must be at least 1, got {self.tap_count}")
-        check_seed(self.seed)
-        for name in ("tap_spacing_s", "epsilon0", "p_b", "p_u", "gamma_d"):
-            if not getattr(self, name) > 0:
-                raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
+        for key, (_, _, bound) in KEYS.items():  # in table order, so the first bad key is the one named
+            if key in self.__dataclass_fields__:
+                check_bound(key, getattr(self, key), bound)
         # the power check scales p_b by 1 + FACTOR_TOL; a rate is at most
         # bw * log2(1 + SINR) <= bw * 1024 for a finite SINR, and twice that
         # leaves room for a sum of rates over the subcarriers to round up
@@ -255,7 +244,7 @@ class SweepConfig:
             grid = f"{self.esn0_db[0]:g}..{self.esn0_db[-1]:g} dB"
             raise ConfigurationError(f"noise power p_b / 10^(esn0/10) leaves the positive float range on Es/N0 {grid}")
         check_budget(self.estimated_bytes)
-        ul, dl = path_gains(self.topology, self.grid, self.w, self.tap_count, self.tap_spacing_s)
+        ul, dl = path_gains(self.topology, self.grid, self.w, self.tap_count, self.tap_spacing)
         object.__setattr__(self, "ul_gain", tuple(map(tuple, ul.tolist())))
         object.__setattr__(self, "dl_amplitude", tuple(map(tuple, dl.tolist())))
         object.__setattr__(self, "noise", tuple(noise))
@@ -278,47 +267,53 @@ class SweepConfig:
         return tuple(i % self.topology.n_aps for i in range(self.topology.n_users))
 
 
-# every config key: its parser, called as parser(key, text), and its default;
-# a default of None is worked out from other keys in config_from_dict
+# every config key, in the order it is resolved: its parser, called as
+# parser(key, text); its default, a value or a function of the keys above it,
+# taken when the key is absent or parses to None (the positions stay None for
+# config_from_dict to place; a tap_spacing of 0 is one sample of bw_total);
+# and its bound, None or a test of the value with the words that name it
+POSITIVE = (lambda v: v > 0, "positive")
+NON_NEGATIVE = (lambda v: v >= 0, "non-negative")
+AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
 KEYS = {
-    "fc": (_number, 60e9),
-    "w": (_number, 3.2),
-    "n_sc": (_integer, 64),
-    "bw_total": (_number, 2.16e9),
-    "n_t": (_int_list, (2, 4, 8)),
-    "n_rf": (_int_list, (1, 2)),
-    "n_r": (_integer, 1),
-    "n_ds": (_integer, 1),
-    "b": (_integer, 2),
-    "u": (_integer, 2),
-    "p_b": (_number, 10e-3),
-    "p_u": (_number, None),  # p_b / u
-    "s_i": (_number, 512 * 24),
-    "a_i": (_number, 6),
-    "v": (_number, 5),
-    "m_capacity": (_number, 1e9),
-    "n_share": (_number, 2),
-    "queue_units": (_word, "paper"),
-    "mu": (_number, None),  # the queue_units preset
-    "lambda": (_number, None),  # the queue_units preset
-    "gamma_d": (_number, 20e-3),
-    "r_min": (_number, 0.0),
-    "v_j": (_integer, None),  # u
-    "epsilon0": (_number, 1.0),
-    "esn0_start": (_number, 0.0),
-    "esn0_stop": (_number, 20.0),
-    "esn0_step": (_number, 1.0),
-    "scenario": (lambda key, text: parse_scenarios(text), (GainAggregation.MEAN, GainAggregation.MIN)),
-    "seed": (_integer, 1),
-    "tap_count": (_integer, 4),
-    "tap_spacing": (_number, 0.0),  # 0: one sample of bw_total
-    "gain_mode": (_word, "deterministic"),
-    "mode_bin": (_number, 1e-6),
-    "area_x": (_range, (0.0, 10.0)),
-    "area_y": (_range, (0.0, 17.0)),
-    "area_z": (_range, (0.0, 3.0)),
-    "ap_positions": (_positions, None),  # fixed when b is 2, else sampled from the seed
-    "user_positions": (_positions, None),  # fixed when u is 2, else sampled from the seed
+    "fc": (_number, 60e9, None),
+    "w": (_number, 3.2, POSITIVE),
+    "n_sc": (_integer, 64, (lambda v: v <= MAX_N_SC, f"at most {MAX_N_SC}")),
+    "bw_total": (_number, 2.16e9, POSITIVE),  # tap_spacing divides by it
+    "n_t": (_int_list, (2, 4, 8), None),
+    "n_rf": (_int_list, (1, 2), None),
+    "n_r": (_integer, 1, None),
+    "n_ds": (_integer, 1, None),
+    "b": (_integer, 2, AT_LEAST_1),
+    "u": (_integer, 2, AT_LEAST_1),
+    "p_b": (_number, 10e-3, POSITIVE),
+    "p_u": (_number, lambda c: c["p_b"] / c["u"], POSITIVE),
+    "s_i": (_number, 512 * 24, None),
+    "a_i": (_number, 6, None),
+    "v": (_number, 5, None),
+    "m_capacity": (_number, 1e9, None),
+    "n_share": (_number, 2, None),
+    "queue_units": (_word, "paper", (lambda v: v in QUEUE_UNIT_PRESETS, f"one of {sorted(QUEUE_UNIT_PRESETS)}")),
+    "mu": (_number, lambda c: QUEUE_UNIT_PRESETS[c["queue_units"]][0], None),
+    "lambda": (_number, lambda c: QUEUE_UNIT_PRESETS[c["queue_units"]][1], None),
+    "gamma_d": (_number, 20e-3, POSITIVE),
+    "r_min": (_number, 0.0, NON_NEGATIVE),
+    "v_j": (_integer, lambda c: c["u"], AT_LEAST_1),
+    "epsilon0": (_number, 1.0, POSITIVE),
+    "esn0_start": (_number, 0.0, None),
+    "esn0_stop": (_number, 20.0, None),
+    "esn0_step": (_number, 1.0, None),
+    "scenario": (lambda key, text: parse_scenarios(text), (GainAggregation.MEAN, GainAggregation.MIN), None),
+    "seed": (_integer, 1, NON_NEGATIVE),
+    "tap_count": (_integer, 4, AT_LEAST_1),
+    "tap_spacing": (lambda key, text: _number(key, text) or None, lambda c: 1.0 / c["bw_total"], POSITIVE),
+    "gain_mode": (_word, "deterministic", (lambda v: v in GAIN_MODES, f"one of {sorted(GAIN_MODES)}")),
+    "mode_bin": (_number, 1e-6, POSITIVE),
+    "area_x": (_range, (0.0, 10.0), None),
+    "area_y": (_range, (0.0, 17.0), None),
+    "area_z": (_range, (0.0, 3.0), None),
+    "ap_positions": (_positions, None, None),  # fixed when b is 2, else sampled from the seed
+    "user_positions": (_positions, None, None),  # fixed when u is 2, else sampled from the seed
 }
 
 
@@ -327,41 +322,33 @@ def config_from_dict(raw: dict) -> SweepConfig:
     unknown = set(raw) - set(KEYS)
     if unknown:
         raise ConfigurationError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    c = {key: parse(key, raw[key]) if key in raw else default for key, (parse, default) in KEYS.items()}
+    c = {key: parse(key, raw[key]) for key, (parse, _, _) in KEYS.items() if key in raw}
+    for key, (_, default, bound) in KEYS.items():
+        if c.get(key) is None:
+            c[key] = default(c) if callable(default) else default
+        check_bound(key, c[key], bound)
 
-    if c["n_sc"] > MAX_N_SC:
-        raise ConfigurationError(f"n_sc must be at most {MAX_N_SC}, got {c['n_sc']}")
     grid = SubcarrierGrid(n_sc=c["n_sc"], carrier_frequency=c["fc"], total_bandwidth=c["bw_total"])
     codebooks = tuple(Codebook(t, r, c["n_r"], c["n_ds"]) for t in set(c["n_t"]) for r in set(c["n_rf"]))
-
-    b, u = c["b"], c["u"]
-    if b < 1 or u < 1:
-        raise ConfigurationError(f"need at least one AP and one user, got b={b} u={u}")
-    if c["queue_units"] not in QUEUE_UNIT_PRESETS:
-        raise ConfigurationError(
-            f"unknown queue_units {c['queue_units']!r}, expected one of {sorted(QUEUE_UNIT_PRESETS)}"
-        )
-    mu, lam = QUEUE_UNIT_PRESETS[c["queue_units"]]
     traffic = TrafficModel(
         s_bits=c["s_i"],
         a_bits=c["a_i"],
         v_bits=c["v"],
         m_capacity=c["m_capacity"],
         n_share=c["n_share"],
-        mu=mu if c["mu"] is None else c["mu"],
-        lam=lam if c["lambda"] is None else c["lambda"],
+        mu=c["mu"],
+        lam=c["lambda"],
     )
     area = IndoorArea(x_range=c["area_x"], y_range=c["area_y"], z_range=c["area_z"])
 
-    check_seed(c["seed"])  # the position draws below read it
     esn0 = esn0_grid(c["esn0_start"], c["esn0_step"], c["esn0_stop"])
     # before any per-node work: the sizes alone can exceed the budget
-    check_budget(sweep_bytes(u * b, c["n_sc"], codebooks, len(set(c["scenario"])), len(esn0), c["tap_count"]))
+    check_budget(sweep_bytes(c["u"] * c["b"], c["n_sc"], codebooks, len(set(c["scenario"])), len(esn0), c["tap_count"]))
 
     # positions not given are fixed for a count of 2, else drawn from the seed
     for key, count, fixed, stream in (
-        ("ap_positions", b, DEFAULT_AP_POSITIONS, 2),
-        ("user_positions", u, DEFAULT_USER_POSITIONS, 3),
+        ("ap_positions", c["b"], DEFAULT_AP_POSITIONS, 2),
+        ("user_positions", c["u"], DEFAULT_USER_POSITIONS, 3),
     ):
         if c[key] is None and count == len(fixed):
             c[key] = fixed
@@ -378,18 +365,7 @@ def config_from_dict(raw: dict) -> SweepConfig:
         esn0_db=esn0,
         scenarios=c["scenario"],
         traffic=traffic,
-        w=c["w"],
-        r_min=c["r_min"],
-        v_j=u if c["v_j"] is None else c["v_j"],
-        seed=c["seed"],
-        tap_count=c["tap_count"],
-        tap_spacing_s=c["tap_spacing"] or grid.sample_period,
-        epsilon0=c["epsilon0"],
-        gain_mode=c["gain_mode"],
-        mode_bin_s=c["mode_bin"],
-        p_b=c["p_b"],
-        p_u=c["p_b"] / u if c["p_u"] is None else c["p_u"],
-        gamma_d=c["gamma_d"],
+        **{key: c[key] for key in KEYS if key in SweepConfig.__dataclass_fields__},
     )
 
 

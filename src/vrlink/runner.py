@@ -211,7 +211,7 @@ def _summarize(config: SweepConfig, table: SweepResult) -> dict:
         per_codebook[(scenario.value, codebook.label)] = {
             "utility_mean": float(np.mean(utilities)) if utilities.size else math.nan,
             "d_trans_min_s": min_statistic(d_trans) if d_trans.size else math.nan,
-            "d_trans_mode_s": mode_statistic(d_trans, config.mode_bin_s) if d_trans.size else math.nan,
+            "d_trans_mode_s": mode_statistic(d_trans, config.mode_bin) if d_trans.size else math.nan,
         }
     # per Es/N0 point one row per codebook: its links of every scenario, in row order
     per_link = table.utility.transpose(2, 1, 0, 3, 4).reshape(len(table.esn0_db), len(table.codebooks), -1)

@@ -299,7 +299,7 @@ def sweep_table(config) -> SweepResult:
     topo, grid, traffic = config.topology, config.grid, config.traffic
     users, aps, n_sc = range(topo.n_users), range(topo.n_aps), grid.n_sc
     gaussian = config.gain_mode == "gaussian"
-    ul_gain, amplitude = path_gains(topo, grid, config.w, config.tap_count, config.tap_spacing_s)
+    ul_gain, amplitude = path_gains(topo, grid, config.w, config.tap_count, config.tap_spacing)
     rng = np.random.default_rng([config.seed, 0]) if gaussian else None
     ul = np.array([[link_gains(n_sc, config.gain_mode, rng) * ul_gain[i, j] for j in aps] for i in users])
     served = {(i, j): evaluation_cells(config.base_cells, i, j).count(j) for i in users for j in aps}

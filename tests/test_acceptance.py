@@ -80,7 +80,7 @@ def test_criterion_3_constraint_conformance_full_sweep(default_sweep):
     topo = cfg.topology
     base = cfg.base_cells
     checked = 0
-    _, amplitude = path_gains(topo, cfg.grid, cfg.w, cfg.tap_count, cfg.tap_spacing_s)
+    _, amplitude = path_gains(topo, cfg.grid, cfg.w, cfg.tap_count, cfg.tap_spacing)
     for codebook in cfg.codebooks:
         dl = synthesize_dl(
             topo,

@@ -265,7 +265,7 @@ def test_synthesize_dl_gaussian_mode_deterministic_per_seed():
 def test_stacked_synthesis_equals_one_link_at_a_time(mode, n_rx, u, b):
     cfg = config_from_dict({"u": str(u), "b": str(b), "n_sc": "17", "gain_mode": mode, "seed": "5"})
     topo, n_sc = cfg.topology, cfg.grid.n_sc
-    ul_gain, amp = path_gains(topo, cfg.grid, cfg.w, cfg.tap_count, cfg.tap_spacing_s)
+    ul_gain, amp = path_gains(topo, cfg.grid, cfg.w, cfg.tap_count, cfg.tap_spacing)
     ul = synthesize_ul(ul_gain, n_sc, mode, np.random.default_rng([5, 0]))
     ul_rng = np.random.default_rng([5, 0])
     for i, j in np.ndindex(ul_gain.shape):

@@ -1,6 +1,7 @@
 """Config parsing, defaults, and validation."""
 
 import dataclasses
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -65,7 +66,7 @@ def test_default_parameter_values():
     assert cfg.p_u == pytest.approx(0.005)  # p_b / u
     assert cfg.gamma_d == pytest.approx(20e-3)
     # a tap_spacing of 0, the default, is one sample of the total bandwidth
-    assert cfg.tap_spacing_s == config_from_dict({"tap_spacing": "0"}).tap_spacing_s == 1.0 / 2.16e9
+    assert cfg.tap_spacing == config_from_dict({"tap_spacing": "0"}).tap_spacing == 1.0 / 2.16e9
     assert cfg.traffic.s_bits == pytest.approx(512 * 24)
     assert cfg.traffic.a_bits == pytest.approx(6)
     assert cfg.traffic.v_bits == pytest.approx(5)
@@ -217,9 +218,10 @@ def test_shipped_config_resolves_to_the_defaults():
 
 
 def test_shipped_config_sets_every_key_with_a_fixed_default():
-    # the keys whose default is None are worked out from other keys
+    # a default that is a function is worked out from the keys above it; the
+    # positions' None, from the counts and the seed
     text = (Path(__file__).resolve().parents[1] / "configs" / "indoor_default.conf").read_text()
-    fixed = {key for key, (_, default) in KEYS.items() if default is not None}
+    fixed = {key for key, (_, default, _) in KEYS.items() if default is not None and not callable(default)}
     assert fixed - set(parse_config_text(text)) == set()
 
 
@@ -239,8 +241,8 @@ BAD_INPUTS = [
     ("n_sc = inf", None, "key 'n_sc': expected a finite number, got 'inf'"),
     ("esn0_start = nan", None, "key 'esn0_start': expected a finite number, got 'nan'"),
     ("esn0_step = 1e-12", None, "esn0 grid has more than 1001 points"),
-    ("u = 0", None, "need at least one AP and one user, got b=2 u=0"),
-    ("b = 0", None, "need at least one AP and one user, got b=0 u=2"),
+    ("u = 0", None, "u must be at least 1, got 0"),
+    ("b = 0", None, "b must be at least 1, got 0"),
     ("p_u = inf", None, "key 'p_u': expected a finite number, got 'inf'"),
     ("gamma_d = inf", None, "key 'gamma_d': expected a finite number, got 'inf'"),
     ("epsilon0 = inf", None, "key 'epsilon0': expected a finite number, got 'inf'"),
@@ -256,7 +258,7 @@ BAD_INPUTS = [
     ("epsilon0 = 0", None, "epsilon0 must be positive, got 0.0"),
     ("epsilon0 = -1", None, "epsilon0 must be positive, got -1.0"),
     ("lambda = -1e-9", None, "need 0 <= lambda < mu, got mu=4e-09 lambda=-1e-09"),
-    ("tap_spacing = -1e-9", None, "tap_spacing_s must be positive, got -1e-09"),
+    ("tap_spacing = -1e-9", None, "tap_spacing must be positive, got -1e-09"),
     ("tap_count = 1000000000", None, "sweep needs about 32002330624 bytes, over the 1073741824-byte budget"),
     ("u = 1000000", None, "sweep needs about 641024000128 bytes, over the 1073741824-byte budget"),
     # a derived quantity leaves the float range: the wavelength, the tap
@@ -330,6 +332,20 @@ BAD_INPUTS = [
     ("n_sc = 8", ["--codebook", "abc"], "cannot parse codebook 'abc', expected NTxNRF"),
     ("n_sc = 8", ["--codebook", "2x3"], "need 1 <= n_ds <= n_rf <= n_tx, got ds=1 rf=3 tx=2"),
     ("n_sc = 8", ["--esn0", "0:20"], "expected start:step:stop, got '0:20'"),
+    # each bound, named by the key the config sets
+    ("w = 0", None, "w must be positive, got 0.0"),
+    ("r_min = -1", None, "r_min must be non-negative, got -1.0"),
+    ("v_j = 0", None, "v_j must be at least 1, got 0"),
+    ("tap_count = 0", None, "tap_count must be at least 1, got 0"),
+    ("mode_bin = 0", None, "mode_bin must be positive, got 0.0"),
+    ("gain_mode = rayleigh", None, "gain_mode must be one of ['deterministic', 'gaussian'], got 'rayleigh'"),
+    ("queue_units = bananas", None, "queue_units must be one of ['paper', 'reciprocal'], got 'bananas'"),
+    ("p_b = 0", None, "p_b must be positive, got 0.0"),
+    ("p_u = -1", None, "p_u must be positive, got -1.0"),
+    ("gamma_d = 0", None, "gamma_d must be positive, got 0.0"),
+    ("bw_total = 0", None, "bw_total must be positive, got 0.0"),
+    ("seed = -1", None, "seed must be non-negative, got -1"),
+    ("n_sc = 8", ["--seed=-1"], "seed must be non-negative, got -1"),
 ]
 
 # (results CSV text, the message `vrlink stats` prints after "error: ", with
@@ -409,6 +425,54 @@ def test_negative_seed_is_rejected_on_every_path():
         config_from_dict({"seed": "-1"})
     with pytest.raises(ConfigurationError, match=message):
         dataclasses.replace(config_from_dict({}), seed=-1)
+
+
+# a value just outside each KEYS bound, as config text; a tap_spacing of 0
+# is one sample of bw_total, so its value lies below 0
+OUTSIDE = {
+    "w": "0", "n_sc": str(MAX_N_SC + 1), "bw_total": "0", "b": "0", "u": "0", "p_b": "0", "p_u": "0",
+    "queue_units": "papers", "gamma_d": "0", "r_min": "-5e-324", "v_j": "0", "epsilon0": "0", "seed": "-1",
+    "tap_count": "0", "tap_spacing": "-5e-324", "gain_mode": "gauss", "mode_bin": "0",
+}
+
+
+def test_every_bound_has_a_value_outside_it():
+    assert set(OUTSIDE) == {key for key, (_, _, bound) in KEYS.items() if bound is not None}
+
+
+@pytest.mark.parametrize("key", list(OUTSIDE))
+def test_a_value_outside_its_bound_is_rejected_on_both_entries(key):
+    # the parsed entry, and the replace path for the keys that are fields
+    parse, _, (_, words) = KEYS[key]
+    value = parse(key, OUTSIDE[key])
+    message = "^" + re.escape(f"{key} must be {words}, got {value!r}") + "$"
+    with pytest.raises(ConfigurationError, match=message):
+        config_from_dict({key: OUTSIDE[key]})
+    if key in {field.name for field in dataclasses.fields(SweepConfig)}:
+        with pytest.raises(ConfigurationError, match=message):
+            dataclasses.replace(config_from_dict({}), **{key: value})
+
+
+def test_bounds_are_checked_in_table_order_on_both_entries():
+    # seed is a field before p_b, but the p_b row comes first in KEYS
+    with pytest.raises(ConfigurationError, match="^p_b must be positive"):
+        config_from_dict({"seed": "-1", "p_b": "0"})
+    with pytest.raises(ConfigurationError, match="^p_b must be positive"):
+        dataclasses.replace(config_from_dict({}), seed=-1, p_b=0.0)
+
+
+def test_integer_literals_keep_every_digit(tmp_path, capsys):
+    # 2^53 + 1 read through a float is 2^53, and would draw its positions
+    big, below = (config_from_dict({"seed": seed, "u": "3"}) for seed in ("9007199254740993", "9007199254740992"))
+    assert (big.seed, below.seed) == (2 ** 53 + 1, 2 ** 53)
+    assert big.topology.users != below.topology.users
+    assert config_from_dict({"seed": "1e1", "n_t": "2.0, 4"}).seed == 10
+    path = tmp_path / "big.conf"
+    path.write_text("seed = 9007199254740993\n")
+    assert main(["check-config", "--config", str(path)]) == 0
+    assert "\n  gain_mode=deterministic seed=9007199254740993\n" in capsys.readouterr().out
+    # simulate --seed passes its int through the overrides
+    assert load_config(str(path), {"seed": 99999999999999999999}).seed == 99999999999999999999
 
 
 def test_esn0_grid_is_checked_on_the_replace_path():

@@ -11,8 +11,9 @@ and the functions the benchmark's layer trace wraps (perfbench/layers.py,
 loaded by path as in test_bench_hooks.py).
 
 A parameter counts as read when the body of its def, nested code included,
-loads its name. Allowed unread: the key of a ``config.KEYS`` parser, which
-is called as parser(key, text) whether it names the key or not.
+loads its name. Allowed unread: the key of a parser in a ``config.KEYS``
+row (parser, default, bound), which is called as parser(key, text) whether
+it names the key or not.
 
 A dataclass field counts as read when package code reads an attribute of
 that name. Allowed unread: the fields in ``UNREAD_FIELDS``, each with its

@@ -374,7 +374,7 @@ def test_summary_contents(small_result):
         (s.value, cb.label) for s in cfg.scenarios for cb in cfg.codebooks
     }
     for row in per.values():
-        assert row["d_trans_min_s"] <= row["d_trans_mode_s"] + cfg.mode_bin_s
+        assert row["d_trans_min_s"] <= row["d_trans_mode_s"] + cfg.mode_bin
     assert set(result.summary["best_codebook"]) == {float(e) for e in cfg.esn0_db}
 
 

@@ -341,7 +341,7 @@ def random_links(rng, trial):
         "gain_mode": str(rng.choice(["deterministic", "gaussian"])), "seed": str(trial),
     })
     codebook = cfg.codebooks[0]
-    _, amplitude = path_gains(cfg.topology, cfg.grid, cfg.w, cfg.tap_count, cfg.tap_spacing_s)
+    _, amplitude = path_gains(cfg.topology, cfg.grid, cfg.w, cfg.tap_count, cfg.tap_spacing)
     dl = synthesize_dl(
         cfg.topology, amplitude, n_sc, n_tx, n_rx, cfg.gain_mode, np.random.default_rng([cfg.seed, 1])
     )
@@ -412,10 +412,10 @@ def per_subcarrier_dl(topology, grid, n_tx, n_rx, tap_count, tap_spacing_s, mode
 def test_synthesize_dl_matches_per_subcarrier_reference(raw):
     cfg = config_from_dict(raw)
     for n_tx, n_rx in ((1, 1), (2, 1), (4, 2), (8, 1), (3, 4)):
-        _, amplitude = path_gains(cfg.topology, cfg.grid, cfg.w, cfg.tap_count, cfg.tap_spacing_s)
+        _, amplitude = path_gains(cfg.topology, cfg.grid, cfg.w, cfg.tap_count, cfg.tap_spacing)
         rng = np.random.default_rng([cfg.seed, 1])
         dl = synthesize_dl(cfg.topology, amplitude, cfg.grid.n_sc, n_tx, n_rx, cfg.gain_mode, rng)
-        args = (cfg.topology, cfg.grid, n_tx, n_rx, cfg.tap_count, cfg.tap_spacing_s, cfg.gain_mode)
+        args = (cfg.topology, cfg.grid, n_tx, n_rx, cfg.tap_count, cfg.tap_spacing, cfg.gain_mode)
         ref = per_subcarrier_dl(*args, np.random.default_rng([cfg.seed, 1]))
         assert np.array_equal(dl.matrices, ref)
 
@@ -428,7 +428,7 @@ def test_zero_power_user_is_an_infeasible_record(tmp_path):
         "w": "300", "area_x": "0, 30", "ap_positions": "1,1,2 ; 2,1,2",
         "user_positions": "25,1,1 ; 1.5,2,1", "n_sc": "8", "esn0_stop": "2",
     })
-    ul_gain, _ = path_gains(cfg.topology, cfg.grid, cfg.w, cfg.tap_count, cfg.tap_spacing_s)
+    ul_gain, _ = path_gains(cfg.topology, cfg.grid, cfg.w, cfg.tap_count, cfg.tap_spacing)
     assert ul_gain[0].tolist() == [0.0, 0.0] and np.all(ul_gain[1] > 0)
     result = run_sweep(cfg)
     # the user axis is the last
