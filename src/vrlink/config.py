@@ -10,6 +10,7 @@ configuration errors instead of silently running defaults.
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -267,8 +268,20 @@ class SweepConfig:
         return tuple(i % self.topology.n_aps for i in range(self.topology.n_users))
 
 
+@dataclass(frozen=True)
+class Derived:
+    """A default worked out from the keys above it, with the words that say
+    how: a bound the worked-out value fails names the keys it came from."""
+
+    words: str
+    rule: Callable
+
+    def __call__(self, c: dict):
+        return self.rule(c)
+
+
 # every config key, in the order it is resolved: its parser, called as
-# parser(key, text); its default, a value or a function of the keys above it,
+# parser(key, text); its default, a value or a Derived of the keys above it,
 # taken when the key is absent or parses to None (the positions stay None for
 # config_from_dict to place; a tap_spacing of 0 is one sample of bw_total);
 # and its bound, None or a test of the value with the words that name it
@@ -278,7 +291,7 @@ AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
 KEYS = {
     "fc": (_number, 60e9, None),
     "w": (_number, 3.2, POSITIVE),
-    "n_sc": (_integer, 64, (lambda v: v <= MAX_N_SC, f"at most {MAX_N_SC}")),
+    "n_sc": (_integer, 64, (lambda v: 1 <= v <= MAX_N_SC, f"between 1 and {MAX_N_SC}")),
     "bw_total": (_number, 2.16e9, POSITIVE),  # tap_spacing divides by it
     "n_t": (_int_list, (2, 4, 8), None),
     "n_rf": (_int_list, (1, 2), None),
@@ -287,18 +300,18 @@ KEYS = {
     "b": (_integer, 2, AT_LEAST_1),
     "u": (_integer, 2, AT_LEAST_1),
     "p_b": (_number, 10e-3, POSITIVE),
-    "p_u": (_number, lambda c: c["p_b"] / c["u"], POSITIVE),
+    "p_u": (_number, Derived("p_b / u", lambda c: c["p_b"] / c["u"]), POSITIVE),
     "s_i": (_number, 512 * 24, None),
     "a_i": (_number, 6, None),
     "v": (_number, 5, None),
     "m_capacity": (_number, 1e9, None),
     "n_share": (_number, 2, None),
     "queue_units": (_word, "paper", (lambda v: v in QUEUE_UNIT_PRESETS, f"one of {sorted(QUEUE_UNIT_PRESETS)}")),
-    "mu": (_number, lambda c: QUEUE_UNIT_PRESETS[c["queue_units"]][0], None),
-    "lambda": (_number, lambda c: QUEUE_UNIT_PRESETS[c["queue_units"]][1], None),
+    "mu": (_number, Derived("the queue_units preset", lambda c: QUEUE_UNIT_PRESETS[c["queue_units"]][0]), None),
+    "lambda": (_number, Derived("the queue_units preset", lambda c: QUEUE_UNIT_PRESETS[c["queue_units"]][1]), None),
     "gamma_d": (_number, 20e-3, POSITIVE),
     "r_min": (_number, 0.0, NON_NEGATIVE),
-    "v_j": (_integer, lambda c: c["u"], AT_LEAST_1),
+    "v_j": (_integer, Derived("u", lambda c: c["u"]), AT_LEAST_1),
     "epsilon0": (_number, 1.0, POSITIVE),
     "esn0_start": (_number, 0.0, None),
     "esn0_stop": (_number, 20.0, None),
@@ -306,7 +319,8 @@ KEYS = {
     "scenario": (lambda key, text: parse_scenarios(text), (GainAggregation.MEAN, GainAggregation.MIN), None),
     "seed": (_integer, 1, NON_NEGATIVE),
     "tap_count": (_integer, 4, AT_LEAST_1),
-    "tap_spacing": (lambda key, text: _number(key, text) or None, lambda c: 1.0 / c["bw_total"], POSITIVE),
+    "tap_spacing": (lambda key, text: _number(key, text) or None,
+                    Derived("1 / bw_total", lambda c: 1.0 / c["bw_total"]), POSITIVE),
     "gain_mode": (_word, "deterministic", (lambda v: v in GAIN_MODES, f"one of {sorted(GAIN_MODES)}")),
     "mode_bin": (_number, 1e-6, POSITIVE),
     "area_x": (_range, (0.0, 10.0), None),
@@ -324,9 +338,12 @@ def config_from_dict(raw: dict) -> SweepConfig:
         raise ConfigurationError(f"unknown config keys: {', '.join(sorted(unknown))}")
     c = {key: parse(key, raw[key]) for key, (parse, _, _) in KEYS.items() if key in raw}
     for key, (_, default, bound) in KEYS.items():
-        if c.get(key) is None:
-            c[key] = default(c) if callable(default) else default
-        check_bound(key, c[key], bound)
+        name = key
+        if c.get(key) is None and callable(default):
+            c[key], name = default(c), f"{key} (default {default.words})"
+        elif c.get(key) is None:
+            c[key] = default
+        check_bound(name, c[key], bound)
 
     grid = SubcarrierGrid(n_sc=c["n_sc"], carrier_frequency=c["fc"], total_bandwidth=c["bw_total"])
     codebooks = tuple(Codebook(t, r, c["n_r"], c["n_ds"]) for t in set(c["n_t"]) for r in set(c["n_rf"]))

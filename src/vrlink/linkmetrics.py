@@ -23,6 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidInputError
+from .numerics import distinct_doubles
 
 LN2 = math.log(2.0)
 
@@ -114,10 +115,21 @@ def _rate(bw: float, sinr: np.ndarray) -> np.ndarray:
     """Shannon rate bw * log2(1 + sinr) in bits/s per element.
 
     math.log1p keeps full precision for the tiny SINRs the path-loss model
-    produces; np.log1p rounds differently from it.
+    produces; np.log1p rounds differently from it. Where a SINR repeats the
+    one before it in C order, as the UL SINRs repeat across subcarriers
+    under the deterministic phase ramp, log1p runs once per distinct SINR
+    and is expanded by index, which gives every element the bits of its own
+    call (see the numerics docstring). Elsewhere, as with Gaussian gains or
+    along the DL's AP axis, the sort that finds the distinct SINRs costs
+    more than the calls it saves, and log1p runs per element.
     """
-    # Python floats from tolist(): the same doubles, without numpy scalars
-    log1p = np.fromiter(map(math.log1p, sinr.ravel().tolist()), float, sinr.size).reshape(sinr.shape)
+    flat = sinr.ravel()
+    keys = flat.view(np.int64)
+    if np.any(keys[1:] == keys[:-1]):
+        values, index = distinct_doubles(sinr)
+    else:  # Python floats from tolist(): the same doubles, without numpy scalars
+        values, index = flat.tolist(), slice(None)
+    log1p = np.fromiter(map(math.log1p, values), float, len(values))[index].reshape(sinr.shape)
     return bw * log1p / LN2
 
 

@@ -88,6 +88,12 @@ x86-64 these hold:
 - ``"%.9g" % x`` equals ``f"{x:.9g}"`` for every double, NaN, infinities,
   signed zeros and subnormals included: both call CPython's
   ``PyOS_double_to_string(x, 'g', 9)``.
+- a per-element scalar call on a double, ``"%.9g" % x`` or ``math.log1p(x)``,
+  depends only on its argument's bits, so one call per distinct int64 key
+  ``x.view(np.int64)``, expanded by ``np.unique``'s inverse, reproduces the
+  per-element output (``distinct_doubles``). The key keeps ``-0.0`` apart
+  from ``0.0`` and one NaN payload or sign from another; a dict keyed by
+  the float would merge the zeros and print ``0`` for ``-0``.
 - ``np.mean``, ``np.sum`` and ``np.max`` along the last axis of a
   C-contiguous or boolean-indexed stack equal the 1-D call on each row, so
   a stack of link windows reduces as one window at a time does.
@@ -369,6 +375,16 @@ def row_sums(x: np.ndarray) -> np.ndarray:
     for col in cols[blocks:]:
         total += col
     return total
+
+
+def distinct_doubles(x: np.ndarray) -> tuple:
+    """The distinct doubles of a real array, told apart by bit pattern, as
+    Python floats, and each element's index into them in ``x``'s shape: a
+    per-element scalar call made once per distinct value and expanded by the
+    index reproduces the per-element output (see the module docstring)."""
+    keys, index = np.unique(x.view(np.int64), return_inverse=True)
+    # numpy 1.x returns the index flat, numpy 2.0.0 in x's shape
+    return keys.view(float).tolist(), index.reshape(x.shape)
 
 
 def unit_modulus_normalize(m, target_modulus: float) -> np.ndarray:

@@ -18,7 +18,7 @@ from .channel import synthesize_dl, synthesize_ul
 from .config import BLOCK_CELLS, DESIGN_CELLS, SweepConfig
 from .errors import InvalidInputError, LinkError
 from .linkmetrics import compute_metrics
-from .numerics import FACTOR_TOL, MODULUS_TOL
+from .numerics import FACTOR_TOL, MODULUS_TOL, distinct_doubles
 from .qos import link_utilities, processing_delay, queue_delay, tracking_factors, transmission_delay
 
 CSV_HEADER = (
@@ -227,11 +227,14 @@ def write_results_csv(result: SweepResult, path: str) -> None:
     A ``%`` template of one (scenario, codebook) block's rows is built once
     per sweep: the Es/N0 labels, link labels, UL rates and the processing
     and queue pair, shared by every block, are formatted into it, and each
-    row keeps ``%.9g`` slots for its DL rate and two delays and a ``%s``
-    slot for its utility tail. Each block puts its ``scenario,n_tx,n_rf,``
-    prefix on every row and fills the whole block with one ``%``, which
-    rounds as the f-string ``.9g`` does (see the numerics docstring). The
-    file is written one block at a time."""
+    row keeps ``%s`` slots for its DL rate, two delays and utility tail.
+    The table's codebooks repeat each other's values, so those doubles are
+    formatted with ``%.9g`` once per distinct bit pattern of the whole table
+    and expanded by index, which gives every row the f-string ``.9g`` text
+    of its own values (see the numerics docstring); an infeasible row's
+    tail is one of the 32 ``VIOLATIONS``. Each block puts its
+    ``scenario,n_tx,n_rf,`` prefix on every row and fills the whole block
+    with one ``%``. The file is written one block at a time."""
     n_e = len(result.esn0_db)
     n_links = math.prod(result.rate_ul.shape[1:])
     links = [f"{j},{i}" for j, i in np.ndindex(result.rate_ul.shape[1:])]
@@ -241,20 +244,22 @@ def write_results_csv(result: SweepResult, path: str) -> None:
     # numbers formatted with .9g hold no "%"; the scenario name is escaped.
     # The leading empty row puts the prefix before the first row.
     rows = [""] + [
-        f"{e},{link},%.9g,{ul},%.9g,{queue},%.9g,%s\n"
+        f"{e},{link},%s,{ul},%s,{queue},%s,%s\n"
         for e, ul_point in zip(esn0, rate_ul)
         for link, ul in zip(links, ul_point)
     ]
-    failed = [f",false,{letters}" for letters in VIOLATIONS]
-    shape = (len(result.scenarios), len(result.codebooks), n_e * n_links)
-    columns = [a.reshape(shape) for a in (result.rate_dl, result.d_trans, result.d_total, result.utility, result.codes)]
+    # per row: the DL rate, the transmission and total delays, the tail
+    cells = np.empty(result.codes.shape + (4,), dtype=object)
+    values, index = distinct_doubles(np.stack((result.rate_dl, result.d_trans, result.d_total), axis=-1))
+    cells[..., :3] = np.array([f"{x:.9g}" for x in values], dtype=object)[index]
+    values, index = distinct_doubles(result.utility)
+    tails = np.array([f"{u:.9g},true," for u in values] + [f",false,{letters}" for letters in VIOLATIONS], dtype=object)
+    cells[..., 3] = tails[np.where(result.codes == 0, index, len(values) + result.codes)]
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(CSV_HEADER + "\n")
             for (s, scenario), (c, cb) in itertools.product(enumerate(result.scenarios), enumerate(result.codebooks)):
                 prefix = f"{scenario.value},{cb.n_tx},{cb.n_rf},".replace("%", "%%")
-                dl, d_trans, d_total, utility, codes = (a[s, c].tolist() for a in columns)
-                tails = [failed[code] if code else f"{u:.9g},true," for u, code in zip(utility, codes)]
-                fh.write(prefix.join(rows) % tuple(itertools.chain.from_iterable(zip(dl, d_trans, d_total, tails))))
+                fh.write(prefix.join(rows) % tuple(cells[s, c].ravel().tolist()))
     except OSError as e:
         raise OSError(f"cannot write results to {path}: {e}") from e

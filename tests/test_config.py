@@ -248,7 +248,7 @@ BAD_INPUTS = [
     ("epsilon0 = inf", None, "key 'epsilon0': expected a finite number, got 'inf'"),
     ("mode_bin = inf", None, "key 'mode_bin': expected a finite number, got 'inf'"),
     ("r_min = nan", None, "key 'r_min': expected a finite number, got 'nan'"),
-    ("n_sc = 1e9", None, "n_sc must be at most 8192, got 1000000000"),
+    ("n_sc = 1e9", None, "n_sc must be between 1 and 8192, got 1000000000"),
     ("n_sc = 8", ["--esn0", "0:1e-12:20"], "esn0 grid has more than 1001 points"),
     ("n_t = 1000000000", None, "sweep needs about 1088000016384001081472 bytes, over the 1073741824-byte budget"),
     ("u = 100000", None, "sweep needs about 64102400128 bytes, over the 1073741824-byte budget"),
@@ -346,6 +346,10 @@ BAD_INPUTS = [
     ("bw_total = 0", None, "bw_total must be positive, got 0.0"),
     ("seed = -1", None, "seed must be non-negative, got -1"),
     ("n_sc = 8", ["--seed=-1"], "seed must be non-negative, got -1"),
+    # a default worked out from other keys fails its bound: named with them
+    ("p_b = 5e-324", None, "p_u (default p_b / u) must be positive, got 0.0"),
+    # n_sc below 1 fails the same row, in the same words, as n_sc above 8192
+    ("n_sc = 0", None, "n_sc must be between 1 and 8192, got 0"),
 ]
 
 # (results CSV text, the message `vrlink stats` prints after "error: ", with

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from oracles import aggregate_gain, evaluation_cells, rate, sinr_dl, sinr_ul
+from test_numerics import assert_same_bits
 from vrlink.errors import InvalidInputError
-from vrlink.linkmetrics import GainAggregation, compute_metrics, noise_power
+from vrlink.linkmetrics import LN2, GainAggregation, _rate, compute_metrics, noise_power
 
 
 def test_noise_power_values():
@@ -136,6 +137,23 @@ def test_rate_keeps_precision_for_tiny_sinr():
     tiny = 1e-15
     r = rate(1e9, tiny)
     assert r == pytest.approx(1e9 * tiny / math.log(2.0), rel=1e-9)
+
+
+def test_rate_of_repeated_sinrs_equals_the_per_element_rate():
+    # _rate calls log1p once per distinct SINR where a SINR repeats the one
+    # before it, once per element where none does; each element must get
+    # its own bits, -0.0 apart from 0.0 and subnormals apart from each other
+    rng = np.random.default_rng(29)
+    pool = np.concatenate([[0.0, -0.0, 5e-324, 1e-310, 1e-300, 1e-16, 1.0, 1e300], rng.uniform(0, 1e-9, 8)])
+    drawn = [rng.choice(pool, size=shape) for shape in [(21, 2, 2, 64), (2, 6, 21, 2, 2), (7,), (1, 1), (0, 3)]]
+    # repeats only between rows, none next to each other in C order
+    across = np.broadcast_to(rng.permutation(pool), (5, pool.size)).copy()
+    keys = across.view(np.int64).ravel()
+    assert not np.any(keys[1:] == keys[:-1])
+    for sinr in drawn + [across]:
+        for bw in (1.0, 3.375e7, 2.16e9):
+            want = np.array([bw * math.log1p(x) / LN2 for x in sinr.ravel().tolist()]).reshape(sinr.shape)
+            assert_same_bits(_rate(bw, sinr), want)
 
 
 def test_sinr_monotone_in_noise_and_rate_monotone_in_sinr():

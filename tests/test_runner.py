@@ -466,14 +466,26 @@ def test_csv_infeasible_row_shape(tmp_path):
     assert row == "min,4,2,3,1,0,12.5,8.25,inf,1e-08,500000000,inf,,false,a;b"
 
 
+# NaNs of other payloads than math.nan's, of both signs
+NAN_PAYLOADS = np.array([0x7FF8000000000001, 0xFFF8000000000001, 0x7FF0000000000001], dtype=np.uint64).view(float)
+
+
 def synthetic_table(rng, n_e: int, n_aps: int, n_users: int) -> SweepResult:
     """Two scenarios and two codebooks of random bit patterns, special
-    doubles mixed in, and violation codes cycling through 0 .. 31."""
+    doubles mixed in, and violation codes cycling through 0 .. 31. About a
+    third of the values come from one small pool shared by every column,
+    so they repeat within and across blocks, as a sweep's codebooks repeat
+    each other's rates and delays; the pool holds both zeros, NaNs of
+    several signs and payloads, both infinities and subnormals."""
     def doubles(*shape):
         x = rng.integers(0, 2**64, size=shape, dtype=np.uint64).view(float)
         picked = rng.uniform(size=shape) < 0.3
         x[picked] = rng.choice(SPECIAL_DOUBLES, size=np.count_nonzero(picked))
+        repeated = rng.uniform(size=shape) < 0.3
+        x[repeated] = rng.choice(pool, size=np.count_nonzero(repeated))
         return x
+
+    pool = np.concatenate([rng.integers(0, 2**64, size=6, dtype=np.uint64).view(float), SPECIAL_DOUBLES, NAN_PAYLOADS])
 
     shape = (2, 2, n_e, n_aps, n_users)
     codes = (np.arange(math.prod(shape)) % 32).reshape(shape)

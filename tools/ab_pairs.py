@@ -16,11 +16,22 @@ moves neither side's peak_rss_mb. Each checkout must be a git work tree.
 
 For every end-to-end metric that BENCHMARK.json declares (read from the
 change's checkout) it prints each pair, both sides' medians, the parent's
-interquartile range and the number of pairs the change wins (ties count for
-neither side). The JSON file is keyed by workload, the layout of a
-``BENCH_<n>.json``; each workload holds, per pair, both runs' result files as
-perfbench wrote them to .bench_out/, and that summary. The exit status is 1
-if any sweep of any run failed (raised, or wrote a wrong results.csv).
+interquartile range, the number of pairs the change wins (ties count for
+neither side) and a verdict, the first of these that holds:
+
+- ``gain``: at least ten pairs ran, the change wins at least nine tenths of
+  them, and its median is better than the parent's by more than the
+  parent's interquartile range;
+- ``worse``: the change's median is worse than the parent's by more than the
+  metric's ``bound``, as a share of the parent's median;
+- ``unresolved``: the parent's own interquartile range, as a share of its
+  median, is wider than that bound;
+- ``within bound``: any other result.
+
+The JSON file is keyed by workload, the layout of a ``BENCH_<n>.json``; each
+workload holds, per pair, both runs' result files as perfbench wrote them to
+.bench_out/, and that summary. The exit status is 1 if any sweep of any run
+failed (raised, or wrote a wrong results.csv).
 """
 
 import argparse
@@ -65,7 +76,8 @@ def quartiles(values: list) -> tuple:
 
 
 def summarize(pairs: dict, declared: list) -> dict:
-    """Per metric: both sides' quartiles, the parent's IQR and the change's wins."""
+    """Per metric: both sides' quartiles, the parent's IQR, the change's
+    wins and the verdict (see the module docstring)."""
     out = {}
     for metric in declared:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -73,11 +85,23 @@ def summarize(pairs: dict, declared: list) -> dict:
         change = [p["change"]["metrics"][name]["value"] for p in pairs.values()]
         wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
         p_q, c_q = quartiles(parent), quartiles(change)
+        iqr, gap = p_q[2] - p_q[0], c_q[1] - p_q[1]
+        better_gap = -gap if lower else gap
+        tolerated = metric["bound"] * abs(p_q[1])
+        if len(parent) >= 10 and 10 * wins >= 9 * len(parent) and better_gap > iqr:
+            verdict = "gain"
+        elif -better_gap > tolerated:
+            verdict = "worse"
+        elif iqr > tolerated:
+            verdict = "unresolved"
+        else:
+            verdict = "within bound"
         out[name] = {
             "unit": metric["unit"], "better": metric["better"],
             "parent_quartiles": p_q, "change_quartiles": c_q,
-            "parent_iqr": p_q[2] - p_q[0], "median_gap": c_q[1] - p_q[1],
+            "parent_iqr": iqr, "median_gap": gap,
             "wins": wins, "pairs": len(parent),
+            "verdict": verdict,
         }
     return out
 
@@ -124,7 +148,7 @@ def run_pairs(args, sides: dict) -> int:
             print(
                 f"{workload} {name}: median {s['parent_quartiles'][1]:.6g} -> {s['change_quartiles'][1]:.6g}"
                 f" {s['unit']} (gap {s['median_gap']:+.6g}, parent IQR {s['parent_iqr']:.6g}),"
-                f" change better in {s['wins']}/{s['pairs']} pairs ({s['better']} is better)"
+                f" change better in {s['wins']}/{s['pairs']} pairs ({s['better']} is better): {s['verdict']}"
             )
         record[workload] = {"seconds": args.seconds, "seed_base": args.seed_base, "pairs": pairs, "summary": summary}
     if args.out is not None:
