@@ -7,13 +7,13 @@ block of codebook groups is designed at once, on stacked
 ``(links, n_sc, rows, cols)`` matrices with stacked ``@``: the codebooks of a
 group differ only in n_rf and share one pair of analog stages, and each
 reduced-channel shape takes one stacked digital SVD. The covariances are
-summed over blocks of ``max(1, L // n)`` links, so that the ``(n_sc, n, n)``
-products held at once are no larger than the channel stack or one link's
-products; each sum reads them once, in subcarrier order, as a one-link loop
-would, and keeps no running sums where n >= 2. A 1x1 covariance (one user
-antenna, or one AP antenna) has the constant beam 1; where no term of it can
-leave the float range (see the numerics docstring) the stage forms no sum at
-all. Each SVD forms only the singular vectors the stage keeps. A solution
+summed over blocks of ``covariance_block(L, n_sc, n)`` links, so that the
+``(n_sc, n, n)`` products held at once are no more than
+``COVARIANCE_PRODUCTS`` entries (1 MiB), or one link's products; each sum
+reads them once, in subcarrier order, as a one-link loop would, and keeps
+no running sums where n >= 2. A 1x1 covariance (one user antenna, or one
+AP antenna) has the constant beam 1; where no term of it can leave the
+float range (see the numerics docstring) the stage forms no sum at all. Each SVD forms only the singular vectors the stage keeps. A solution
 keeps what the sweep reads: the analog stages, the effective channels and the
 transmit power of each subcarrier, summed from the composite beam
 ``analog @ digital`` while the design holds it.
@@ -45,6 +45,8 @@ from .numerics import ensure_complex_stack, frobenius_norms, row_sums, singular_
 from .numerics import svd, unit_modulus_normalize
 
 _CODEBOOK_RE = re.compile(r"^(\d+)\s*[xA]\s*(\d+)R?$", re.IGNORECASE)
+# complex entries of the (n_sc, n, n) covariance products summed at once
+COVARIANCE_PRODUCTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -95,6 +97,13 @@ def _subcarrier_sum(products: np.ndarray) -> np.ndarray:
     return np.cumsum(products, axis=-3, out=products)[..., -1, :, :] + 0.0
 
 
+def covariance_block(links: int, n_sc: int, n: int) -> int:
+    """Links per covariance block: as many as keep their (n_sc, n, n)
+    products within COVARIANCE_PRODUCTS entries, at least one and at most
+    all ``links``."""
+    return min(links, max(1, COVARIANCE_PRODUCTS // (n_sc * n * n)))
+
+
 def _sums_stay_finite(channels: np.ndarray) -> bool:
     """True when no 1x1 covariance term or sum of the stack can leave the
     float range: with peak the largest |re| or |im|, each product h conj(h)
@@ -118,9 +127,7 @@ def _covariance_beams(channels: np.ndarray, n_cols: int, receive_side: bool) -> 
         return np.ones(channels.shape[:-3] + (1, 1), dtype=np.complex128)
     links = channels.reshape((-1,) + channels.shape[-3:])
     cov = np.empty((len(links), size, size), dtype=np.complex128)
-    # blocks of links whose (n_sc, size, size) products together take no
-    # more memory than the channel stack, or than one link's products
-    step = max(1, len(links) // size)
+    step = covariance_block(len(links), links.shape[1], size)
     # an overflowing product or sum is caught by the check below
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(0, len(links), step):

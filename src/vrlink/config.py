@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .beamforming import Codebook
+from .beamforming import Codebook, covariance_block
 from .channel import GAIN_MODES, SubcarrierGrid, path_gains
 from .errors import ConfigurationError
 from .linkmetrics import GainAggregation, noise_power
@@ -46,8 +46,12 @@ TAP_BYTES = 32
 # under this many (point, user, AP, subcarrier) cells, at least one
 BLOCK_CELLS = 1 << 18
 # codebook groups per design block: as many consecutive groups as keep the
-# block's (group, link, subcarrier) cells at or under this many, at least one
-DESIGN_CELLS = 1 << 12
+# block's (group, link, subcarrier) cells at or under this many, at least one.
+# Fewer design calls save more time than larger stacks cost: at 8192 the
+# benchmark's dense_gaussian sweep (3 groups of 32 x 64 cells) is one block.
+# 16384 would also merge wideband_point's third group (4 x 1024 cells), and
+# the traced peak of that sweep rises from 2.34 to 3.68 MB
+DESIGN_CELLS = 1 << 13
 
 DEFAULT_AP_POSITIONS = (Position3D(2.5, 4.0, 3.0), Position3D(7.5, 13.0, 3.0))
 DEFAULT_USER_POSITIONS = (Position3D(3.0, 6.0, 1.5), Position3D(6.5, 11.0, 1.5))
@@ -157,12 +161,11 @@ def sweep_bytes(links: int, n_sc: int, codebooks, scenarios: int, points: int, t
     points, the rows and one link's delay taps."""
     k = min(len({(cb.n_tx, cb.n_rx, cb.n_ds) for cb in codebooks}), max(1, DESIGN_CELLS // (links * n_sc)))
     dl = k * max((links * n_sc * cb.n_rx * cb.n_tx * 16 for cb in codebooks), default=0)
-    # an analog stage of n antennas holds the (n_sc, n, n) products of a
-    # block of max(1, links // n) links and every link's (n, n) sum, then
-    # the sums and five factor stacks of the same shape in their SVD
-    n = max((max(cb.n_tx, cb.n_rx) for cb in codebooks), default=0)
-    block = max(1, links // max(n, 1))
-    covariance = max(block * n_sc + links, 6 * links) * n * n * 16
+    # an analog stage of n antennas holds the (n_sc, n, n) products of one
+    # covariance_block of links and every link's (n, n) sum, then the sums
+    # and five factor stacks of the same shape in their SVD
+    covariance = max((max(covariance_block(links, n_sc, n) * n_sc + links, 6 * links) * n * n * 16
+                      for cb in codebooks for n in (cb.n_tx, cb.n_rx)), default=0)
     # the digital stage forms, per link and subcarrier of each of the k
     # groups, the reduced channels G^H H and G^H H P, the SVD factors of
     # G^H H P (one stack per shape) and the composite beams; its SVD and the

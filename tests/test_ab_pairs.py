@@ -4,7 +4,9 @@ The tool is loaded by path, as the benchmark's layers are in
 test_bench_hooks.py; no benchmark runs.
 """
 
+import argparse
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -67,3 +69,48 @@ def test_fewer_than_ten_pairs_claim_no_gain():
     declared = [{"name": "m", "unit": "s", "better": "lower", "bound": 0.25}]
     summary = load_ab_pairs().summarize(pairs_of(PARENT[:9], [p - 0.1 for p in PARENT[:9]]), declared)["m"]
     assert (summary["wins"], summary["pairs"], summary["verdict"]) == (9, 9, "within bound")
+
+
+FAKE_RUN = """
+import json, sys
+from pathlib import Path
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+pages = bytearray(16 << 20)
+pages[::4096] = b"x" * len(pages[::4096])
+out = Path(".bench_out")
+out.mkdir(exist_ok=True)
+name = f"{args['--workload']}-seed{args['--seed']}-trace0.json"
+(out / name).write_text(json.dumps({"failed": 0, "metrics": {"m": {"value": 1.0}}}))
+"""
+
+
+def test_a_run_records_its_own_page_faults_and_system_time(tmp_path):
+    # a stand-in benchmark that touches 16 MiB, 4096 pages, in its child
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(FAKE_RUN)
+    report = load_ab_pairs().run(tmp_path, "w", 7, 1)
+    assert report["metrics"] == {"m": {"value": 1.0}}
+    assert report["rusage"]["minor_faults"] >= 4096
+    assert report["rusage"]["system_s"] >= 0.0
+
+
+def test_pair_lines_print_both_sides_usage(tmp_path, capsys, monkeypatch):
+    ab_pairs = load_ab_pairs()
+    usage = {"parent": (1054860, 1.87568), "change": (90388, 0.716283)}
+
+    def run(checkout, workload, seed, seconds):
+        faults, system = usage[checkout.name]
+        return {"failed": 0, "metrics": {"m": {"value": 1.0}},
+                "rusage": {"minor_faults": faults, "system_s": system}}
+
+    monkeypatch.setattr(ab_pairs, "run", run)
+    args = argparse.Namespace(workload=["w"], pairs=2, seconds=1, seed_base=5, out=tmp_path / "ab.json")
+    sides = {side: tmp_path / side for side in ("parent", "change")}
+    sides["change"].mkdir()
+    (sides["change"] / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "m", "unit": "s", "better": "lower", "bound": 0.25}]}))
+    assert ab_pairs.run_pairs(args, sides) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "w seed 5 (parent first): m 1 -> 1  minor_faults 1054860 -> 90388  system_s 1.876 -> 0.716"
+    record = json.loads((tmp_path / "ab.json").read_text())
+    assert record["w"]["pairs"]["6"]["change"]["rusage"] == {"minor_faults": 90388, "system_s": 0.716283}

@@ -96,6 +96,20 @@ def test_analog_precoder_aligns_with_dominant_direction():
     assert np.allclose(np.angle(p[:, 0]), np.angle(top), atol=1e-9)
 
 
+def test_analog_precoder_of_a_many_link_block_equals_each_link_alone(monkeypatch):
+    # 48 links of 64 x 2 x 2 products are one covariance block; each link's
+    # sum still adds its subcarriers in order, so the beams keep their bits
+    rng = np.random.default_rng(41)
+    links = np.stack([random_channels(rng, 64, 1, 2) for _ in range(48)])
+    summed = []
+    subcarrier_sum = beamforming._subcarrier_sum
+    monkeypatch.setattr(beamforming, "_subcarrier_sum", lambda p: summed.append(len(p)) or subcarrier_sum(p))
+    stacked = analog_precoder(links, 2)
+    assert summed == [48] and beamforming.covariance_block(48, 64, 2) == 48
+    alone = np.stack([analog_precoder(link, 2) for link in links])
+    assert stacked.tobytes() == alone.tobytes()
+
+
 def test_hybrid_digital_square_selection():
     rng = np.random.default_rng(41)
     h_d = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))

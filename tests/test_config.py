@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vrlink.beamforming import Codebook
+from vrlink.beamforming import COVARIANCE_PRODUCTS, Codebook
 from vrlink.cli import main
 from vrlink.config import (
     KEYS,
@@ -251,7 +251,7 @@ BAD_INPUTS = [
     ("n_sc = 1e9", None, "n_sc must be between 1 and 8192, got 1000000000"),
     ("n_sc = 8", ["--esn0", "0:1e-12:20"], "esn0 grid has more than 1001 points"),
     ("n_t = 1000000000", None, "sweep needs about 1088000016384001081472 bytes, over the 1073741824-byte budget"),
-    ("u = 100000", None, "sweep needs about 64102400128 bytes, over the 1073741824-byte budget"),
+    ("u = 100000", None, "sweep needs about 63488000128 bytes, over the 1073741824-byte budget"),
     # an AP above user 0, and one on it: the link has no azimuth
     ("ap_positions = 3,6,3 ; 7.5,13,3", None, "user 0 and AP 0 share the xy position"),
     ("ap_positions = 3,6,1.5 ; 7.5,13,3", None, "user 0 and AP 0 share the xy position"),
@@ -259,8 +259,8 @@ BAD_INPUTS = [
     ("epsilon0 = -1", None, "epsilon0 must be positive, got -1.0"),
     ("lambda = -1e-9", None, "need 0 <= lambda < mu, got mu=4e-09 lambda=-1e-09"),
     ("tap_spacing = -1e-9", None, "tap_spacing must be positive, got -1e-09"),
-    ("tap_count = 1000000000", None, "sweep needs about 32002330624 bytes, over the 1073741824-byte budget"),
-    ("u = 1000000", None, "sweep needs about 641024000128 bytes, over the 1073741824-byte budget"),
+    ("tap_count = 1000000000", None, "sweep needs about 32002527232 bytes, over the 1073741824-byte budget"),
+    ("u = 1000000", None, "sweep needs about 634880000128 bytes, over the 1073741824-byte budget"),
     # a derived quantity leaves the float range: the wavelength, the tap
     # spacing, the per-user compute share
     ("fc = 1e-300", None, "carrier frequency must be positive, not tiny, got 1e-300"),
@@ -513,16 +513,22 @@ def test_covariance_stacks_count_toward_the_budget():
     # the digital stage's reduced channel G^H H and composite beam grow by
     # n_t entries each, three copies of each, per link and subcarrier
     digital = links * 64 * 3 * (64 - 8) * 16
-    assert large.estimated_bytes - small.estimated_bytes == dl + (64 + links) * (64 * 64 - 8 * 8) * 16 + digital
-    # 32 links of n_t = 4 sum their products in blocks of 32 // 4 = 8 links;
-    # the second term holds every link's sum and its SVD factors
-    dense = config_from_dict({"u": "8", "b": "4", "n_t": "4", "n_rf": "1"})
+    # n_t = 8 sums all 4 links' products at once (4 x 64 x 8 x 8 entries,
+    # within COVARIANCE_PRODUCTS); n_t = 64 one link's at a time
+    assert 4 * 64 * 8 * 8 <= COVARIANCE_PRODUCTS < 64 * 64 * 64
+    cov_small, cov_large = (4 * 64 + links) * 8 * 8 * 16, (64 + links) * 64 * 64 * 16
+    assert large.estimated_bytes - small.estimated_bytes == dl + cov_large - cov_small + digital
+    # 32 links of n_t = 4 sum their products in one block, of n_t = 8 in
+    # blocks of 2 ** 16 // (64 x 8 x 8) = 16 links; the second term holds
+    # every link's sum and its SVD factors
     links = 32
-    dl, digital = links * 64 * 4 * 16, links * 64 * 3 * (1 + 4 + 1 + 1) * 16
-    # all 21 Es/N0 points of 32 x 64 cells fit in one evaluation block
-    cells = 21 * links * 64 * CELL_BYTES
-    rest = dl + digital + cells + dense.expected_records * RECORD_BYTES + dense.tap_count * TAP_BYTES
-    assert dense.estimated_bytes - rest == max(8 * 64 + links, 6 * links) * 4 * 4 * 16
+    for n_t, block in ((4, 32), (8, 16)):
+        dense = config_from_dict({"u": "8", "b": "4", "n_t": str(n_t), "n_rf": "1"})
+        dl, digital = links * 64 * n_t * 16, links * 64 * 3 * (1 + n_t + 1 + 1) * 16
+        # all 21 Es/N0 points of 32 x 64 cells fit in one evaluation block
+        cells = 21 * links * 64 * CELL_BYTES
+        rest = dl + digital + cells + dense.expected_records * RECORD_BYTES + dense.tap_count * TAP_BYTES
+        assert dense.estimated_bytes - rest == max(block * 64 + links, 6 * links) * n_t * n_t * 16
 
 
 def test_digital_stage_counts_toward_the_budget():
@@ -543,8 +549,8 @@ def test_digital_stage_counts_toward_the_budget():
     dl, digital = links * n_sc * 2 * 8 * 16, links * n_sc * 3 * (2 ** 2 + 2 ** 2 + 2 * (8 + 2 + 2)) * 16
     assert two_groups.estimated_bytes - one.estimated_bytes == rows * RECORD_BYTES + dl + digital
     # past DESIGN_CELLS each group is a block of its own: it adds its rows only
-    one, two_groups = (config_from_dict({"n_t": n_t, "n_rf": "2", "n_sc": "1024"}) for n_t in ("8", "2,8"))
-    assert 2 * links * 1024 > DESIGN_CELLS
+    one, two_groups = (config_from_dict({"n_t": n_t, "n_rf": "2", "n_sc": "2048"}) for n_t in ("8", "2,8"))
+    assert 2 * links * 2048 > DESIGN_CELLS
     assert two_groups.estimated_bytes - one.estimated_bytes == rows * RECORD_BYTES
     # one stream: G^H H P is one row and its SVD the reduced one, with no
     # n_rf x n_rf factor; n_rf counts once, in the reduced channel
@@ -575,13 +581,16 @@ def test_evaluation_block_counts_toward_the_budget():
     {"n_t": "32", "n_rf": "1,8,16,24,32", "n_sc": "128", "esn0_stop": "0", "scenario": "mean"},
     {"n_t": "2", "n_rf": "2", "u": "2", "b": "3", "n_sc": "1024", "scenario": "min"},
     {"n_sc": "1024"},
-    {"n_t": "2,4,8", "n_rf": "1,2", "u": "2", "b": "2", "n_sc": "341", "esn0_stop": "0"},
+    {"n_t": "2,4,8", "n_rf": "1,2", "u": "2", "b": "2", "n_sc": "682", "esn0_stop": "0"},
+    {"u": "16", "b": "4", "n_t": "4", "n_rf": "1", "n_sc": "64", "esn0_stop": "0"},
 ])
 def test_traced_sweep_peak_stays_within_the_estimate(raw):
     # sweeps whose peak is the digital stage's SVD of many RF chains, the
     # fourth only if a codebook's factors go before the next SVD; then two
     # whose peak is the evaluation block of 21 Es/N0 points; then three
-    # groups of 4 x 341 cells, which fill one design block of DESIGN_CELLS
+    # groups of 4 x 682 cells, which fill one design block of DESIGN_CELLS;
+    # then one whose peak is a covariance block of all 64 links'
+    # 64 x 4 x 4 products
     cfg = config_from_dict(raw)
     tracemalloc.start()
     try:
@@ -606,6 +615,20 @@ def test_wideband_point_sweep_peak_stays_under_2_6_mb():
     finally:
         tracemalloc.stop()
     assert peak <= 2.6e6
+
+
+def test_dense_gaussian_sweep_peak_stays_under_2_1_mb():
+    # the benchmark's dense_gaussian config, whose three groups of 32 x 64
+    # cells are one design block: 1.96 MB traced (numpy 2.4.6)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "dense_gaussian.conf"
+    cfg = load_config(str(path), {"seed": 1})
+    tracemalloc.start()
+    try:
+        run_sweep(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1e6
 
 
 def test_size_caps_are_inclusive():

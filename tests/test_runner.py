@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import importlib.util
 import math
 import os
 import re
@@ -16,10 +17,10 @@ import pytest
 
 import oracles
 from test_numerics import SPECIAL_DOUBLES
-from vrlink import runner
+from vrlink import beamforming, runner
 from vrlink.beamforming import Codebook, design_link
 from vrlink.cli import main
-from vrlink.config import config_from_dict
+from vrlink.config import config_from_dict, load_config
 from vrlink.errors import InvalidInputError
 from vrlink.linkmetrics import GainAggregation
 from vrlink.runner import (
@@ -172,6 +173,33 @@ def test_codebooks_of_one_antenna_count_share_one_design(monkeypatch):
     monkeypatch.setattr(runner, "DESIGN_CELLS", 2 * 4 * 64)
     assert same_result(run_sweep(config_from_dict({})), whole)
     assert design_blocks == [(("2A1R", "2A2R"), ("4A1R", "4A2R")), (("8A1R", "8A2R"),)]
+
+
+@pytest.mark.parametrize("name, design_blocks, covariance_blocks", [
+    ("paper_sweep", [3], 3),
+    ("wideband_point", [2, 1], 6),
+    ("dense_gaussian", [3], 4),
+])
+def test_benchmark_sweeps_design_in_blocks_sized_by_memory(name, design_blocks, covariance_blocks, monkeypatch):
+    # groups per design call: 3 x 256 and 3 x 2048 cells fit DESIGN_CELLS,
+    # 3 x 4096 do not. Covariance sums, one per block of links (n_r = 1
+    # combiners form none): 4 links of n_sc = 64 are one block for each n_t
+    # of 2, 4, 8; at n_sc = 1024 n_t = 8 sums one link at a time; 32 links
+    # of n_sc = 64 are one block below n_t = 8 and two at n_t = 8.
+    # perfbench/workloads.py is loaded by path, as perfbench is no package
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workload = workloads.WORKLOADS[name]
+    cfg = load_config(str(root / workload.conf), workload.resolve_overrides(1))
+    designs, sums = [], []
+    subcarrier_sum = beamforming._subcarrier_sum
+    monkeypatch.setattr(runner, "design_link", lambda groups, p_b: designs.append(len(groups)) or design_link(groups, p_b))
+    monkeypatch.setattr(beamforming, "_subcarrier_sum", lambda p: sums.append(len(p)) or subcarrier_sum(p))
+    run_sweep(cfg)
+    assert designs == design_blocks
+    assert len(sums) == covariance_blocks
 
 
 def test_letters_of_one_record_come_in_order(monkeypatch):

@@ -14,6 +14,11 @@ ones that .gitignore does not exclude. What a checkout's earlier builds and
 runs left there (bytecode caches, .bench_out) does not reach the runs, and
 moves neither side's peak_rss_mb. Each checkout must be a git work tree.
 
+Around each run it reads the ``RUSAGE_CHILDREN`` usage of this process, so
+that the run's minor page faults and system CPU seconds, the benchmark's
+setup probes included, go into its result file as ``rusage`` and into the
+printed pair line.
+
 For every end-to-end metric that BENCHMARK.json declares (read from the
 change's checkout) it prints each pair, both sides' medians, the parent's
 interquartile range, the number of pairs the change wins (ties count for
@@ -36,6 +41,7 @@ failed (raised, or wrote a wrong results.csv).
 
 import argparse
 import json
+import resource
 import shutil
 import statistics
 import subprocess
@@ -58,13 +64,19 @@ def fresh_copy(checkout: Path, into: Path) -> Path:
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One untraced benchmark run in a checkout: its result file."""
+    """One untraced benchmark run in a checkout: its result file, with the
+    run's minor page faults and system CPU seconds under ``rusage``."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     if done.returncode != 0:
         raise SystemExit(f"{checkout}: {' '.join(argv[1:])} exited {done.returncode}\n{done.stderr}")
-    return json.loads((checkout / ".bench_out" / f"{workload}-seed{seed}-trace0.json").read_text())
+    report = json.loads((checkout / ".bench_out" / f"{workload}-seed{seed}-trace0.json").read_text())
+    report["rusage"] = {"minor_faults": after.ru_minflt - before.ru_minflt,
+                        "system_s": after.ru_stime - before.ru_stime}
+    return report
 
 
 def quartiles(values: list) -> tuple:
@@ -136,11 +148,11 @@ def run_pairs(args, sides: dict) -> int:
             pair = {side: run(sides[side], workload, seed, args.seconds) for side in order}
             pairs[str(seed)] = {"first": order[0], **pair}
             ok &= all(report["failed"] == 0 for report in pair.values())
-            line = "  ".join(
-                f"{m['name']} {pair['parent']['metrics'][m['name']]['value']:.6g} -> "
-                f"{pair['change']['metrics'][m['name']]['value']:.6g}"
-                for m in declared
-            )
+            shown = [(m["name"], ".6g", *(pair[side]["metrics"][m["name"]]["value"] for side in ("parent", "change")))
+                     for m in declared]
+            shown += [(name, spec, pair["parent"]["rusage"][name], pair["change"]["rusage"][name])
+                      for name, spec in (("minor_faults", "d"), ("system_s", ".3f"))]
+            line = "  ".join(f"{name} {parent:{spec}} -> {change:{spec}}" for name, spec, parent, change in shown)
             print(f"{workload} seed {seed} ({order[0]} first): {line}", flush=True)
 
         summary = summarize(pairs, declared)
