@@ -34,10 +34,11 @@ MAX_N_SC = 8192
 MAX_ESN0_POINTS = 1001
 # allocation budget: one design block's DL channel stacks and stacked
 # digital stage, plus the analog stages' covariance stacks, plus one evaluation
-# block's cells at CELL_BYTES each (a cell's UL SINR, rate, delays and
-# utilities with their temporaries), plus the rows, at RECORD_BYTES each (a
-# row at the sweep's peak), plus one link's delay taps at TAP_BYTES each (a
-# tap and its temporaries)
+# block's cells at CELL_BYTES each (a cell's UL SINR, rate and tracking
+# factor, and one codebook pass's delays and utilities of every scenario,
+# with their temporaries: about 95 bytes traced with two scenarios), plus
+# the rows, at RECORD_BYTES each (a row at the sweep's peak), plus one
+# link's delay taps at TAP_BYTES each (a tap and its temporaries)
 MAX_SWEEP_BYTES = 1 << 30
 CELL_BYTES = 128
 RECORD_BYTES = 1024

@@ -10,12 +10,13 @@ last axis: ``transmission_delay``, ``tracking_factors`` and
 ``link_utilities`` compute every subcarrier of every window with array
 arithmetic. The tracking factor depends on the UL SINR alone, so the sweep
 takes it once per block of Es/N0 points, for every link, and each
-(scenario, codebook) window multiplies its own rows of it by the delay
-factor in ``link_utilities``. The tests state the utility one subcarrier at
-a time (tests/oracles.py) and hold the window path to that statement bit
-for bit. The window functions take the sweep's own non-negative rates and
-non-empty windows unchecked; their factors lie in [0, 1] by construction,
-which the tests hold on random windows and on the output corpus.
+codebook's stack of windows, over every scenario, multiplies its own rows
+of it by the delay factor in ``link_utilities``. The tests state the
+utility one subcarrier at a time (tests/oracles.py) and hold the window
+path to that statement bit for bit. The window functions take the sweep's
+own non-negative rates and non-empty windows unchecked; their factors lie
+in [0, 1] by construction, which the tests hold on random windows and on
+the output corpus.
 """
 
 import math
@@ -115,5 +116,7 @@ def link_utilities(delays: np.ndarray, tracking: np.ndarray, gamma_d: float) -> 
     d_max = np.max(delays, axis=-1, keepdims=True)
     # a window within the tolerance has factor 1; its divisor is a stand-in
     span = np.where(d_max > gamma_d, d_max - gamma_d, 1.0)
-    conditional = np.where((delays < gamma_d) | (d_max <= gamma_d), 1.0, (d_max - delays) / span)
-    return conditional * tracking
+    utilities = (d_max - delays) / span
+    np.copyto(utilities, 1.0, where=(delays < gamma_d) | (d_max <= gamma_d))
+    utilities *= tracking
+    return utilities

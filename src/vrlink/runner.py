@@ -95,33 +95,51 @@ def _design_block(config: SweepConfig, groups: list, amplitude, n_served, budget
     return designs
 
 
-def min_statistic(values) -> float:
-    """Smallest value of a non-empty vector."""
-    return float(np.min(np.asarray(values, dtype=float)))
+def min_statistic(values):
+    """Smallest finite value of each row on the last axis of values (a float
+    for one vector), NaN for a row with none. A zero comes out as +0.0:
+    which of -0.0 and +0.0 np.min returns depends on where they sit."""
+    arr = np.asarray(values, dtype=float)
+    low = np.min(np.where(np.isfinite(arr), arr, np.inf) + 0.0, axis=-1, initial=np.inf)
+    low = np.where(low < np.inf, low, np.nan)
+    return float(low) if arr.ndim == 1 else low
 
 
-def mode_statistic(values, bin_width: float) -> float:
-    """Lower edge of the most populated bin of a non-empty vector; ties go to the smaller bin."""
+def mode_statistic(values, bin_width: float):
+    """Lower edge of the most populated bin of the finite values of each row
+    on the last axis of values (a float for one vector), NaN for a row with
+    none; ties go to the smaller bin."""
     arr = np.asarray(values, dtype=float)
     if not 0 < bin_width < math.inf:
         raise InvalidInputError(f"bin width must be finite and positive, got {bin_width}")
+    rows = arr.reshape(math.prod(arr.shape[:-1]), arr.shape[-1])
+    keep = np.isfinite(rows)
+    # every row's finite values in one vector, each keyed by its row
+    row, kept = keep.nonzero()[0], rows[keep]
     # float bins: an int64 cast wraps for delays above 2^63 bins
     with np.errstate(over="ignore"):
-        bins = np.floor(arr / bin_width)
+        bins = np.floor(kept / bin_width)
     # a bin index past the float range overflows to inf; such a bin is far
     # narrower than the float spacing there, so each delay is its own
     # bin's lower edge, and it lies above every finite bin
-    far = np.where(np.isinf(bins), arr, 0.0)
-    # runs of equal (bin, far) pairs in ascending order: the first longest
-    # run is the smallest of the most populated pairs
-    order = np.lexsort((far, bins))
-    bins, far = bins[order], far[order]
-    bounds = np.ones(arr.size + 1, dtype=bool)  # where a run starts, and the end
-    bounds[1:-1] = (bins[1:] != bins[:-1]) | (far[1:] != far[:-1])
+    far = np.where(np.isinf(bins), kept, 0.0)
+    # runs of equal (row, bin, far) triples in ascending order
+    order = np.lexsort((far, bins, row))
+    row, bins, far = row[order], bins[order], far[order]
+    bounds = np.ones(row.size + 1, dtype=bool)  # where a run starts, and the end
+    bounds[1:-1] = (row[1:] != row[:-1]) | (bins[1:] != bins[:-1]) | (far[1:] != far[:-1])
     starts = bounds.nonzero()[0]
-    first = starts[(starts[1:] - starts[:-1]).argmax()]
-    index, edge = float(bins[first]), float(far[first])
-    return edge if math.isinf(index) else index * bin_width
+    runs = starts[:-1]
+    # per row, the first longest run is the smallest of the most populated
+    # pairs: a stable sort by row, then by length, longest first, keeps
+    # equal runs in ascending order, and each row's first run wins
+    best = runs[np.lexsort((runs - starts[1:], row[runs]))]
+    first = best[np.diff(row[best], prepend=-1) != 0]
+    index, edge = bins[first], far[first]
+    modes = np.full(rows.shape[0], np.nan)
+    with np.errstate(over="ignore"):
+        modes[row[first]] = np.where(np.isinf(index), edge, index * bin_width)
+    return float(modes[0]) if arr.ndim == 1 else modes.reshape(arr.shape[:-1])
 
 
 def select_best_codebook(codebooks, utility) -> list:
@@ -144,8 +162,12 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
     The UL channels are drawn once, the DL channels and the analog stages
     once per (n_tx, n_rx, n_ds) group of codebooks, the digital stage once
-    per shape for each block of DESIGN_CELLS; SINR, rate, delay and utility
-    are then evaluated on whole arrays, one block of Es/N0 points at a time.
+    per shape for each block of DESIGN_CELLS; SINR and rate are then
+    evaluated on whole arrays, one block of Es/N0 points at a time, and
+    delay and utility once per codebook in each block, on the link windows
+    of every scenario at once. Each step of that pass is element-wise or a
+    reduction over a window's subcarriers, so a window's values have the
+    bits they would have on their own (see the numerics docstring).
     """
     traffic = config.traffic
     ul_gain, amplitude = np.array(config.ul_gain), np.array(config.dl_amplitude)
@@ -178,20 +200,29 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         )
         rate_ul[block] = np.mean(m.rate_ul, axis=-1)
         rate_dl[:, :, block] = m.rate_dl
-        # the tracking factor depends on the UL SINR alone: once per block
-        tracking = tracking_factors(m.sinr_ul, config.epsilon0)
-        for s, c in np.ndindex(shape[:2]):
-            d_trans_n = transmission_delay(traffic.s_bits, traffic.a_bits, m.rate_dl[s, c, ..., None], m.rate_ul)
+        # the tracking factor depends on the UL SINR alone: once per block,
+        # the same for every scenario
+        tracking = np.broadcast_to(tracking_factors(m.sinr_ul, config.epsilon0), shape[:1] + m.sinr_ul.shape)
+        # one pass per codebook over the windows of every scenario, on
+        # (scenario, Es/N0, user, AP) with the subcarriers last
+        for c, fails in enumerate(checks):
+            # the transmission delays, then in place the total delays
+            delays = transmission_delay(traffic.s_bits, traffic.a_bits, m.rate_dl[:, c, ..., None], m.rate_ul)
             with np.errstate(over="ignore"):
-                totals_n = d_trans_n + d_proc + d_queue
-                d_total[s, c, block] = np.mean(totals_n, axis=-1)
-                d_trans[s, c, block] = np.mean(d_trans_n, axis=-1)
+                d_trans[:, c, block] = np.mean(delays, axis=-1)
+                delays += d_proc
+                delays += d_queue
+                d_total[:, c, block] = np.mean(delays, axis=-1)
             # a link with no rate in one direction, or with delays past the
             # float range, never completes a frame: no utility, fails (b)
-            carries = np.isfinite(d_total[s, c, block])
-            utilities_n = link_utilities(totals_n[carries], tracking[carries], config.gamma_d)
-            codes[s, c, block] = checks[c] | 2 * ((m.rate_dl[s, c] < config.r_min) | ~carries)
-            utility[s, c, block][carries] = np.mean(utilities_n, axis=-1)
+            carries = np.isfinite(d_total[:, c, block])
+            codes[:, c, block] = fails | 2 * ((m.rate_dl[:, c] < config.r_min) | ~carries)
+            # the windows that carry go on alone, and the full stack is freed;
+            # the utilities go before the next pass allocates its delays
+            delays = delays[carries]
+            utilities_n = link_utilities(delays, tracking[carries], config.gamma_d)
+            utility[:, c, block][carries] = np.mean(utilities_n, axis=-1)
+            del utilities_n
     utility[codes != 0] = np.nan
     # AP before user in the table, as in the CSV rows
     table = SweepResult(
@@ -203,16 +234,22 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
 
 def _summarize(config: SweepConfig, table: SweepResult) -> dict:
-    """Per-codebook statistics and the best codebook per Es/N0, in row order."""
-    per_codebook = {}
-    for (s, scenario), (c, codebook) in itertools.product(enumerate(table.scenarios), enumerate(table.codebooks)):
-        utilities = table.utility[s, c][table.codes[s, c] == 0]
-        d_trans = table.d_trans[s, c][np.isfinite(table.d_trans[s, c])]
-        per_codebook[(scenario.value, codebook.label)] = {
-            "utility_mean": float(np.mean(utilities)) if utilities.size else math.nan,
-            "d_trans_min_s": min_statistic(d_trans) if d_trans.size else math.nan,
-            "d_trans_mode_s": mode_statistic(d_trans, config.mode_bin) if d_trans.size else math.nan,
-        }
+    """Per-codebook statistics and the best codebook per Es/N0, in row order.
+
+    The statistics of every (scenario, codebook) row come from one call
+    each: the mean of the feasible utilities, and the minimum and mode of
+    the finite transmission delays. A row with an infeasible link averages
+    its feasible utilities on their own: a mean over the whole row with the
+    infeasible entries zeroed would round differently."""
+    keys = [(s.value, cb.label) for s, cb in itertools.product(table.scenarios, table.codebooks)]
+    utility, feasible, d_trans = (a.reshape(len(keys), -1) for a in (table.utility, table.codes == 0, table.d_trans))
+    means = np.mean(utility, axis=-1)
+    for r in np.flatnonzero(~feasible.all(axis=-1)).tolist():
+        kept = utility[r, feasible[r]]
+        means[r] = np.mean(kept) if kept.size else math.nan
+    stats = zip(means.tolist(), min_statistic(d_trans).tolist(), mode_statistic(d_trans, config.mode_bin).tolist())
+    names = ("utility_mean", "d_trans_min_s", "d_trans_mode_s")
+    per_codebook = {key: dict(zip(names, row)) for key, row in zip(keys, stats)}
     # per Es/N0 point one row per codebook: its links of every scenario, in row order
     per_link = table.utility.transpose(2, 1, 0, 3, 4).reshape(len(table.esn0_db), len(table.codebooks), -1)
     picks = select_best_codebook(table.codebooks, per_link)

@@ -18,6 +18,8 @@ the tests compare the array path with them by ``==``:
   (``reconstruct``);
 - the CSV writer that formats and assembles each row on its own
   (``write_results_csv``);
+- the per-codebook summary, one (scenario, codebook) row at a time
+  (``per_codebook_summary``);
 - the whole sweep, one row at a time (``sweep_table``), composed of the
   pieces above and of ``design_link`` on one link and one codebook at a
   time, which the tests hold to the per-subcarrier design.
@@ -38,7 +40,7 @@ from vrlink.errors import ConfigurationError, InvalidInputError
 from vrlink.linkmetrics import _AGGREGATE, LN2, GainAggregation
 from vrlink.linkmetrics import sinr_ul  # noqa: F401 (re-exported, see above)
 from vrlink.numerics import FACTOR_TOL, MODULUS_TOL, ZERO_MODULUS, SvdResult
-from vrlink.runner import CSV_HEADER, VIOLATIONS, SweepResult
+from vrlink.runner import CSV_HEADER, VIOLATIONS, SweepResult, min_statistic, mode_statistic
 from vrlink.topology import Position3D, departure_arrival_angles
 
 
@@ -265,6 +267,22 @@ def write_results_csv(result: SweepResult, path: str) -> None:
                 fh.write("".join(rows))
     except OSError as e:
         raise OSError(f"cannot write results to {path}: {e}") from e
+
+
+def per_codebook_summary(table: SweepResult, mode_bin: float) -> dict:
+    """Each (scenario, codebook) row's statistics on their own: the mean of
+    its feasible utilities, and the minimum and mode of its finite
+    transmission delays, each NaN for a row with none."""
+    per_codebook = {}
+    for (s, scenario), (c, codebook) in itertools.product(enumerate(table.scenarios), enumerate(table.codebooks)):
+        utilities = table.utility[s, c][table.codes[s, c] == 0]
+        d_trans = table.d_trans[s, c][np.isfinite(table.d_trans[s, c])]
+        per_codebook[(scenario.value, codebook.label)] = {
+            "utility_mean": float(np.mean(utilities)) if utilities.size else math.nan,
+            "d_trans_min_s": min_statistic(d_trans) if d_trans.size else math.nan,
+            "d_trans_mode_s": mode_statistic(d_trans, mode_bin) if d_trans.size else math.nan,
+        }
+    return per_codebook
 
 
 def _over(bits: float, rate_bps: float) -> float:

@@ -114,3 +114,29 @@ def test_pair_lines_print_both_sides_usage(tmp_path, capsys, monkeypatch):
     assert lines[0] == "w seed 5 (parent first): m 1 -> 1  minor_faults 1054860 -> 90388  system_s 1.876 -> 0.716"
     record = json.loads((tmp_path / "ab.json").read_text())
     assert record["w"]["pairs"]["6"]["change"]["rusage"] == {"minor_faults": 90388, "system_s": 0.716283}
+
+
+def test_each_sides_median_usage_is_printed_and_stored(tmp_path, capsys, monkeypatch):
+    ab_pairs = load_ab_pairs()
+    # per seed, the parent faults 300, 100, 200 times, the change 30, 10, 20
+    usage = {(side, seed): (faults, faults / 1000)
+             for seed, parent in ((5, 300), (6, 100), (7, 200))
+             for side, faults in (("parent", parent), ("change", parent // 10))}
+
+    def run(checkout, workload, seed, seconds):
+        faults, system = usage[checkout.name, seed]
+        return {"failed": 0, "metrics": {"m": {"value": 1.0}},
+                "rusage": {"minor_faults": faults, "system_s": system}}
+
+    monkeypatch.setattr(ab_pairs, "run", run)
+    args = argparse.Namespace(workload=["w"], pairs=3, seconds=1, seed_base=5, out=tmp_path / "ab.json")
+    sides = {side: tmp_path / side for side in ("parent", "change")}
+    sides["change"].mkdir()
+    (sides["change"] / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "m", "unit": "s", "better": "lower", "bound": 0.25}]}))
+    assert ab_pairs.run_pairs(args, sides) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["w minor_faults: median 200 -> 20", "w system_s: median 0.200 -> 0.020"]
+    record = json.loads((tmp_path / "ab.json").read_text())
+    assert record["w"]["usage"] == {"minor_faults": {"parent": 200, "change": 20},
+                                    "system_s": {"parent": 0.2, "change": 0.02}}

@@ -11,6 +11,7 @@ import sys
 import warnings
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -121,6 +122,17 @@ def test_sweep_in_es_n0_blocks_equals_one_block(raw, monkeypatch):
     {"u": "3", "b": "2", "n_sc": "8", "esn0_stop": "4", "gain_mode": "gaussian"},
     {"n_t": "4,8,16", "n_rf": "2,4", "n_r": "2", "n_ds": "2", "n_sc": "8", "esn0_stop": "4",
      "gain_mode": "gaussian", "seed": "3"},
+    # both scenarios in each codebook's pass: rows that fail (a) and (b),
+    # codes 3, or (b) alone, code 2
+    {"u": "5", "b": "3", "n_sc": "7", "n_r": "2", "v_j": "1", "r_min": "1e6", "scenario": "mean,min"},
+    # UL gains near 1e-158 on the far links: delays past the float range
+    {"w": "170", "esn0_stop": "0", "scenario": "mean,min"},
+    # a subnormal power budget: no DL rate, and (c) fails on links that
+    # differ between codebooks
+    {"p_b": "1e-320", "n_sc": "8", "esn0_stop": "0", "scenario": "mean,min"},
+    # Gaussian gains and a minimum rate between the two scenarios' DL
+    # rates: (b) fails on some links in one scenario only
+    {"u": "3", "b": "2", "n_sc": "8", "esn0_stop": "4", "gain_mode": "gaussian", "r_min": "3e-7"},
 ])
 def test_blocked_sweep_equals_the_whole_sweep_oracle(raw, tmp_path, monkeypatch):
     # blocks of two Es/N0 points, the last of one, and design blocks of two
@@ -332,6 +344,37 @@ def test_mode_statistic_equals_the_counted_mode():
         bin_width = float(rng.choice([1e-10, 1e-6, 0.5, 1.0, 7.0]))
         got, want = mode_statistic(values, bin_width), counted_mode(values.tolist(), bin_width)
         assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes(), (values, bin_width)
+    # stacks of rows, each held to the mode of its own finite values: NaN
+    # and infinities drawn in, rows of one value, rows with no finite value
+    for _ in range(1000):
+        pool = np.concatenate([
+            rng.choice([0.0, -0.0, 3.0, 1e20, 1e300, 2e300, math.nan, math.inf, -math.inf], 5), rng.uniform(0, 5, 3),
+        ])
+        shape = tuple(rng.integers(1, 4, int(rng.integers(1, 3)))) + (int(rng.choice([1, 2, 7, 30])),)
+        values = rng.choice(pool, shape)
+        values.reshape(-1, shape[-1])[0] = rng.choice([math.nan, math.inf, -math.inf], shape[-1])
+        bin_width = float(rng.choice([1e-10, 0.5, 7.0]))
+        got = mode_statistic(values, bin_width)
+        assert got.shape == shape[:-1]
+        for row, mode in zip(values.reshape(-1, shape[-1]), got.ravel()):
+            finite = row[np.isfinite(row)].tolist()
+            want = counted_mode(finite, bin_width) if finite else math.nan
+            assert np.float64(mode).tobytes() == np.float64(want).tobytes(), (row, bin_width)
+
+
+def test_min_statistic_takes_each_rows_smallest_finite_value():
+    # both zeros come out as +0.0, wherever they sit in the row
+    rng = np.random.default_rng(93)
+    pool = np.concatenate([[0.0, -0.0, -2.5, 3.0, 1e300, 5e-324, math.nan, math.inf, -math.inf], NAN_PAYLOADS])
+    for _ in range(500):
+        values = rng.choice(pool, (int(rng.integers(1, 5)), int(rng.choice([1, 2, 9, 40]))))
+        got = min_statistic(values)
+        for row, low in zip(values, got.tolist()):
+            finite = row[np.isfinite(row)].tolist()
+            want = min(finite) + 0.0 if finite else math.nan
+            assert np.float64(low).tobytes() == np.float64(want).tobytes(), row
+            assert np.float64(min_statistic(row)).tobytes() == np.float64(want).tobytes(), row
+    assert type(min_statistic([3.0, -0.0, 2.0])) is float and math.copysign(1.0, min_statistic([-0.0])) == 1.0
 
 
 def test_select_best_codebook_of_a_stack_equals_one_table_at_a_time():
@@ -522,6 +565,27 @@ def synthetic_table(rng, n_e: int, n_aps: int, n_users: int) -> SweepResult:
         doubles(*shape), doubles(*shape), doubles(*shape), doubles(*shape), codes, doubles(n_e, n_aps, n_users),
         *doubles(2).tolist(), summary={},
     )
+
+
+@pytest.mark.parametrize("n_e, n_aps, n_users", [(3, 2, 3), (8, 1, 4), (1, 1, 1), (16, 4, 8)])
+@pytest.mark.parametrize("mode_bin", [1e-10, 0.5])
+def test_summary_equals_the_row_by_row_loop(n_e, n_aps, n_users, mode_bin):
+    # every row has infeasible links but (mean, 2A1R), which has none, and
+    # (min, 4A2R) has no feasible link; (mean, 4A2R) has no finite delay.
+    # Utilities lie in [0, 1], NaN where infeasible, as in a sweep.
+    rng = np.random.default_rng([n_e, n_aps, n_users, 1])
+    for _ in range(5):
+        table = synthetic_table(rng, n_e, n_aps, n_users)
+        table.codes[0, 0] = 0
+        table.codes[1, 1] = 1 + table.codes[1, 1] % 31
+        table.utility[...] = np.where(table.codes == 0, rng.uniform(size=table.codes.shape), math.nan)
+        table.d_trans[0, 1] = rng.choice([math.nan, math.inf, -math.inf], table.d_trans[0, 1].shape)
+        got = runner._summarize(SimpleNamespace(mode_bin=mode_bin), table)["per_codebook"]
+        want = oracles.per_codebook_summary(table, mode_bin)
+        assert list(got) == list(want)
+        for key, row in want.items():
+            assert list(got[key]) == list(row)
+            assert np.array(list(got[key].values())).tobytes() == np.array(list(row.values())).tobytes(), key
 
 
 @pytest.mark.parametrize("n_e, n_aps, n_users", [(3, 2, 3), (8, 1, 4), (1, 1, 1), (0, 2, 2), (16, 4, 8)])

@@ -17,7 +17,8 @@ moves neither side's peak_rss_mb. Each checkout must be a git work tree.
 Around each run it reads the ``RUSAGE_CHILDREN`` usage of this process, so
 that the run's minor page faults and system CPU seconds, the benchmark's
 setup probes included, go into its result file as ``rusage`` and into the
-printed pair line.
+printed pair line. Each side's median of both, per workload, is printed
+after the verdicts and stored as the workload's ``usage``.
 
 For every end-to-end metric that BENCHMARK.json declares (read from the
 change's checkout) it prints each pair, both sides' medians, the parent's
@@ -35,8 +36,8 @@ neither side) and a verdict, the first of these that holds:
 
 The JSON file is keyed by workload, the layout of a ``BENCH_<n>.json``; each
 workload holds, per pair, both runs' result files as perfbench wrote them to
-.bench_out/, and that summary. The exit status is 1 if any sweep of any run
-failed (raised, or wrote a wrong results.csv).
+.bench_out/, that summary and the usage medians. The exit status is 1 if
+any sweep of any run failed (raised, or wrote a wrong results.csv).
 """
 
 import argparse
@@ -118,6 +119,13 @@ def summarize(pairs: dict, declared: list) -> dict:
     return out
 
 
+def usage_medians(pairs: dict) -> dict:
+    """Per rusage field: each side's median over the pairs."""
+    return {name: {side: statistics.median(p[side]["rusage"][name] for p in pairs.values())
+                   for side in ("parent", "change")}
+            for name in ("minor_faults", "system_s")}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -162,7 +170,11 @@ def run_pairs(args, sides: dict) -> int:
                 f" {s['unit']} (gap {s['median_gap']:+.6g}, parent IQR {s['parent_iqr']:.6g}),"
                 f" change better in {s['wins']}/{s['pairs']} pairs ({s['better']} is better): {s['verdict']}"
             )
-        record[workload] = {"seconds": args.seconds, "seed_base": args.seed_base, "pairs": pairs, "summary": summary}
+        usage = usage_medians(pairs)
+        for name, spec in (("minor_faults", ".0f"), ("system_s", ".3f")):
+            print(f"{workload} {name}: median {usage[name]['parent']:{spec}} -> {usage[name]['change']:{spec}}")
+        record[workload] = {"seconds": args.seconds, "seed_base": args.seed_base, "pairs": pairs, "summary": summary,
+                            "usage": usage}
     if args.out is not None:
         args.out.write_text(json.dumps(record, indent=1, default=repr))
     if not ok:
