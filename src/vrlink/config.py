@@ -36,18 +36,16 @@ MAX_ESN0_POINTS = 1001
 # digital stage, plus the analog stages' covariance stacks, plus one evaluation
 # block's cells at CELL_BYTES each (a cell's UL SINR, rate and tracking
 # factor, and one codebook pass's delays and utilities of every scenario,
-# with their temporaries: about 95 bytes traced with two scenarios), plus
+# with their temporaries: about 90 bytes traced with two scenarios), plus
 # the rows, at RECORD_BYTES each (a row at the sweep's peak), plus one
 # link's delay taps at TAP_BYTES each (a tap and its temporaries)
 MAX_SWEEP_BYTES = 1 << 30
 CELL_BYTES = 128
 RECORD_BYTES = 1024
 TAP_BYTES = 32
-# Es/N0 points per evaluation block: as many as keep the block's UL arrays
-# under this many (point, user, AP, subcarrier) cells, at least one
+# the most (point, user, AP, subcarrier) cells of an evaluation block of Es/N0 points (see block_size)
 BLOCK_CELLS = 1 << 18
-# codebook groups per design block: as many consecutive groups as keep the
-# block's (group, link, subcarrier) cells at or under this many, at least one.
+# the most (group, link, subcarrier) cells of a design block of consecutive codebook groups.
 # Fewer design calls save more time than larger stacks cost: at 8192 the
 # benchmark's dense_gaussian sweep (3 groups of 32 x 64 cells) is one block.
 # 16384 would also merge wideband_point's third group (4 x 1024 cells), and
@@ -156,11 +154,16 @@ def parse_esn0_range(text: str) -> tuple:
     return tuple(_number("esn0", p) for p in parts)
 
 
+def block_size(items: int, item_cells: int, cells: int) -> int:
+    """Items per block of at most ``cells`` cells, at least one and at most ``items``."""
+    return min(items, max(1, cells // item_cells))
+
+
 def sweep_bytes(links: int, n_sc: int, codebooks, scenarios: int, points: int, tap_count: int) -> int:
     """One design block's DL channel stacks and stacked digital stage, the
     largest covariance stacks, one evaluation block of ``points`` Es/N0
     points, the rows and one link's delay taps."""
-    k = min(len({(cb.n_tx, cb.n_rx, cb.n_ds) for cb in codebooks}), max(1, DESIGN_CELLS // (links * n_sc)))
+    k = block_size(len({(cb.n_tx, cb.n_rx, cb.n_ds) for cb in codebooks}), links * n_sc, DESIGN_CELLS)
     dl = k * max((links * n_sc * cb.n_rx * cb.n_tx * 16 for cb in codebooks), default=0)
     # an analog stage of n antennas holds the (n_sc, n, n) products of one
     # covariance_block of links and every link's (n, n) sum, then the sums
@@ -175,7 +178,7 @@ def sweep_bytes(links: int, n_sc: int, codebooks, scenarios: int, points: int, t
     digital = k * max((links * n_sc * 3 * (cb.n_rf ** 2 * (cb.n_ds > 1) + cb.n_ds ** 2
                                            + cb.n_ds * (cb.n_tx + cb.n_rf + cb.n_rx)) * 16
                        for cb in codebooks), default=0)
-    cells = min(points, max(1, BLOCK_CELLS // (links * n_sc))) * links * n_sc
+    cells = block_size(points, links * n_sc, BLOCK_CELLS) * links * n_sc
     records = scenarios * len(codebooks) * points * links
     return dl + covariance + digital + cells * CELL_BYTES + records * RECORD_BYTES + tap_count * TAP_BYTES
 

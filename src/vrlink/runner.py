@@ -1,10 +1,13 @@
 """Sweep orchestration: channels -> beamforming -> rates -> delays -> utility.
 
-Evaluates every scenario x codebook x Es/N0 combination and checks the
-feasibility constraints into one table of arrays on (scenario, codebook,
-Es/N0, AP, user). The config holds scenarios sorted by name and codebooks by
-(n_tx, n_rf), so the sweep computes in row order and the table's C-order
-flattening is the CSV row order; the summary and the CSV are read from it.
+run_sweep composes three stages, each of which returns its arrays:
+_designs (the DL channels, beamformers and Es/N0-independent checks of every
+codebook), _evaluate (rates, delays, utilities and violation bits of one
+block of Es/N0 points, whose per-subcarrier arrays are freed before the next
+block starts) and _summarize, into one table of arrays on (scenario,
+codebook, Es/N0, AP, user). The config holds scenarios sorted by name and
+codebooks by (n_tx, n_rf), so the table's C-order flattening is the CSV row
+order; the summary and the CSV are read from it.
 """
 
 import dataclasses
@@ -15,7 +18,7 @@ import numpy as np
 
 from .beamforming import design_link
 from .channel import synthesize_dl, synthesize_ul
-from .config import BLOCK_CELLS, DESIGN_CELLS, SweepConfig
+from .config import BLOCK_CELLS, DESIGN_CELLS, SweepConfig, block_size
 from .errors import InvalidInputError, LinkError
 from .linkmetrics import compute_metrics
 from .numerics import FACTOR_TOL, MODULUS_TOL, distinct_doubles
@@ -74,25 +77,34 @@ def _draws(config: SweepConfig, stream: int):
     return np.random.default_rng([config.seed, stream]) if config.gain_mode == "gaussian" else None
 
 
-def _design_block(config: SweepConfig, groups: list, amplitude, n_served, budget) -> list:
-    """Every link's design for a block of codebook groups, each the codebooks
-    that share (n_tx, n_rx, n_ds) with one DL draw, reduced per codebook to
-    what the sweep reads: the squared effective gains (U, B, n_sc) and the
-    violation bits of the Es/N0-independent checks (U, B). n_served and
-    budget hold one value per link, user-major like the DL stacks."""
-    dl = [synthesize_dl(config.topology, amplitude, config.grid.n_sc, g[0].n_tx, g[0].n_rx, config.gain_mode,
-                        _draws(config, 1)).matrices for g in groups]
-    try:  # every link and every codebook of the block in one design
-        solutions = design_link(tuple((d.reshape((-1,) + d.shape[2:]), g) for d, g in zip(dl, groups)), budget)
-    except LinkError as e:  # links are user-major
-        user, ap = divmod(e.link, amplitude.shape[1])
-        raise InvalidInputError(f"user {user} / AP {ap}: {e.problem}") from e
+def _designs(config: SweepConfig, amplitude) -> tuple:
+    """The squared effective gains (C, U, B, n_sc) of every codebook and the
+    violation bits (C, U, B) of its Es/N0-independent checks. Codebooks that
+    share (n_tx, n_rx, n_ds) are a group with one DL draw; each block of
+    groups is one design, whose DL stacks and solutions go once its gains
+    and checks are taken."""
+    n_sc = config.grid.n_sc
+    # users on AP j while user i is re-homed to it: j's home users, plus i
+    # unless j is already i's home; one per link, user-major like the DL stacks
+    home = np.array(config.base_cells)[:, None] == np.arange(config.topology.n_aps)
+    n_served = (home.sum(axis=0) - home + 1).reshape(-1)
+    budget = config.p_b / n_served
+    groups = [tuple(g) for _, g in itertools.groupby(config.codebooks, key=lambda cb: (cb.n_tx, cb.n_rx, cb.n_ds))]
+    step = block_size(len(groups), n_served.size * n_sc, DESIGN_CELLS)
     designs = []
-    for sol in solutions:
-        fails = check_constraints(n_served, n_served * sol.transmit_power(), sol, config.v_j, config.p_b)
-        gains = sol.effective_gain_per_subcarrier() ** 2
-        designs.append((gains.reshape(amplitude.shape + (-1,)), (fails @ CHECK_BITS).reshape(amplitude.shape)))
-    return designs
+    for k in range(0, len(groups), step):
+        block = groups[k:k + step]
+        dl = (synthesize_dl(config.topology, amplitude, n_sc, g[0].n_tx, g[0].n_rx, config.gain_mode, _draws(config, 1))
+              .matrices.reshape(-1, n_sc, g[0].n_rx, g[0].n_tx) for g in block)
+        try:  # every link and every codebook of the block in one design
+            designs += [(sol.effective_gain_per_subcarrier().reshape(amplitude.shape + (-1,)) ** 2,
+                         (check_constraints(n_served, n_served * sol.transmit_power(), sol, config.v_j, config.p_b)
+                          @ CHECK_BITS).reshape(amplitude.shape))
+                        for sol in design_link(tuple(zip(dl, block)), budget)]
+        except LinkError as e:  # links are user-major
+            user, ap = divmod(e.link, amplitude.shape[1])
+            raise InvalidInputError(f"user {user} / AP {ap}: {e.problem}") from e
+    return tuple(map(np.stack, zip(*designs)))
 
 
 def min_statistic(values):
@@ -157,103 +169,87 @@ def select_best_codebook(codebooks, utility) -> list:
     return [codebooks[i] if ok else None for i, ok in zip(best.tolist(), feasible.any(axis=-1).tolist())]
 
 
-def run_sweep(config: SweepConfig) -> SweepResult:
-    """Evaluate the full scenario x codebook x Es/N0 product into one table.
+def _evaluate(config: SweepConfig, ul, gains, checks, sigma, d_proc: float, d_queue: float) -> tuple:
+    """One block of Es/N0 points (noise powers sigma): SINR and rate of every
+    scenario, codebook, point and link at once, then delay, utility and the
+    violation bits once per codebook on the link windows of every scenario.
+    Each step of that pass is element-wise or a reduction over a window's
+    subcarriers, so a window's values have the bits they would have on their
+    own (see the numerics docstring). Returns the mean UL rates (E, U, B)
+    and the (S, C, E, U, B) DL rates, transmission and total delays,
+    utilities (NaN where a check fails) and violation bits; the block's
+    per-subcarrier arrays are freed when it returns."""
+    m = compute_metrics(ul, gains, config.p_u, config.p_b, config.base_cells, sigma, config.scenarios,
+                        config.grid.total_bandwidth, config.grid.subcarrier_bandwidth)
+    # the tracking factor depends on the UL SINR alone: one per block for every scenario
+    tracking = np.broadcast_to(tracking_factors(m.sinr_ul, config.epsilon0), m.rate_dl.shape[:1] + m.sinr_ul.shape)
+    d_trans, d_total, utility, codes = [], [], [], []
+    # one pass per codebook over every scenario's (Es/N0, user, AP) windows, subcarriers last
+    for c, fails in enumerate(checks):
+        # the transmission delays, then in place the total delays
+        delays = transmission_delay(config.traffic.s_bits, config.traffic.a_bits, m.rate_dl[:, c, ..., None], m.rate_ul)
+        with np.errstate(over="ignore"):
+            d_trans.append(np.mean(delays, axis=-1))
+            delays += d_proc
+            delays += d_queue
+            d_total.append(np.mean(delays, axis=-1))
+        # a link with no rate in one direction, or with delays past the
+        # float range, never completes a frame: no utility, fails (b)
+        carries = np.isfinite(d_total[-1])
+        codes.append(fails | 2 * ((m.rate_dl[:, c] < config.r_min) | ~carries))
+        # the windows that carry go on alone, and the full stack is freed
+        delays = delays[carries]
+        carried = np.full(carries.shape, np.nan)
+        carried[carries] = np.mean(link_utilities(delays, tracking[carries], config.gamma_d), axis=-1)
+        utility.append(np.where(codes[-1] == 0, carried, np.nan))
+    return (np.mean(m.rate_ul, axis=-1), m.rate_dl, *(np.stack(a, axis=1) for a in (d_trans, d_total, utility, codes)))
 
-    The UL channels are drawn once, the DL channels and the analog stages
-    once per (n_tx, n_rx, n_ds) group of codebooks, the digital stage once
-    per shape for each block of DESIGN_CELLS; SINR and rate are then
-    evaluated on whole arrays, one block of Es/N0 points at a time, and
-    delay and utility once per codebook in each block, on the link windows
-    of every scenario at once. Each step of that pass is element-wise or a
-    reduction over a window's subcarriers, so a window's values have the
-    bits they would have on their own (see the numerics docstring).
-    """
+
+def run_sweep(config: SweepConfig) -> SweepResult:
+    """The scenario x codebook x Es/N0 product as one table: the UL channels
+    drawn once, ``_designs``, then ``_evaluate`` on one block of Es/N0 points
+    of at most BLOCK_CELLS (point, user, AP, subcarrier) cells at a time, and
+    ``_summarize`` on the blocks joined. A block's per-subcarrier arrays are
+    freed when its stage returns, before the next block starts, so memory
+    does not grow with the grid length."""
+    ul = synthesize_ul(np.array(config.ul_gain), config.grid.n_sc, config.gain_mode, _draws(config, 0))
+    gains, checks = _designs(config, np.array(config.dl_amplitude))
     traffic = config.traffic
-    ul_gain, amplitude = np.array(config.ul_gain), np.array(config.dl_amplitude)
-    ul = synthesize_ul(ul_gain, config.grid.n_sc, config.gain_mode, _draws(config, 0))
-    # users on AP j while user i is re-homed to it: j's home users, plus i
-    # unless j is already i's home; one per link, user-major
-    home = np.array(config.base_cells)[:, None] == np.arange(config.topology.n_aps)
-    n_served = (home.sum(axis=0) - home + 1).reshape(-1)
-    budget = config.p_b / n_served
-    groups = [tuple(g) for _, g in itertools.groupby(config.codebooks, key=lambda cb: (cb.n_tx, cb.n_rx, cb.n_ds))]
-    per_block = max(1, DESIGN_CELLS // (n_served.size * config.grid.n_sc))
-    designs = [d for k in range(0, len(groups), per_block)
-               for d in _design_block(config, groups[k:k + per_block], amplitude, n_served, budget)]
-    gains, checks = map(np.stack, zip(*designs))
     d_proc = processing_delay(traffic.v_bits, traffic.m_capacity, traffic.n_share)
     d_queue = queue_delay(traffic.mu, traffic.lam)
-    sigma_all = np.array(config.noise)
-    step = max(1, BLOCK_CELLS // ul.size)
-
-    # (scenario, codebook, Es/N0, user, AP) until the end
-    shape = (len(config.scenarios), len(config.codebooks), len(sigma_all)) + amplitude.shape
-    rate_dl, d_trans, d_total = np.empty(shape), np.empty(shape), np.empty(shape)
-    utility, codes = np.full(shape, np.nan), np.empty(shape, dtype=int)
-    rate_ul = np.empty(shape[2:])
-    for start in range(0, len(sigma_all), step):
-        block = slice(start, start + step)
-        m = compute_metrics(
-            ul, gains, config.p_u, config.p_b, config.base_cells, sigma_all[block],
-            config.scenarios, config.grid.total_bandwidth, config.grid.subcarrier_bandwidth,
-        )
-        rate_ul[block] = np.mean(m.rate_ul, axis=-1)
-        rate_dl[:, :, block] = m.rate_dl
-        # the tracking factor depends on the UL SINR alone: once per block,
-        # the same for every scenario
-        tracking = np.broadcast_to(tracking_factors(m.sinr_ul, config.epsilon0), shape[:1] + m.sinr_ul.shape)
-        # one pass per codebook over the windows of every scenario, on
-        # (scenario, Es/N0, user, AP) with the subcarriers last
-        for c, fails in enumerate(checks):
-            # the transmission delays, then in place the total delays
-            delays = transmission_delay(traffic.s_bits, traffic.a_bits, m.rate_dl[:, c, ..., None], m.rate_ul)
-            with np.errstate(over="ignore"):
-                d_trans[:, c, block] = np.mean(delays, axis=-1)
-                delays += d_proc
-                delays += d_queue
-                d_total[:, c, block] = np.mean(delays, axis=-1)
-            # a link with no rate in one direction, or with delays past the
-            # float range, never completes a frame: no utility, fails (b)
-            carries = np.isfinite(d_total[:, c, block])
-            codes[:, c, block] = fails | 2 * ((m.rate_dl[:, c] < config.r_min) | ~carries)
-            # the windows that carry go on alone, and the full stack is freed;
-            # the utilities go before the next pass allocates its delays
-            delays = delays[carries]
-            utilities_n = link_utilities(delays, tracking[carries], config.gamma_d)
-            utility[:, c, block][carries] = np.mean(utilities_n, axis=-1)
-            del utilities_n
-    utility[codes != 0] = np.nan
-    # AP before user in the table, as in the CSV rows
-    table = SweepResult(
-        config.scenarios, config.codebooks, config.esn0_db,
-        *(np.ascontiguousarray(a.swapaxes(-1, -2)) for a in (rate_dl, d_trans, d_total, utility, codes)),
-        np.ascontiguousarray(rate_ul.swapaxes(-1, -2)), d_proc, d_queue, summary=None,
-    )
-    return dataclasses.replace(table, summary=_summarize(config, table))
+    sigma = np.array(config.noise)
+    step = block_size(len(sigma), ul.size, BLOCK_CELLS)
+    blocks = [_evaluate(config, ul, gains, checks, sigma[k:k + step], d_proc, d_queue)
+              for k in range(0, len(sigma), step)]
+    # the blocks joined along Es/N0, and AP before user in the table, as in the CSV rows
+    rate_ul, rate_dl, d_trans, d_total, utility, codes = (
+        np.ascontiguousarray(np.concatenate(a, axis=-3).swapaxes(-1, -2)) for a in zip(*blocks))
+    return SweepResult(config.scenarios, config.codebooks, config.esn0_db, rate_dl, d_trans, d_total, utility, codes,
+                       rate_ul, d_proc, d_queue, _summarize(config, utility, codes, d_trans))
 
 
-def _summarize(config: SweepConfig, table: SweepResult) -> dict:
-    """Per-codebook statistics and the best codebook per Es/N0, in row order.
+def _summarize(config: SweepConfig, utility, codes, d_trans) -> dict:
+    """Per-codebook statistics and the best codebook per Es/N0, in row order,
+    from the table's utilities, violation bits and transmission delays.
 
     The statistics of every (scenario, codebook) row come from one call
     each: the mean of the feasible utilities, and the minimum and mode of
     the finite transmission delays. A row with an infeasible link averages
     its feasible utilities on their own: a mean over the whole row with the
     infeasible entries zeroed would round differently."""
-    keys = [(s.value, cb.label) for s, cb in itertools.product(table.scenarios, table.codebooks)]
-    utility, feasible, d_trans = (a.reshape(len(keys), -1) for a in (table.utility, table.codes == 0, table.d_trans))
-    means = np.mean(utility, axis=-1)
+    keys = [(s.value, cb.label) for s, cb in itertools.product(config.scenarios, config.codebooks)]
+    rows, feasible, d_trans = (a.reshape(len(keys), -1) for a in (utility, codes == 0, d_trans))
+    means = np.mean(rows, axis=-1)
     for r in np.flatnonzero(~feasible.all(axis=-1)).tolist():
-        kept = utility[r, feasible[r]]
+        kept = rows[r, feasible[r]]
         means[r] = np.mean(kept) if kept.size else math.nan
     stats = zip(means.tolist(), min_statistic(d_trans).tolist(), mode_statistic(d_trans, config.mode_bin).tolist())
     names = ("utility_mean", "d_trans_min_s", "d_trans_mode_s")
     per_codebook = {key: dict(zip(names, row)) for key, row in zip(keys, stats)}
     # per Es/N0 point one row per codebook: its links of every scenario, in row order
-    per_link = table.utility.transpose(2, 1, 0, 3, 4).reshape(len(table.esn0_db), len(table.codebooks), -1)
-    picks = select_best_codebook(table.codebooks, per_link)
-    best = {esn0: None if pick is None else pick.label for esn0, pick in zip(table.esn0_db.tolist(), picks)}
+    per_link = utility.transpose(2, 1, 0, 3, 4).reshape(len(config.esn0_db), len(config.codebooks), -1)
+    picks = select_best_codebook(config.codebooks, per_link)
+    best = {esn0: None if pick is None else pick.label for esn0, pick in zip(config.esn0_db.tolist(), picks)}
     return {"per_codebook": per_codebook, "best_codebook": best}
 
 

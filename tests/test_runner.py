@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -21,7 +22,7 @@ from test_numerics import SPECIAL_DOUBLES
 from vrlink import beamforming, runner
 from vrlink.beamforming import Codebook, design_link
 from vrlink.cli import main
-from vrlink.config import config_from_dict, load_config
+from vrlink.config import CELL_BYTES, config_from_dict, load_config
 from vrlink.errors import InvalidInputError
 from vrlink.linkmetrics import GainAggregation
 from vrlink.runner import (
@@ -114,8 +115,53 @@ def test_sweep_in_es_n0_blocks_equals_one_block(raw, monkeypatch):
     cells = cfg.topology.n_users * cfg.topology.n_aps * cfg.grid.n_sc
     assert len(cfg.esn0_db) * cells <= runner.BLOCK_CELLS
     monkeypatch.setattr(runner, "BLOCK_CELLS", 7 * cells)
+    calls, compute = [], runner.compute_metrics
+    monkeypatch.setattr(runner, "compute_metrics", lambda *args: calls.append(len(args[5])) or compute(*args))
     blocked = run_sweep(cfg)
+    assert calls == [7] * (len(cfg.esn0_db) // 7) + [len(cfg.esn0_db) % 7]
     assert same_result(blocked, whole)
+
+
+@pytest.fixture(scope="module")
+def traced_blocks():
+    """A sweep of three Es/N0 blocks under tracemalloc: n_t = 2, n_rf = 1 on
+    4 links of 4096 subcarriers puts BLOCK_CELLS // 16384 = 16 of the 41
+    points in a block, so the blocks hold 16, 16 and 9. Returns the block
+    size in cells, the traced bytes as each block's compute_metrics starts,
+    and the sweep's traced peak."""
+    cfg = config_from_dict({"n_t": "2", "n_rf": "1", "n_sc": "4096", "esn0_stop": "40"})
+    held, compute = [], runner.compute_metrics
+
+    def traced(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return compute(*args)
+
+    runner.compute_metrics = traced
+    tracemalloc.start()
+    try:
+        run_sweep(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        runner.compute_metrics = compute
+    return 16 * 4 * 4096, held, peak
+
+
+def test_each_es_n0_block_is_freed_before_the_next_starts(traced_blocks):
+    # a block leaves only its rows behind: 0.06 B a cell above the first
+    # block's start, where a sweep that held the previous block's rates,
+    # tracking factors and delays read 40 (numpy 2.4.6)
+    cells, held, _ = traced_blocks
+    assert cells == runner.BLOCK_CELLS and len(held) == 3
+    assert all(h - held[0] <= cells for h in held[1:])
+
+
+def test_evaluation_block_peak_stays_within_cell_bytes(traced_blocks):
+    # the evaluation block sets this sweep's peak: 89.9 B a cell traced
+    # (numpy 2.4.6), where a codebook pass that held both scenarios' total
+    # delays beside their transmission delays read 142
+    cells, _, peak = traced_blocks
+    assert peak / cells <= CELL_BYTES
 
 
 @pytest.mark.parametrize("raw", [
@@ -580,7 +626,9 @@ def test_summary_equals_the_row_by_row_loop(n_e, n_aps, n_users, mode_bin):
         table.codes[1, 1] = 1 + table.codes[1, 1] % 31
         table.utility[...] = np.where(table.codes == 0, rng.uniform(size=table.codes.shape), math.nan)
         table.d_trans[0, 1] = rng.choice([math.nan, math.inf, -math.inf], table.d_trans[0, 1].shape)
-        got = runner._summarize(SimpleNamespace(mode_bin=mode_bin), table)["per_codebook"]
+        config = SimpleNamespace(mode_bin=mode_bin, scenarios=table.scenarios, codebooks=table.codebooks,
+                                 esn0_db=table.esn0_db)
+        got = runner._summarize(config, table.utility, table.codes, table.d_trans)["per_codebook"]
         want = oracles.per_codebook_summary(table, mode_bin)
         assert list(got) == list(want)
         for key, row in want.items():
