@@ -3,20 +3,22 @@
 The analog stages are shared across subcarriers and come from the SVD of
 covariance sums, element-wise normalized to constant modulus. The digital
 stages are per-subcarrier SVDs of the analog-reduced channel. Every link of a
-block of codebook groups is designed at once, on stacked
+block of codebook groups (``design_blocks``: runs of consecutive codebooks
+that share (n_tx, n_rx, n_ds)) is designed at once, on stacked
 ``(links, n_sc, rows, cols)`` matrices with stacked ``@``: the codebooks of a
 group differ only in n_rf and share one pair of analog stages, and each
 reduced-channel shape takes one stacked digital SVD. The covariances are
-summed over blocks of ``covariance_block(L, n_sc, n)`` links, so that the
-``(n_sc, n, n)`` products held at once are no more than
-``COVARIANCE_PRODUCTS`` entries (1 MiB), or one link's products; each sum
-reads them once, in subcarrier order, as a one-link loop would, and keeps
-no running sums where n >= 2. A 1x1 covariance (one user antenna, or one
-AP antenna) has the constant beam 1; where no term of it can leave the
-float range (see the numerics docstring) the stage forms no sum at all. Each SVD forms only the singular vectors the stage keeps. A solution
-keeps what the sweep reads: the analog stages, the effective channels and the
-transmit power of each subcarrier, summed from the composite beam
-``analog @ digital`` while the design holds it.
+summed over ``block_size`` blocks of links, so that the ``(n_sc, n, n)``
+products held at once are no more than ``COVARIANCE_PRODUCTS`` entries
+(1 MiB), or one link's products; each sum reads them once, in subcarrier
+order, as a one-link loop would, and keeps no running sums where n >= 2. A
+1x1 covariance (one user antenna, or one AP antenna) has the constant beam
+1; where no term of it can leave the float range (see the numerics
+docstring) the stage forms no sum at all. Each SVD forms only the singular
+vectors the stage keeps. A solution keeps what the sweep reads: the analog
+stages, the effective channels and the transmit power of each subcarrier,
+summed from the composite beam ``analog @ digital`` while the design holds
+it.
 
 A single-antenna user (n_rx = 1) has the analog combiner G = 1, so the
 design skips every product by it: ``G^H H`` is ``H + 0.0`` and ``G d`` is
@@ -34,6 +36,7 @@ a time its stacked digital SVD, and one codebook at a time its composite
 beams (its digital factors go once these exist) and effective channels.
 """
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, LinkError, ShapeError
-from .numerics import ensure_complex_stack, frobenius_norms, row_sums, singular_values
+from .numerics import block_size, ensure_complex_stack, frobenius_norms, row_sums, singular_values
 from .numerics import svd, unit_modulus_normalize
 
 _CODEBOOK_RE = re.compile(r"^(\d+)\s*[xA]\s*(\d+)R?$", re.IGNORECASE)
@@ -97,13 +100,6 @@ def _subcarrier_sum(products: np.ndarray) -> np.ndarray:
     return np.cumsum(products, axis=-3, out=products)[..., -1, :, :] + 0.0
 
 
-def covariance_block(links: int, n_sc: int, n: int) -> int:
-    """Links per covariance block: as many as keep their (n_sc, n, n)
-    products within COVARIANCE_PRODUCTS entries, at least one and at most
-    all ``links``."""
-    return min(links, max(1, COVARIANCE_PRODUCTS // (n_sc * n * n)))
-
-
 def _sums_stay_finite(channels: np.ndarray) -> bool:
     """True when no 1x1 covariance term or sum of the stack can leave the
     float range: with peak the largest |re| or |im|, each product h conj(h)
@@ -127,7 +123,7 @@ def _covariance_beams(channels: np.ndarray, n_cols: int, receive_side: bool) -> 
         return np.ones(channels.shape[:-3] + (1, 1), dtype=np.complex128)
     links = channels.reshape((-1,) + channels.shape[-3:])
     cov = np.empty((len(links), size, size), dtype=np.complex128)
-    step = covariance_block(len(links), links.shape[1], size)
+    step = block_size(len(links), links.shape[1] * size * size, COVARIANCE_PRODUCTS)
     # an overflowing product or sum is caught by the check below
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(0, len(links), step):
@@ -233,6 +229,15 @@ def _solution(cb, links, g_a, p_a, cuts: list, budgets) -> BeamformingSolution:
         w /= w_norm[..., None, None]
         eff = effective_channel(w, links, f)
     return BeamformingSolution(cb, p_a, g_a, eff, power)
+
+
+def design_blocks(codebooks, links: int, n_sc: int, cells: int) -> list:
+    """The groups of each ``design_link`` call: runs of consecutive codebooks
+    that share (n_tx, n_rx, n_ds), in blocks of at most ``cells`` (group,
+    link, subcarrier) cells, at least one group each."""
+    groups = [tuple(g) for _, g in itertools.groupby(codebooks, key=lambda cb: (cb.n_tx, cb.n_rx, cb.n_ds))]
+    step = max(1, block_size(len(groups), links * n_sc, cells))
+    return [groups[k:k + step] for k in range(0, len(groups), step)]
 
 
 def design_link(groups: tuple, p_b: np.ndarray) -> tuple:

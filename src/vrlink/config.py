@@ -14,11 +14,11 @@ from typing import Callable
 
 import numpy as np
 
-from .beamforming import Codebook, covariance_block
+from .beamforming import COVARIANCE_PRODUCTS, Codebook, design_blocks
 from .channel import GAIN_MODES, SubcarrierGrid, path_gains
 from .errors import ConfigurationError
 from .linkmetrics import GainAggregation, noise_power
-from .numerics import FACTOR_TOL
+from .numerics import FACTOR_TOL, block_size
 from .qos import TrafficModel
 from .topology import IndoorArea, NetworkTopology, Position3D
 
@@ -32,17 +32,10 @@ QUEUE_UNIT_PRESETS = {
 # size caps: the sweep allocates arrays in proportion to both
 MAX_N_SC = 8192
 MAX_ESN0_POINTS = 1001
-# allocation budget: one design block's DL channel stacks and stacked
-# digital stage, plus the analog stages' covariance stacks, plus one evaluation
-# block's cells at CELL_BYTES each (a cell's UL SINR, rate and tracking
-# factor, and one codebook pass's delays and utilities of every scenario,
-# with their temporaries: about 90 bytes traced with two scenarios), plus
-# the rows, at RECORD_BYTES each (a row at the sweep's peak), plus one
-# link's delay taps at TAP_BYTES each (a tap and its temporaries)
-MAX_SWEEP_BYTES = 1 << 30
-CELL_BYTES = 128
-RECORD_BYTES = 1024
-TAP_BYTES = 32
+MAX_SWEEP_BYTES = 1 << 30  # the allocation budget, checked against sweep_bytes
+CELL_BYTES = 128  # an evaluation block's cell: UL SINR, rate, tracking factor, every scenario's delays and utilities
+RECORD_BYTES = 1024  # a row, held at the sweep's peak
+TAP_BYTES = 32  # one link's delay tap and its temporaries
 # the most (point, user, AP, subcarrier) cells of an evaluation block of Es/N0 points (see block_size)
 BLOCK_CELLS = 1 << 18
 # the most (group, link, subcarrier) cells of a design block of consecutive codebook groups.
@@ -154,22 +147,19 @@ def parse_esn0_range(text: str) -> tuple:
     return tuple(_number("esn0", p) for p in parts)
 
 
-def block_size(items: int, item_cells: int, cells: int) -> int:
-    """Items per block of at most ``cells`` cells, at least one and at most ``items``."""
-    return min(items, max(1, cells // item_cells))
-
-
-def sweep_bytes(links: int, n_sc: int, codebooks, scenarios: int, points: int, tap_count: int) -> int:
-    """One design block's DL channel stacks and stacked digital stage, the
-    largest covariance stacks, one evaluation block of ``points`` Es/N0
-    points, the rows and one link's delay taps."""
-    k = block_size(len({(cb.n_tx, cb.n_rx, cb.n_ds) for cb in codebooks}), links * n_sc, DESIGN_CELLS)
+def budget_terms(links: int, n_sc: int, codebooks, scenarios: int, points: int, tap_count: int) -> dict:
+    """The bytes of each term of ``sweep_bytes``: one design block's DL channel
+    stacks and stacked digital stage, the largest analog stage's covariance
+    stacks, one evaluation block of ``points`` Es/N0 points, the rows and one
+    link's delay taps."""
+    k = max(map(len, design_blocks(codebooks, links, n_sc, DESIGN_CELLS)), default=0)
     dl = k * max((links * n_sc * cb.n_rx * cb.n_tx * 16 for cb in codebooks), default=0)
-    # an analog stage of n antennas holds the (n_sc, n, n) products of one
-    # covariance_block of links and every link's (n, n) sum, then the sums
-    # and five factor stacks of the same shape in their SVD
-    covariance = max((max(covariance_block(links, n_sc, n) * n_sc + links, 6 * links) * n * n * 16
-                      for cb in codebooks for n in (cb.n_tx, cb.n_rx)), default=0)
+    # an analog stage of n antennas holds one block of b links' conjugate DL stacks, (n_sc, n, n)
+    # products and two (n, n) sums beside every link's sum, then the sums and five SVD factor stacks
+    stages = ((n, cb.n_rx * cb.n_tx, block_size(links, n_sc * n * n, COVARIANCE_PRODUCTS))
+              for cb in codebooks for n in (cb.n_tx, cb.n_rx))
+    covariance = max((max(b * (n_sc * (n * n + dl_entries) + 2 * n * n) + links * n * n, 6 * links * n * n) * 16
+                      for n, dl_entries, b in stages), default=0)
     # the digital stage forms, per link and subcarrier of each of the k
     # groups, the reduced channels G^H H and G^H H P, the SVD factors of
     # G^H H P (one stack per shape) and the composite beams; its SVD and the
@@ -180,7 +170,13 @@ def sweep_bytes(links: int, n_sc: int, codebooks, scenarios: int, points: int, t
                        for cb in codebooks), default=0)
     cells = block_size(points, links * n_sc, BLOCK_CELLS) * links * n_sc
     records = scenarios * len(codebooks) * points * links
-    return dl + covariance + digital + cells * CELL_BYTES + records * RECORD_BYTES + tap_count * TAP_BYTES
+    return {"dl": dl, "covariance": covariance, "digital": digital, "cells": cells * CELL_BYTES,
+            "records": records * RECORD_BYTES, "taps": tap_count * TAP_BYTES}
+
+
+def sweep_bytes(*sizes) -> int:
+    """The sum of ``budget_terms(*sizes)``."""
+    return sum(budget_terms(*sizes).values())
 
 
 def check_budget(nbytes: int) -> None:

@@ -85,10 +85,7 @@ x86-64 these hold:
   writing the running sums. With ``n = 1`` the summed axis is the inner
   loop, which adds pairwise; there only the running sum, over one link or
   a block, keeps the order.
-- ``"%.9g" % x`` equals ``f"{x:.9g}"`` for every double, NaN, infinities,
-  signed zeros and subnormals included: both call CPython's
-  ``PyOS_double_to_string(x, 'g', 9)``.
-- a per-element scalar call on a double, ``"%.9g" % x`` or ``math.log1p(x)``,
+- a per-element scalar call on a double, ``f"{x:.9g}"`` or ``math.log1p(x)``,
   depends only on its argument's bits, so one call per distinct int64 key
   ``x.view(np.int64)``, expanded by ``np.unique``'s inverse, reproduces the
   per-element output (``distinct_doubles``). The key keeps ``-0.0`` apart
@@ -375,6 +372,11 @@ def row_sums(x: np.ndarray) -> np.ndarray:
     for col in cols[blocks:]:
         total += col
     return total
+
+
+def block_size(items: int, item_cells: int, cells: int) -> int:
+    """Items per block of at most ``cells`` cells, at least one and at most ``items``."""
+    return min(items, max(1, cells // item_cells))
 
 
 def distinct_doubles(x: np.ndarray) -> tuple:

@@ -16,12 +16,12 @@ import math
 
 import numpy as np
 
-from .beamforming import design_link
+from .beamforming import design_blocks, design_link
 from .channel import synthesize_dl, synthesize_ul
-from .config import BLOCK_CELLS, DESIGN_CELLS, SweepConfig, block_size
+from .config import BLOCK_CELLS, DESIGN_CELLS, SweepConfig
 from .errors import InvalidInputError, LinkError
 from .linkmetrics import compute_metrics
-from .numerics import FACTOR_TOL, MODULUS_TOL, distinct_doubles
+from .numerics import FACTOR_TOL, MODULUS_TOL, block_size, distinct_doubles
 from .qos import link_utilities, processing_delay, queue_delay, tracking_factors, transmission_delay
 
 CSV_HEADER = (
@@ -79,21 +79,17 @@ def _draws(config: SweepConfig, stream: int):
 
 def _designs(config: SweepConfig, amplitude) -> tuple:
     """The squared effective gains (C, U, B, n_sc) of every codebook and the
-    violation bits (C, U, B) of its Es/N0-independent checks. Codebooks that
-    share (n_tx, n_rx, n_ds) are a group with one DL draw; each block of
-    groups is one design, whose DL stacks and solutions go once its gains
-    and checks are taken."""
+    violation bits (C, U, B) of its Es/N0-independent checks. Each group of
+    ``design_blocks`` has one DL draw and each block is one design, whose DL
+    stacks and solutions go once its gains and checks are taken."""
     n_sc = config.grid.n_sc
     # users on AP j while user i is re-homed to it: j's home users, plus i
     # unless j is already i's home; one per link, user-major like the DL stacks
     home = np.array(config.base_cells)[:, None] == np.arange(config.topology.n_aps)
     n_served = (home.sum(axis=0) - home + 1).reshape(-1)
     budget = config.p_b / n_served
-    groups = [tuple(g) for _, g in itertools.groupby(config.codebooks, key=lambda cb: (cb.n_tx, cb.n_rx, cb.n_ds))]
-    step = block_size(len(groups), n_served.size * n_sc, DESIGN_CELLS)
     designs = []
-    for k in range(0, len(groups), step):
-        block = groups[k:k + step]
+    for block in design_blocks(config.codebooks, n_served.size, n_sc, DESIGN_CELLS):
         dl = (synthesize_dl(config.topology, amplitude, n_sc, g[0].n_tx, g[0].n_rx, config.gain_mode, _draws(config, 1))
               .matrices.reshape(-1, n_sc, g[0].n_rx, g[0].n_tx) for g in block)
         try:  # every link and every codebook of the block in one design
@@ -262,9 +258,9 @@ def write_results_csv(result: SweepResult, path: str) -> None:
     and queue pair, shared by every block, are formatted into it, and each
     row keeps ``%s`` slots for its DL rate, two delays and utility tail.
     The table's codebooks repeat each other's values, so those doubles are
-    formatted with ``%.9g`` once per distinct bit pattern of the whole table
-    and expanded by index, which gives every row the f-string ``.9g`` text
-    of its own values (see the numerics docstring); an infeasible row's
+    formatted with ``f"{x:.9g}"`` once per distinct bit pattern of the whole
+    table and expanded by index, which gives every row the text of its own
+    values (see the numerics docstring); an infeasible row's
     tail is one of the 32 ``VIOLATIONS``. Each block puts its
     ``scenario,n_tx,n_rf,`` prefix on every row and fills the whole block
     with one ``%``. The file is written one block at a time."""

@@ -105,7 +105,7 @@ def test_analog_precoder_of_a_many_link_block_equals_each_link_alone(monkeypatch
     subcarrier_sum = beamforming._subcarrier_sum
     monkeypatch.setattr(beamforming, "_subcarrier_sum", lambda p: summed.append(len(p)) or subcarrier_sum(p))
     stacked = analog_precoder(links, 2)
-    assert summed == [48] and beamforming.covariance_block(48, 64, 2) == 48
+    assert summed == [48] and numerics.block_size(48, 64 * 2 * 2, beamforming.COVARIANCE_PRODUCTS) == 48
     alone = np.stack([analog_precoder(link, 2) for link in links])
     assert stacked.tobytes() == alone.tobytes()
 

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vrlink.beamforming import COVARIANCE_PRODUCTS, Codebook
+from vrlink.beamforming import COVARIANCE_PRODUCTS, Codebook, analog_combiner, analog_precoder
+from vrlink.channel import synthesize_dl
 from vrlink.cli import main
 from vrlink.config import (
     KEYS,
@@ -21,6 +22,7 @@ from vrlink.config import (
     RECORD_BYTES,
     TAP_BYTES,
     SweepConfig,
+    budget_terms,
     config_from_dict,
     esn0_grid,
     load_config,
@@ -250,7 +252,7 @@ BAD_INPUTS = [
     ("r_min = nan", None, "key 'r_min': expected a finite number, got 'nan'"),
     ("n_sc = 1e9", None, "n_sc must be between 1 and 8192, got 1000000000"),
     ("n_sc = 8", ["--esn0", "0:1e-12:20"], "esn0 grid has more than 1001 points"),
-    ("n_t = 1000000000", None, "sweep needs about 1088000016384001081472 bytes, over the 1073741824-byte budget"),
+    ("n_t = 1000000000", None, "sweep needs about 1120000017408001081472 bytes, over the 1073741824-byte budget"),
     ("u = 100000", None, "sweep needs about 63488000128 bytes, over the 1073741824-byte budget"),
     # an AP above user 0, and one on it: the link has no azimuth
     ("ap_positions = 3,6,3 ; 7.5,13,3", None, "user 0 and AP 0 share the xy position"),
@@ -259,7 +261,7 @@ BAD_INPUTS = [
     ("epsilon0 = -1", None, "epsilon0 must be positive, got -1.0"),
     ("lambda = -1e-9", None, "need 0 <= lambda < mu, got mu=4e-09 lambda=-1e-09"),
     ("tap_spacing = -1e-9", None, "tap_spacing must be positive, got -1e-09"),
-    ("tap_count = 1000000000", None, "sweep needs about 32002527232 bytes, over the 1073741824-byte budget"),
+    ("tap_count = 1000000000", None, "sweep needs about 32002568192 bytes, over the 1073741824-byte budget"),
     ("u = 1000000", None, "sweep needs about 634880000128 bytes, over the 1073741824-byte budget"),
     # a derived quantity leaves the float range: the wavelength, the tap
     # spacing, the per-user compute share
@@ -303,7 +305,7 @@ BAD_INPUTS = [
     ("p_b = 1e-300\nesn0_start = 300\nesn0_stop = 300", None,
      "noise power p_b / 10^(esn0/10) leaves the positive float range on Es/N0 300..300 dB"),
     # an analog stage's (n_sc, n_t, n_t) covariance products
-    ("n_t = 9999", None, "sweep needs about 108943146176 bytes, over the 1073741824-byte budget"),
+    ("n_t = 9999", None, "sweep needs about 112152745184 bytes, over the 1073741824-byte budget"),
     ("n_sc = 8", ["--codebook", "9999x1"], "sweep needs about 38413061120 bytes, over the 1073741824-byte budget"),
     ("n_sc = 8", ["--codebook", ","], "empty codebook list"),
     ("scenario = ,", None, "empty scenario list"),
@@ -514,9 +516,12 @@ def test_covariance_stacks_count_toward_the_budget():
     # n_t entries each, three copies of each, per link and subcarrier
     digital = links * 64 * 3 * (64 - 8) * 16
     # n_t = 8 sums all 4 links' products at once (4 x 64 x 8 x 8 entries,
-    # within COVARIANCE_PRODUCTS); n_t = 64 one link's at a time
+    # within COVARIANCE_PRODUCTS); n_t = 64 one link's at a time. A block
+    # holds its links' conjugate DL stacks (64 x n_t entries a link), their
+    # products and two sums of each link, beside every link's sum
     assert 4 * 64 * 8 * 8 <= COVARIANCE_PRODUCTS < 64 * 64 * 64
-    cov_small, cov_large = (4 * 64 + links) * 8 * 8 * 16, (64 + links) * 64 * 64 * 16
+    cov_small = (4 * (64 * (8 * 8 + 8) + 2 * 8 * 8) + links * 8 * 8) * 16
+    cov_large = (64 * (64 * 64 + 64) + 2 * 64 * 64 + links * 64 * 64) * 16
     assert large.estimated_bytes - small.estimated_bytes == dl + cov_large - cov_small + digital
     # 32 links of n_t = 4 sum their products in one block, of n_t = 8 in
     # blocks of 2 ** 16 // (64 x 8 x 8) = 16 links; the second term holds
@@ -528,7 +533,38 @@ def test_covariance_stacks_count_toward_the_budget():
         # all 21 Es/N0 points of 32 x 64 cells fit in one evaluation block
         cells = 21 * links * 64 * CELL_BYTES
         rest = dl + digital + cells + dense.expected_records * RECORD_BYTES + dense.tap_count * TAP_BYTES
-        assert dense.estimated_bytes - rest == max(block * 64 + links, 6 * links) * n_t * n_t * 16
+        products = block * (64 * (n_t * n_t + n_t) + 2 * n_t * n_t) + links * n_t * n_t
+        assert dense.estimated_bytes - rest == max(products, 6 * links * n_t * n_t) * 16
+
+
+@pytest.mark.parametrize("raw", [
+    {"n_t": "64", "n_rf": "1", "n_sc": "1024"},
+    {"n_t": "8", "n_rf": "1", "n_sc": "8192"},
+    {"u": "16", "b": "4", "n_t": "4", "n_rf": "1", "n_sc": "64"},
+    {"n_t": "8", "n_rf": "1", "n_r": "8", "n_sc": "1024"},
+])
+def test_analog_stage_peak_stays_within_the_covariance_term(raw):
+    # each analog stage alone on the sweep's DL stacks, traced above them:
+    # large covariances summed one link at a time, many subcarriers, one
+    # block of all 64 links, and a combiner as large as the precoder. A term
+    # without a block's conjugate DL stacks and its links' two sums read
+    # 67.37 MB against 68.55 MB traced on the first, and 1.05 against 2.10
+    # MB on the last (numpy 2.4.6). 4 kB is left for the stage's array
+    # headers and other Python objects, 1.2 to 2.2 kB traced
+    cfg = config_from_dict(dict(raw, esn0_stop="0"))
+    (cb,) = cfg.codebooks
+    links, n_sc = cfg.topology.n_users * cfg.topology.n_aps, cfg.grid.n_sc
+    dl = synthesize_dl(cfg.topology, np.array(cfg.dl_amplitude), n_sc, cb.n_tx, cb.n_rx).matrices
+    dl = dl.reshape(links, n_sc, cb.n_rx, cb.n_tx)
+    term = budget_terms(links, n_sc, cfg.codebooks, 1, 1, cfg.tap_count)["covariance"]
+    for stage, n_cols in ((analog_precoder, cb.n_rf), (analog_combiner, cb.n_ds)):
+        tracemalloc.start()
+        try:
+            stage(dl, n_cols)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= term + 4096
 
 
 def test_digital_stage_counts_toward_the_budget():
@@ -650,6 +686,18 @@ def test_budget_is_checked_before_positions_are_sampled(monkeypatch):
         config_from_dict({"u": "1000000"})
     with pytest.raises(ConfigurationError, match="budget"):
         config_from_dict({"b": "3", "tap_count": "1000000000"})
+
+
+def test_delay_tap_peak_stays_within_tap_bytes():
+    # a million taps set the peak of resolving the config: 24.0 B a tap
+    # traced (numpy 2.4.6)
+    tracemalloc.start()
+    try:
+        cfg = config_from_dict({"tap_count": "1000000"})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / cfg.tap_count <= TAP_BYTES
 
 
 def test_tap_count_counts_toward_the_budget():

@@ -22,7 +22,7 @@ from test_numerics import SPECIAL_DOUBLES
 from vrlink import beamforming, runner
 from vrlink.beamforming import Codebook, design_link
 from vrlink.cli import main
-from vrlink.config import CELL_BYTES, config_from_dict, load_config
+from vrlink.config import CELL_BYTES, RECORD_BYTES, budget_terms, config_from_dict, load_config
 from vrlink.errors import InvalidInputError
 from vrlink.linkmetrics import GainAggregation
 from vrlink.runner import (
@@ -164,6 +164,21 @@ def test_evaluation_block_peak_stays_within_cell_bytes(traced_blocks):
     assert peak / cells <= CELL_BYTES
 
 
+def test_record_peak_stays_within_record_bytes(tmp_path):
+    # one subcarrier and 1001 Es/N0 points: the 48,048 rows set the peak of
+    # the sweep and its CSV, 247 B a row traced, 165 B without the CSV
+    # writer (numpy 2.4.6)
+    cfg = config_from_dict({"n_sc": "1", "esn0_step": "0.02"})
+    tracemalloc.start()
+    try:
+        write_results_csv(run_sweep(cfg), str(tmp_path / "results.csv"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cfg.expected_records == 48_048
+    assert peak / cfg.expected_records <= RECORD_BYTES
+
+
 @pytest.mark.parametrize("raw", [
     {"u": "3", "b": "2", "n_sc": "8", "esn0_stop": "4", "gain_mode": "gaussian"},
     {"n_t": "4,8,16", "n_rf": "2,4", "n_r": "2", "n_ds": "2", "n_sc": "8", "esn0_stop": "4",
@@ -258,6 +273,56 @@ def test_benchmark_sweeps_design_in_blocks_sized_by_memory(name, design_blocks, 
     run_sweep(cfg)
     assert designs == design_blocks
     assert len(sums) == covariance_blocks
+
+
+@pytest.mark.parametrize("raw", [
+    {"n_sc": "1024", "esn0_start": "10", "esn0_stop": "10"},
+    {"n_t": "16", "n_rf": "4,8,16", "n_r": "4", "n_ds": "4", "n_sc": "256", "esn0_stop": "0"},
+])
+def test_design_call_peak_stays_within_the_design_terms(raw, monkeypatch):
+    # the benchmark's wideband_point, two design calls, and a design whose
+    # digital stage is 20.4 MB of the estimate. Each call, traced above its
+    # DL stacks, read 1.84 and 1.61 MB against 6.03 MB, and 8.67 against
+    # 21.78 MB (numpy 2.4.6)
+    cfg = config_from_dict(raw)
+    peaks, design = [], runner.design_link
+
+    def traced(groups, p_b):
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        solutions = design(groups, p_b)
+        peaks.append(tracemalloc.get_traced_memory()[1] - held)
+        return solutions
+
+    monkeypatch.setattr(runner, "design_link", traced)
+    tracemalloc.start()
+    try:
+        run_sweep(cfg)
+    finally:
+        tracemalloc.stop()
+    links = cfg.topology.n_users * cfg.topology.n_aps
+    terms = budget_terms(links, cfg.grid.n_sc, cfg.codebooks, len(cfg.scenarios), len(cfg.esn0_db), cfg.tap_count)
+    assert peaks and max(peaks) <= terms["covariance"] + terms["digital"]
+
+
+def test_runner_and_estimate_group_codebooks_alike(monkeypatch):
+    # groups are runs of consecutive codebooks that share (n_tx, n_rx,
+    # n_ds). 16A1R with n_r = 3 between two with n_r = 4 (kept in the given
+    # order, as all three tie in (n_tx, n_rf) but one) makes three groups,
+    # and first it makes two. The estimate counts the groups of the same
+    # design calls: the third adds one DL stack and one digital stage, where
+    # a count of distinct (n_tx, n_rx, n_ds) read 5,566,592 B for both
+    cfg = config_from_dict({"n_sc": "256", "esn0_stop": "0", "scenario": "mean"})
+    books = (Codebook(16, 1, 4, 1), Codebook(16, 1, 3, 1), Codebook(16, 2, 4, 1))
+    split, joined = (dataclasses.replace(cfg, codebooks=order) for order in (books, (books[1], books[0], books[2])))
+    groups, design = [], runner.design_link
+    monkeypatch.setattr(runner, "design_link", lambda g, p_b: groups.append(len(g)) or design(g, p_b))
+    run_sweep(split)
+    run_sweep(joined)
+    assert groups == [3, 2]
+    # 4 links x 256 subcarriers of 4 x 16 DL entries, and three copies of
+    # 16A2R's 1 + 16 + 2 + 4 digital entries
+    assert split.estimated_bytes - joined.estimated_bytes == 4 * 256 * (4 * 16 + 3 * 23) * 16 == 2_179_072
 
 
 def test_letters_of_one_record_come_in_order(monkeypatch):
