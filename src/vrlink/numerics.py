@@ -85,7 +85,9 @@ x86-64 these hold:
   writing the running sums. With ``n = 1`` the summed axis is the inner
   loop, which adds pairwise; there only the running sum, over one link or
   a block, keeps the order.
-- a per-element scalar call on a double, ``f"{x:.9g}"`` or ``math.log1p(x)``,
+- ``"%.9g" % x`` makes the same ``PyOS_double_to_string`` call as
+  ``f"{x:.9g}"``, and one ``%`` over a tuple makes one such call per
+  element. Such a per-element scalar call on a double, or ``math.log1p(x)``,
   depends only on its argument's bits, so one call per distinct int64 key
   ``x.view(np.int64)``, expanded by ``np.unique``'s inverse, reproduces the
   per-element output (``distinct_doubles``). The key keeps ``-0.0`` apart

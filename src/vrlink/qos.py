@@ -8,10 +8,10 @@ wait. Utility is the product of a delay-tolerance factor and a tracking
 The pipeline works on stacks of link windows, one link's subcarriers on the
 last axis: ``transmission_delay``, ``tracking_factors`` and
 ``link_utilities`` compute every subcarrier of every window with array
-arithmetic. The tracking factor depends on the UL SINR alone, so the sweep
-takes it once per block of Es/N0 points, for every link, and each
-codebook's stack of windows, over every scenario, multiplies its own rows
-of it by the delay factor in ``link_utilities``. The tests state the
+arithmetic. The tracking factor depends on the UL SINR alone: the sweep
+takes it once per block of Es/N0 points and broadcasts it over each
+codebook's whole stack of windows. The delay factor is one clamp at 1, with
+an infinite top for a window within the tolerance. The tests state the
 utility one subcarrier at a time (tests/oracles.py) and hold the window
 path to that statement bit for bit. The window functions take the sweep's
 own non-negative rates and non-empty windows unchecked; their factors lie
@@ -106,17 +106,18 @@ def tracking_factors(sinrs_ul: np.ndarray, epsilon0: float) -> np.ndarray:
 def link_utilities(delays: np.ndarray, tracking: np.ndarray, gamma_d: float) -> np.ndarray:
     """Per-subcarrier total utilities for link windows on the last axis.
 
-    delays (total delays) and tracking (``tracking_factors`` of the same
-    windows) are one window or a stack of windows; gamma_d is the delay
-    tolerance of every window. d_max is the worst total delay over a
-    window's subcarriers. Equal, bit for bit, to the scalar
-    ``total_utility(conditional_utility(...), tracking_utility(...))`` of
-    tests/oracles.py per subcarrier.
+    delays (finite total delays) and tracking (``tracking_factors`` of the
+    same windows, or a view broadcast to them) are one window or a stack;
+    gamma_d is every window's tolerance. The delay factor is the clamp
+    ``min((top - d) / span, 1)``, top d_max and span d_max - gamma_d where
+    the worst delay d_max exceeds gamma_d, else inf over 1. Equal, bit for
+    bit, to ``total_utility(conditional_utility(...), tracking_utility(...))``
+    of tests/oracles.py per subcarrier, as rounding is monotone.
     """
     d_max = np.max(delays, axis=-1, keepdims=True)
-    # a window within the tolerance has factor 1; its divisor is a stand-in
-    span = np.where(d_max > gamma_d, d_max - gamma_d, 1.0)
-    utilities = (d_max - delays) / span
-    np.copyto(utilities, 1.0, where=(delays < gamma_d) | (d_max <= gamma_d))
+    over = d_max > gamma_d
+    utilities = np.subtract(np.where(over, d_max, np.inf), delays)
+    utilities /= np.where(over, d_max - gamma_d, 1.0)
+    np.minimum(utilities, 1.0, out=utilities)
     utilities *= tracking
     return utilities

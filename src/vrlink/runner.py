@@ -168,13 +168,13 @@ def select_best_codebook(codebooks, utility) -> list:
 def _evaluate(config: SweepConfig, ul, gains, checks, sigma, d_proc: float, d_queue: float) -> tuple:
     """One block of Es/N0 points (noise powers sigma): SINR and rate of every
     scenario, codebook, point and link at once, then delay, utility and the
-    violation bits once per codebook on the link windows of every scenario.
-    Each step of that pass is element-wise or a reduction over a window's
-    subcarriers, so a window's values have the bits they would have on their
-    own (see the numerics docstring). Returns the mean UL rates (E, U, B)
-    and the (S, C, E, U, B) DL rates, transmission and total delays,
-    utilities (NaN where a check fails) and violation bits; the block's
-    per-subcarrier arrays are freed when it returns."""
+    violation bits once per codebook on the whole stack of every scenario's
+    link windows, a window that does not carry zeroed in place. Each step is
+    element-wise or a reduction over a window's subcarriers, so a window's
+    values have the bits they would have on their own (see the numerics
+    docstring). Returns the mean UL rates (E, U, B) and the (S, C, E, U, B)
+    DL rates, transmission and total delays, utilities (NaN where a check
+    fails) and violation bits; its per-subcarrier arrays go when it returns."""
     m = compute_metrics(ul, gains, config.p_u, config.p_b, config.base_cells, sigma, config.scenarios,
                         config.grid.total_bandwidth, config.grid.subcarrier_bandwidth)
     # the tracking factor depends on the UL SINR alone: one per block for every scenario
@@ -193,11 +193,10 @@ def _evaluate(config: SweepConfig, ul, gains, checks, sigma, d_proc: float, d_qu
         # float range, never completes a frame: no utility, fails (b)
         carries = np.isfinite(d_total[-1])
         codes.append(fails | 2 * ((m.rate_dl[:, c] < config.r_min) | ~carries))
-        # the windows that carry go on alone, and the full stack is freed
-        delays = delays[carries]
-        carried = np.full(carries.shape, np.nan)
-        carried[carries] = np.mean(link_utilities(delays, tracking[carries], config.gamma_d), axis=-1)
-        utility.append(np.where(codes[-1] == 0, carried, np.nan))
+        # a window that does not carry is zeroed in place; its (b) bit masks its utility
+        if not carries.all():
+            np.copyto(delays, 0.0, where=~carries[..., None])
+        utility.append(np.where(codes[-1] == 0, np.mean(link_utilities(delays, tracking, config.gamma_d), -1), np.nan))
     return (np.mean(m.rate_ul, axis=-1), m.rate_dl, *(np.stack(a, axis=1) for a in (d_trans, d_total, utility, codes)))
 
 
@@ -257,13 +256,13 @@ def write_results_csv(result: SweepResult, path: str) -> None:
     per sweep: the Es/N0 labels, link labels, UL rates and the processing
     and queue pair, shared by every block, are formatted into it, and each
     row keeps ``%s`` slots for its DL rate, two delays and utility tail.
-    The table's codebooks repeat each other's values, so those doubles are
-    formatted with ``f"{x:.9g}"`` once per distinct bit pattern of the whole
-    table and expanded by index, which gives every row the text of its own
-    values (see the numerics docstring); an infeasible row's
-    tail is one of the 32 ``VIOLATIONS``. Each block puts its
-    ``scenario,n_tx,n_rf,`` prefix on every row and fills the whole block
-    with one ``%``. The file is written one block at a time."""
+    The table's codebooks repeat each other's values, so the distinct bit
+    patterns of those doubles, and the feasible ``"%.9g,true,"`` tails, are
+    each formatted by one ``%`` over the whole table, split at a separator
+    and expanded by index, which gives every row the text of its own values
+    (see the numerics docstring); an infeasible row's tail is one of the 32
+    ``VIOLATIONS``. Each block puts its ``scenario,n_tx,n_rf,`` prefix on
+    every row and fills the whole block with one ``%``, one at a time."""
     n_e = len(result.esn0_db)
     n_links = math.prod(result.rate_ul.shape[1:])
     links = [f"{j},{i}" for j, i in np.ndindex(result.rate_ul.shape[1:])]
@@ -280,9 +279,10 @@ def write_results_csv(result: SweepResult, path: str) -> None:
     # per row: the DL rate, the transmission and total delays, the tail
     cells = np.empty(result.codes.shape + (4,), dtype=object)
     values, index = distinct_doubles(np.stack((result.rate_dl, result.d_trans, result.d_total), axis=-1))
-    cells[..., :3] = np.array([f"{x:.9g}" for x in values], dtype=object)[index]
+    cells[..., :3] = np.array(("%.9g," * len(values) % tuple(values)).split(","), dtype=object)[index]
     values, index = distinct_doubles(result.utility)
-    tails = np.array([f"{u:.9g},true," for u in values] + [f",false,{letters}" for letters in VIOLATIONS], dtype=object)
+    tails = ("%.9g,true,\n" * len(values) % tuple(values)).split("\n")[:-1]
+    tails = np.array(tails + [f",false,{letters}" for letters in VIOLATIONS], dtype=object)
     cells[..., 3] = tails[np.where(result.codes == 0, index, len(values) + result.codes)]
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -7,6 +7,7 @@ test_bench_hooks.py; no benchmark runs.
 import argparse
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -140,3 +141,41 @@ def test_each_sides_median_usage_is_printed_and_stored(tmp_path, capsys, monkeyp
     record = json.loads((tmp_path / "ab.json").read_text())
     assert record["w"]["usage"] == {"minor_faults": {"parent": 200, "change": 20},
                                     "system_s": {"parent": 0.2, "change": 0.02}}
+
+
+@pytest.mark.parametrize("parent_faults, change_faults, ratio, noted", [
+    (765_000, 273_000, 273 / 765, True),   # faults fell 2.8 times
+    (100, 151, 1.51, True),
+    (100, 150, 1.5, False),                 # 1.5 times is not yet a note
+    (150, 100, 100 / 150, False),
+    (0, 0, 1.0, False),
+    (0, 10, math.inf, True),
+])
+def test_a_fault_gap_between_the_sides_is_noted_and_leaves_the_verdict(
+        parent_faults, change_faults, ratio, noted, tmp_path, capsys, monkeypatch):
+    ab_pairs = load_ab_pairs()
+    faults = {"parent": parent_faults, "change": change_faults}
+
+    def run(checkout, workload, seed, seconds):
+        value = PARENT[seed] - (0.1 if checkout.name == "change" else 0.0)
+        return {"failed": 0, "metrics": {"m": {"value": value}},
+                "rusage": {"minor_faults": faults[checkout.name], "system_s": 0.5}}
+
+    monkeypatch.setattr(ab_pairs, "run", run)
+    args = argparse.Namespace(workload=["w"], pairs=10, seconds=1, seed_base=0, out=tmp_path / "ab.json")
+    sides = {side: tmp_path / side for side in ("parent", "change")}
+    sides["change"].mkdir()
+    (sides["change"] / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "m", "unit": "s", "better": "lower", "bound": 0.25}]}))
+    assert ab_pairs.run_pairs(args, sides) == 0
+    lines = capsys.readouterr().out.splitlines()
+    notes = [line for line in lines if line.startswith("w note: ")]
+    assert len(notes) == noted
+    if noted:
+        # under the verdict, above the usage medians
+        assert lines.index(notes[0]) == lines.index("w minor_faults: median %d -> %d" % (parent_faults, change_faults)) - 1
+        assert notes[0].startswith(f"w note: median minor_faults {parent_faults} -> {change_faults} ")
+    record = json.loads((tmp_path / "ab.json").read_text())
+    assert record["w"]["fault_ratio"] == pytest.approx(ratio)
+    # the verdict reads the metric alone: every pair won, by 0.1 > IQR
+    assert record["w"]["summary"]["m"]["verdict"] == "gain"

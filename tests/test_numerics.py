@@ -282,7 +282,12 @@ def test_percent_format_equals_the_f_string_format():
     # took f"{x:.9g}"; both go through the same float repr routine
     rng = np.random.default_rng(18)
     values = rng.integers(0, 2**64, size=200_000, dtype=np.uint64).view(float).tolist() + list(SPECIAL_DOUBLES)
-    assert ["%.9g" % x for x in values] == [f"{x:.9g}" for x in values]
+    want = [f"{x:.9g}" for x in values]
+    assert ["%.9g" % x for x in values] == want
+    # it formats a table's distinct doubles, and its utility tails, with one
+    # "%" over a tuple each, and splits the text at the separators
+    assert ("%.9g," * len(values) % tuple(values)).split(",")[:-1] == want
+    assert ("%.9g,true,\n" * len(values) % tuple(values)).split("\n")[:-1] == [x + ",true," for x in want]
 
 
 def assert_same_bits(got, want):

@@ -156,13 +156,23 @@ def test_link_utilities_stack_matches_scalar_chain_per_window():
                 delays = np.full(n_sc, delays[0])
                 sinrs = np.full(n_sc, sinrs[0])
             rows.append((delays, sinrs))
+        # the clamp's edges: a window wholly above the tolerance, the same
+        # with one delay at it (a ratio of exactly 1), one wholly within it,
+        # one whose top is one step above it, and the all-zero window the
+        # sweep passes for a link that does not carry
+        above = gamma_d + 10.0 ** rng.uniform(-4, 14, n_sc)
+        at = np.concatenate(([gamma_d], above[1:]))
+        below = np.full(n_sc, np.nextafter(gamma_d, 0.0))
+        step = np.concatenate((np.full(n_sc - 1, gamma_d), [np.nextafter(gamma_d, math.inf)]))
+        for delays in (above, at, below, step, np.zeros(n_sc)):
+            rows.append((delays, 10.0 ** rng.uniform(-12, 3, n_sc)))
         delays = np.array([r[0] for r in rows])
         sinrs = np.array([r[1] for r in rows])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             got = link_utilities(delays, tracking_factors(sinrs, 1.5), gamma_d)
             folded = link_utilities(
-                delays.reshape(2, 20, n_sc), tracking_factors(sinrs.reshape(2, 20, n_sc), 1.5), gamma_d
+                delays.reshape(3, 15, n_sc), tracking_factors(sinrs.reshape(3, 15, n_sc), 1.5), gamma_d
             )
         assert np.array_equal(folded.reshape(got.shape), got)
         for k, (d, s) in enumerate(rows):

@@ -18,7 +18,12 @@ Around each run it reads the ``RUSAGE_CHILDREN`` usage of this process, so
 that the run's minor page faults and system CPU seconds, the benchmark's
 setup probes included, go into its result file as ``rusage`` and into the
 printed pair line. Each side's median of both, per workload, is printed
-after the verdicts and stored as the workload's ``usage``.
+after the verdicts and stored as the workload's ``usage``. The change's
+median minor faults over the parent's is stored as ``fault_ratio``; where
+one side's median is more than 1.5 times the other's, a ``note:`` line under
+the verdicts says so. Such a gap has come from glibc heap layout (heap
+trims), which can give one side a verdict for all ten pairs while the code
+does the same work; the verdicts themselves do not read it.
 
 For every end-to-end metric that BENCHMARK.json declares (read from the
 change's checkout) it prints each pair, both sides' medians, the parent's
@@ -42,6 +47,7 @@ any sweep of any run failed (raised, or wrote a wrong results.csv).
 
 import argparse
 import json
+import math
 import resource
 import shutil
 import statistics
@@ -126,6 +132,12 @@ def usage_medians(pairs: dict) -> dict:
             for name in ("minor_faults", "system_s")}
 
 
+def fault_ratio(usage: dict) -> float:
+    """The change's median minor faults over the parent's; 1 where both are 0."""
+    parent, change = usage["minor_faults"]["parent"], usage["minor_faults"]["change"]
+    return change / parent if parent else (math.inf if change else 1.0)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -171,10 +183,14 @@ def run_pairs(args, sides: dict) -> int:
                 f" change better in {s['wins']}/{s['pairs']} pairs ({s['better']} is better): {s['verdict']}"
             )
         usage = usage_medians(pairs)
+        ratio = fault_ratio(usage)
+        if not 1 / 1.5 <= ratio <= 1.5:
+            print(f"{workload} note: median minor_faults {usage['minor_faults']['parent']:.0f} ->"
+                  f" {usage['minor_faults']['change']:.0f} ({ratio:.3g}x); a verdict may follow heap layout, not the code")
         for name, spec in (("minor_faults", ".0f"), ("system_s", ".3f")):
             print(f"{workload} {name}: median {usage[name]['parent']:{spec}} -> {usage[name]['change']:{spec}}")
         record[workload] = {"seconds": args.seconds, "seed_base": args.seed_base, "pairs": pairs, "summary": summary,
-                            "usage": usage}
+                            "usage": usage, "fault_ratio": ratio}
     if args.out is not None:
         args.out.write_text(json.dumps(record, indent=1, default=repr))
     if not ok:
